@@ -31,15 +31,16 @@ int main() {
         core::GraphTinker store(cfg);
         const auto series =
             bench::insertion_series(store, edges, bench::batch_size());
-        const auto& stats = store.stats();
+        const std::uint64_t fetches =
+            store.obs().counter("eba.workblocks_fetched").value();
+        const std::uint64_t cells =
+            store.obs().counter("eba.cells_probed").value();
         const double fetches_per_edge =
-            static_cast<double>(stats.workblocks_fetched) /
-            static_cast<double>(edges.size());
+            static_cast<double>(fetches) / static_cast<double>(edges.size());
         const double cells_per_fetch =
-            stats.workblocks_fetched > 0
-                ? static_cast<double>(stats.cells_probed) /
-                      static_cast<double>(stats.workblocks_fetched)
-                : 0.0;
+            fetches > 0 ? static_cast<double>(cells) /
+                              static_cast<double>(fetches)
+                        : 0.0;
         table.add_row({"WB" + std::to_string(wb),
                        Table::fmt(summarize(series).mean, 3),
                        Table::fmt(fetches_per_edge, 2),

@@ -64,7 +64,8 @@ double mean_probe(const core::GraphTinker& g,
     if (survivors.empty()) {
         return 0.0;
     }
-    const std::uint64_t before = g.stats().cells_probed;
+    const obs::Counter& probed = g.obs().counter("eba.cells_probed");
+    const std::uint64_t before = probed.value();
     std::size_t misses = 0;
     for (const Edge& e : survivors) {
         if (!g.find_edge(e.src, e.dst)) {
@@ -75,7 +76,7 @@ double mean_probe(const core::GraphTinker& g,
         std::cerr << "BUG: " << misses << " survivors unreachable\n";
         std::exit(1);
     }
-    return static_cast<double>(g.stats().cells_probed - before) /
+    return static_cast<double>(probed.value() - before) /
            static_cast<double>(survivors.size());
 }
 

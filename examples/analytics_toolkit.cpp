@@ -8,6 +8,7 @@
 #include <sstream>
 #include <vector>
 
+#include "core/audit.hpp"
 #include "core/bidirectional.hpp"
 #include "core/serialize.hpp"
 #include "engine/algorithms.hpp"
@@ -89,9 +90,9 @@ int main() {
     }
     const auto restored = std::move(loaded.graph);
     std::printf("5. Persistence: snapshot is %zu bytes; restored graph has "
-                "%llu edges (validate: %s)\n",
+                "%llu edges (audit: %s)\n",
                 buffer.str().size(),
                 static_cast<unsigned long long>(restored->num_edges()),
-                restored->validate().empty() ? "ok" : "FAILED");
+                restored->audit().ok() ? "ok" : "FAILED");
     return 0;
 }

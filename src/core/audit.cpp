@@ -593,14 +593,6 @@ AuditReport Auditor::run(const GraphTinker& graph) {
 
 AuditReport GraphTinker::audit() const { return Auditor::run(*this); }
 
-std::string GraphTinker::validate() const {
-    const AuditReport report = audit();
-    if (report.ok()) {
-        return {};
-    }
-    return report.violations.front().to_string();
-}
-
 // ---- test-only corruption hooks ----------------------------------------
 
 EdgeCell* CorruptionInjector::locate_cell(GraphTinker& graph, VertexId src,

@@ -11,6 +11,7 @@
 #include <span>
 #include <string>
 
+#include "core/audit.hpp"
 #include "core/graphtinker.hpp"
 
 namespace gt::core {
@@ -96,11 +97,11 @@ public:
     /// Cross-validates both directions: every forward edge must have its
     /// mirror and vice versa. Empty string when consistent.
     [[nodiscard]] std::string validate() const {
-        if (auto err = forward_.validate(); !err.empty()) {
-            return "forward: " + err;
+        if (const AuditReport report = forward_.audit(); !report.ok()) {
+            return "forward: " + report.to_string();
         }
-        if (auto err = reverse_.validate(); !err.empty()) {
-            return "reverse: " + err;
+        if (const AuditReport report = reverse_.audit(); !report.ok()) {
+            return "reverse: " + report.to_string();
         }
         if (forward_.num_edges() != reverse_.num_edges()) {
             return "direction edge counts diverge";

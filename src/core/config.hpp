@@ -1,7 +1,6 @@
 // GraphTinker configuration (paper §III.B, §V.A).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <stdexcept>
 
@@ -147,50 +146,6 @@ struct Config {
     [[nodiscard]] bool rhh_active() const noexcept {
         return enable_rhh && deletion_mode == DeletionMode::DeleteOnly;
     }
-};
-
-/// A diagnostics counter safe to bump from const read paths shared by
-/// concurrent readers (FIND probes account their work even on lookups).
-/// Relaxed atomics: counters never synchronize anything, they only have to
-/// avoid being a data race. Copies snapshot the value.
-class StatCounter {
-public:
-    StatCounter() = default;
-    StatCounter(const StatCounter& other) noexcept
-        : value_(other.value_.load(std::memory_order_relaxed)) {}
-    StatCounter& operator=(const StatCounter& other) noexcept {
-        value_.store(other.value_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-        return *this;
-    }
-
-    StatCounter& operator+=(std::uint64_t delta) noexcept {
-        value_.fetch_add(delta, std::memory_order_relaxed);
-        return *this;
-    }
-    StatCounter& operator++() noexcept { return *this += 1; }
-
-    // NOLINTNEXTLINE(google-explicit-constructor): drop-in for uint64_t
-    operator std::uint64_t() const noexcept {
-        return value_.load(std::memory_order_relaxed);
-    }
-
-private:
-    std::atomic<std::uint64_t> value_{0};
-};
-
-/// Operation counters exposed for tests, diagnostics and the ablation
-/// benches. All counters are cumulative since construction.
-struct Stats {
-    StatCounter cells_probed;       // edge-cells inspected
-    StatCounter workblocks_fetched; // workblock-granular retrievals
-    StatCounter rhh_swaps;          // Robin Hood displacements
-    StatCounter branch_outs;        // subblock -> child edgeblock splits
-    StatCounter compaction_moves;   // delete-and-compact relocations
-    StatCounter blocks_freed;       // edgeblocks returned to the pool
-    StatCounter trees_rebuilt;      // tombstone purges (tree rebuilds)
-    StatCounter tombstones_purged;  // tombstones erased by purges
-    StatCounter unbranch_moves;     // edges pulled up by TBH un-branching
 };
 
 }  // namespace gt::core

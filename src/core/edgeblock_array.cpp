@@ -903,20 +903,6 @@ std::uint32_t EdgeblockArray::unbranch_block(std::uint32_t block,
     return moved;
 }
 
-Stats EdgeblockArray::stats() const noexcept {
-    Stats s;
-    s.cells_probed += metrics_.cells_probed->value();
-    s.workblocks_fetched += metrics_.workblocks_fetched->value();
-    s.rhh_swaps += metrics_.rhh_swaps->value();
-    s.branch_outs += metrics_.branch_outs->value();
-    s.compaction_moves += metrics_.compaction_moves->value();
-    s.blocks_freed += metrics_.blocks_freed->value();
-    s.trees_rebuilt += metrics_.trees_rebuilt->value();
-    s.tombstones_purged += metrics_.tombstones_purged->value();
-    s.unbranch_moves += metrics_.unbranch_moves->value();
-    return s;
-}
-
 std::uint64_t EdgeblockArray::tombstones_in_arena() const noexcept {
     std::uint64_t total = 0;
     const std::size_t words =

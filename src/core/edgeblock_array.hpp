@@ -333,11 +333,6 @@ public:
     [[nodiscard]] std::size_t memory_capacity_bytes() const noexcept {
         return static_cast<std::size_t>(storage_blocks_) * bytes_per_block();
     }
-    /// \deprecated Compatibility shim (PR 4): assembles the legacy Stats
-    /// struct from the obs registry counters. New code should resolve
-    /// counters from registry() (names "eba.<field>") or read a
-    /// registry().snapshot() instead.
-    [[nodiscard]] Stats stats() const noexcept;
     /// The registry this array records into (owned fallback when none was
     /// supplied at construction).
     [[nodiscard]] obs::Registry& registry() const noexcept {

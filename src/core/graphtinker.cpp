@@ -781,8 +781,8 @@ obs::Snapshot GraphTinker::telemetry() const {
     return r.snapshot();
 }
 
-// audit() and validate() are defined in core/audit.cpp alongside the
-// structural auditor they delegate to.
+// audit() is defined in core/audit.cpp alongside the structural auditor it
+// delegates to.
 
 std::uint32_t GraphTinker::tree_depth(VertexId src) const {
     const auto dense = dense_of(src);

@@ -191,10 +191,6 @@ public:
     // ---- diagnostics -----------------------------------------------------
 
     [[nodiscard]] const Config& config() const noexcept { return config_; }
-    /// \deprecated Compatibility shim (PR 4): snapshots the legacy Stats
-    /// struct from the obs registry. Prefer obs() / telemetry() — e.g.
-    /// obs().counter("eba.cells_probed") or telemetry().counter_value().
-    [[nodiscard]] Stats stats() const noexcept { return eba_.stats(); }
     /// The store's metrics registry. Every component (EBA probe counters
     /// and histograms, CAL chain telemetry, maintenance sweeps, batch
     /// ingest latency) records here under dotted names — see the README
@@ -242,10 +238,6 @@ public:
     /// dense-index bijection, and edge/degree accounting. Returns a typed
     /// report listing every violation found.
     [[nodiscard]] AuditReport audit() const;
-
-    /// Legacy validation hook: runs audit() and renders the first violation.
-    /// Returns an empty string when consistent, else a failure description.
-    [[nodiscard]] std::string validate() const;
 
 private:
     /// Batches below this size skip the sort and apply per edge.

@@ -286,25 +286,4 @@ Status read_snapshot(std::istream& in, LoadedSnapshot& out) {
     return Status::success();
 }
 
-// Deprecated shims — thin adapters over the Status API so pre-durability
-// callers keep compiling while they migrate.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-bool save_snapshot(const GraphTinker& graph, std::ostream& out) {
-    return write_snapshot(graph, out).ok();
-}
-
-std::unique_ptr<GraphTinker> load_snapshot(std::istream& in) {
-    LoadedSnapshot loaded;
-    if (!read_snapshot(in, loaded).ok()) {
-        return nullptr;
-    }
-    return std::move(loaded.graph);
-}
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
 }  // namespace gt::core

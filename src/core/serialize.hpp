@@ -63,15 +63,4 @@ struct LoadedSnapshot {
 /// carries the edge index for per-record failures.
 [[nodiscard]] Status read_snapshot(std::istream& in, LoadedSnapshot& out);
 
-/// \deprecated Bool-returning shim over write_snapshot (pre-durability
-/// API). The Status overload says *why* a save failed; use it.
-[[deprecated("use write_snapshot (returns gt::Status)")]] [[nodiscard]]
-bool save_snapshot(const GraphTinker& graph, std::ostream& out);
-
-/// \deprecated nullptr-on-failure shim over read_snapshot. The Status
-/// overload distinguishes truncation from corruption from version skew —
-/// recovery fallback logic needs that; use it.
-[[deprecated("use read_snapshot (returns gt::Status)")]]
-std::unique_ptr<GraphTinker> load_snapshot(std::istream& in);
-
 }  // namespace gt::core

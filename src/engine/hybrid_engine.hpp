@@ -19,6 +19,16 @@
 // can drive it, so GraphTinker and the STINGER baseline are exercised by
 // byte-for-byte the same engine code.
 //
+// A core::ShardedStore (the paper's Fig. 6 intervals) drives the same loop
+// with the scatter phase split by shard. Each run holds one
+// read_snapshot_all() pin, so it reads every shard at one settled epoch
+// while ingest waits. The shards scatter in parallel on a ThreadPool with
+// one thread per shard, each into a private message buffer, and the buffers
+// merge before the serial apply. Results are bit-identical to a single store
+// holding the same edges because reduce is associative and commutative for
+// every shipped algorithm. Any other store scatters inline into the final
+// buffer.
+//
 // Telemetry goes through gt::obs: point EngineOptions::registry at a
 // MetricsRegistry and the engine appends one row per iteration to the
 // "engine.trace" series (mode, decision ratio, edges streamed/walked, wall
@@ -28,13 +38,16 @@
 
 #include <algorithm>
 #include <array>
+#include <concepts>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string_view>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "util/active_set.hpp"
+#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 #include "util/types.hpp"
 
@@ -111,6 +124,17 @@ struct RunStats {
     }
 };
 
+/// A partitioned store (core::ShardedStore): one store per shard, owner
+/// shard of a source by shard_of(), all shards readable together through
+/// one read_snapshot_all() pin.
+template <typename S>
+concept PartitionedStore = requires(const S& s, std::size_t i, VertexId v) {
+    { s.num_shards() } -> std::convertible_to<std::size_t>;
+    s.shard(i);
+    { S::shard_of(v, i) } -> std::convertible_to<std::size_t>;
+    s.read_snapshot_all();
+};
+
 /// A persistent dynamic analysis: vertex properties survive across batch
 /// updates so the incremental-compute model can refine the previous result
 /// instead of recomputing it (paper §II.B).
@@ -122,6 +146,10 @@ public:
     explicit DynamicAnalysis(const Store& store, EngineOptions opts = {},
                              Alg alg = {})
         : store_(store), opts_(opts), alg_(alg) {
+        if constexpr (PartitionedStore<Store>) {
+            pool_ = std::make_unique<ThreadPool>(store.num_shards());
+            locals_.resize(store.num_shards());
+        }
         if (opts_.registry != nullptr) {
             obs::Registry& r = *opts_.registry;
             trace_ = &r.series("engine.trace",
@@ -146,20 +174,22 @@ public:
     /// Set-Inconsistency-Vertices unit + run to fixpoint. Call *after* the
     /// store ingested `batch`.
     RunStats on_batch(std::span<const Edge> batch) {
-        grow(static_cast<VertexId>(store_.num_vertices()));
-        alg_.seed_batch(batch, [&](VertexId v) { active_.insert(v); });
-        return run();
+        return run([&](VertexId bound) {
+            grow(bound);
+            alg_.seed_batch(batch, [&](VertexId v) { active_.insert(v); });
+        });
     }
 
     /// Store-and-static-compute model: discard prior state and recompute the
     /// whole analysis on the graph as it currently stands.
     RunStats run_from_scratch() {
-        reset();
-        return run();
+        return run([&](VertexId bound) { reset(bound); });
     }
 
     /// Re-seeds without discarding properties (useful after manual edits).
-    RunStats run_to_fixpoint() { return run(); }
+    RunStats run_to_fixpoint() {
+        return run([&](VertexId bound) { grow(bound); });
+    }
 
     [[nodiscard]] const std::vector<Property>& properties() const noexcept {
         return props_;
@@ -171,8 +201,39 @@ public:
     [[nodiscard]] const EngineOptions& options() const noexcept {
         return opts_;
     }
+    /// Scatter threads: one per shard over a sharded store, else none.
+    [[nodiscard]] std::size_t num_workers() const noexcept {
+        return pool_ ? pool_->size() : 0;
+    }
 
 private:
+    /// The shard stores of one read_snapshot_all() pin, read as one graph.
+    template <typename Pin>
+    struct PinnedShards {
+        const Pin& pin;
+
+        [[nodiscard]] VertexId num_vertices() const {
+            VertexId bound = 0;
+            for (std::size_t s = 0; s < pin.num_shards(); ++s) {
+                bound = std::max(bound, pin.store(s).num_vertices());
+            }
+            return bound;
+        }
+        [[nodiscard]] EdgeCount num_edges() const { return pin.edge_total(); }
+        [[nodiscard]] auto degree(VertexId u) const {
+            return pin.store(Store::shard_of(u, pin.num_shards())).degree(u);
+        }
+    };
+
+    /// One shard's private scatter buffer, plus the active vertices it owns
+    /// (the sources of an incremental iteration).
+    struct Local {
+        std::vector<Property> temp;
+        ActiveSet touched;
+        std::vector<VertexId> sources;
+        std::uint64_t streamed = 0;
+    };
+
     void grow(VertexId bound) {
         const auto old = static_cast<VertexId>(props_.size());
         if (bound <= old) {
@@ -186,13 +247,16 @@ private:
         active_.resize(bound);
         next_.resize(bound);
         touched_.resize(bound);
+        for (Local& local : locals_) {
+            local.temp.resize(bound);
+            local.touched.resize(bound);
+        }
     }
 
-    void reset() {
+    void reset(VertexId bound) {
         active_.clear();
         next_.clear();
         touched_.clear();
-        const auto bound = static_cast<VertexId>(store_.num_vertices());
         props_.clear();
         grow(bound);
         if constexpr (Alg::needs_root) {
@@ -218,9 +282,10 @@ private:
     };
 
     /// The inference-box decision for the upcoming iteration (paper §IV.B).
-    [[nodiscard]] ModeDecision decide_mode() const {
+    template <typename Graph>
+    [[nodiscard]] ModeDecision decide_mode(const Graph& g) const {
         const double edges =
-            static_cast<double>(std::max<EdgeCount>(store_.num_edges(), 1));
+            static_cast<double>(std::max<EdgeCount>(g.num_edges(), 1));
         const double a_over_e = static_cast<double>(active_.size()) / edges;
         switch (opts_.policy) {
             case ModePolicy::ForceFull:
@@ -236,59 +301,122 @@ private:
         }
         std::uint64_t walk = 0;  // edges an IP iteration would traverse
         for (VertexId u : active_.vertices()) {
-            walk += store_.degree(u);
+            walk += g.degree(u);
         }
         const double t = static_cast<double>(walk) / edges;
         return {t > opts_.degree_threshold ? Mode::Full : Mode::Incremental,
                 t};
     }
 
-    void scatter_to(VertexId dst, Property msg) {
-        if (dst >= temp_.size()) {
-            grow(dst + 1);
-        }
-        if (touched_.insert(dst)) {
-            temp_[dst] = msg;
+    /// Reduces `msg` into the buffer (temp, touched) at `dst`.
+    void send(std::vector<Property>& temp, ActiveSet& touched, VertexId dst,
+              Property msg) const {
+        if (touched.insert(dst)) {
+            temp[dst] = msg;
         } else {
-            temp_[dst] = alg_.reduce(temp_[dst], msg);
+            temp[dst] = alg_.reduce(temp[dst], msg);
         }
     }
 
-    RunStats run() {
+    /// Scatters the active vertices' messages over `part`'s edges into
+    /// (temp, touched) and returns the edges streamed. IP walks the
+    /// out-edges of `sources`; FP streams every edge of `part`. It writes
+    /// nothing but (temp, touched), so shards may run it concurrently.
+    template <typename Part>
+    std::uint64_t scatter(const Part& part, Mode mode,
+                          const std::vector<VertexId>& sources,
+                          std::vector<Property>& temp,
+                          ActiveSet& touched) const {
+        std::uint64_t streamed = 0;
+        if (mode == Mode::Incremental) {
+            for (VertexId u : sources) {
+                const Property up = props_[u];
+                part.visit_out_edges(u, [&](VertexId v, Weight w) {
+                    ++streamed;
+                    if (const auto msg = alg_.process_edge(u, up, w)) {
+                        send(temp, touched, v, *msg);
+                    }
+                });
+            }
+        } else {
+            part.visit_edges([&](VertexId u, VertexId v, Weight w) {
+                ++streamed;
+                if (active_.contains(u)) {
+                    if (const auto msg = alg_.process_edge(u, props_[u], w)) {
+                        send(temp, touched, v, *msg);
+                    }
+                }
+            });
+        }
+        return streamed;
+    }
+
+    /// Sharded scatter: shard s streams its pinned store into locals_[s],
+    /// all shards in parallel on the pool; the buffers then merge into
+    /// (temp_, touched_).
+    template <typename Pin>
+    std::uint64_t scatter_shards(const Pin& pin, Mode mode) {
+        if (mode == Mode::Incremental) {
+            for (Local& local : locals_) {
+                local.sources.clear();
+            }
+            const std::size_t n = locals_.size();
+            for (VertexId u : active_.vertices()) {
+                locals_[Store::shard_of(u, n)].sources.push_back(u);
+            }
+        }
+        pool_->for_each_worker([&](std::size_t s) {
+            Local& local = locals_[s];
+            local.touched.clear();
+            local.streamed = scatter(pin.store(s), mode, local.sources,
+                                     local.temp, local.touched);
+        });
+        std::uint64_t streamed = 0;
+        for (Local& local : locals_) {
+            streamed += local.streamed;
+            for (VertexId v : local.touched.vertices()) {
+                send(temp_, touched_, v, local.temp[v]);
+            }
+        }
+        return streamed;
+    }
+
+    /// Runs to fixpoint from the state `seed(vertex bound)` leaves. Over a
+    /// sharded store, the whole run reads through one all-shard pin.
+    template <typename Seed>
+    RunStats run(Seed&& seed) {
+        if constexpr (PartitionedStore<Store>) {
+            const auto pin = store_.read_snapshot_all();
+            return iterate(PinnedShards<decltype(pin)>{pin}, seed);
+        } else {
+            return iterate(store_, seed);
+        }
+    }
+
+    template <typename Graph, typename Seed>
+    RunStats iterate(const Graph& g, Seed& seed) {
+        seed(static_cast<VertexId>(g.num_vertices()));
         RunStats stats;
         while (!active_.empty()) {
             Timer timer;
-            const ModeDecision decision = decide_mode();
+            const ModeDecision decision = decide_mode(g);
             const Mode mode = decision.mode;
             const std::size_t processed = active_.size();
-            std::uint64_t streamed = 0;
-            std::uint64_t logical = 0;
             touched_.clear();
 
             // --- processing phase (scatter + reduce) --------------------
-            if (mode == Mode::Incremental) {
-                for (VertexId u : active_.vertices()) {
-                    const Property up = props_[u];
-                    store_.visit_out_edges(u, [&](VertexId v, Weight w) {
-                        ++streamed;
-                        if (const auto msg = alg_.process_edge(u, up, w)) {
-                            scatter_to(v, *msg);
-                        }
-                    });
-                }
-                logical = streamed;
+            std::uint64_t streamed = 0;
+            if constexpr (PartitionedStore<Store>) {
+                streamed = scatter_shards(g.pin, mode);
             } else {
-                store_.visit_edges([&](VertexId u, VertexId v, Weight w) {
-                    ++streamed;
-                    if (active_.contains(u)) {
-                        if (const auto msg =
-                                alg_.process_edge(u, props_[u], w)) {
-                            scatter_to(v, *msg);
-                        }
-                    }
-                });
+                streamed = scatter(g, mode, active_.vertices(), temp_,
+                                   touched_);
+            }
+            std::uint64_t logical = streamed;
+            if (mode == Mode::Full) {
+                logical = 0;
                 for (VertexId u : active_.vertices()) {
-                    logical += store_.degree(u);
+                    logical += g.degree(u);
                 }
             }
 
@@ -358,6 +486,10 @@ private:
     obs::Counter* streamed_m_ = nullptr;
     obs::Counter* logical_m_ = nullptr;
     std::uint64_t iteration_seq_ = 0;  // trace row ids, monotone across runs
+    // Sharded stores only: the scatter pool (one thread per shard) and one
+    // buffer per shard. Null and empty over any other store.
+    std::unique_ptr<ThreadPool> pool_;
+    std::vector<Local> locals_;
     std::vector<Property> props_;
     std::vector<Property> temp_;
     ActiveSet active_;

@@ -1,306 +1,15 @@
-// Shard-parallel analytics over ShardedStore (extension).
-//
-// The paper parallelizes *updates* by loading hash-partitioned intervals of
-// the edge stream into independent GraphTinker instances (Fig. 6). This
-// engine extends the same decomposition to the analytics side: each shard
-// scatters its own edges on its own worker, reducing into per-worker message
-// buffers that are merged before the (serial) apply phase. Results are
-// bit-identical to the serial engine because reduce is associative and
-// commutative for every shipped algorithm.
-//
-// Modes mirror the serial hybrid engine: full processing streams each
-// shard's compact CAL; incremental processing walks the out-edges of the
-// active vertices owned by each shard.
+// Shard-parallel analytics over ShardedStore (extension): the paper's
+// Fig. 6 interval decomposition applied to the engine's scatter phase.
+// DynamicAnalysis recognises a sharded store and scatters each shard on its
+// own worker (see hybrid_engine.hpp); this name stays for its callers.
 #pragma once
-
-#include <cstdint>
-#include <span>
-#include <vector>
 
 #include "core/sharded.hpp"
 #include "engine/hybrid_engine.hpp"
-#include "util/active_set.hpp"
-#include "util/thread_pool.hpp"
-#include "util/timer.hpp"
-#include "util/types.hpp"
 
 namespace gt::engine {
 
 template <typename Store, typename Alg>
-class ParallelDynamicAnalysis {
-public:
-    using Property = typename Alg::Property;
-    using Sharded = core::ShardedStore<Store>;
-
-    explicit ParallelDynamicAnalysis(const Sharded& store,
-                                     EngineOptions opts = {}, Alg alg = {})
-        : store_(store),
-          opts_(opts),
-          alg_(alg),
-          pool_(store.num_shards()),
-          locals_(store.num_shards()) {
-        if (opts_.registry != nullptr) {
-            obs::Registry& r = *opts_.registry;
-            trace_ = &r.series("engine.trace",
-                               {kTraceFields.begin(), kTraceFields.end()});
-            iterations_m_ = &r.counter("engine.iterations");
-            full_m_ = &r.counter("engine.full_iterations");
-            incremental_m_ = &r.counter("engine.incremental_iterations");
-            streamed_m_ = &r.counter("engine.edges_streamed");
-            logical_m_ = &r.counter("engine.logical_edges");
-        }
-    }
-
-    void set_root(VertexId root) {
-        roots_.push_back(root);
-        grow(root + 1);
-        props_[root] = Property{0};
-        active_.insert(root);
-    }
-
-    RunStats on_batch(std::span<const Edge> batch) {
-        grow(bound_from_store());
-        alg_.seed_batch(batch, [&](VertexId v) { active_.insert(v); });
-        return run();
-    }
-
-    RunStats run_from_scratch() {
-        reset();
-        return run();
-    }
-
-    [[nodiscard]] Property property(VertexId v) const {
-        return v < props_.size() ? props_[v] : alg_.initial(v);
-    }
-    [[nodiscard]] std::size_t num_workers() const noexcept {
-        return pool_.size();
-    }
-
-private:
-    /// Per-worker scatter buffer: dense message array plus touched list.
-    struct Local {
-        std::vector<Property> temp;
-        ActiveSet touched;
-        std::uint64_t streamed = 0;
-    };
-
-    [[nodiscard]] VertexId bound_from_store() const {
-        VertexId bound = 0;
-        for (std::size_t s = 0; s < store_.num_shards(); ++s) {
-            bound = std::max(bound, store_.shard(s).num_vertices());
-        }
-        return bound;
-    }
-
-    [[nodiscard]] EdgeCount total_edges() const {
-        return store_.num_edges();
-    }
-
-    void grow(VertexId bound) {
-        const auto old = static_cast<VertexId>(props_.size());
-        if (bound <= old) {
-            return;
-        }
-        props_.resize(bound);
-        temp_.resize(bound);
-        for (VertexId v = old; v < bound; ++v) {
-            props_[v] = alg_.initial(v);
-        }
-        active_.resize(bound);
-        next_.resize(bound);
-        touched_.resize(bound);
-        for (Local& local : locals_) {
-            local.temp.resize(bound);
-            local.touched.resize(bound);
-        }
-    }
-
-    void reset() {
-        active_.clear();
-        next_.clear();
-        touched_.clear();
-        props_.clear();
-        grow(bound_from_store());
-        if constexpr (Alg::needs_root) {
-            for (VertexId root : roots_) {
-                grow(root + 1);
-                props_[root] = Property{0};
-                active_.insert(root);
-            }
-        } else {
-            const auto bound = static_cast<VertexId>(props_.size());
-            for (VertexId v = 0; v < bound; ++v) {
-                active_.insert(v);
-            }
-        }
-    }
-
-    /// Mode plus the compared A/E ratio (see hybrid_engine.hpp).
-    struct ModeDecision {
-        Mode mode;
-        double ratio;
-    };
-
-    [[nodiscard]] ModeDecision decide_mode() const {
-        const double edges = static_cast<double>(
-            std::max<EdgeCount>(total_edges(), 1));
-        const double t = static_cast<double>(active_.size()) / edges;
-        switch (opts_.policy) {
-            case ModePolicy::ForceFull:
-                return {Mode::Full, t};
-            case ModePolicy::ForceIncremental:
-                return {Mode::Incremental, t};
-            default:
-                break;
-        }
-        return {t > opts_.threshold ? Mode::Full : Mode::Incremental, t};
-    }
-
-    RunStats run() {
-        RunStats stats;
-        // Active vertices grouped by owning shard (incremental mode).
-        std::vector<std::vector<VertexId>> by_shard(store_.num_shards());
-        while (!active_.empty()) {
-            Timer timer;
-            const ModeDecision decision = decide_mode();
-            const Mode mode = decision.mode;
-            const std::size_t processed = active_.size();
-
-            // --- parallel scatter phase ------------------------------
-            if (mode == Mode::Incremental) {
-                for (auto& bucket : by_shard) {
-                    bucket.clear();
-                }
-                for (VertexId u : active_.vertices()) {
-                    by_shard[Sharded::shard_of(u, store_.num_shards())]
-                        .push_back(u);
-                }
-            }
-            pool_.for_each_worker([&](std::size_t s) {
-                Local& local = locals_[s];
-                local.touched.clear();
-                local.streamed = 0;
-                auto scatter = [&](VertexId u, VertexId v, Weight w) {
-                    if (const auto msg =
-                            alg_.process_edge(u, props_[u], w)) {
-                        if (local.touched.insert(v)) {
-                            local.temp[v] = *msg;
-                        } else {
-                            local.temp[v] =
-                                alg_.reduce(local.temp[v], *msg);
-                        }
-                    }
-                };
-                if (mode == Mode::Incremental) {
-                    for (VertexId u : by_shard[s]) {
-                        store_.shard(s).visit_out_edges(
-                            u, [&](VertexId v, Weight w) {
-                                ++local.streamed;
-                                scatter(u, v, w);
-                            });
-                    }
-                } else {
-                    store_.shard(s).visit_edges(
-                        [&](VertexId u, VertexId v, Weight w) {
-                            ++local.streamed;
-                            if (active_.contains(u)) {
-                                scatter(u, v, w);
-                            }
-                        });
-                }
-            });
-
-            // --- merge worker buffers (serial, associative reduce) ----
-            touched_.clear();
-            std::uint64_t streamed = 0;
-            for (Local& local : locals_) {
-                streamed += local.streamed;
-                for (VertexId v : local.touched.vertices()) {
-                    if (touched_.insert(v)) {
-                        temp_[v] = local.temp[v];
-                    } else {
-                        temp_[v] = alg_.reduce(temp_[v], local.temp[v]);
-                    }
-                }
-            }
-
-            std::uint64_t logical = 0;
-            if (mode == Mode::Incremental) {
-                logical = streamed;
-            } else {
-                for (VertexId u : active_.vertices()) {
-                    logical += store_
-                                   .shard(Sharded::shard_of(
-                                       u, store_.num_shards()))
-                                   .degree(u);
-                }
-            }
-
-            // --- post-scatter hook + apply phase ----------------------
-            if constexpr (requires(Alg a, Property& p) {
-                              a.on_scattered(p);
-                          }) {
-                for (VertexId u : active_.vertices()) {
-                    alg_.on_scattered(props_[u]);
-                }
-            }
-            next_.clear();
-            for (VertexId v : touched_.vertices()) {
-                if (alg_.apply(props_[v], temp_[v])) {
-                    next_.insert(v);
-                }
-            }
-            active_.swap(next_);
-
-            ++stats.iterations;
-            if (mode == Mode::Full) {
-                ++stats.full_iterations;
-            } else {
-                ++stats.incremental_iterations;
-            }
-            const double secs = timer.seconds();
-            stats.edges_streamed += streamed;
-            stats.logical_edges += logical;
-            stats.seconds += secs;
-            if (trace_ != nullptr) {
-                iterations_m_->inc();
-                (mode == Mode::Full ? full_m_ : incremental_m_)->inc();
-                streamed_m_->add(streamed);
-                logical_m_->add(logical);
-                const double row[] = {
-                    static_cast<double>(++iteration_seq_),
-                    mode == Mode::Full ? 1.0 : 0.0,
-                    static_cast<double>(processed),
-                    decision.ratio,
-                    static_cast<double>(streamed),
-                    static_cast<double>(logical),
-                    secs};
-                trace_->append(row);
-            }
-        }
-        return stats;
-    }
-
-    const Sharded& store_;
-    EngineOptions opts_;
-    Alg alg_;
-    // Telemetry handles (null without EngineOptions::registry); rows land
-    // in the same "engine.trace" schema the serial engine publishes.
-    obs::Series* trace_ = nullptr;
-    obs::Counter* iterations_m_ = nullptr;
-    obs::Counter* full_m_ = nullptr;
-    obs::Counter* incremental_m_ = nullptr;
-    obs::Counter* streamed_m_ = nullptr;
-    obs::Counter* logical_m_ = nullptr;
-    std::uint64_t iteration_seq_ = 0;
-    ThreadPool pool_;
-    std::vector<Property> props_;
-    std::vector<Property> temp_;
-    ActiveSet active_;
-    ActiveSet next_;
-    ActiveSet touched_;
-    std::vector<Local> locals_;
-    std::vector<VertexId> roots_;
-};
+using ParallelDynamicAnalysis = DynamicAnalysis<core::ShardedStore<Store>, Alg>;
 
 }  // namespace gt::engine

@@ -746,89 +746,4 @@ Status RemoteGraph::send_ack(std::uint64_t acked_seq) {
     return client_->round_trip(MsgType::SubAck, w.span(), reply);
 }
 
-// ---- deprecated per-name shims --------------------------------------------
-// Each one wraps a transient RemoteGraph so the wire behavior is byte-for-
-// byte identical to the handle API; they only survive to keep PR 8 call
-// sites compiling during migration.
-
-Status Client::open_graph(const std::string& name, std::uint8_t durability,
-                          std::uint8_t* recovery_source) {
-    RemoteGraph g;
-    if (Status st = open(name, g, durability); !st.ok()) {
-        return st;
-    }
-    if (recovery_source != nullptr) {
-        *recovery_source = g.recovery_source();
-    }
-    return Status::success();
-}
-
-Status Client::insert_batch(const std::string& name,
-                            std::span<const Edge> edges,
-                            std::uint64_t* edge_count) {
-    RemoteGraph g(this, name, 0);
-    return g.insert_edges(edges, edge_count);
-}
-
-Status Client::delete_batch(const std::string& name,
-                            std::span<const Edge> edges,
-                            std::uint64_t* edge_count) {
-    RemoteGraph g(this, name, 0);
-    return g.delete_edges(edges, edge_count);
-}
-
-Status Client::degree(const std::string& name, VertexId v,
-                      std::uint64_t& out) {
-    RemoteGraph g(this, name, 0);
-    return g.degree_of(v, out);
-}
-
-Status Client::neighbors(const std::string& name, VertexId v,
-                         std::vector<std::pair<VertexId, Weight>>& out,
-                         std::uint32_t max) {
-    RemoteGraph g(this, name, 0);
-    return g.neighbors(v, out, max);
-}
-
-Status Client::bfs(const std::string& name, VertexId root,
-                   std::span<const VertexId> targets,
-                   std::vector<std::uint32_t>& out) {
-    RemoteGraph g(this, name, 0);
-    return g.bfs_distances(root, targets, out);
-}
-
-Status Client::sssp(const std::string& name, VertexId root,
-                    std::span<const VertexId> targets,
-                    std::vector<std::uint32_t>& out) {
-    RemoteGraph g(this, name, 0);
-    return g.sssp(root, targets, out);
-}
-
-Status Client::cc(const std::string& name, std::span<const VertexId> targets,
-                  std::vector<std::uint32_t>& out) {
-    RemoteGraph g(this, name, 0);
-    return g.cc(targets, out);
-}
-
-Status Client::edge_count(const std::string& name, std::uint64_t& edges,
-                          std::uint64_t& vertices) {
-    RemoteGraph g(this, name, 0);
-    return g.count(edges, vertices);
-}
-
-Status Client::checkpoint(const std::string& name) {
-    RemoteGraph g(this, name, 0);
-    return g.checkpoint_now();
-}
-
-Status Client::sync(const std::string& name) {
-    RemoteGraph g(this, name, 0);
-    return g.sync_wal();
-}
-
-Status Client::stats_json(const std::string& name, std::string& json) {
-    RemoteGraph g(this, name, 0);
-    return g.stats_json(json);
-}
-
 }  // namespace gt::net

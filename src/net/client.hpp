@@ -260,44 +260,6 @@ public:
     [[nodiscard]] Status recv_shipment(std::uint64_t sub_id, Frame& out,
                                        std::int64_t timeout_ms = -1);
 
-    // ---- deprecated per-name wrappers (PR 8 surface) ----------------------
-    // Thin shims over a transient RemoteGraph; migrate to
-    // Client::open() + handle verbs.
-
-    [[deprecated("use Client::open + RemoteGraph")]] [[nodiscard]] Status
-    open_graph(const std::string& name, std::uint8_t durability = 255,
-               std::uint8_t* recovery_source = nullptr);
-    [[deprecated("use RemoteGraph::insert_edges")]] [[nodiscard]] Status
-    insert_batch(const std::string& name, std::span<const Edge> edges,
-                 std::uint64_t* edge_count = nullptr);
-    [[deprecated("use RemoteGraph::delete_edges")]] [[nodiscard]] Status
-    delete_batch(const std::string& name, std::span<const Edge> edges,
-                 std::uint64_t* edge_count = nullptr);
-    [[deprecated("use RemoteGraph::degree_of")]] [[nodiscard]] Status degree(
-        const std::string& name, VertexId v, std::uint64_t& out);
-    [[deprecated("use RemoteGraph::neighbors")]] [[nodiscard]] Status
-    neighbors(const std::string& name, VertexId v,
-              std::vector<std::pair<VertexId, Weight>>& out,
-              std::uint32_t max = 0);
-    [[deprecated("use RemoteGraph::bfs_distances")]] [[nodiscard]] Status bfs(
-        const std::string& name, VertexId root,
-        std::span<const VertexId> targets, std::vector<std::uint32_t>& out);
-    [[deprecated("use RemoteGraph::sssp")]] [[nodiscard]] Status sssp(
-        const std::string& name, VertexId root,
-        std::span<const VertexId> targets, std::vector<std::uint32_t>& out);
-    [[deprecated("use RemoteGraph::cc")]] [[nodiscard]] Status cc(
-        const std::string& name, std::span<const VertexId> targets,
-        std::vector<std::uint32_t>& out);
-    [[deprecated("use RemoteGraph::count")]] [[nodiscard]] Status edge_count(
-        const std::string& name, std::uint64_t& edges,
-        std::uint64_t& vertices);
-    [[deprecated("use RemoteGraph::checkpoint_now")]] [[nodiscard]] Status
-    checkpoint(const std::string& name);
-    [[deprecated("use RemoteGraph::sync_wal")]] [[nodiscard]] Status sync(
-        const std::string& name);
-    [[deprecated("use RemoteGraph::stats_json")]] [[nodiscard]] Status
-    stats_json(const std::string& name, std::string& json);
-
 private:
     friend class RemoteGraph;
 

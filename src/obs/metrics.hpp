@@ -17,10 +17,9 @@
 // construction and record through them on the hot path; exporters snapshot
 // the registry into a stable-schema value rendered by obs/export.hpp.
 //
-// Cost model. Counters are the pre-existing relaxed Stats counters moved
-// behind names — their cost is unchanged. Histogram/Series recording is the
-// *new* cost and is double-gated: the GT_OBS compile-time switch (=0
-// compiles record() to an empty body) and a process-wide runtime knob
+// Cost model. Counters are one relaxed atomic add. Histogram/Series
+// recording costs more and is double-gated: the GT_OBS compile-time switch
+// (=0 compiles record() to an empty body) and a process-wide runtime knob
 // (obs::set_recording) that reduces an armed record() to one
 // predictable-branch relaxed load. Hot-path sites use record_sampled(),
 // which additionally keeps only every `sample_period()`-th sample, so even
@@ -44,7 +43,7 @@
 #include "util/thread_annotations.hpp"
 
 // Compile-time gate: -DGT_OBS=0 removes histogram/series recording bodies
-// entirely (counters and gauges stay — the Stats shim and tests read them).
+// entirely (counters and gauges stay — tests and telemetry() read them).
 #ifndef GT_OBS
 #define GT_OBS 1
 #endif

@@ -74,7 +74,7 @@ TEST(ConcurrentRead, ParallelFindersAgreeOnEveryEdge) {
     EXPECT_EQ(hits.load(), static_cast<std::uint64_t>(kThreads) * edges.size());
     // The shared stats counters absorbed every probe without losing updates
     // being a correctness property; merely assert they moved.
-    EXPECT_GT(static_cast<std::uint64_t>(g.stats().cells_probed), 0u);
+    EXPECT_GT(g.obs().counter("eba.cells_probed").value(), 0u);
 }
 
 TEST(ConcurrentRead, MixedTraversalFindAndAudit) {

@@ -208,7 +208,7 @@ TEST(GraphTinkerCombo, LargePagewidthSmallGraph) {
     GraphTinker g(cfg);
     (void)g.insert_edge(1, 2, 3);
     EXPECT_EQ(g.find_edge(1, 2), std::optional<Weight>(3));
-    EXPECT_EQ(g.validate(), "");
+    EXPECT_TRUE(g.audit().ok()) << g.audit().to_string();
     // Iteration over a nearly-empty giant block stays correct (occupancy
     // masks skip the slack).
     int count = 0;
@@ -249,9 +249,10 @@ TEST(GraphTinkerCombo, MixedFeatureChurnStaysValid) {
                     (void)g.delete_edge(inserts[i].src, inserts[i].dst);
                 }
                 (void)g.insert_batch(rmat_edges(120, 500, 8));
-                ASSERT_EQ(g.validate(), "")
+                ASSERT_TRUE(g.audit().ok())
                     << "sgh=" << sgh << " cal=" << cal
-                    << " compact=" << (mode == DeletionMode::DeleteAndCompact);
+                    << " compact=" << (mode == DeletionMode::DeleteAndCompact)
+                    << ": " << g.audit().to_string();
             }
         }
     }

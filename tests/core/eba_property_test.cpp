@@ -104,11 +104,12 @@ TEST(EbaProbeCost, SuccessfulFindIsLogarithmicInDegree) {
         for (VertexId d = 0; d < 1024; ++d) {
             eba.insert(top, d, 1);
         }
-        const auto before = eba.stats().cells_probed;
+        const obs::Counter& probed = eba.registry().counter("eba.cells_probed");
+        const std::uint64_t before = probed.value();
         for (VertexId d = 0; d < 1024; ++d) {
             (void)eba.find(top, d);
         }
-        small = static_cast<double>(eba.stats().cells_probed - before) / 1024;
+        small = static_cast<double>(probed.value() - before) / 1024;
     }
     {
         EdgeblockArray eba(cfg, nullptr);
@@ -116,12 +117,12 @@ TEST(EbaProbeCost, SuccessfulFindIsLogarithmicInDegree) {
         for (VertexId d = 0; d < 65536; ++d) {
             eba.insert(top, d, 1);
         }
-        const auto before = eba.stats().cells_probed;
+        const obs::Counter& probed = eba.registry().counter("eba.cells_probed");
+        const std::uint64_t before = probed.value();
         for (VertexId d = 0; d < 65536; ++d) {
             (void)eba.find(top, d);
         }
-        large = static_cast<double>(eba.stats().cells_probed - before) /
-                65536;
+        large = static_cast<double>(probed.value() - before) / 65536;
     }
     EXPECT_LT(large / small, 4.0)
         << "find cost grew " << large / small

@@ -46,7 +46,7 @@ TEST(EdgeblockArray, BranchesOutWhenSubblockCongests) {
     for (VertexId d = 0; d < 200; ++d) {
         eba.insert(top, d, 1);
     }
-    EXPECT_GT(eba.stats().branch_outs, 0u);
+    EXPECT_GT(eba.registry().counter("eba.branch_outs").value(), 0u);
     EXPECT_GT(eba.blocks_in_use(), 1u);
     for (VertexId d = 0; d < 200; ++d) {
         EXPECT_TRUE(eba.find(top, d).has_value()) << d;
@@ -82,7 +82,8 @@ TEST(EdgeblockArray, RobinHoodSwapsHappenAndPreserveFindability) {
     for (VertexId d = 0; d < 64; ++d) {
         eba.insert(top, d, d + 1);
     }
-    EXPECT_GT(eba.stats().rhh_swaps, 0u) << "RHH never displaced anything";
+    EXPECT_GT(eba.registry().counter("eba.rhh_swaps").value(), 0u)
+        << "RHH never displaced anything";
     for (VertexId d = 0; d < 64; ++d) {
         EXPECT_EQ(eba.find(top, d), std::optional<Weight>(d + 1));
     }
@@ -97,7 +98,7 @@ TEST(EdgeblockArray, RhhDisabledInCompactMode) {
     for (VertexId d = 0; d < 64; ++d) {
         eba.insert(top, d, d + 1);
     }
-    EXPECT_EQ(eba.stats().rhh_swaps, 0u);
+    EXPECT_EQ(eba.registry().counter("eba.rhh_swaps").value(), 0u);
     for (VertexId d = 0; d < 64; ++d) {
         EXPECT_EQ(eba.find(top, d), std::optional<Weight>(d + 1));
     }
@@ -115,7 +116,7 @@ TEST(EdgeblockArray, DeleteOnlyTombstonesWithoutFreeingBlocks) {
         EXPECT_TRUE(eba.erase(top, d).found);
     }
     EXPECT_EQ(eba.blocks_in_use(), peak_blocks) << "delete-only must not shrink";
-    EXPECT_EQ(eba.stats().blocks_freed, 0u);
+    EXPECT_EQ(eba.registry().counter("eba.blocks_freed").value(), 0u);
     for (VertexId d = 0; d < 100; ++d) {
         EXPECT_FALSE(eba.find(top, d).has_value());
     }
@@ -142,7 +143,7 @@ TEST(EdgeblockArray, DeleteAndCompactShrinksToNothing) {
     }
     EXPECT_EQ(top, EdgeblockArray::kNoBlock) << "empty vertex keeps no block";
     EXPECT_EQ(eba.blocks_in_use(), 0u) << "compact mode must fully shrink";
-    EXPECT_GT(eba.stats().blocks_freed, 0u);
+    EXPECT_GT(eba.registry().counter("eba.blocks_freed").value(), 0u);
 }
 
 TEST(EdgeblockArray, CompactionRelocatesDeepEdgesUpward) {
@@ -158,7 +159,7 @@ TEST(EdgeblockArray, CompactionRelocatesDeepEdgesUpward) {
     for (VertexId d = 0; d < 300; d += 2) {
         ASSERT_TRUE(eba.erase(top, d).found);
     }
-    EXPECT_GT(eba.stats().compaction_moves, 0u);
+    EXPECT_GT(eba.registry().counter("eba.compaction_moves").value(), 0u);
     EXPECT_LE(eba.subtree_depth(top), depth_before);
     for (VertexId d = 1; d < 300; d += 2) {
         EXPECT_EQ(eba.find(top, d), std::optional<Weight>(d)) << d;
@@ -213,9 +214,11 @@ TEST(EdgeblockArray, WorkblockFetchesAreCounted) {
     EdgeblockArray eba(cfg, nullptr);
     std::uint32_t top = EdgeblockArray::kNoBlock;
     eba.insert(top, 1, 1);
-    const auto before = eba.stats().workblocks_fetched;
+    const obs::Counter& fetched =
+        eba.registry().counter("eba.workblocks_fetched");
+    const std::uint64_t before = fetched.value();
     (void)eba.find(top, 1);
-    EXPECT_GT(eba.stats().workblocks_fetched, before);
+    EXPECT_GT(fetched.value(), before);
 }
 
 TEST(EdgeblockArrayConfig, ValidationRejectsBadGeometry) {

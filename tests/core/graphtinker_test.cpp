@@ -23,7 +23,7 @@ TEST(GraphTinker, EmptyGraphBasics) {
     EXPECT_EQ(g.degree(5), 0u);
     EXPECT_FALSE(g.find_edge(1, 2).has_value());
     EXPECT_FALSE(g.delete_edge(1, 2));
-    EXPECT_TRUE(g.validate().empty()) << g.validate();
+    EXPECT_TRUE(g.audit().ok()) << g.audit().to_string();
 }
 
 TEST(GraphTinker, InsertUpdatesDegreeAndCounts) {
@@ -37,7 +37,7 @@ TEST(GraphTinker, InsertUpdatesDegreeAndCounts) {
     EXPECT_EQ(g.degree(20), 0u);
     EXPECT_EQ(g.num_vertices(), 41u);          // max raw id + 1
     EXPECT_EQ(g.num_nonempty_vertices(), 2u);  // only sources own blocks
-    EXPECT_TRUE(g.validate().empty()) << g.validate();
+    EXPECT_TRUE(g.audit().ok()) << g.audit().to_string();
 }
 
 TEST(GraphTinker, SelfLoopsAndZeroVertex) {
@@ -56,7 +56,7 @@ TEST(GraphTinker, DuplicateInsertIsWeightUpdateEverywhere) {
     Weight cal_weight = 0;
     g.visit_edges([&](VertexId, VertexId, Weight w) { cal_weight = w; });
     EXPECT_EQ(cal_weight, 50u);  // streamed from the CAL
-    EXPECT_TRUE(g.validate().empty()) << g.validate();
+    EXPECT_TRUE(g.audit().ok()) << g.audit().to_string();
 }
 
 TEST(GraphTinker, OutEdgeIterationMatchesInserts) {
@@ -120,7 +120,7 @@ TEST(GraphTinker, CalDisabledStillStreams) {
     });
     EXPECT_EQ(seen.size(), 2u);
     EXPECT_TRUE(seen.contains({1, 2, 3}));
-    EXPECT_TRUE(g.validate().empty()) << g.validate();
+    EXPECT_TRUE(g.audit().ok()) << g.audit().to_string();
 }
 
 TEST(GraphTinker, BatchHelpers) {
@@ -131,7 +131,7 @@ TEST(GraphTinker, BatchHelpers) {
     EXPECT_GT(count_after_insert, 0u);
     (void)g.delete_batch(edges);
     EXPECT_EQ(g.num_edges(), 0u);
-    EXPECT_TRUE(g.validate().empty()) << g.validate();
+    EXPECT_TRUE(g.audit().ok()) << g.audit().to_string();
 }
 
 TEST(GraphTinker, HighDegreeHubStaysConsistent) {
@@ -142,7 +142,7 @@ TEST(GraphTinker, HighDegreeHubStaysConsistent) {
         ASSERT_TRUE(g.insert_edge(0, d, 1));
     }
     EXPECT_EQ(g.degree(0), kDegree);
-    EXPECT_TRUE(g.validate().empty()) << g.validate();
+    EXPECT_TRUE(g.audit().ok()) << g.audit().to_string();
     // Spot-check FIND at depth.
     for (VertexId d = 0; d < kDegree; d += 997) {
         EXPECT_TRUE(g.find_edge(0, d).has_value()) << d;
@@ -206,11 +206,12 @@ TEST_P(GraphTinkerModelTest, MatchesModelUnderRandomChurn) {
         }
         ASSERT_EQ(g.num_edges(), model.size());
         if (op % 10000 == 9999) {
-            ASSERT_EQ(g.validate(), "") << "op " << op;
+            ASSERT_TRUE(g.audit().ok())
+                << "op " << op << ": " << g.audit().to_string();
         }
     }
     // Full audit at the end: every model edge findable and streamed.
-    ASSERT_EQ(g.validate(), "");
+    ASSERT_TRUE(g.audit().ok()) << g.audit().to_string();
     std::unordered_map<std::uint64_t, Weight> streamed;
     g.visit_edges([&](VertexId s, VertexId d, Weight w) {
         EXPECT_TRUE(streamed.emplace(key(s, d), w).second);

@@ -43,11 +43,12 @@ EdgeCount delete_half(GraphTinker& g, const std::vector<Edge>& edges) {
 
 /// Mean edge-cells probed per find_edge over every surviving edge.
 double mean_find_probe(const GraphTinker& g, const EdgeMap& live) {
-    const std::uint64_t before = g.stats().cells_probed;
+    const obs::Counter& probed = g.obs().counter("eba.cells_probed");
+    const std::uint64_t before = probed.value();
     for (const auto& [key, weight] : live) {
         EXPECT_EQ(g.find_edge(key.first, key.second), weight);
     }
-    const std::uint64_t after = g.stats().cells_probed;
+    const std::uint64_t after = probed.value();
     return live.empty() ? 0.0
                         : static_cast<double>(after - before) /
                               static_cast<double>(live.size());
@@ -92,8 +93,10 @@ TEST(Maintenance, PurgeRestoresProbeDistanceAndFreesBlocks) {
     EXPECT_TRUE(report.complete);
     EXPECT_GT(report.trees_purged, 0u);
     EXPECT_GT(report.tombstones_purged, 0u);
-    EXPECT_EQ(g.stats().trees_rebuilt, report.trees_purged);
-    EXPECT_EQ(g.stats().tombstones_purged, report.tombstones_purged);
+    EXPECT_EQ(g.obs().counter("eba.trees_rebuilt").value(),
+              report.trees_purged);
+    EXPECT_EQ(g.obs().counter("eba.tombstones_purged").value(),
+              report.tombstones_purged);
 
     // Not one observable edge moved.
     EXPECT_EQ(edge_map(g), before_map);
@@ -178,7 +181,8 @@ TEST(Maintenance, UnbranchShrinksTreeDepth) {
     EXPECT_LT(g.tree_depth(kHub), depth_peak);
     EXPECT_LT(g.edgeblock_array().blocks_in_use(), blocks_before);
     EXPECT_EQ(edge_map(g), before_map);
-    EXPECT_EQ(g.stats().unbranch_moves, report.cells_moved);
+    EXPECT_EQ(g.obs().counter("eba.unbranch_moves").value(),
+              report.cells_moved);
 }
 
 TEST(Maintenance, CalCompactionReclaimsHolesAndBlocks) {
@@ -265,7 +269,9 @@ TEST(Maintenance, AmortizedBudgetInsideBatchesKeepsTwinEquivalence) {
         ASSERT_EQ(edge_map(g), edge_map(twin)) << "round " << round;
     }
     // The amortized store did real reclamation along the way.
-    EXPECT_GT(g.stats().trees_rebuilt + g.stats().blocks_freed, 0u);
+    EXPECT_GT(g.obs().counter("eba.trees_rebuilt").value() +
+                  g.obs().counter("eba.blocks_freed").value(),
+              0u);
 }
 
 TEST(Maintenance, NoopOnEmptyAndFreshStores) {

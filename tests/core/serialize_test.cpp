@@ -46,7 +46,7 @@ TEST(Serialize, EmptyGraphRoundTrips) {
     const auto loaded = load(buffer);
     ASSERT_NE(loaded, nullptr);
     EXPECT_EQ(loaded->num_edges(), 0u);
-    EXPECT_EQ(loaded->validate(), "");
+    EXPECT_TRUE(loaded->audit().ok()) << loaded->audit().to_string();
 }
 
 TEST(Serialize, EdgesWeightsAndDegreesSurvive) {
@@ -66,7 +66,7 @@ TEST(Serialize, EdgesWeightsAndDegreesSurvive) {
     for (VertexId v = 0; v < g.num_vertices(); ++v) {
         ASSERT_EQ(loaded->degree(v), g.degree(v)) << v;
     }
-    EXPECT_EQ(loaded->validate(), "");
+    EXPECT_TRUE(loaded->audit().ok()) << loaded->audit().to_string();
 }
 
 TEST(Serialize, ConfigurationIsPreserved) {
@@ -182,7 +182,7 @@ TEST(Serialize, LoadedStoreRemainsFullyUsable) {
     EXPECT_TRUE(loaded->insert_edge(9999, 1, 2));
     EXPECT_TRUE(loaded->delete_edge(9999, 1));
     EXPECT_EQ(loaded->num_edges(), before);
-    EXPECT_EQ(loaded->validate(), "");
+    EXPECT_TRUE(loaded->audit().ok()) << loaded->audit().to_string();
 }
 
 }  // namespace

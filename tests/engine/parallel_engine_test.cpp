@@ -84,24 +84,39 @@ TEST(ParallelEngine, CcAndSsspMatchSerialEngineDynamically) {
 }
 
 TEST(ParallelEngine, ForcedModesRespected) {
-    const auto edges = symmetrize(rmat_edges(200, 2000, 41));
-    core::ShardedStore<core::GraphTinker> store(2, [] {
+    // Every policy must pick the same mode sequence as the serial engine
+    // on the same edges, not just the two forced ones.
+    const auto edges = symmetrize(rmat_edges(2000, 60000, 91));
+    core::ShardedStore<core::GraphTinker> store(3, [] {
         return core::Config{};
     });
+    core::GraphTinker serial;
     (void)store.insert_batch(edges);
-    {
-        ParallelDynamicAnalysis<core::GraphTinker, Bfs> bfs(
-            store, EngineOptions{.policy = ModePolicy::ForceFull});
-        bfs.set_root(0);
-        const auto stats = bfs.run_from_scratch();
-        EXPECT_EQ(stats.incremental_iterations, 0u);
-    }
-    {
-        ParallelDynamicAnalysis<core::GraphTinker, Bfs> bfs(
-            store, EngineOptions{.policy = ModePolicy::ForceIncremental});
-        bfs.set_root(0);
-        const auto stats = bfs.run_from_scratch();
-        EXPECT_EQ(stats.full_iterations, 0u);
+    (void)serial.insert_batch(edges);
+    for (const ModePolicy policy :
+         {ModePolicy::ForceFull, ModePolicy::ForceIncremental,
+          ModePolicy::Hybrid, ModePolicy::HybridDegreeAware}) {
+        const EngineOptions opts{.policy = policy};
+        ParallelDynamicAnalysis<core::GraphTinker, Bfs> par(store, opts);
+        DynamicAnalysis<core::GraphTinker, Bfs> ser(serial, opts);
+        par.set_root(0);
+        ser.set_root(0);
+        const auto got = par.run_from_scratch();
+        const auto want = ser.run_from_scratch();
+        const int p = static_cast<int>(policy);
+        if (policy == ModePolicy::ForceFull) {
+            EXPECT_EQ(got.incremental_iterations, 0u);
+        }
+        if (policy == ModePolicy::ForceIncremental) {
+            EXPECT_EQ(got.full_iterations, 0u);
+        }
+        EXPECT_EQ(got.full_iterations, want.full_iterations) << "policy " << p;
+        EXPECT_EQ(got.incremental_iterations, want.incremental_iterations)
+            << "policy " << p;
+        for (VertexId v = 0; v < serial.num_vertices(); ++v) {
+            ASSERT_EQ(par.property(v), ser.property(v))
+                << "policy " << p << " vertex " << v;
+        }
     }
 }
 

@@ -67,8 +67,10 @@ TEST(DynamicWorkload, ThreeStoresTrackOneModelThroughMixedTraffic) {
         ASSERT_EQ(tinker_only.num_edges(), model.size()) << "phase " << phase;
         ASSERT_EQ(tinker_compact.num_edges(), model.size());
         ASSERT_EQ(baseline.num_edges(), model.size());
-        ASSERT_EQ(tinker_only.validate(), "") << "phase " << phase;
-        ASSERT_EQ(tinker_compact.validate(), "") << "phase " << phase;
+        ASSERT_TRUE(tinker_only.audit().ok())
+            << "phase " << phase << ": " << tinker_only.audit().to_string();
+        ASSERT_TRUE(tinker_compact.audit().ok())
+            << "phase " << phase << ": " << tinker_compact.audit().to_string();
         std::map<EdgeKey, Weight> seen;
         tinker_compact.visit_edges([&](VertexId s, VertexId d, Weight w) {
             seen[{s, d}] = w;

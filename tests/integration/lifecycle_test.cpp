@@ -7,6 +7,7 @@
 #include <tuple>
 
 #include "common/test_util.hpp"
+#include "core/audit.hpp"
 #include "core/graphtinker.hpp"
 #include "core/sharded.hpp"
 #include "engine/algorithms.hpp"
@@ -36,7 +37,8 @@ TEST_P(LifecycleTest, LoadAnalyzeDeleteAnalyze) {
     for (std::size_t b = 0; b < batches.num_batches(); ++b) {
         (void)g.insert_batch(batches.batch(b));
         cc.on_batch(batches.batch(b));
-        ASSERT_EQ(g.validate(), "") << "batch " << b;
+        ASSERT_TRUE(g.audit().ok())
+            << "batch " << b << ": " << g.audit().to_string();
     }
     {
         const engine::CsrSnapshot csr(stream, g.num_vertices());
@@ -60,7 +62,8 @@ TEST_P(LifecycleTest, LoadAnalyzeDeleteAnalyze) {
             remaining.erase({e.src, e.dst});
         }
         ASSERT_EQ(g.num_edges(), remaining.size());
-        ASSERT_EQ(g.validate(), "") << "deletion batch " << b;
+        ASSERT_TRUE(g.audit().ok())
+            << "deletion batch " << b << ": " << g.audit().to_string();
     }
     EXPECT_EQ(g.num_edges(), 0u);
     if (GetParam() == core::DeletionMode::DeleteAndCompact) {
@@ -72,7 +75,7 @@ TEST_P(LifecycleTest, LoadAnalyzeDeleteAnalyze) {
     // Phase 3: the structure is still fully usable after emptying.
     (void)g.insert_edge(1, 2, 3);
     EXPECT_EQ(g.find_edge(1, 2), std::optional<Weight>(3));
-    ASSERT_EQ(g.validate(), "");
+    ASSERT_TRUE(g.audit().ok()) << g.audit().to_string();
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, LifecycleTest,
@@ -98,7 +101,8 @@ TEST(Integration, ReinsertionAfterDeletionReusesStructure) {
         // growing cycle over cycle.
         EXPECT_LE(g.edgeblock_array().blocks_allocated(), peak + 2);
         (void)g.delete_batch(edges);
-        ASSERT_EQ(g.validate(), "") << "cycle " << cycle;
+        ASSERT_TRUE(g.audit().ok())
+            << "cycle " << cycle << ": " << g.audit().to_string();
     }
 }
 
@@ -133,7 +137,8 @@ TEST(Integration, ParallelShardsEqualSerialUnderChurn) {
         sharded.shard(s).visit_edges([&](VertexId u, VertexId v, Weight w) {
             sharded_set.emplace(u, v, w);
         });
-        ASSERT_EQ(sharded.shard(s).validate(), "") << "shard " << s;
+        ASSERT_TRUE(sharded.shard(s).audit().ok())
+            << "shard " << s << ": " << sharded.shard(s).audit().to_string();
     }
     EXPECT_EQ(sharded_set, serial_set);
 }
@@ -178,7 +183,7 @@ TEST(Integration, TinyScaledDatasetEndToEnd) {
     core::GraphTinker g;
     (void)g.insert_batch(edges);
     EXPECT_GT(g.num_edges(), 0u);
-    ASSERT_EQ(g.validate(), "");
+    ASSERT_TRUE(g.audit().ok()) << g.audit().to_string();
     engine::DynamicAnalysis<core::GraphTinker, engine::Cc> cc(g);
     const auto stats = cc.run_from_scratch();
     EXPECT_GT(stats.iterations, 0u);

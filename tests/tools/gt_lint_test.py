@@ -374,74 +374,6 @@ class RawSocketIoRule(unittest.TestCase):
         self.assertEqual(diags, [])
 
 
-class ClientVerbSurfaceRule(unittest.TestCase):
-    def test_deprecated_shim_call_flagged(self):
-        diags = lint_tree({
-            "tools/cli.cpp":
-                "void f() {\n"
-                "    net::Client client;\n"
-                '    (void)client.bfs("g", 0, targets, out);\n'
-                "}\n",
-        })
-        self.assertEqual(rules_fired(diags), {"client-verb-surface"})
-        self.assertIn("bfs", diags[0].message)
-
-    def test_transport_and_handle_calls_are_clean(self):
-        diags = lint_tree({
-            "bench/echo.cpp":
-                "void f() {\n"
-                "    Client c;\n"
-                '    (void)c.connect("h", 1);\n'
-                '    (void)c.open("g", g);\n'
-                "    (void)c.ping();\n"
-                "    (void)c.send_request(MsgType::Ping, {}, id);\n"
-                "    (void)g.insert_edges(edges, nullptr);\n"
-                "}\n",
-        })
-        self.assertEqual(diags, [])
-
-    def test_same_verb_on_non_client_object_is_clean(self):
-        diags = lint_tree({
-            # insert_batch is also a store method; without a Client
-            # declared in the file nothing fires.
-            "src/core/foo.cpp":
-                "void f() { GraphTinker g; (void)g.insert_batch(e); }\n",
-        })
-        self.assertEqual(diags, [])
-
-    def test_client_impl_pair_is_exempt(self):
-        diags = lint_tree({
-            "src/net/client.cpp":
-                "Status g(Client& self) {\n"
-                '    return self.insert_batch("g", e, nullptr);\n'
-                "}\n",
-        })
-        self.assertEqual(diags, [])
-
-    def test_reference_and_pointer_declarations_tracked(self):
-        diags = lint_tree({
-            "tests/net/x_test.cpp":
-                "void f(net::Client& cl, Client* cp) {\n"
-                '    (void)cl.checkpoint("g");\n'
-                '    (void)cp->stats_json("g", out);\n'
-                "}\n",
-        })
-        self.assertEqual(rules_fired(diags), {"client-verb-surface"})
-        self.assertEqual(len(diags), 2)
-
-    def test_suppression_with_reason_waives(self):
-        diags = lint_tree({
-            "tools/cli.cpp":
-                "void f() {\n"
-                "    net::Client client;\n"
-                '    (void)client.sync("g");  '
-                "// gt-lint: allow(client-verb-surface) shim deprecation "
-                "test\n"
-                "}\n",
-        })
-        self.assertEqual(diags, [])
-
-
 class DeadlineDisciplineRule(unittest.TestCase):
     def test_raw_connect_and_accept_flagged(self):
         diags = lint_tree({

@@ -38,14 +38,6 @@ can see (and that must hold even on machines without clang at all):
                       before dereferencing a shard's store — reading a
                       pipelined store without draining returns data from an
                       unknown epoch.
-  client-verb-surface outside src/net/client.{hpp,cpp}, an object declared
-                      as net::Client may only use the transport surface
-                      (connect/open/ping + the raw send_request/recv_reply
-                      pipelining layer). Graph verbs go through
-                      Client::open() + RemoteGraph — the deprecated
-                      per-name shims re-send the graph name per call and
-                      bypass the session routing (loop affinity, replica
-                      read-only) that the handle decides once.
 
 Any finding can be waived inline with
 
@@ -576,56 +568,6 @@ class RawSocketIoRule(Rule):
                             "use the io.hpp helpers")
 
 
-class ClientVerbSurfaceRule(Rule):
-    """net::RemoteGraph is the only client-side verb surface.
-
-    Client is a transport: connect/open/ping plus the raw
-    send_request/recv_reply pipelining layer. The per-name verb shims
-    (`insert_batch(name, ...)`, `bfs(name, ...)`, ...) survive as
-    deprecated stepping stones inside src/net/client.* only — everywhere
-    else, calling any non-transport method on an object declared as
-    (net::)Client is a finding. Verbs belong on the RemoteGraph handle so
-    session routing (loop affinity, replica read-only, future sharding)
-    is decided once at open(), not re-derived from a name on every call.
-    """
-
-    name = "client-verb-surface"
-    _exempt = (Path("src/net/client.hpp"), Path("src/net/client.cpp"))
-    _transport = frozenset({
-        "connect", "close", "connected", "native_handle", "open", "ping",
-        "send_request", "recv_reply", "recv_shipment",
-        "config", "highest_term", "observe_term",
-    })
-    # `Client c;` / `net::Client& c` / `gt::net::Client* c` declarations —
-    # the variable is what we then track call sites of.
-    _decl = re.compile(
-        r"\b(?:gt::)?(?:net::)?Client\s*[&*]?\s+(?P<var>[A-Za-z_]\w*)\b")
-    _call = re.compile(
-        r"\b(?P<var>[A-Za-z_]\w*)\s*(?:\.|->)\s*(?P<verb>[A-Za-z_]\w*)\s*\(")
-
-    def check(self, f: SourceFile) -> Iterator[Diagnostic]:
-        clients: set[str] = set()
-        for code in f.code:
-            for m in self._decl.finditer(code):
-                clients.add(m.group("var"))
-        if not clients:
-            return
-        for no, code in enumerate(f.code, start=1):
-            for m in self._call.finditer(code):
-                if m.group("var") not in clients:
-                    continue
-                verb = m.group("verb")
-                if verb in self._transport:
-                    continue
-                if f.suppressed(no, self.name):
-                    continue
-                yield self.diag(
-                    f, no,
-                    f"`.{verb}()` on a net::Client — RemoteGraph is the "
-                    "only client-side verb surface; bind a handle with "
-                    "Client::open() and call the verb on it")
-
-
 class DeadlineDisciplineRule(Rule):
     """Every blocking socket call in src/net/ must carry a deadline.
 
@@ -692,7 +634,6 @@ RULES: list[Rule] = [
     WalLayoutRule(),
     ShardFlushBeforeReadRule(),
     RawSocketIoRule(),
-    ClientVerbSurfaceRule(),
     DeadlineDisciplineRule(),
 ]
 
@@ -714,16 +655,13 @@ def _rule_files(root: Path, rule: Rule,
         return list(files.values())
     if isinstance(rule, ShardFlushBeforeReadRule):
         return [f for f in files.values() if src in f.path.parents]
-    if isinstance(rule, ClientVerbSurfaceRule):
-        exempt = {root / p for p in ClientVerbSurfaceRule._exempt}
-        return [f for f in files.values() if f.path not in exempt]
     return []
 
 
 def run(root: Path, paths: list[Path] | None = None) -> list[Diagnostic]:
-    # tools/ and bench/ are scanned too: the client-verb-surface and
-    # raw-socket-io disciplines bind every consumer of the wire API, not
-    # just the library and its tests.
+    # tools/ and bench/ are scanned too: the raw-socket-io discipline
+    # binds every consumer of the wire API, not just the library and its
+    # tests.
     scan_dirs = [root / "src", root / "tests", root / "tools",
                  root / "bench"]
     files: dict[Path, SourceFile] = {}
