@@ -105,23 +105,6 @@ private:
             AuditViolation{check, src, dst, std::move(detail)});
     }
 
-    [[nodiscard]] bool mask_bit(std::uint32_t block,
-                                std::uint32_t slot) const {
-        const std::uint64_t word =
-            eba_.masks_[static_cast<std::size_t>(block) *
-                            eba_.words_per_block_ +
-                        slot / 64];
-        return ((word >> (slot % 64)) & 1U) != 0;
-    }
-
-    [[nodiscard]] bool tomb_bit(std::uint32_t block, std::uint32_t slot) const {
-        const std::uint64_t word =
-            eba_.tomb_masks_[static_cast<std::size_t>(block) *
-                                 eba_.words_per_block_ +
-                             slot / 64];
-        return ((word >> (slot % 64)) & 1U) != 0;
-    }
-
     // ---- pass 1: TBH tree walk + per-cell RHH / CAL-forward checks -------
 
     void audit_tree_and_cells() {
@@ -175,33 +158,22 @@ private:
         }
     }
 
-    /// Reclaimed blocks must be scrubbed clean: free_block clears the cells
-    /// and both mask planes, and allocate_block recycles them without
-    /// re-clearing — a dirty free block would leak stale edges (or
-    /// tombstones) straight into the next tree built on top of it.
+    /// Reclaimed blocks must be scrubbed clean: free_block clears both mask
+    /// planes (which are the cells' state), and allocate_block recycles
+    /// them without re-clearing — a dirty free block would leak stale edges
+    /// (or tombstones) straight into the next tree built on top of it.
     void audit_free_block(std::uint32_t b) {
         if (eba_.occupied_[b] != 0) {
             add(AuditCheck::TbhStructure, kInvalidVertex, kInvalidVertex,
                 "free block " + std::to_string(b) + " counts " +
                     std::to_string(eba_.occupied_[b]) + " occupied cells");
         }
-        const std::size_t mbase =
-            static_cast<std::size_t>(b) * eba_.words_per_block_;
         for (std::uint32_t w = 0; w < eba_.words_per_block_; ++w) {
-            if (eba_.masks_[mbase + w] != 0 ||
-                eba_.tomb_masks_[mbase + w] != 0) {
+            if (eba_.masks_[eba_.occ_word(b, w)] != 0 ||
+                eba_.masks_[eba_.tomb_word(b, w)] != 0) {
                 add(AuditCheck::TbhStructure, kInvalidVertex, kInvalidVertex,
                     "free block " + std::to_string(b) +
                         " has non-empty occupancy/tombstone masks");
-                break;
-            }
-        }
-        for (std::uint32_t slot = 0; slot < eba_.pagewidth_; ++slot) {
-            if (eba_.cell(b, slot).state != CellState::Empty) {
-                add(AuditCheck::TbhStructure, kInvalidVertex, kInvalidVertex,
-                    "free block " + std::to_string(b) +
-                        " holds a non-EMPTY cell at slot " +
-                        std::to_string(slot));
                 break;
             }
         }
@@ -263,22 +235,15 @@ private:
         EdgeCount occupied = 0;
         for (std::uint32_t slot = 0; slot < eba_.pagewidth_; ++slot) {
             const EdgeCell& c = eba_.cell(block, slot);
-            const bool is_occupied = c.state == CellState::Occupied;
-            if (mask_bit(block, slot) != is_occupied) {
-                add(AuditCheck::Occupancy, raw, c.dst,
-                    "occupancy bit disagrees with cell state (block " +
-                        std::to_string(block) + " slot " +
-                        std::to_string(slot) + ")");
-            }
-            if (tomb_bit(block, slot) !=
-                (c.state == CellState::Tombstone)) {
-                add(AuditCheck::Occupancy, raw, c.dst,
-                    "tombstone bit disagrees with cell state (block " +
-                        std::to_string(block) + " slot " +
-                        std::to_string(slot) + ")");
-            }
-            if (c.state == CellState::Tombstone) {
+            const bool is_occupied = eba_.is_occupied(block, slot);
+            if (eba_.is_tombstone(block, slot)) {
                 ++report_.tombstones;
+                if (is_occupied) {
+                    add(AuditCheck::Occupancy, raw, c.dst,
+                        "cell both occupied and tombstoned (block " +
+                            std::to_string(block) + " slot " +
+                            std::to_string(slot) + ")");
+                }
             }
             if (!is_occupied) {
                 continue;
@@ -303,39 +268,31 @@ private:
         const std::uint32_t sb = slot / eba_.subblock_;
         const std::uint32_t sb_base = sb * eba_.subblock_;
 
-        // Robin Hood placement: right subblock for the (dst, level) hash and
-        // probe distance equal to the displacement from the home offset.
+        // Robin Hood placement: the cell sits in the subblock its
+        // (dst, level) hash selects. Any slot of that window is ownable —
+        // the probe distance is derived from where the edge sits.
         if (eba_.sb_of(c.dst, level) != sb) {
             add(AuditCheck::RhhPlacement, raw, c.dst,
                 "cell stored in subblock " + std::to_string(sb) +
                     " but hashes to " +
                     std::to_string(eba_.sb_of(c.dst, level)) + " at level " +
                     std::to_string(level));
-        } else {
+        } else if (eba_.rhh_) {
+            // Probe-path continuity (delete-only mode): no EMPTY cell may
+            // precede the edge on its probe path, otherwise the FIND
+            // early-exit would miss it.
             const std::uint32_t home = eba_.home_of(c.dst, level);
-            const std::uint32_t off = slot - sb_base;
-            const std::uint32_t expected =
-                (off + eba_.subblock_ - home) & (eba_.subblock_ - 1);
-            if (c.probe != expected) {
-                add(AuditCheck::RhhPlacement, raw, c.dst,
-                    "stored probe " + std::to_string(c.probe) +
-                        " but displacement from home is " +
-                        std::to_string(expected));
-            } else if (eba_.rhh_) {
-                // Probe-path continuity (delete-only mode): no EMPTY cell
-                // may precede the edge on its probe path, otherwise the
-                // FIND early-exit would miss it.
-                for (std::uint32_t d = 0; d < c.probe; ++d) {
-                    const std::uint32_t on_path =
-                        sb_base + ((home + d) & (eba_.subblock_ - 1));
-                    if (eba_.cell(block, on_path).state == CellState::Empty) {
-                        add(AuditCheck::RhhProbePath, raw, c.dst,
-                            "EMPTY cell at probe distance " +
-                                std::to_string(d) +
-                                " precedes edge stored at distance " +
-                                std::to_string(c.probe));
-                        break;
-                    }
+            const std::uint32_t probe =
+                eba_.displacement(c.dst, level, slot - sb_base);
+            for (std::uint32_t d = 0; d < probe; ++d) {
+                const std::uint32_t on_path =
+                    sb_base + ((home + d) & (eba_.subblock_ - 1));
+                if (eba_.state_of(block, on_path) == CellState::Empty) {
+                    add(AuditCheck::RhhProbePath, raw, c.dst,
+                        "EMPTY cell at probe distance " + std::to_string(d) +
+                            " precedes edge stored at distance " +
+                            std::to_string(probe));
+                    break;
                 }
             }
         }
@@ -350,31 +307,32 @@ private:
         }
 
         // CAL forward pointer.
+        const std::uint32_t cal_pos = eba_.cal_pos_[eba_.index(block, slot)];
         if (!g_.config_.enable_cal) {
-            if (c.cal_pos != kNoCalPos) {
+            if (cal_pos != kNoCalPos) {
                 add(AuditCheck::CalForward, raw, c.dst,
                     "CAL disabled but cell carries CAL pointer " +
-                        std::to_string(c.cal_pos));
+                        std::to_string(cal_pos));
             }
             return;
         }
-        if (c.cal_pos == kNoCalPos) {
+        if (cal_pos == kNoCalPos) {
             add(AuditCheck::CalForward, raw, c.dst,
                 "occupied cell without CAL pointer");
             return;
         }
-        if (c.cal_pos >= g_.cal_.pool_.size()) {
+        if (cal_pos >= g_.cal_.pool_.size()) {
             add(AuditCheck::CalForward, raw, c.dst,
-                "CAL pointer " + std::to_string(c.cal_pos) +
+                "CAL pointer " + std::to_string(cal_pos) +
                     " outside the pool");
             return;
         }
-        const auto slot_view = g_.cal_.slot_at(c.cal_pos);
+        const auto slot_view = g_.cal_.slot_at(cal_pos);
         if (!slot_view.valid || slot_view.src != raw ||
             slot_view.dst != c.dst || slot_view.weight != c.weight ||
             slot_view.owner.block != block || slot_view.owner.slot != slot) {
             add(AuditCheck::CalForward, raw, c.dst,
-                "CAL slot " + std::to_string(c.cal_pos) +
+                "CAL slot " + std::to_string(cal_pos) +
                     " disagrees with its owning cell");
         }
     }
@@ -512,9 +470,10 @@ private:
             }
             const EdgeCell& cell =
                 eba_.cell(slot.owner.block, slot.owner.slot);
-            if (cell.state != CellState::Occupied ||
-                cell.cal_pos != pos || cell.dst != slot.dst ||
-                cell.weight != slot.weight) {
+            if (!eba_.is_occupied(slot.owner.block, slot.owner.slot) ||
+                eba_.cal_pos_[eba_.index(slot.owner.block,
+                                         slot.owner.slot)] != pos ||
+                cell.dst != slot.dst || cell.weight != slot.weight) {
                 add(AuditCheck::CalReverse, slot.src, slot.dst,
                     "CAL slot " + std::to_string(pos) +
                         " owner cell does not point back");
@@ -595,36 +554,54 @@ AuditReport GraphTinker::audit() const { return Auditor::run(*this); }
 
 // ---- test-only corruption hooks ----------------------------------------
 
-EdgeCell* CorruptionInjector::locate_cell(GraphTinker& graph, VertexId src,
-                                          VertexId dst) {
+std::optional<CellRef> CorruptionInjector::locate_cell(GraphTinker& graph,
+                                                       VertexId src,
+                                                       VertexId dst) {
     const auto dense = graph.dense_of(src);
     if (!dense) {
-        return nullptr;
+        return std::nullopt;
     }
-    const auto ref = graph.eba_.find_ref(graph.top_[*dense], dst);
-    if (!ref) {
-        return nullptr;
-    }
-    return &graph.eba_.cell(ref->block, ref->slot);
+    return graph.eba_.find_ref(graph.top_[*dense], dst);
 }
 
 bool CorruptionInjector::break_cal_pointer(GraphTinker& graph, VertexId src,
                                            VertexId dst) {
-    EdgeCell* cell = locate_cell(graph, src, dst);
-    if (cell == nullptr || cell->cal_pos == kNoCalPos) {
+    const auto ref = locate_cell(graph, src, dst);
+    if (!ref) {
         return false;
     }
-    cell->cal_pos = kNoCalPos;
+    std::uint32_t& cal_pos =
+        graph.eba_.cal_pos_[graph.eba_.index(ref->block, ref->slot)];
+    if (cal_pos == kNoCalPos) {
+        return false;
+    }
+    cal_pos = kNoCalPos;
     return true;
 }
 
 bool CorruptionInjector::corrupt_probe(GraphTinker& graph, VertexId src,
                                        VertexId dst) {
-    EdgeCell* cell = locate_cell(graph, src, dst);
-    if (cell == nullptr) {
+    const auto ref = locate_cell(graph, src, dst);
+    EdgeblockArray& eba = graph.eba_;
+    if (!ref || eba.spb_ < 2) {
         return false;
     }
-    cell->probe = static_cast<std::uint16_t>(cell->probe ^ 1U);
+    // Swap the cell with the first slot of the next subblock (wrapping):
+    // a window its (dst, level) hash never selects. Cells, CAL pointers
+    // and both mask bits travel together, so the block's counts still add
+    // up and only placement is wrong.
+    const std::uint32_t a = ref->slot;
+    const std::uint32_t b =
+        (a / eba.subblock_ + 1) % eba.spb_ * eba.subblock_;
+    std::swap(eba.cell(ref->block, a), eba.cell(ref->block, b));
+    std::swap(eba.cal_pos_[eba.index(ref->block, a)],
+              eba.cal_pos_[eba.index(ref->block, b)]);
+    const bool occ_b = eba.is_occupied(ref->block, b);
+    const bool tomb_b = eba.is_tombstone(ref->block, b);
+    eba.set_occupancy(ref->block, b, true);
+    eba.set_tombstone(ref->block, b, false);
+    eba.set_occupancy(ref->block, a, occ_b);
+    eba.set_tombstone(ref->block, a, tomb_b);
     return true;
 }
 
@@ -686,11 +663,13 @@ bool CorruptionInjector::corrupt_sgh(GraphTinker& graph) {
 
 bool CorruptionInjector::vanish_cell(GraphTinker& graph, VertexId src,
                                      VertexId dst) {
-    EdgeCell* cell = locate_cell(graph, src, dst);
-    if (cell == nullptr) {
+    const auto ref = locate_cell(graph, src, dst);
+    if (!ref) {
         return false;
     }
-    *cell = EdgeCell{};  // blanked without touching counters or masks
+    // The occupancy bit is the cell's state: clearing it empties the cell
+    // while the block's occupied counter still counts it.
+    graph.eba_.set_occupancy(ref->block, ref->slot, false);
     return true;
 }
 

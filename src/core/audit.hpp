@@ -17,11 +17,12 @@
 //                     shared children), and free-listed blocks are detached
 //   TBH orphans       every allocated, non-free block is reachable from some
 //                     vertex's top-parent handle (no leaked subtrees)
-//   occupancy         per-block occupied counters and the occupancy bitmasks
-//                     agree with the cell states they summarize
+//   occupancy         per-block occupied counters equal the live cells the
+//                     occupancy bitmask records, and no cell is marked both
+//                     occupied and tombstoned (the masks are the cell state)
 //   RHH placement     every occupied cell sits in the subblock its (dst,
-//                     level) hash selects, and its stored probe distance is
-//                     exactly its displacement from the Robin Hood home slot
+//                     level) hash selects (its probe distance is derived
+//                     from that position, so any slot of the window is ok)
 //   RHH probe path    in delete-only (RHH) mode no EMPTY cell interrupts the
 //                     probe window before a stored edge — the invariant that
 //                     makes the FIND early-exit sound
@@ -42,6 +43,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -51,7 +53,7 @@
 namespace gt::core {
 
 class GraphTinker;
-struct EdgeCell;
+struct CellRef;
 
 /// Invariant class an AuditViolation belongs to.
 enum class AuditCheck : std::uint8_t {
@@ -131,8 +133,9 @@ public:
     /// the stranded CAL slot additionally trips CalReverse).
     static bool break_cal_pointer(GraphTinker& graph, VertexId src,
                                   VertexId dst);
-    /// Rewrites the stored Robin Hood probe distance of (src, dst)
-    /// -> RhhPlacement.
+    /// Moves the (src, dst) edge-cell into a slot of a subblock its hash
+    /// cannot own (swapping with whatever sat there) -> RhhPlacement (+ FIND
+    /// and CAL drift).
     static bool corrupt_probe(GraphTinker& graph, VertexId src, VertexId dst);
     /// Detaches the first parent->child edgeblock link under `src`'s tree,
     /// stranding the child subtree -> TbhOrphan (+ accounting drift).
@@ -145,14 +148,14 @@ public:
     /// Swaps the first two dense->raw entries of the SGH without updating
     /// the forward map -> SghBijection.
     static bool corrupt_sgh(GraphTinker& graph);
-    /// Blanks an occupied cell without updating the occupancy bookkeeping
-    /// -> Occupancy (+ accounting drift).
+    /// Clears the occupancy bit of (src, dst) without updating the block's
+    /// occupied counter -> Occupancy (+ accounting drift).
     static bool vanish_cell(GraphTinker& graph, VertexId src, VertexId dst);
 
 private:
-    /// Locates the mutable edge-cell of (src, dst); nullptr when absent.
-    static EdgeCell* locate_cell(GraphTinker& graph, VertexId src,
-                                 VertexId dst);
+    /// Locates the edge-cell of (src, dst); nullopt when absent.
+    static std::optional<CellRef> locate_cell(GraphTinker& graph,
+                                              VertexId src, VertexId dst);
 };
 
 }  // namespace gt::core

@@ -109,12 +109,7 @@ EdgeblockArray::EdgeblockArray(const Config& config, CoarseAdjacencyList* cal,
             static_cast<std::size_t>(config.reserve_edges * 4 / pagewidth_) +
                 config.initial_vertices + 1,
             kNoBlock - 1);
-        storage_blocks_ = static_cast<std::uint32_t>(blocks);
-        cells_.resize(blocks * pagewidth_);
-        children_.resize(blocks * spb_, kNoBlock);
-        occupied_.resize(blocks, 0);
-        masks_.resize(blocks * words_per_block_, 0);
-        tomb_masks_.resize(blocks * words_per_block_, 0);
+        grow_storage(static_cast<std::uint32_t>(blocks));
     }
 }
 
@@ -122,13 +117,14 @@ void EdgeblockArray::grow_storage(std::uint32_t target) {
     // Resize order is failure-safe: if any resize throws, the vectors that
     // already grew merely carry unused slack (block_count_ and
     // storage_blocks_ are written only after every resize landed), so the
-    // arena stays consistent.
-    cells_.resize(static_cast<std::size_t>(target) * pagewidth_);
+    // arena stays consistent. The line allocator keeps every reallocated
+    // buffer cache-line aligned.
+    const std::size_t cells = static_cast<std::size_t>(target) * pagewidth_;
+    cells_.resize(cells + kArenaPadCells);
+    cal_pos_.resize(cells, kNoCalPos);
     children_.resize(static_cast<std::size_t>(target) * spb_, kNoBlock);
     occupied_.resize(target, 0);
-    masks_.resize(static_cast<std::size_t>(target) * words_per_block_, 0);
-    tomb_masks_.resize(static_cast<std::size_t>(target) * words_per_block_,
-                       0);
+    masks_.resize(static_cast<std::size_t>(target) * words_per_block_ * 2, 0);
     storage_blocks_ = target;
 }
 
@@ -169,18 +165,17 @@ std::uint32_t EdgeblockArray::allocate_block() {
 
 void EdgeblockArray::free_block(std::uint32_t block) {
     assert(occupied_[block] == 0);
-    // Scrub on the way out so free-listed blocks hold no stale cells, masks
-    // or tombstones — allocate_block recycles them without re-clearing, and
-    // the auditor checks reclaimed blocks are genuinely empty.
-    const std::size_t base = static_cast<std::size_t>(block) * pagewidth_;
-    for (std::uint32_t i = 0; i < pagewidth_; ++i) {
-        cells_[base + i] = EdgeCell{};
-    }
-    const std::size_t mbase =
-        static_cast<std::size_t>(block) * words_per_block_;
+    // Scrub on the way out so free-listed blocks hold no live or tombstoned
+    // cells and no child links — allocate_block recycles them without
+    // re-clearing, and the auditor checks reclaimed blocks are genuinely
+    // empty. The masks are the cells' state, so clearing them empties every
+    // cell; stale dst/weight/CAL bytes are never read while unoccupied.
     for (std::uint32_t w = 0; w < words_per_block_; ++w) {
-        masks_[mbase + w] = 0;
-        tomb_masks_[mbase + w] = 0;
+        masks_[occ_word(block, w)] = 0;
+        masks_[tomb_word(block, w)] = 0;
+    }
+    for (std::uint32_t s = 0; s < spb_; ++s) {
+        child(block, s) = kNoBlock;
     }
     free_blocks_.push_back(block);
     metrics_.blocks_freed->inc();
@@ -250,10 +245,8 @@ std::optional<EdgeblockArray::Located> EdgeblockArray::locate(
             // the occupancy/tombstone windows decide found/absent/descend
             // without a per-cell walk (see core/probe_kernel.hpp).
             const WindowBits bits = window_bits(block, sb_base);
-            const SubblockWindow w{
-                &cells_[static_cast<std::size_t>(block) * pagewidth_ +
-                        sb_base],
-                subblock_, bits.occ, bits.tomb};
+            const SubblockWindow w{&cells_[index(block, sb_base)], subblock_,
+                                   bits.occ, bits.tomb};
             const FindStep step =
                 rhh_ ? find_step<kProbeKernelSimd>(w, home_of(dst, level),
                                                    dst)
@@ -261,7 +254,7 @@ std::optional<EdgeblockArray::Located> EdgeblockArray::locate(
             flush.cells += step.scanned;
             flush.workblocks += (step.scanned + workblock_ - 1) / workblock_;
             if (step.kind == FindStep::Kind::Found) {
-                return Located{block, sb, sb_base + step.slot, level};
+                return Located{block, sb, sb_base + step.slot};
             }
             if (step.kind == FindStep::Kind::Absent) {
                 return std::nullopt;
@@ -277,17 +270,18 @@ std::optional<EdgeblockArray::Located> EdgeblockArray::locate(
             for (std::uint32_t d = 0; d < subblock_; ++d) {
                 const std::uint32_t slot =
                     sb_base + ((home + d) & (subblock_ - 1));
-                const EdgeCell& c = cell(block, slot);
+                const CellState state = state_of(block, slot);
                 ++scanned;
-                if (c.state == CellState::Empty) {
+                if (state == CellState::Empty) {
                     flush.cells += scanned;
                     flush.workblocks += (scanned + workblock_ - 1) / workblock_;
                     return std::nullopt;
                 }
-                if (c.state == CellState::Occupied && c.dst == dst) {
+                if (state == CellState::Occupied &&
+                    cell(block, slot).dst == dst) {
                     flush.cells += scanned;
                     flush.workblocks += (scanned + workblock_ - 1) / workblock_;
-                    return Located{block, sb, slot, level};
+                    return Located{block, sb, slot};
                 }
             }
             flush.cells += scanned;
@@ -300,15 +294,15 @@ std::optional<EdgeblockArray::Located> EdgeblockArray::locate(
             bool found = false;
             std::uint32_t where = 0;
             for (std::uint32_t off = 0; off < subblock_; ++off) {
-                const EdgeCell& c = cell(block, sb_base + off);
-                if (c.state == CellState::Occupied && c.dst == dst) {
+                if (is_occupied(block, sb_base + off) &&
+                    cell(block, sb_base + off).dst == dst) {
                     found = true;
                     where = sb_base + off;
                     break;
                 }
             }
             if (found) {
-                return Located{block, sb, where, level};
+                return Located{block, sb, where};
             }
         }
         block = child(block, sb);
@@ -333,7 +327,7 @@ EdgeblockArray::InsertResult EdgeblockArray::insert(
         case ProbeResult::Kind::Duplicate:
             return InsertResult{false, probe.cal_pos};
         case ProbeResult::Kind::PlaceAt:
-            place_at(probe.where, dst, weight, probe.probe, new_cal_pos);
+            place_at(probe.where, dst, weight, new_cal_pos);
             if (cal_ != nullptr && new_cal_pos != kNoCalPos) {
                 cal_->rebind(new_cal_pos, probe.where);
             }
@@ -356,22 +350,25 @@ EdgeblockArray::ProbeResult EdgeblockArray::probe_insert(std::uint32_t& top,
         const std::uint32_t home = home_of(dst, 0);
         ++flush.cells;
         return ProbeResult{ProbeResult::Kind::PlaceAt, kNoCalPos,
-                           CellRef{top, sb * subblock_ + home}, 0};
+                           CellRef{top, sb * subblock_ + home}};
     }
+    // Duplicate: overwrite the weight in place, keeping the old one for
+    // the batch undo journal.
+    const auto duplicate = [&](std::uint32_t block, std::uint32_t slot) {
+        EdgeCell& c = cell(block, slot);
+        ProbeResult dup{ProbeResult::Kind::Duplicate,
+                        cal_pos_[index(block, slot)], CellRef{}};
+        dup.prev_weight = c.weight;
+        c.weight = weight;
+        return dup;
+    };
     if (!rhh_) {
         // Compact-delete mode refills holes out of probe order, so the
         // EMPTY-exit shortcut is unsound there; fall back to FIND + INSERT.
         if (const auto loc = locate(top, dst)) {
-            EdgeCell& c = cell(loc->block, loc->slot);
-            const Weight prev = c.weight;
-            c.weight = weight;
-            ProbeResult dup{ProbeResult::Kind::Duplicate, c.cal_pos,
-                            CellRef{}, 0};
-            dup.prev_weight = prev;
-            return dup;
+            return duplicate(loc->block, loc->slot);
         }
-        return ProbeResult{ProbeResult::Kind::Absent, kNoCalPos, CellRef{},
-                           0};
+        return ProbeResult{ProbeResult::Kind::Absent, kNoCalPos, CellRef{}};
     }
     std::uint32_t block = top;
     std::uint32_t level = 0;
@@ -391,23 +388,20 @@ EdgeblockArray::ProbeResult EdgeblockArray::probe_insert(std::uint32_t& top,
         while (block != kNoBlock) {
             const std::uint32_t sb = sb_of(dst, level);
             const std::uint32_t sb_base = sb * subblock_;
+            // The walk usually ends writing this window's CAL pointers (a
+            // placement or a weight update): fetch that line alongside.
+            simd::prefetch_write(&cal_pos_[index(block, sb_base)]);
             const WindowBits bits = window_bits(block, sb_base);
-            const SubblockWindow w{
-                &cells_[static_cast<std::size_t>(block) * pagewidth_ +
-                        sb_base],
-                subblock_, bits.occ, bits.tomb};
-            const ProbeStep step =
-                probe_step<kProbeKernelSimd>(w, home_of(dst, level), dst);
+            const SubblockWindow w{&cells_[index(block, sb_base)], subblock_,
+                                   bits.occ, bits.tomb};
+            const ProbeStep step = probe_step<kProbeKernelSimd>(
+                w, home_of(dst, level), dst, [&](std::uint32_t off) {
+                    return displacement(w.cells[off].dst, level, off);
+                });
             flush.cells += step.scanned;
             flush.workblocks += (step.scanned + workblock_ - 1) / workblock_;
             if (step.kind == ProbeStep::Kind::Duplicate) {
-                EdgeCell& c = cell(block, sb_base + step.slot);
-                const Weight prev = c.weight;
-                c.weight = weight;
-                ProbeResult dup{ProbeResult::Kind::Duplicate, c.cal_pos,
-                                CellRef{}, 0};
-                dup.prev_weight = prev;
-                return dup;
+                return duplicate(block, sb_base + step.slot);
             }
             if (!earlier_candidate) {
                 if (step.candidate) {
@@ -418,13 +412,11 @@ EdgeblockArray::ProbeResult EdgeblockArray::probe_insert(std::uint32_t& top,
             }
             if (step.kind == ProbeStep::Kind::Empty) {
                 if (!earlier_candidate) {
-                    return ProbeResult{
-                        ProbeResult::Kind::PlaceAt, kNoCalPos,
-                        CellRef{block, sb_base + step.slot},
-                        static_cast<std::uint16_t>(step.dist)};
+                    return ProbeResult{ProbeResult::Kind::PlaceAt, kNoCalPos,
+                                       CellRef{block, sb_base + step.slot}};
                 }
                 return ProbeResult{ProbeResult::Kind::Absent, kNoCalPos,
-                                   CellRef{}, 0, resume_block, resume_level};
+                                   CellRef{}, resume_block, resume_level};
             }
             if (!earlier_candidate) {
                 // Full window, nothing reusable: the cascade would cross
@@ -436,29 +428,28 @@ EdgeblockArray::ProbeResult EdgeblockArray::probe_insert(std::uint32_t& top,
             ++level;
         }
         return ProbeResult{ProbeResult::Kind::Absent, kNoCalPos, CellRef{},
-                           0, resume_block, resume_level};
+                           resume_block, resume_level};
     }
     while (block != kNoBlock) {
         const std::uint32_t sb = sb_of(dst, level);
         const std::uint32_t sb_base = sb * subblock_;
         const std::uint32_t home = home_of(dst, level);
         for (std::uint32_t d = 0; d < subblock_; ++d) {
-            const std::uint32_t slot =
-                sb_base + ((home + d) & (subblock_ - 1));
-            EdgeCell& c = cell(block, slot);
+            const std::uint32_t off = (home + d) & (subblock_ - 1);
+            const std::uint32_t slot = sb_base + off;
+            const CellState state = state_of(block, slot);
             ++flush.cells;
-            if (c.state == CellState::Empty) {
+            if (state == CellState::Empty) {
                 // Key absent at this level and every level below (see
                 // locate() for the invariant).
                 if (!earlier_candidate) {
                     return ProbeResult{ProbeResult::Kind::PlaceAt, kNoCalPos,
-                                       CellRef{block, slot},
-                                       static_cast<std::uint16_t>(d)};
+                                       CellRef{block, slot}};
                 }
                 return ProbeResult{ProbeResult::Kind::Absent, kNoCalPos,
-                                   CellRef{}, 0, resume_block, resume_level};
+                                   CellRef{}, resume_block, resume_level};
             }
-            if (c.state == CellState::Tombstone) {
+            if (state == CellState::Tombstone) {
                 if (!earlier_candidate) {
                     earlier_candidate = true;
                     resume_block = block;
@@ -466,15 +457,11 @@ EdgeblockArray::ProbeResult EdgeblockArray::probe_insert(std::uint32_t& top,
                 }
                 continue;
             }
-            if (c.dst == dst) {
-                const Weight prev = c.weight;
-                c.weight = weight;
-                ProbeResult dup{ProbeResult::Kind::Duplicate, c.cal_pos,
-                                CellRef{}, 0};
-                dup.prev_weight = prev;
-                return dup;
+            const VertexId resident = cell(block, slot).dst;
+            if (resident == dst) {
+                return duplicate(block, slot);
             }
-            if (c.probe < d && !earlier_candidate) {
+            if (!earlier_candidate && displacement(resident, level, off) < d) {
                 earlier_candidate = true;  // RHH would displace here
                 resume_block = block;
                 resume_level = level;
@@ -488,7 +475,7 @@ EdgeblockArray::ProbeResult EdgeblockArray::probe_insert(std::uint32_t& top,
         block = child(block, sb);
         ++level;
     }
-    return ProbeResult{ProbeResult::Kind::Absent, kNoCalPos, CellRef{}, 0,
+    return ProbeResult{ProbeResult::Kind::Absent, kNoCalPos, CellRef{},
                        resume_block, resume_level};
 }
 
@@ -510,43 +497,44 @@ void EdgeblockArray::insert_new(std::uint32_t& top, VertexId dst,
     StatsFlush flush{metrics_, metrics_.insert_probe_cells};
     std::uint32_t block = start_block == kNoBlock ? top : start_block;
     std::uint32_t level = start_block == kNoBlock ? 0 : start_level;
-    EdgeCell carry{dst, weight, new_cal_pos, 0, CellState::Occupied};
+    LiveEdge carry{dst, weight, new_cal_pos};
+    std::uint32_t dist = 0;  // carry's probe distance on entering a level
     for (;;) {
         const std::uint32_t sb = sb_of(carry.dst, level);
         const std::uint32_t sb_base = sb * subblock_;
         std::uint32_t home = home_of(carry.dst, level);
-        std::uint32_t dist = carry.probe;
         bool placed = false;
         while (dist < subblock_) {
-            const std::uint32_t slot =
-                sb_base + ((home + dist) & (subblock_ - 1));
-            EdgeCell& resident = cell(block, slot);
+            const std::uint32_t off = (home + dist) & (subblock_ - 1);
+            const std::uint32_t slot = sb_base + off;
             ++flush.cells;
-            if (resident.state != CellState::Occupied) {
-                carry.probe = static_cast<std::uint16_t>(dist);
-                resident = carry;
-                ++occupied_[block];
-                set_occupancy(block, slot, true);
-                set_tombstone(block, slot, false);
-                if (cal_ != nullptr && resident.cal_pos != kNoCalPos) {
-                    cal_->rebind(resident.cal_pos, CellRef{block, slot});
+            if (!is_occupied(block, slot)) {
+                fill(block, slot, carry);
+                if (cal_ != nullptr && carry.cal_pos != kNoCalPos) {
+                    cal_->rebind(carry.cal_pos, CellRef{block, slot});
                 }
                 placed = true;
                 break;
             }
-            if (rhh_ && resident.probe < dist) {
+            EdgeCell& resident = cell(block, slot);
+            const std::uint32_t resident_probe =
+                rhh_ ? displacement(resident.dst, level, off) : subblock_;
+            if (resident_probe < dist) {
                 // Rob the rich: the floater takes this cell, the richer
-                // resident is displaced and continues probing.
-                carry.probe = static_cast<std::uint16_t>(dist);
-                std::swap(resident, carry);
+                // resident is displaced and continues probing. (Without
+                // RHH the resident counts as never richer.)
+                std::uint32_t& resident_cal = cal_pos_[index(block, slot)];
+                std::swap(resident.dst, carry.dst);
+                std::swap(resident.weight, carry.weight);
+                std::swap(resident_cal, carry.cal_pos);
                 ++flush.swaps;
-                if (cal_ != nullptr && resident.cal_pos != kNoCalPos) {
-                    cal_->rebind(resident.cal_pos, CellRef{block, slot});
+                if (cal_ != nullptr && resident_cal != kNoCalPos) {
+                    cal_->rebind(resident_cal, CellRef{block, slot});
                 }
                 // Continue as the displaced edge: same subblock (everything
                 // here hashed to it), but its own home offset and probe.
                 home = home_of(carry.dst, level);
-                dist = carry.probe;
+                dist = resident_probe;
             }
             ++dist;
         }
@@ -564,11 +552,11 @@ void EdgeblockArray::insert_new(std::uint32_t& top, VertexId dst,
         }
         block = down;
         ++level;
-        carry.probe = 0;
+        dist = 0;
     }
 }
 
-bool EdgeblockArray::extract_deepest(std::uint32_t block, EdgeCell& out) {
+bool EdgeblockArray::extract_deepest(std::uint32_t block, LiveEdge& out) {
     // Descend first: the victim must come from the deepest populated block so
     // compaction shortens probe paths.
     for (std::uint32_t s = 0; s < spb_; ++s) {
@@ -590,42 +578,39 @@ bool EdgeblockArray::extract_deepest(std::uint32_t block, EdgeCell& out) {
     if (occupied_[block] == 0) {
         return false;
     }
-    const std::size_t base = static_cast<std::size_t>(block) * pagewidth_;
-    for (std::uint32_t i = 0; i < pagewidth_; ++i) {
-        EdgeCell& c = cells_[base + i];
-        if (c.state == CellState::Occupied) {
-            out = c;
-            c = EdgeCell{};
-            --occupied_[block];
-            set_occupancy(block, i, false);
-            return true;
+    for (std::uint32_t w = 0; w < words_per_block_; ++w) {
+        const std::uint64_t bits = masks_[occ_word(block, w)];
+        if (bits == 0) {
+            continue;
         }
+        const auto slot =
+            w * 64 + static_cast<std::uint32_t>(std::countr_zero(bits));
+        const EdgeCell& c = cell(block, slot);
+        out = LiveEdge{c.dst, c.weight, cal_pos_[index(block, slot)]};
+        --occupied_[block];
+        set_occupancy(block, slot, false);
+        return true;
     }
     assert(false && "occupied_ count out of sync");
     return false;
 }
 
 void EdgeblockArray::refill_hole(std::uint32_t block, std::uint32_t sb,
-                                 std::uint32_t slot, std::uint32_t level) {
+                                 std::uint32_t slot) {
     std::uint32_t& down = child(block, sb);
     if (down == kNoBlock) {
         return;
     }
-    EdgeCell victim{};
+    LiveEdge victim{};
     if (!extract_deepest(down, victim)) {
         free_subtree(down);
         down = kNoBlock;
         return;
     }
     // Any edge in the subtree hashes to this subblock at this level, so it
-    // may legally occupy the hole; recompute its Robin Hood displacement.
-    const std::uint32_t off = slot - sb * subblock_;
-    const std::uint32_t home = home_of(victim.dst, level);
-    victim.probe = static_cast<std::uint16_t>((off + subblock_ - home) &
-                                              (subblock_ - 1));
-    cell(block, slot) = victim;
-    ++occupied_[block];
-    set_occupancy(block, slot, true);
+    // may legally occupy the hole (its displacement is derived from where
+    // it lands).
+    fill(block, slot, victim);
     if (cal_ != nullptr && victim.cal_pos != kNoCalPos) {
         cal_->rebind(victim.cal_pos, CellRef{block, slot});
     }
@@ -638,27 +623,28 @@ void EdgeblockArray::refill_hole(std::uint32_t block, std::uint32_t sb,
 
 EdgeblockArray::EraseResult EdgeblockArray::erase(std::uint32_t& top,
                                                   VertexId dst) {
+    if (top != kNoBlock) {
+        // Most erases find their edge at level 0 and read its CAL pointer
+        // next: fetch that line alongside the walk's own.
+        simd::prefetch(&cal_pos_[index(top, sb_of(dst, 0) * subblock_)]);
+    }
     const auto loc = locate(top, dst);
     if (!loc) {
         return EraseResult{};
     }
-    EdgeCell& c = cell(loc->block, loc->slot);
-    const std::uint32_t cal_pos = c.cal_pos;
-    const Weight weight = c.weight;
+    const std::uint32_t cal_pos = cal_pos_[index(loc->block, loc->slot)];
+    const Weight weight = cell(loc->block, loc->slot).weight;
     if (!compact_delete_) {
         // Delete-only: tombstone the cell; probing sees the slot as vacant
         // for future inserts but nothing shrinks.
-        c.state = CellState::Tombstone;
-        c.cal_pos = kNoCalPos;
         --occupied_[loc->block];
         set_occupancy(loc->block, loc->slot, false);
         set_tombstone(loc->block, loc->slot, true);
         return EraseResult{true, cal_pos, weight};
     }
-    c = EdgeCell{};
     --occupied_[loc->block];
     set_occupancy(loc->block, loc->slot, false);
-    refill_hole(loc->block, loc->sb, loc->slot, loc->level);
+    refill_hole(loc->block, loc->sb, loc->slot);
     // Prune the now-possibly-empty tail of the hash path so the structure
     // keeps shrinking as the graph shrinks (paper: "the data structure
     // shrinks as more edges are deleted").
@@ -706,23 +692,13 @@ void EdgeblockArray::prefetch_probe(std::uint32_t top,
     if (top == kNoBlock || top >= block_count_) {
         return;
     }
-    // The first probe of (top, dst) reads the level-0 subblock's cells and
-    // the block's mask words; warm both. Two lines cover 8 cells — the
-    // default subblock.
-    const std::uint32_t sb_base = sb_of(dst, 0) * subblock_;
-    const EdgeCell* cells =
-        &cells_[static_cast<std::size_t>(top) * pagewidth_ + sb_base];
-    // Write intent: an insert fills a cell in this window, and fetching the
-    // line exclusive up front avoids a second coherence transition.
-    simd::prefetch_write(cells);
-    simd::prefetch_write(cells + 4);
-    simd::prefetch(&masks_[static_cast<std::size_t>(top) * words_per_block_]);
-    simd::prefetch(
-        &tomb_masks_[static_cast<std::size_t>(top) * words_per_block_]);
-    // Warm the child pointer too so the second prefetch stage
+    // The first probe of (top, dst) reads the level-0 window's cells and
+    // the mask words covering it.
+    const std::uint32_t sb0 = sb_of(dst, 0);
+    prefetch_window(top, sb0 * subblock_);
+    // Warm the child handle too so the second prefetch stage
     // (prefetch_probe_child) can read it without its own miss.
-    simd::prefetch(&children_[static_cast<std::size_t>(top) * spb_ +
-                              sb_of(dst, 0)]);
+    simd::prefetch(&children_[static_cast<std::size_t>(top) * spb_ + sb0]);
 }
 
 void EdgeblockArray::prefetch_probe_child(std::uint32_t top,
@@ -744,14 +720,7 @@ void EdgeblockArray::prefetch_probe_child(std::uint32_t top,
     if (c == kNoBlock || c >= block_count_) {
         return;
     }
-    const std::uint32_t sb_base = sb_of(dst, 1) * subblock_;
-    const EdgeCell* cells =
-        &cells_[static_cast<std::size_t>(c) * pagewidth_ + sb_base];
-    simd::prefetch_write(cells);
-    simd::prefetch_write(cells + 4);
-    simd::prefetch(&masks_[static_cast<std::size_t>(c) * words_per_block_]);
-    simd::prefetch(
-        &tomb_masks_[static_cast<std::size_t>(c) * words_per_block_]);
+    prefetch_window(c, sb_of(dst, 1) * subblock_);
 }
 
 EdgeblockArray::TreeLoad EdgeblockArray::tree_load(std::uint32_t top) const {
@@ -765,11 +734,9 @@ EdgeblockArray::TreeLoad EdgeblockArray::tree_load(std::uint32_t top) const {
         stack.pop_back();
         ++load.blocks;
         load.live += occupied_[block];
-        const std::size_t mbase =
-            static_cast<std::size_t>(block) * words_per_block_;
         for (std::uint32_t w = 0; w < words_per_block_; ++w) {
             load.tombstones += static_cast<std::uint32_t>(
-                std::popcount(tomb_masks_[mbase + w]));
+                std::popcount(masks_[tomb_word(block, w)]));
         }
         for (std::uint32_t s = 0; s < spb_; ++s) {
             if (child(block, s) != kNoBlock) {
@@ -788,20 +755,24 @@ std::uint32_t EdgeblockArray::rebuild_tree(std::uint32_t& top) {
     // freed blocks land on the free list before the reinsert below starts
     // allocating, so a rebuild recycles its own storage instead of growing
     // the arena.
-    std::vector<EdgeCell> live;
+    std::vector<LiveEdge> live;
     std::vector<std::uint32_t> stack{top};
     std::uint64_t tombstones = 0;
     while (!stack.empty()) {
         const std::uint32_t block = stack.back();
         stack.pop_back();
-        const std::size_t base = static_cast<std::size_t>(block) * pagewidth_;
-        for (std::uint32_t i = 0; i < pagewidth_; ++i) {
-            const EdgeCell& c = cells_[base + i];
-            if (c.state == CellState::Occupied) {
-                live.push_back(c);
-            } else if (c.state == CellState::Tombstone) {
-                ++tombstones;
+        for (std::uint32_t w = 0; w < words_per_block_; ++w) {
+            std::uint64_t bits = masks_[occ_word(block, w)];
+            while (bits != 0) {
+                const auto slot =
+                    w * 64 + static_cast<std::uint32_t>(std::countr_zero(bits));
+                bits &= bits - 1;
+                const EdgeCell& c = cell(block, slot);
+                live.push_back(
+                    LiveEdge{c.dst, c.weight, cal_pos_[index(block, slot)]});
             }
+            tombstones += static_cast<std::uint64_t>(
+                std::popcount(masks_[tomb_word(block, w)]));
         }
         for (std::uint32_t s = 0; s < spb_; ++s) {
             std::uint32_t& down = child(block, s);
@@ -820,8 +791,8 @@ std::uint32_t EdgeblockArray::rebuild_tree(std::uint32_t& top) {
     // (including the delete-only EMPTY-exit soundness) hold by construction
     // in a tombstone-free tree, and every placement re-binds the cell's CAL
     // copy exactly as a fresh build would.
-    for (const EdgeCell& c : live) {
-        insert_new(top, c.dst, c.weight, c.cal_pos);
+    for (const LiveEdge& e : live) {
+        insert_new(top, e.dst, e.weight, e.cal_pos);
     }
     return static_cast<std::uint32_t>(live.size());
 }
@@ -841,11 +812,10 @@ std::uint32_t EdgeblockArray::unbranch(std::uint32_t& top) {
     if (top == kNoBlock || rhh_) {
         return 0;  // RHH probe-order placement forbids out-of-order pull-ups
     }
-    return unbranch_block(top, 0);
+    return unbranch_block(top);
 }
 
-std::uint32_t EdgeblockArray::unbranch_block(std::uint32_t block,
-                                             std::uint32_t level) {
+std::uint32_t EdgeblockArray::unbranch_block(std::uint32_t block) {
     std::uint32_t moved = 0;
     for (std::uint32_t s = 0; s < spb_; ++s) {
         std::uint32_t& down = child(block, s);
@@ -854,7 +824,7 @@ std::uint32_t EdgeblockArray::unbranch_block(std::uint32_t block,
         }
         // Post-order: merge the deepest generations first so this child's
         // census below reflects its already-shrunk subtree.
-        moved += unbranch_block(down, level + 1);
+        moved += unbranch_block(down);
         const std::uint32_t live = subtree_live(down);
         if (live == 0) {
             free_subtree(down);
@@ -864,7 +834,7 @@ std::uint32_t EdgeblockArray::unbranch_block(std::uint32_t block,
         const std::uint32_t sb_base = s * subblock_;
         std::uint32_t free_slots = 0;
         for (std::uint32_t off = 0; off < subblock_; ++off) {
-            if (cell(block, sb_base + off).state != CellState::Occupied) {
+            if (!is_occupied(block, sb_base + off)) {
                 ++free_slots;
             }
         }
@@ -873,22 +843,15 @@ std::uint32_t EdgeblockArray::unbranch_block(std::uint32_t block,
         }
         // Every edge under the child hashes to this window at this level
         // (the branch-out that created it proves so), so each may legally
-        // take any free slot; recompute the displacement bookkeeping as
-        // refill_hole does.
-        EdgeCell victim{};
+        // take any free slot, as in refill_hole.
+        LiveEdge victim{};
         std::uint32_t off = 0;
         while (down != kNoBlock && extract_deepest(down, victim)) {
-            while (cell(block, sb_base + off).state == CellState::Occupied) {
+            while (is_occupied(block, sb_base + off)) {
                 ++off;
             }
             const std::uint32_t slot = sb_base + off;
-            const std::uint32_t home = home_of(victim.dst, level);
-            victim.probe = static_cast<std::uint16_t>(
-                (off + subblock_ - home) & (subblock_ - 1));
-            cell(block, slot) = victim;
-            ++occupied_[block];
-            set_occupancy(block, slot, true);
-            set_tombstone(block, slot, false);
+            fill(block, slot, victim);
             if (cal_ != nullptr && victim.cal_pos != kNoCalPos) {
                 cal_->rebind(victim.cal_pos, CellRef{block, slot});
             }
@@ -905,10 +868,11 @@ std::uint32_t EdgeblockArray::unbranch_block(std::uint32_t block,
 
 std::uint64_t EdgeblockArray::tombstones_in_arena() const noexcept {
     std::uint64_t total = 0;
-    const std::size_t words =
-        static_cast<std::size_t>(block_count_) * words_per_block_;
-    for (std::size_t w = 0; w < words; ++w) {
-        total += static_cast<std::uint64_t>(std::popcount(tomb_masks_[w]));
+    for (std::uint32_t b = 0; b < block_count_; ++b) {
+        for (std::uint32_t w = 0; w < words_per_block_; ++w) {
+            total += static_cast<std::uint64_t>(
+                std::popcount(masks_[tomb_word(b, w)]));
+        }
     }
     return total;
 }

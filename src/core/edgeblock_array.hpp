@@ -22,6 +22,14 @@
 // handle per dense source vertex. The structure never stores source ids —
 // ownership is implied by the handle, exactly as the paper's main-region
 // indexing implies it.
+//
+// The arena is shaped so one probe level reads whole cache lines: every
+// per-block array is 64-byte aligned (util/line_alloc.hpp), an edge-cell is
+// 8 bytes, so a default 8-cell subblock window is exactly one line, and a
+// block's interleaved occupancy/tombstone words share one line. A cell's
+// state lives in those masks, its Robin Hood displacement is recomputed
+// from the hash, and its CAL pointer sits in a parallel per-cell array that
+// is touched only when an edge is placed, moved, erased or re-weighted.
 #pragma once
 
 #include <bit>
@@ -34,6 +42,8 @@
 #include "core/config.hpp"
 #include "obs/metrics.hpp"
 #include "util/hash.hpp"
+#include "util/line_alloc.hpp"
+#include "util/simd.hpp"
 #include "util/types.hpp"
 #include "util/visit.hpp"
 
@@ -58,20 +68,25 @@ struct EbaMetrics {
     obs::Histogram* insert_probe_cells = nullptr;
 };
 
+/// A cell's state, as its block's occupancy/tombstone masks record it.
 enum class CellState : std::uint8_t { Empty, Occupied, Tombstone };
 
-/// The most primitive unit of the EdgeblockArray (one edge-cell).
+/// The most primitive unit of the EdgeblockArray (one edge-cell): the edge
+/// and nothing else, so eight cells fill one cache line. State, probe
+/// distance and CAL pointer live outside the cell (see the file comment).
 struct EdgeCell {
     VertexId dst = kInvalidVertex;
     Weight weight = 0;
-    std::uint32_t cal_pos = kNoCalPos;
-    std::uint16_t probe = 0;  // Robin Hood displacement from the home cell
-    CellState state = CellState::Empty;
 };
+static_assert(sizeof(EdgeCell) == 8, "an edge-cell is {dst, weight}");
 
 class EdgeblockArray {
 public:
     static constexpr std::uint32_t kNoBlock = 0xffffffffU;
+    /// Cells of slack past the last block: one cache line, so the SIMD
+    /// compare of the arena's last window may read whole 4-cell groups
+    /// without running off the allocation.
+    static constexpr std::size_t kArenaPadCells = kCacheLine / sizeof(EdgeCell);
 
     /// `cal` may be null (CAL feature disabled); when set, the array keeps
     /// CAL-pointers consistent whenever cells move. `registry` names where
@@ -121,7 +136,6 @@ public:
         Kind kind = Kind::Absent;
         std::uint32_t cal_pos = kNoCalPos;  // Duplicate: the edge's CAL copy
         CellRef where{};                    // PlaceAt: the free cell
-        std::uint16_t probe = 0;            // PlaceAt: its displacement
         // Absent: where the INSERT cascade must begin — the first level with
         // a tombstone or Robin Hood swap point (or the deepest block when
         // the walk fell off the tree). Levels above are full windows the
@@ -157,25 +171,24 @@ public:
 
     /// Writes a new edge into the cell pinned by probe_insert (PlaceAt).
     void place_at(CellRef ref, VertexId dst, Weight weight,
-                  std::uint16_t probe, std::uint32_t cal_pos) {
-        EdgeCell& c = cell(ref.block, ref.slot);
-        c = EdgeCell{dst, weight, cal_pos, probe, CellState::Occupied};
-        ++occupied_[ref.block];
-        set_occupancy(ref.block, ref.slot, true);
-        set_tombstone(ref.block, ref.slot, false);
+                  std::uint32_t cal_pos) {
+        fill(ref.block, ref.slot, LiveEdge{dst, weight, cal_pos});
     }
 
-    /// Software-prefetches the state a FIND/INSERT probe of (`top`, `dst`)
-    /// will touch first: the level-0 subblock's cells and the block's
-    /// occupancy masks. The batched ingest path calls this for the *next*
-    /// source run while the current one drains, hiding the arena miss.
+    /// Software-prefetches the lines a FIND/INSERT probe of (`top`, `dst`)
+    /// reads at level 0: the subblock window's cells (one line at the
+    /// default geometry), the block's mask line and the child handle the
+    /// walk descends through. The batched ingest path calls this for the
+    /// *next* source run while the current one drains, hiding the arena
+    /// miss.
     void prefetch_probe(std::uint32_t top, VertexId dst) const noexcept;
 
     /// Second prefetch stage: once prefetch_probe's lines have landed, the
     /// level-0 masks are cheap to read, so this peeks at them — if the
     /// level-0 subblock is full (the probe will descend) it prefetches the
-    /// level-1 child's window too. Call it at a *shorter* lookahead distance
-    /// than prefetch_probe so the stage-1 lines have arrived.
+    /// level-1 child's window and mask line too. Call it at a *shorter*
+    /// lookahead distance than prefetch_probe so the stage-1 lines have
+    /// arrived.
     void prefetch_probe_child(std::uint32_t top, VertexId dst) const noexcept;
 
     /// FIND mode, returning the cell location instead of the weight.
@@ -241,7 +254,7 @@ public:
     /// Rewrites a cell's CAL pointer (used right after a CAL insert, and by
     /// CAL compaction when a CAL edge moves).
     void set_cal_pos(CellRef ref, std::uint32_t pos) {
-        cell(ref.block, ref.slot).cal_pos = pos;
+        cal_pos_[index(ref.block, ref.slot)] = pos;
     }
 
     /// Visits every live out-edge under `top`: fn(dst, weight), where fn may
@@ -262,12 +275,9 @@ public:
         while (visit_stack_.size() > sbase) {
             const std::uint32_t block = visit_stack_.back();
             visit_stack_.pop_back();
-            const std::size_t base =
-                static_cast<std::size_t>(block) * pagewidth_;
-            const std::size_t mbase =
-                static_cast<std::size_t>(block) * words_per_block_;
+            const std::size_t base = index(block, 0);
             for (std::uint32_t w = 0; w < words_per_block_; ++w) {
-                std::uint64_t bits = masks_[mbase + w];
+                std::uint64_t bits = masks_[occ_word(block, w)];
                 while (bits != 0) {
                     const auto i = static_cast<std::uint32_t>(
                         std::countr_zero(bits));
@@ -289,31 +299,6 @@ public:
         return true;
     }
 
-    /// Visits every live cell under `top` with its location:
-    /// fn(CellRef, const EdgeCell&). Diagnostics/validation hook.
-    template <typename Fn>
-    void for_each_cell_of(std::uint32_t top, Fn&& fn) const {
-        if (top == kNoBlock) {
-            return;
-        }
-        std::vector<std::uint32_t> stack{top};
-        while (!stack.empty()) {
-            const std::uint32_t block = stack.back();
-            stack.pop_back();
-            for (std::uint32_t i = 0; i < pagewidth_; ++i) {
-                const EdgeCell& c = cell(block, i);
-                if (c.state == CellState::Occupied) {
-                    fn(CellRef{block, i}, c);
-                }
-            }
-            for (std::uint32_t s = 0; s < spb_; ++s) {
-                if (child(block, s) != kNoBlock) {
-                    stack.push_back(child(block, s));
-                }
-            }
-        }
-    }
-
     // ---- diagnostics / test hooks -------------------------------------
 
     [[nodiscard]] std::size_t blocks_in_use() const noexcept {
@@ -322,9 +307,10 @@ public:
     [[nodiscard]] std::size_t blocks_allocated() const noexcept {
         return block_count_;
     }
-    /// Bytes held by in-use blocks (cells + child pointers + occupancy and
-    /// tombstone masks). Free-listed blocks are excluded — this is the
-    /// footprint reclamation shrinks, not the arena's high-water mark.
+    /// Bytes held by in-use blocks (cells + CAL pointers + child handles +
+    /// occupancy and tombstone masks + the occupied counter). Free-listed
+    /// blocks are excluded — this is the footprint reclamation shrinks, not
+    /// the arena's high-water mark.
     [[nodiscard]] std::size_t memory_bytes() const noexcept {
         return blocks_in_use() * bytes_per_block();
     }
@@ -374,12 +360,25 @@ public:
     [[nodiscard]] std::uint32_t pagewidth() const noexcept { return pagewidth_; }
 
 private:
+    /// An edge off its cell: what the Robin Hood cascade carries, and what
+    /// compaction, un-branching and rebuilds move between cells.
+    struct LiveEdge {
+        VertexId dst = kInvalidVertex;
+        Weight weight = 0;
+        std::uint32_t cal_pos = kNoCalPos;
+    };
+
+    /// Index of (block, slot) in the per-cell arrays (cells_, cal_pos_).
+    [[nodiscard]] std::size_t index(std::uint32_t block,
+                                    std::uint32_t slot) const noexcept {
+        return static_cast<std::size_t>(block) * pagewidth_ + slot;
+    }
     [[nodiscard]] EdgeCell& cell(std::uint32_t block, std::uint32_t slot) {
-        return cells_[static_cast<std::size_t>(block) * pagewidth_ + slot];
+        return cells_[index(block, slot)];
     }
     [[nodiscard]] const EdgeCell& cell(std::uint32_t block,
                                        std::uint32_t slot) const {
-        return cells_[static_cast<std::size_t>(block) * pagewidth_ + slot];
+        return cells_[index(block, slot)];
     }
     [[nodiscard]] std::uint32_t& child(std::uint32_t block, std::uint32_t sb) {
         return children_[static_cast<std::size_t>(block) * spb_ + sb];
@@ -403,18 +402,26 @@ private:
         return static_cast<std::uint32_t>(level_hash(dst, level) >> 32) &
                (subblock_ - 1);
     }
+    /// Probe distance of `dst` stored at offset `off` of its subblock at
+    /// `level`: the displacement from its home offset, wrapping. Derived,
+    /// never stored — every placement puts an edge exactly this far from
+    /// its home.
+    [[nodiscard]] std::uint32_t displacement(VertexId dst, std::uint32_t level,
+                                             std::uint32_t off) const noexcept {
+        return (off - home_of(dst, level)) & (subblock_ - 1);
+    }
 
     struct Located {
         std::uint32_t block;
         std::uint32_t sb;    // subblock index within the block
         std::uint32_t slot;  // cell index within the block
-        std::uint32_t level;
     };
     [[nodiscard]] std::optional<Located> locate(std::uint32_t top,
                                                 VertexId dst) const;
 
     [[nodiscard]] std::size_t bytes_per_block() const noexcept {
-        return static_cast<std::size_t>(pagewidth_) * sizeof(EdgeCell) +
+        return static_cast<std::size_t>(pagewidth_) *
+                   (sizeof(EdgeCell) + sizeof(std::uint32_t)) +
                spb_ * sizeof(std::uint32_t) +
                2 * words_per_block_ * sizeof(std::uint64_t) +
                sizeof(std::uint32_t);
@@ -430,14 +437,13 @@ private:
     void free_subtree(std::uint32_t block);
     /// Total live cells under `block`'s subtree.
     [[nodiscard]] std::uint32_t subtree_live(std::uint32_t block) const;
-    /// Bottom-up un-branch of one block's children at tree level `level`.
-    std::uint32_t unbranch_block(std::uint32_t block, std::uint32_t level);
+    /// Bottom-up un-branch of one block's children.
+    std::uint32_t unbranch_block(std::uint32_t block);
     [[nodiscard]] bool subtree_is_empty(std::uint32_t block) const;
     /// Removes and returns the deepest edge in `block`'s subtree; false when
     /// the subtree holds no edges. Prunes empty descendants as it unwinds.
-    bool extract_deepest(std::uint32_t block, EdgeCell& out);
-    void refill_hole(std::uint32_t block, std::uint32_t sb, std::uint32_t slot,
-                     std::uint32_t level);
+    bool extract_deepest(std::uint32_t block, LiveEdge& out);
+    void refill_hole(std::uint32_t block, std::uint32_t sb, std::uint32_t slot);
     void prune_path(std::uint32_t top, VertexId dst);
 
     /// Descent paths deeper than this are never pruned (bounded stack use);
@@ -454,10 +460,36 @@ private:
     std::uint32_t words_per_block_;  // occupancy-mask words per block
     CoarseAdjacencyList* cal_;
 
+    /// masks_ interleaves each block's mask words: the occupancy word
+    /// covering cells [64w, 64w + 64) of `block`, then its tombstone word.
+    [[nodiscard]] std::size_t occ_word(std::uint32_t block,
+                                       std::uint32_t w) const noexcept {
+        return (static_cast<std::size_t>(block) * words_per_block_ + w) * 2;
+    }
+    [[nodiscard]] std::size_t tomb_word(std::uint32_t block,
+                                        std::uint32_t w) const noexcept {
+        return occ_word(block, w) + 1;
+    }
+    [[nodiscard]] bool is_occupied(std::uint32_t block,
+                                   std::uint32_t slot) const noexcept {
+        return ((masks_[occ_word(block, slot / 64)] >> (slot % 64)) & 1U) != 0;
+    }
+    [[nodiscard]] bool is_tombstone(std::uint32_t block,
+                                    std::uint32_t slot) const noexcept {
+        return ((masks_[tomb_word(block, slot / 64)] >> (slot % 64)) & 1U) !=
+               0;
+    }
+    [[nodiscard]] CellState state_of(std::uint32_t block,
+                                     std::uint32_t slot) const noexcept {
+        if (is_occupied(block, slot)) {
+            return CellState::Occupied;
+        }
+        return is_tombstone(block, slot) ? CellState::Tombstone
+                                         : CellState::Empty;
+    }
+
     void set_occupancy(std::uint32_t block, std::uint32_t slot, bool on) {
-        std::uint64_t& word =
-            masks_[static_cast<std::size_t>(block) * words_per_block_ +
-                   slot / 64];
+        std::uint64_t& word = masks_[occ_word(block, slot / 64)];
         if (on) {
             word |= 1ULL << (slot % 64);
         } else {
@@ -466,14 +498,23 @@ private:
     }
 
     void set_tombstone(std::uint32_t block, std::uint32_t slot, bool on) {
-        std::uint64_t& word =
-            tomb_masks_[static_cast<std::size_t>(block) * words_per_block_ +
-                        slot / 64];
+        std::uint64_t& word = masks_[tomb_word(block, slot / 64)];
         if (on) {
             word |= 1ULL << (slot % 64);
         } else {
             word &= ~(1ULL << (slot % 64));
         }
+    }
+
+    /// Writes `e` into the free cell (block, slot) and marks it occupied.
+    /// CAL re-binding is the caller's business.
+    void fill(std::uint32_t block, std::uint32_t slot, const LiveEdge& e) {
+        const std::size_t i = index(block, slot);
+        cells_[i] = EdgeCell{e.dst, e.weight};
+        cal_pos_[i] = e.cal_pos;
+        ++occupied_[block];
+        set_occupancy(block, slot, true);
+        set_tombstone(block, slot, false);
     }
 
     /// Occupancy/tombstone bits of the subblock starting at cell `sb_base`.
@@ -486,20 +527,43 @@ private:
     };
     [[nodiscard]] WindowBits window_bits(std::uint32_t block,
                                          std::uint32_t sb_base) const {
-        const std::size_t word =
-            static_cast<std::size_t>(block) * words_per_block_ + sb_base / 64;
+        const std::size_t word = occ_word(block, sb_base / 64);
         const std::uint32_t shift = sb_base % 64;
         const std::uint64_t wmask =
             subblock_ >= 64 ? ~0ULL : (1ULL << subblock_) - 1;
         return WindowBits{(masks_[word] >> shift) & wmask,
-                          (tomb_masks_[word] >> shift) & wmask};
+                          (masks_[word + 1] >> shift) & wmask};
     }
 
-    std::vector<EdgeCell> cells_;
-    std::vector<std::uint32_t> children_;
-    std::vector<std::uint32_t> occupied_;
-    std::vector<std::uint64_t> masks_;
-    std::vector<std::uint64_t> tomb_masks_;  // bit set = Tombstone cell
+    /// Prefetches the lines a probe of the subblock window starting at cell
+    /// `sb_base` of `block` reads — every line of its cells (one at the
+    /// default geometry) and its mask line — plus the window's CAL-pointer
+    /// line a placement writes. Always inlined, like the simd::prefetch
+    /// wrappers: GCC judges a call whose only effects are prefetches to be
+    /// side-effect free and deletes it unless it was inlined first.
+    [[gnu::always_inline]] void prefetch_window(
+        std::uint32_t block, std::uint32_t sb_base) const noexcept {
+        // Write intent: an insert fills a cell in this window, and fetching
+        // the line exclusive up front avoids a second coherence transition.
+        // Windows start on a line boundary once they are a line or wider,
+        // and narrower ones never straddle one.
+        const auto* first = reinterpret_cast<const unsigned char*>(
+            &cells_[index(block, sb_base)]);
+        const std::size_t bytes = std::size_t{subblock_} * sizeof(EdgeCell);
+        for (std::size_t at = 0; at < bytes; at += kCacheLine) {
+            simd::prefetch_write(first + at);
+        }
+        simd::prefetch(&masks_[occ_word(block, sb_base / 64)]);
+        simd::prefetch_write(&cal_pos_[index(block, sb_base)]);
+    }
+
+    // Per-block arrays, all cache-line aligned. cells_ carries
+    // kArenaPadCells of slack past the last block.
+    LineVector<EdgeCell> cells_;
+    LineVector<std::uint32_t> cal_pos_;  // per cell; valid while occupied
+    LineVector<std::uint32_t> children_;
+    LineVector<std::uint32_t> occupied_;
+    LineVector<std::uint64_t> masks_;  // occupancy/tombstone, interleaved
     std::vector<std::uint32_t> free_blocks_;
     std::uint32_t block_count_ = 0;
     /// Blocks the backing vectors currently have storage for

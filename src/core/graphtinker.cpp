@@ -157,7 +157,7 @@ bool GraphTinker::insert_resolved(VertexId dense, VertexId raw_src,
                               : cal_.insert(dense, raw_src, dst, weight,
                                             probe.where);
             }
-            eba_.place_at(probe.where, dst, weight, probe.probe, cal_pos);
+            eba_.place_at(probe.where, dst, weight, cal_pos);
             break;
         }
         case Kind::Absent: {

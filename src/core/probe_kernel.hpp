@@ -15,6 +15,8 @@
 // and then compare distances — the key is found iff it sits strictly before
 // the first EMPTY on the probe path, absent at every level iff an EMPTY
 // comes first, and the walk descends iff the window has no EMPTY at all.
+// Cells carry no state or probe distance: the masks are the state, and a
+// resident's displacement is recomputed from its hash by the caller.
 // Both the template instantiations (SIMD and scalar compare) are compiled in
 // every build so tests can diff them; GT_SIMD only selects which one the hot
 // path calls.
@@ -32,13 +34,14 @@ namespace gt::core {
 
 // The SIMD compare reads the dst field at stride sizeof(EdgeCell); the
 // kernel is only instantiated when the layout matches that contract.
-static_assert(sizeof(EdgeCell) == 16,
-              "probe kernel assumes 16-byte edge-cells");
+static_assert(sizeof(EdgeCell) == 8, "probe kernel assumes 8-byte edge-cells");
 static_assert(offsetof(EdgeCell, dst) == 0,
               "probe kernel assumes dst is the leading cell member");
 
 /// One subblock of cells plus its occupancy/tombstone bit windows (bit i
 /// describes cells[i]); `width` is the subblock size (power of two, <= 64).
+/// The SIMD compare reads whole 4-cell groups, so for a width below 4 the
+/// cells must stay readable through cells[3] (see match_u32_stride8_simd).
 struct SubblockWindow {
     const EdgeCell* cells = nullptr;
     std::uint32_t width = 0;
@@ -72,9 +75,9 @@ template <bool UseSimd>
 [[nodiscard]] inline std::uint64_t match_bits(const SubblockWindow& w,
                                               VertexId dst) noexcept {
     if constexpr (UseSimd) {
-        return simd::match_u32_stride16_simd(w.cells, w.width, dst) & w.occ;
+        return simd::match_u32_stride8_simd(w.cells, w.width, dst) & w.occ;
     } else {
-        return simd::match_u32_stride16_scalar(w.cells, w.width, dst) & w.occ;
+        return simd::match_u32_stride8_scalar(w.cells, w.width, dst) & w.occ;
     }
 }
 
@@ -145,11 +148,12 @@ struct ProbeStep {
 /// Fused FIND/INSERT probe over one subblock (RHH mode). Mirrors the scalar
 /// walk: duplicate and EMPTY detection are bit-parallel; only the (rare)
 /// rich-resident check inspects individual occupied cells, and only up to
-/// the exit distance.
-template <bool UseSimd>
+/// the exit distance. `probe_of(slot)` returns the Robin Hood displacement
+/// of the resident at cells[slot] from its own home offset.
+template <bool UseSimd, typename ProbeOf>
 [[nodiscard]] inline ProbeStep probe_step(const SubblockWindow& w,
-                                          std::uint32_t home,
-                                          VertexId dst) noexcept {
+                                          std::uint32_t home, VertexId dst,
+                                          ProbeOf&& probe_of) noexcept {
     const std::uint64_t match = match_bits<UseSimd>(w, dst);
     const std::uint64_t empty = ~(w.occ | w.tomb) & window_mask(w.width);
     const std::uint32_t d_match = first_probe_dist(match, home, w.width);
@@ -173,7 +177,7 @@ template <bool UseSimd>
             }
             occ_rot &= occ_rot - 1;
             const std::uint32_t slot = (home + d) & (w.width - 1);
-            if (w.cells[slot].probe < d) {
+            if (probe_of(slot) < d) {
                 candidate = true;  // RHH would displace here
                 break;
             }

@@ -135,15 +135,12 @@ Status Replicator::apply_frame(const Frame& f) {
         if (rec.seq <= wal.durable_seq()) {
             continue;  // re-shipped prefix after a re-subscribe overlap
         }
-        const bool closes_frame =
-            rec.type == recover::WalRecordType::BatchCommit ||
-            rec.type == recover::WalRecordType::SoloInsert ||
-            rec.type == recover::WalRecordType::SoloDelete;
+        const bool closes = recover::closes_frame(rec.type);
         if (rec.type == recover::WalRecordType::BatchBegin) {
             frame_buf_.clear();
         }
         frame_buf_.push_back(std::move(rec));
-        if (!closes_frame) {
+        if (!closes) {
             continue;
         }
         // Durable first, then applied: a crash between the two replays the

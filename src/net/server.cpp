@@ -1488,6 +1488,11 @@ void Server::handle_sub_ack(GraphEntry* g, const DeferredOp& op,
     for (Subscriber& sub : g->subscribers) {
         if (sub.conn_id == op.conn_id) {
             sub.acked_seq = std::max(sub.acked_seq, acked);
+            while (!sub.unacked.empty() &&
+                   sub.unacked.front().first <= sub.acked_seq) {
+                sub.unacked_bytes -= sub.unacked.front().second;
+                sub.unacked.pop_front();
+            }
             found = true;
         }
     }
@@ -1523,7 +1528,8 @@ void Server::handle_checkpoint(GraphEntry* g, const DeferredOp& op,
         const std::uint64_t durable = g->store.wal().durable_seq();
         bool fenced = false;
         for (const Subscriber& sub : g->subscribers) {
-            if (sub.acked_seq < durable) {
+            // Unshipped records are unacked whatever the follower claims.
+            if (std::min(sub.acked_seq, sub.sent_seq) < durable) {
                 fenced = true;
                 break;
             }
@@ -1588,37 +1594,49 @@ void Server::pump_subscribers(GraphEntry* g) {
     }
     const std::uint64_t term = g->term.load(std::memory_order_relaxed);
     const std::uint64_t primary_seq = g->store.wal().durable_seq();
+    // Flow control: ship at most about half the write-buffer cap beyond a
+    // subscriber's last SubAck, so a catch-up backlog streams at the
+    // follower's pace instead of tripping flush_all's slow-subscriber
+    // teardown. Each SubAck re-pumps (execute_owner). The window only
+    // binds while the follower holds a closed frame it can apply and ack —
+    // a batch larger than the window still streams through.
+    const std::size_t window = opts_.max_wbuf_bytes / 2;
     auto it = g->subscribers.begin();
     while (it != g->subscribers.end()) {
         Subscriber& sub = *it;
         bool dropped = false;
         bool drained = false;
-        std::optional<recover::WalRecord> carry;
-        while (!drained && !dropped) {
+        while (!drained && !dropped &&
+               (sub.unacked_bytes < window ||
+                sub.acked_seq >= sub.closed_seq)) {
             PayloadWriter rec_w;
             std::uint32_t count = 0;
             std::uint64_t last_shipped = sub.sent_seq;
+            std::uint64_t last_closed = sub.closed_seq;
             const auto add = [&](const recover::WalRecord& rec) {
                 rec_w.u64(rec.seq);
                 rec_w.u8(static_cast<std::uint8_t>(rec.type));
                 rec_w.u32(static_cast<std::uint32_t>(rec.payload.size()));
                 rec_w.bytes(rec.payload);
                 last_shipped = rec.seq;
+                if (recover::closes_frame(rec.type)) {
+                    last_closed = rec.seq;
+                }
                 ++count;
             };
-            if (carry.has_value()) {
-                add(*carry);
-                carry.reset();
+            if (sub.carry.has_value()) {
+                add(*sub.carry);
+                sub.carry.reset();
             }
             while (rec_w.span().size() < kShipChunkBytes &&
-                   !carry.has_value()) {
+                   !sub.carry.has_value()) {
                 const std::size_t got = sub.tailer->poll(
                     [&](const recover::WalRecord& rec) {
                         const std::size_t need =
                             kShipRecordOverhead + rec.payload.size();
                         if (count > 0 &&
                             rec_w.span().size() + need > kShipBudget) {
-                            carry = rec;  // next frame's first record
+                            sub.carry = rec;  // next frame's first record
                             return;
                         }
                         add(rec);
@@ -1671,6 +1689,9 @@ void Server::pump_subscribers(GraphEntry* g) {
             shipped_m_->inc();
             frames_tx_m_->inc();
             sub.sent_seq = last_shipped;
+            sub.closed_seq = last_closed;
+            sub.unacked.emplace_back(last_shipped, ship.bytes.size());
+            sub.unacked_bytes += ship.bytes.size();
             deliver(cur, sub.origin_loop, sub.conn_id, std::move(ship), 0);
         }
         if (dropped) {

@@ -58,9 +58,11 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "net/io.hpp"
@@ -218,6 +220,16 @@ private:
         std::uint64_t sent_seq = 0;    // last record shipped
         std::uint64_t acked_seq = 0;   // follower's applied low-water mark
         std::unique_ptr<recover::WalTailer> tailer;
+        /// Flow control: the ship frames not yet covered by a SubAck, as
+        /// (last seq in the frame, frame bytes), and their byte total.
+        std::deque<std::pair<std::uint64_t, std::size_t>> unacked;
+        std::size_t unacked_bytes = 0;
+        /// Last frame-closing record shipped: the follower can apply (and
+        /// so ack) everything up to it without another frame.
+        std::uint64_t closed_seq = 0;
+        /// A polled record that did not fit the last frame; it opens the
+        /// next one.
+        std::optional<recover::WalRecord> carry;
     };
 
     struct GraphEntry {

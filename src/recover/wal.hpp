@@ -82,6 +82,14 @@ enum class WalRecordType : std::uint8_t {
     SoloDelete = 6,
 };
 
+/// True for the record types that close a WAL frame (a batch's commit or a
+/// solo update): a follower can apply everything up to such a record.
+[[nodiscard]] constexpr bool closes_frame(WalRecordType type) noexcept {
+    return type == WalRecordType::BatchCommit ||
+           type == WalRecordType::SoloInsert ||
+           type == WalRecordType::SoloDelete;
+}
+
 /// How hard commits push toward the platter.
 enum class DurabilityMode : std::uint8_t {
     /// Log nothing (measurement baseline; recovery sees an empty log).

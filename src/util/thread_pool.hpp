@@ -118,10 +118,12 @@ private:
 /// (the shard worker).
 ///
 /// Progress/visibility contract:
-///   - enqueued()/completed() are acquire-published epochs. After
-///     wait_idle() observes completed == enqueued, every write the consumer
-///     made while applying those tasks is visible to the caller — that is
-///     the read barrier ShardedStore's pins and drains are built on.
+///   - enqueued()/completed() are acquire-published epochs. wait_idle()
+///     captures enqueued() on entry and returns once completed() reaches
+///     it; every write the consumer made while applying those tasks is then
+///     visible to the caller — that is the read barrier ShardedStore's pins
+///     and drains are built on. Tasks pushed after the capture do not hold
+///     the caller up, so a reader never waits for a gap in ingest.
 ///   - push() blocks while the ring is full (backpressure); pop_some()
 ///     blocks while it is empty, spinning spin_iterations_hint() times
 ///     first so a streaming producer never pays a futex wake per task.
@@ -213,20 +215,23 @@ public:
         idle_cv_.notify_all();
     }
 
-    /// Blocks until every task enqueued so far has been applied. Callable
-    /// from any thread; const because it mutates nothing the producer or
-    /// consumer own (the waiters' condvar state is mutable bookkeeping).
-    void wait_idle() const {
-        if (completed_.load(std::memory_order_acquire) ==
-            enqueued_.load(std::memory_order_acquire)) {
-            return;  // fast path: two fences, no lock
+    /// Blocks until completed() reaches `epoch`. Callable from any thread;
+    /// const because it mutates nothing the producer or consumer own (the
+    /// waiters' condvar state is mutable bookkeeping).
+    void wait_until(std::uint64_t epoch) const {
+        if (completed_.load(std::memory_order_acquire) >= epoch) {
+            return;  // fast path: one fence, no lock
         }
         UniqueLock lock(mutex_);
-        while (completed_.load(std::memory_order_acquire) !=
-               enqueued_.load(std::memory_order_acquire)) {
+        while (completed_.load(std::memory_order_acquire) < epoch) {
             idle_cv_.wait(lock);
         }
     }
+
+    /// Blocks until every task enqueued before the call has been applied:
+    /// the epoch it saw on entry. Tasks pushed while it waits are not
+    /// waited for, so a steady producer cannot hold it up.
+    void wait_idle() const { wait_until(enqueued()); }
 
     /// Wakes everyone; the consumer drains the remaining tasks and then
     /// pop_some returns false. Idempotent.

@@ -149,7 +149,7 @@ TEST(EbaContract, ProbeInsertPinsWritableCell) {
     const auto probe = eba.probe_insert(top, 5, 1);
     ASSERT_EQ(probe.kind, EdgeblockArray::ProbeResult::Kind::PlaceAt);
     EXPECT_NE(top, EdgeblockArray::kNoBlock);  // allocated the top block
-    eba.place_at(probe.where, 5, 1, probe.probe, kNoCalPos);
+    eba.place_at(probe.where, 5, 1, kNoCalPos);
     EXPECT_EQ(eba.find(top, 5), std::optional<Weight>(1));
     // The pinned cell round-trips through cell_at.
     EXPECT_EQ(eba.cell_at(probe.where).dst, 5u);

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "core/edgeblock_array.hpp"
 
@@ -219,6 +221,57 @@ TEST(EdgeblockArray, WorkblockFetchesAreCounted) {
     const std::uint64_t before = fetched.value();
     (void)eba.find(top, 1);
     EXPECT_GT(fetched.value(), before);
+}
+
+TEST(EbaLayout, CellsAreEightBytesAndBlocksAre820) {
+    // Default geometry 64/8/4: 64 x 8 B cells + 64 x 4 B CAL pointers +
+    // 8 x 4 B child handles + 2 x 8 B mask words + a 4 B occupied counter.
+    static_assert(sizeof(EdgeCell) == 8);
+    EdgeblockArray eba(Config{}, nullptr);
+    std::uint32_t top = EdgeblockArray::kNoBlock;
+    eba.insert(top, 1, 1);
+    ASSERT_EQ(eba.blocks_in_use(), 1u);
+    EXPECT_EQ(eba.memory_bytes(), 820u);
+}
+
+TEST(EbaLayout, SubblockWindowsStayLineAlignedAcrossGrowth) {
+    // At the default geometry every 8-cell subblock window is exactly one
+    // cache line: it starts on a 64-byte boundary and its last cell sits
+    // in the same line. The arena must keep that through reallocations.
+    const Config cfg;
+    EdgeblockArray eba(cfg, nullptr);
+    const auto misaligned_windows = [&] {
+        std::size_t bad = 0;
+        for (std::uint32_t b = 0; b < eba.blocks_allocated(); ++b) {
+            for (std::uint32_t s = 0; s < cfg.pagewidth; s += cfg.subblock) {
+                const auto first = reinterpret_cast<std::uintptr_t>(
+                    &eba.cell_at(CellRef{b, s}));
+                const auto last = reinterpret_cast<std::uintptr_t>(
+                    &eba.cell_at(CellRef{b, s + cfg.subblock - 1}));
+                if (first % kCacheLine != 0 ||
+                    last / kCacheLine != first / kCacheLine) {
+                    ++bad;
+                }
+            }
+        }
+        return bad;
+    };
+    // One top block per vertex: the arena grows block by block.
+    std::vector<std::uint32_t> tops(3000, EdgeblockArray::kNoBlock);
+    std::set<const EdgeCell*> bases;
+    for (VertexId v = 0; v < tops.size(); ++v) {
+        eba.insert(tops[v], v, 1);
+        const EdgeCell* base = &eba.cell_at(CellRef{0, 0});
+        if (bases.insert(base).second) {
+            EXPECT_EQ(misaligned_windows(), 0u)
+                << "after reallocation " << bases.size();
+        }
+    }
+    EXPECT_GE(bases.size(), 4u) << "expected several reallocations";
+    EXPECT_EQ(misaligned_windows(), 0u);
+    for (VertexId v = 0; v < tops.size(); ++v) {
+        EXPECT_EQ(eba.find(tops[v], v), std::optional<Weight>(1));
+    }
 }
 
 TEST(EdgeblockArrayConfig, ValidationRejectsBadGeometry) {

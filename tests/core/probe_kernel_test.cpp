@@ -2,7 +2,8 @@
 // and scalar template instantiations must agree with each other and with a
 // straight-line reference walk over adversarial subblocks — full windows,
 // tombstone-ridden windows, maximum-displacement layouts and wrap-around
-// homes — plus a randomized property sweep.
+// homes — plus a randomized property sweep, and the raw stride-8 matcher
+// must agree with its scalar reference up to the arena's last cell.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,40 +11,53 @@
 #include <vector>
 
 #include "core/probe_kernel.hpp"
+#include "util/line_alloc.hpp"
 #include "util/simd.hpp"
 
 namespace gt::core {
 namespace {
 
 /// A subblock under test: cell array + the occupancy/tombstone bit windows
-/// the EdgeblockArray would maintain for it.
+/// the EdgeblockArray would maintain for it, plus each resident's probe
+/// distance (which the array derives from the hash; here it is given).
 struct TestWindow {
     std::vector<EdgeCell> cells;
+    std::vector<std::uint32_t> probes;
     std::uint64_t occ = 0;
     std::uint64_t tomb = 0;
 
-    explicit TestWindow(std::uint32_t width) : cells(width) {}
+    explicit TestWindow(std::uint32_t width) : cells(width), probes(width) {}
 
     [[nodiscard]] std::uint32_t width() const {
         return static_cast<std::uint32_t>(cells.size());
     }
 
-    void occupy(std::uint32_t slot, VertexId dst, std::uint16_t probe) {
+    void occupy(std::uint32_t slot, VertexId dst, std::uint32_t probe) {
         cells[slot].dst = dst;
-        cells[slot].probe = probe;
-        cells[slot].state = CellState::Occupied;
+        probes[slot] = probe;
         occ |= 1ULL << slot;
         tomb &= ~(1ULL << slot);
     }
 
     void bury(std::uint32_t slot) {
-        cells[slot].state = CellState::Tombstone;
         occ &= ~(1ULL << slot);
         tomb |= 1ULL << slot;
     }
 
+    [[nodiscard]] CellState state(std::uint32_t slot) const {
+        if (((occ >> slot) & 1U) != 0) {
+            return CellState::Occupied;
+        }
+        return ((tomb >> slot) & 1U) != 0 ? CellState::Tombstone
+                                          : CellState::Empty;
+    }
+
     [[nodiscard]] SubblockWindow view() const {
         return SubblockWindow{cells.data(), width(), occ, tomb};
+    }
+
+    [[nodiscard]] auto probe_of() const {
+        return [this](std::uint32_t slot) { return probes[slot]; };
     }
 };
 
@@ -54,11 +68,10 @@ FindStep reference_find(const TestWindow& w, std::uint32_t home,
     const std::uint32_t width = w.width();
     for (std::uint32_t d = 0; d < width; ++d) {
         const std::uint32_t slot = (home + d) & (width - 1);
-        const EdgeCell& c = w.cells[slot];
-        if (c.state == CellState::Empty) {
+        if (w.state(slot) == CellState::Empty) {
             return FindStep{FindStep::Kind::Absent, 0, d + 1};
         }
-        if (c.state == CellState::Occupied && c.dst == dst) {
+        if (w.state(slot) == CellState::Occupied && w.cells[slot].dst == dst) {
             return FindStep{FindStep::Kind::Found, slot, d + 1};
         }
     }
@@ -72,20 +85,19 @@ ProbeStep reference_probe(const TestWindow& w, std::uint32_t home,
     bool candidate = false;
     for (std::uint32_t d = 0; d < width; ++d) {
         const std::uint32_t slot = (home + d) & (width - 1);
-        const EdgeCell& c = w.cells[slot];
-        if (c.state == CellState::Empty) {
+        if (w.state(slot) == CellState::Empty) {
             return ProbeStep{ProbeStep::Kind::Empty, slot, d, candidate,
                              d + 1};
         }
-        if (c.state == CellState::Tombstone) {
+        if (w.state(slot) == CellState::Tombstone) {
             candidate = true;
             continue;
         }
-        if (c.dst == dst) {
+        if (w.cells[slot].dst == dst) {
             return ProbeStep{ProbeStep::Kind::Duplicate, slot, d, false,
                              d + 1};
         }
-        if (c.probe < d) {
+        if (w.probes[slot] < d) {
             candidate = true;
         }
     }
@@ -113,8 +125,8 @@ void expect_probe_agreement(const TestWindow& w, std::uint32_t home,
                             VertexId dst) {
     const SubblockWindow v = w.view();
     const ProbeStep ref = reference_probe(w, home, dst);
-    const ProbeStep scalar = probe_step<false>(v, home, dst);
-    const ProbeStep simd = probe_step<true>(v, home, dst);
+    const ProbeStep scalar = probe_step<false>(v, home, dst, w.probe_of());
+    const ProbeStep simd = probe_step<true>(v, home, dst, w.probe_of());
     for (const ProbeStep* step : {&scalar, &simd}) {
         EXPECT_EQ(step->kind, ref.kind) << "home=" << home << " dst=" << dst;
         EXPECT_EQ(step->candidate, ref.candidate)
@@ -146,23 +158,46 @@ void sweep_all_homes_and_keys(const TestWindow& w) {
     }
 }
 
-TEST(ProbeKernel, MatchBitsStride16AgreesWithScalar) {
-    // The raw matcher contract: bit i set iff the u32 at byte offset i*16
-    // equals the needle. Window full of distinct keys plus repeats.
-    TestWindow w(64);
-    for (std::uint32_t i = 0; i < 64; ++i) {
-        w.occupy(i, i % 7 == 0 ? 777U : 1000U + i, 0);
+TEST(ProbeKernel, MatchBitsStride8AgreesWithScalar) {
+    // The raw matcher contract: bit i set iff the u32 at byte offset i*8
+    // equals the needle. The buffer has the arena's shape — line-aligned,
+    // padded by EdgeblockArray::kArenaPadCells — and windows of every width
+    // 1..64 sit both at its start and flush against its last cell, where
+    // the SIMD compare's whole 4-cell groups run into the pad (AddressSanitizer
+    // builds catch any read past it).
+    constexpr std::uint32_t kCells = 128;
+    LineVector<EdgeCell> arena(kCells + EdgeblockArray::kArenaPadCells);
+    for (std::uint32_t i = 0; i < kCells; ++i) {
+        arena[i].dst = i % 7 == 0 ? 777U : 1000U + i;
+        arena[i].weight = 777U;  // a weight equal to a needle never matches
     }
-    for (const VertexId needle : {777U, 1000U, 1063U, 5U}) {
-        EXPECT_EQ(simd::match_u32_stride16_simd(w.cells.data(), 64, needle),
-                  simd::match_u32_stride16_scalar(w.cells.data(), 64, needle))
-            << "needle=" << needle;
-    }
-    // Non-multiple-of-4 counts exercise the SIMD tail path.
-    for (const std::uint32_t count : {1U, 2U, 3U, 5U, 7U, 15U, 33U, 63U}) {
-        EXPECT_EQ(simd::match_u32_stride16_simd(w.cells.data(), count, 777U),
-                  simd::match_u32_stride16_scalar(w.cells.data(), count, 777U))
-            << "count=" << count;
+    const auto expect_agree = [](const EdgeCell* cells, std::uint32_t width,
+                                 VertexId needle, std::uint64_t expected) {
+        const std::uint64_t scalar =
+            simd::match_u32_stride8_scalar(cells, width, needle);
+        EXPECT_EQ(scalar, expected) << "width=" << width
+                                    << " needle=" << needle;
+        EXPECT_EQ(simd::match_u32_stride8_simd(cells, width, needle), scalar)
+            << "width=" << width << " needle=" << needle;
+    };
+    for (std::uint32_t width = 1; width <= 64; ++width) {
+        for (const std::uint32_t start : {0U, kCells - width}) {
+            const EdgeCell* cells = &arena[start];
+            std::uint64_t repeats = 0;
+            for (std::uint32_t i = 0; i < width; ++i) {
+                const VertexId dst = cells[i].dst;
+                if (dst == 777U) {
+                    repeats |= 1ULL << i;
+                } else {
+                    expect_agree(cells, width, dst, 1ULL << i);
+                }
+            }
+            expect_agree(cells, width, 777U, repeats);
+            expect_agree(cells, width, 5U, 0);
+            // The pad holds default cells: keys read past `width` must not
+            // leak into the result.
+            expect_agree(cells, width, kInvalidVertex, 0);
+        }
     }
 }
 
@@ -182,7 +217,8 @@ TEST(ProbeKernel, FullWindowDescends) {
     for (std::uint32_t i = 0; i < 16; ++i) {
         w.occupy(i, 100 + i, 0);
     }
-    const ProbeStep step = probe_step<false>(w.view(), 3, 0xdeadbeefU);
+    const ProbeStep step =
+        probe_step<false>(w.view(), 3, 0xdeadbeefU, w.probe_of());
     EXPECT_EQ(step.kind, ProbeStep::Kind::Descend);
     EXPECT_TRUE(step.candidate);
     sweep_all_homes_and_keys(w);
@@ -195,7 +231,7 @@ TEST(ProbeKernel, TombstoneRiddenWindow) {
     TestWindow w(16);
     for (std::uint32_t i = 0; i < 16; ++i) {
         if (i % 2 == 0) {
-            w.occupy(i, 200 + i, static_cast<std::uint16_t>(i % 3));
+            w.occupy(i, 200 + i, i % 3);
             if (i % 4 == 0) {
                 w.bury(i);
             }
@@ -216,7 +252,8 @@ TEST(ProbeKernel, AllTombstonesDescends) {
     }
     const FindStep find = find_step<false>(w.view(), 0, 400);
     EXPECT_EQ(find.kind, FindStep::Kind::Descend);
-    const ProbeStep probe = probe_step<false>(w.view(), 0, 0xdeadbeefU);
+    const ProbeStep probe =
+        probe_step<false>(w.view(), 0, 0xdeadbeefU, w.probe_of());
     EXPECT_EQ(probe.kind, ProbeStep::Kind::Descend);
     EXPECT_TRUE(probe.candidate);
     sweep_all_homes_and_keys(w);
@@ -227,7 +264,7 @@ TEST(ProbeKernel, MaxDisplacementLayout) {
     // Wrap-around homes then see rich residents (probe < d) immediately.
     TestWindow w(16);
     for (std::uint32_t i = 0; i < 12; ++i) {
-        w.occupy(i, 500 + i, static_cast<std::uint16_t>(i));
+        w.occupy(i, 500 + i, i);
     }
     sweep_all_homes_and_keys(w);
 }
@@ -236,7 +273,7 @@ TEST(ProbeKernel, WrapAroundRun) {
     // Occupied run crossing the window boundary (slots 13..15, 0..2).
     TestWindow w(16);
     for (const std::uint32_t slot : {13U, 14U, 15U, 0U, 1U, 2U}) {
-        w.occupy(slot, 600 + slot, static_cast<std::uint16_t>(slot % 4));
+        w.occupy(slot, 600 + slot, slot % 4);
     }
     sweep_all_homes_and_keys(w);
 }
@@ -250,7 +287,7 @@ TEST(ProbeKernel, DuplicateBeyondEmptyIsInvisible) {
     w.occupy(2, 701, 0);
     const FindStep find = find_step<false>(w.view(), 0, 701);
     EXPECT_EQ(find.kind, FindStep::Kind::Absent);
-    const ProbeStep probe = probe_step<false>(w.view(), 0, 701);
+    const ProbeStep probe = probe_step<false>(w.view(), 0, 701, w.probe_of());
     EXPECT_EQ(probe.kind, ProbeStep::Kind::Empty);
     EXPECT_EQ(probe.dist, 1U);
     sweep_all_homes_and_keys(w);
@@ -285,7 +322,7 @@ TEST(ProbeKernel, RandomizedPropertySweep) {
             const std::uint32_t roll = rng() % 10;
             if (roll < 5) {
                 w.occupy(slot, 1 + rng() % 32,
-                         static_cast<std::uint16_t>(rng() % width));
+                         static_cast<std::uint32_t>(rng() % width));
             } else if (roll < 7) {
                 w.occupy(slot, 1 + rng() % 32, 0);
                 w.bury(slot);

@@ -1,7 +1,8 @@
 // WAL-shipping replication end-to-end: a primary Server, a read_only
 // replica Server, and the Replicator pumping shipped frames between them.
 // Covers catch-up + live following (lag_seqs reaches 0 and the replica
-// answers queries with the primary's data), the checkpoint/prune fence
+// answers queries with the primary's data), catch-up of a backlog several
+// times the write-buffer cap (flow control), the checkpoint/prune fence
 // (primary keeps its WAL until the subscriber acks), seq mirroring (the
 // replica's own WAL continues seamlessly across a restart), and — via
 // fork + SIGKILL of the primary — failover: the replica serves exactly a
@@ -13,6 +14,7 @@
 #include <unistd.h>
 
 #include <csignal>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -117,6 +119,60 @@ TEST(Replica, CatchesUpAndServesReads) {
     // fresh subscription resumes exactly at durable_seq with nothing to
     // re-ship.
     EXPECT_EQ(rep.applied_seq(), local.store->wal().durable_seq());
+    rep.close();
+}
+
+TEST(Replica, CatchUpStreamsBacklogLargerThanWriteBufferCap) {
+    // A fresh replica subscribing to a WAL backlog of 32 MiB — four times
+    // the default max_wbuf_bytes — must be fed at the pace of its SubAcks,
+    // not queued whole and torn down as a slow subscriber.
+    TempDir primary_dir;
+    TempDir replica_dir;
+    ScopedServer primary({.root = primary_dir.path()});
+    Client pc;
+    ASSERT_TRUE(pc.connect("127.0.0.1", primary.port()).ok());
+    RemoteGraph pg;
+    ASSERT_TRUE(pc.open("g", pg, 1).ok());
+    Server::LocalGraph plocal;
+    ASSERT_TRUE(primary.server().open_local("g", plocal).ok());
+
+    // Rewrite the weights of one 64k-edge set round after round: the
+    // graph stays small while every round logs the whole batch again.
+    constexpr std::uint32_t kEdges = 1U << 16;
+    constexpr std::uintmax_t kBacklog = std::uintmax_t{32} << 20;
+    std::vector<Edge> batch(kEdges);
+    Weight round = 0;
+    while (std::filesystem::file_size(plocal.store->wal_path()) < kBacklog) {
+        ++round;
+        for (std::uint32_t i = 0; i < kEdges; ++i) {
+            batch[i] = Edge{i % 4096, 4096 + i / 4096, round};
+        }
+        ASSERT_TRUE(pg.insert_edges(batch, nullptr).ok());
+    }
+
+    ServerOptions ro{.root = replica_dir.path()};
+    ro.read_only = true;
+    ScopedServer replica(ro);
+    Server::LocalGraph local;
+    ASSERT_TRUE(replica.server().open_local("g", local).ok());
+    Replicator rep;
+    ReplicatorOptions ropts;
+    ropts.port = primary.port();
+    ropts.graph = "g";
+    ASSERT_TRUE(rep.start(ropts, local).ok());
+    const Status st = rep.pump_until_current();
+    ASSERT_TRUE(st.ok()) << "stream failed after " << rep.applied_seq()
+                         << " seqs: " << st.to_string();
+    EXPECT_EQ(rep.lag_seqs(), 0U);
+
+    Client rc;
+    ASSERT_TRUE(rc.connect("127.0.0.1", replica.port()).ok());
+    RemoteGraph rg;
+    ASSERT_TRUE(rc.open("g", rg).ok());
+    std::uint64_t e = 0;
+    std::uint64_t v = 0;
+    ASSERT_TRUE(rg.count(e, v).ok());
+    EXPECT_EQ(e, kEdges);
     rep.close();
 }
 

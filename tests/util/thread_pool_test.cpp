@@ -78,5 +78,38 @@ TEST(ThreadPool, LargeWorkItemsDontStarveOthers) {
     }
 }
 
+TEST(HandoffQueue, WaitReturnsAtItsEpochWhileLaterTasksStayInFlight) {
+    // A drain waits for the epoch it saw, not for an idle queue: a wait on
+    // an earlier epoch returns once that epoch is applied even though later
+    // tasks are still popped-but-unapplied or queued. The test thread plays
+    // producer and consumer, so every step is ordered without sleeps.
+    HandoffQueue<int> q(8);
+    q.push(1);
+    const std::uint64_t epoch = q.enqueued();
+    q.push(2);
+    q.push(3);
+    std::vector<int> popped;
+    ASSERT_TRUE(q.pop_some(popped, 2));  // tasks 1 and 2 in flight
+    std::atomic<bool> returned{false};
+    std::thread waiter([&] {
+        q.wait_until(epoch);
+        returned.store(true);
+    });
+    EXPECT_FALSE(returned.load()) << "task 1 is not applied yet";
+    q.note_completed(1);  // task 1 applied; 2 in flight, 3 queued
+    waiter.join();
+    EXPECT_TRUE(returned.load());
+    EXPECT_EQ(q.completed(), 1U);
+    EXPECT_EQ(q.depth(), 2U);
+
+    q.note_completed(1);  // task 2
+    popped.clear();
+    ASSERT_TRUE(q.pop_some(popped, 8));
+    EXPECT_EQ(popped, std::vector<int>{3});
+    q.note_completed(1);
+    q.wait_idle();  // the epoch it sees is fully applied: no wait
+    EXPECT_EQ(q.depth(), 0U);
+}
+
 }  // namespace
 }  // namespace gt
