@@ -60,6 +60,9 @@ std::size_t batch_size() { return scaled_batch_size(bench_scale()); }
 
 gt::core::Config gt_config(VertexId vertices, EdgeCount edges) {
     gt::core::Config cfg;
+    // The paper's figures measure the Robin Hood configuration; its
+    // deletion experiments set their compact series explicitly.
+    cfg.deletion_mode = gt::core::DeletionMode::DeleteOnly;
     cfg.initial_vertices = vertices;
     cfg.reserve_edges = edges;
     return cfg;

@@ -46,7 +46,8 @@ void write_registry_snapshot(const std::string& path,
 [[nodiscard]] std::size_t batch_size();
 
 /// GraphTinker config presized for a workload (the paper's deployments size
-/// structures for the maximum attainable graph).
+/// structures for the maximum attainable graph), in the paper's delete-only
+/// Robin Hood mode rather than the library's compact-delete default.
 [[nodiscard]] gt::core::Config gt_config(VertexId vertices, EdgeCount edges);
 
 /// STINGER config presized likewise.

@@ -2,18 +2,17 @@
 // stream, delete a random half, run maintain(), and measure what the purge /
 // un-branch / CAL-compaction sweep buys back. Emits BENCH_churn.json.
 //
-// Three scenarios:
-//   delete_only  tombstone churn: mean find_edge probe distance is measured
-//                on the churned store, after maintain(), and on a fresh twin
-//                built from only the survivors. The maintained store must
+// Two scenarios; mean find_edge probe distance is measured on the churned
+// store, after maintain(), and on a fresh twin built from only the
+// survivors:
+//   delete_only  tombstone churn, reclaimed by the explicit sweep. The
+//                sweep must purge tombstones, the maintained store must
 //                probe within 10% of the twin, and the in-use EBA+CAL
 //                footprint must drop >= 25% from its peak.
-//   compact      delete-and-compact churn: maintenance un-branches sparse
-//                subtrees; footprint and tree-shape stats are reported.
-//   amortized    delete-only with Config::maintenance_budget_cells set, so
-//                every insert_batch/delete_batch runs a bounded slice —
-//                reclamation rides the update stream instead of a stop-the-
-//                world sweep.
+//   compact      delete-and-compact churn (the library default), which
+//                reclaims on every erase: before any maintain() the churned
+//                store must already probe within 10% of the twin and have
+//                given back >= 25% of its peak footprint.
 //
 // Every phase transition is followed by a full structural audit; --check
 // exits nonzero on any audit violation or missed threshold.
@@ -25,7 +24,6 @@
 //   GT_CHURN_VERTICES     vertex-id space (default 32768)
 //   GT_CHURN_EDGES        stream length   (default 1000000)
 //   GT_CHURN_DELETE_PCT   percent of the stream deleted (default 50)
-//   GT_CHURN_BUDGET       amortized budget in cells (default 65536)
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
@@ -104,23 +102,31 @@ struct ChurnRow {
     double probe_churned = 0.0;
     double probe_maintained = 0.0;
     double probe_fresh = 0.0;
-    double probe_ratio = 0.0;  // maintained / fresh twin
+    double churned_ratio = 0.0;  // churned / fresh twin, before maintain()
+    double probe_ratio = 0.0;    // maintained / fresh twin
     std::size_t peak_bytes = 0;
+    std::size_t churned_bytes = 0;  // after the deletes, before maintain()
     std::size_t after_bytes = 0;
-    double footprint_drop = 0.0;  // fraction of peak given back
+    double churned_drop = 0.0;    // fraction of peak given back by deletes
+    double footprint_drop = 0.0;  // ... and by deletes plus maintain()
     double maintain_secs = 0.0;
     core::MaintenanceReport report;
     bool audits_ok = true;
     obs::Snapshot telemetry;  // registry snapshot after maintain()
 };
 
-ChurnRow run_churn(core::Config cfg, const std::string& mode,
+/// Fraction of `peak` that `now` no longer holds.
+double drop_from(std::size_t peak, std::size_t now) {
+    return peak == 0 ? 0.0
+                     : 1.0 - static_cast<double>(now) /
+                                 static_cast<double>(peak);
+}
+
+ChurnRow run_churn(const core::Config& cfg, const std::string& mode,
                    const std::vector<Edge>& stream,
-                   const std::vector<Edge>& deletions,
-                   std::size_t batch_cells) {
+                   const std::vector<Edge>& deletions) {
     ChurnRow row;
     row.mode = mode;
-    cfg.maintenance_budget_cells = static_cast<std::uint32_t>(batch_cells);
     core::GraphTinker g(cfg);
 
     constexpr std::size_t kBatch = 100000;
@@ -134,7 +140,9 @@ ChurnRow run_churn(core::Config cfg, const std::string& mode,
         const std::size_t len = std::min(kBatch, deletions.size() - i);
         (void)g.delete_batch(std::span<const Edge>(deletions).subspan(i, len));
     }
-    row.peak_bytes = std::max(row.peak_bytes, edge_bytes(g));
+    row.churned_bytes = edge_bytes(g);
+    row.peak_bytes = std::max(row.peak_bytes, row.churned_bytes);
+    row.churned_drop = drop_from(row.peak_bytes, row.churned_bytes);
     audit_clean(g, mode + " after deletes", row.audits_ok);
 
     std::vector<Edge> survivors;
@@ -157,11 +165,7 @@ ChurnRow run_churn(core::Config cfg, const std::string& mode,
                   << ")\n";
         row.audits_ok = false;
     }
-    row.footprint_drop =
-        row.peak_bytes == 0
-            ? 0.0
-            : 1.0 - static_cast<double>(row.after_bytes) /
-                        static_cast<double>(row.peak_bytes);
+    row.footprint_drop = drop_from(row.peak_bytes, row.after_bytes);
     row.probe_maintained = mean_probe(g, survivors);
     row.telemetry = g.telemetry();
 
@@ -169,9 +173,10 @@ ChurnRow run_churn(core::Config cfg, const std::string& mode,
     core::GraphTinker fresh(cfg);
     (void)fresh.insert_batch(survivors);
     row.probe_fresh = mean_probe(fresh, survivors);
-    row.probe_ratio = row.probe_fresh > 0.0
-                          ? row.probe_maintained / row.probe_fresh
-                          : 0.0;
+    if (row.probe_fresh > 0.0) {
+        row.churned_ratio = row.probe_churned / row.probe_fresh;
+        row.probe_ratio = row.probe_maintained / row.probe_fresh;
+    }
     return row;
 }
 
@@ -187,7 +192,6 @@ int main(int argc, char** argv) {
     const std::size_t vertices = env_size("GT_CHURN_VERTICES", 32768);
     const std::size_t num_edges = env_size("GT_CHURN_EDGES", 1000000);
     const std::size_t delete_pct = env_size("GT_CHURN_DELETE_PCT", 50);
-    const std::size_t budget = env_size("GT_CHURN_BUDGET", 65536);
 
     bench::banner("micro_churn",
                   "Delete-wave maintenance: tombstone purge, TBH "
@@ -209,19 +213,19 @@ int main(int argc, char** argv) {
                          static_cast<EdgeCount>(num_edges));
 
     std::vector<ChurnRow> rows;
-    rows.push_back(run_churn(base, "delete_only", stream, deletions, 0));
+    rows.push_back(run_churn(base, "delete_only", stream, deletions));
     core::Config compact = base;
     compact.deletion_mode = core::DeletionMode::DeleteAndCompact;
-    rows.push_back(run_churn(compact, "compact", stream, deletions, 0));
-    rows.push_back(run_churn(base, "amortized", stream, deletions, budget));
+    rows.push_back(run_churn(compact, "compact", stream, deletions));
 
     Table table({"mode", "probe churned", "probe maintained", "probe fresh",
-                 "ratio", "footprint drop", "maintain s"});
+                 "ratio", "churned drop", "footprint drop", "maintain s"});
     for (const ChurnRow& row : rows) {
         table.add_row({row.mode, Table::fmt(row.probe_churned, 2),
                        Table::fmt(row.probe_maintained, 2),
                        Table::fmt(row.probe_fresh, 2),
                        Table::fmt(row.probe_ratio, 3),
+                       Table::fmt(row.churned_drop * 100.0, 1) + " %",
                        Table::fmt(row.footprint_drop * 100.0, 1) + " %",
                        Table::fmt(row.maintain_secs, 3)});
     }
@@ -244,7 +248,6 @@ int main(int argc, char** argv) {
     w.member("vertices", static_cast<std::uint64_t>(vertices));
     w.member("edges", static_cast<std::uint64_t>(num_edges));
     w.member("delete_pct", static_cast<std::uint64_t>(delete_pct));
-    w.member("budget_cells", static_cast<std::uint64_t>(budget));
     w.key("results").begin_array();
     for (const ChurnRow& r : rows) {
         w.begin_object();
@@ -252,9 +255,13 @@ int main(int argc, char** argv) {
         w.member("probe_churned", r.probe_churned);
         w.member("probe_maintained", r.probe_maintained);
         w.member("probe_fresh", r.probe_fresh);
+        w.member("churned_ratio", r.churned_ratio);
         w.member("probe_ratio", r.probe_ratio);
         w.member("peak_bytes", static_cast<std::uint64_t>(r.peak_bytes));
+        w.member("churned_bytes",
+                 static_cast<std::uint64_t>(r.churned_bytes));
         w.member("after_bytes", static_cast<std::uint64_t>(r.after_bytes));
+        w.member("churned_drop", r.churned_drop);
         w.member("footprint_drop", r.footprint_drop);
         w.member("maintain_secs", r.maintain_secs);
         w.member("trees_purged",
@@ -283,32 +290,44 @@ int main(int argc, char** argv) {
 
     if (args.check) {
         bool failed = false;
-        for (const ChurnRow& row : rows) {
-            if (!row.audits_ok) {
-                std::cerr << "CHECK FAILED: audit violations in " << row.mode
-                          << "\n";
+        const auto gate = [&](bool ok, const std::string& what) {
+            if (!ok) {
+                std::cerr << "CHECK FAILED: " << what << "\n";
                 failed = true;
             }
+        };
+        for (const ChurnRow& row : rows) {
+            gate(row.audits_ok, "audit violations in " + row.mode);
         }
         const ChurnRow& del = rows[0];
-        if (del.probe_ratio > 1.10) {
-            std::cerr << "CHECK FAILED: delete_only maintained probe at "
-                      << Table::fmt(del.probe_ratio, 3)
-                      << "x of the fresh twin (threshold 1.10x)\n";
-            failed = true;
-        }
-        if (del.footprint_drop < 0.25) {
-            std::cerr << "CHECK FAILED: delete_only footprint dropped "
-                      << Table::fmt(del.footprint_drop * 100.0, 1)
-                      << "% of peak (threshold 25%)\n";
-            failed = true;
-        }
+        gate(del.report.tombstones_purged > 0,
+             "delete_only maintain() purged no tombstones");
+        gate(del.probe_ratio <= 1.10,
+             "delete_only maintained probe at " +
+                 Table::fmt(del.probe_ratio, 3) +
+                 "x of the fresh twin (threshold 1.10x)");
+        gate(del.footprint_drop >= 0.25,
+             "delete_only footprint dropped " +
+                 Table::fmt(del.footprint_drop * 100.0, 1) +
+                 "% of peak (threshold 25%)");
+        const ChurnRow& cmp = rows[1];
+        gate(cmp.churned_ratio <= 1.10,
+             "compact churned probe at " + Table::fmt(cmp.churned_ratio, 3) +
+                 "x of the fresh twin before maintain() (threshold 1.10x)");
+        gate(cmp.churned_drop >= 0.25,
+             "compact footprint dropped " +
+                 Table::fmt(cmp.churned_drop * 100.0, 1) +
+                 "% of peak before maintain() (threshold 25%)");
         if (failed) {
             return 1;
         }
-        std::cout << "check passed: probe ratio "
+        std::cout << "check passed: delete_only purged "
+                  << del.report.tombstones_purged << " tombstones, probe "
                   << Table::fmt(del.probe_ratio, 3) << "x, footprint drop "
-                  << Table::fmt(del.footprint_drop * 100.0, 1) << "%\n";
+                  << Table::fmt(del.footprint_drop * 100.0, 1)
+                  << "%; compact before maintain() probe "
+                  << Table::fmt(cmp.churned_ratio, 3) << "x, footprint drop "
+                  << Table::fmt(cmp.churned_drop * 100.0, 1) << "%\n";
     }
     return 0;
 }

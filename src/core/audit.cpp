@@ -33,6 +33,8 @@ std::string_view to_string(AuditCheck check) noexcept {
             return "degree-accounting";
         case AuditCheck::EdgeAccounting:
             return "edge-accounting";
+        case AuditCheck::TbhBranchedFull:
+            return "tbh-branched-full";
     }
     return "unknown";
 }
@@ -221,11 +223,31 @@ private:
             for (std::uint32_t s = 0; s < eba_.spb_; ++s) {
                 const std::uint32_t down = eba_.child(block, s);
                 if (down != EdgeblockArray::kNoBlock) {
+                    audit_branched_window(raw, block, s);
                     stack.push_back(Frame{down, level + 1});
                 }
             }
         }
         return cells;
+    }
+
+    /// A window branches out only once it is full, and no erase empties a
+    /// cell of it while the child stays linked (delete-only tombstones;
+    /// compact-delete refills the hole from below or unlinks the emptied
+    /// child). FIND without Robin Hood order stops at a window holding an
+    /// EMPTY cell, so one under a live child link would hide the subtree.
+    void audit_branched_window(VertexId raw, std::uint32_t block,
+                               std::uint32_t sb) {
+        const std::uint32_t sb_base = sb * eba_.subblock_;
+        for (std::uint32_t off = 0; off < eba_.subblock_; ++off) {
+            if (eba_.state_of(block, sb_base + off) == CellState::Empty) {
+                add(AuditCheck::TbhBranchedFull, raw, kInvalidVertex,
+                    "block " + std::to_string(block) + " subblock " +
+                        std::to_string(sb) + " links a child but its slot " +
+                        std::to_string(off) + " is EMPTY");
+                return;
+            }
+        }
     }
 
     /// Per-cell checks of one reachable block at its tree level. Returns the
@@ -671,6 +693,31 @@ bool CorruptionInjector::vanish_cell(GraphTinker& graph, VertexId src,
     // while the block's occupied counter still counts it.
     graph.eba_.set_occupancy(ref->block, ref->slot, false);
     return true;
+}
+
+bool CorruptionInjector::branch_unfull_window(GraphTinker& graph,
+                                              VertexId src) {
+    const auto dense = graph.dense_of(src);
+    if (!dense || graph.top_[*dense] == EdgeblockArray::kNoBlock) {
+        return false;
+    }
+    EdgeblockArray& eba = graph.eba_;
+    const std::uint32_t top = graph.top_[*dense];
+    for (std::uint32_t s = 0; s < eba.spb_; ++s) {
+        if (eba.child(top, s) != EdgeblockArray::kNoBlock) {
+            continue;
+        }
+        for (std::uint32_t off = 0; off < eba.subblock_; ++off) {
+            if (eba.state_of(top, s * eba.subblock_ + off) ==
+                CellState::Empty) {
+                eba.ensure_block_available();
+                const std::uint32_t fresh = eba.allocate_block();
+                eba.child(top, s) = fresh;
+                return true;
+            }
+        }
+    }
+    return false;
 }
 
 }  // namespace gt::core

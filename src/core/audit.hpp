@@ -26,6 +26,9 @@
 //   RHH probe path    in delete-only (RHH) mode no EMPTY cell interrupts the
 //                     probe window before a stored edge — the invariant that
 //                     makes the FIND early-exit sound
+//   TBH branched full in every mode, a subblock window that links a child
+//                     holds no EMPTY cell — the invariant that lets a FIND
+//                     without Robin Hood order stop at a window with one
 //   FIND              every stored cell is reachable through the public FIND
 //                     walk (end-to-end retrieval check)
 //   CAL forward       every occupied edge-cell points at a live CAL slot
@@ -69,6 +72,7 @@ enum class AuditCheck : std::uint8_t {
     SghBijection,      // dense<->raw mapping fails to round-trip
     DegreeAccounting,  // per-vertex degree counter drift
     EdgeAccounting,    // global edge counters disagree
+    TbhBranchedFull,   // window that links a child holds an EMPTY cell
 };
 
 [[nodiscard]] std::string_view to_string(AuditCheck check) noexcept;
@@ -151,6 +155,9 @@ public:
     /// Clears the occupancy bit of (src, dst) without updating the block's
     /// occupied counter -> Occupancy (+ accounting drift).
     static bool vanish_cell(GraphTinker& graph, VertexId src, VertexId dst);
+    /// Links a fresh empty block under the first childless subblock window
+    /// of `src`'s top block that holds an EMPTY cell -> TbhBranchedFull.
+    static bool branch_unfull_window(GraphTinker& graph, VertexId src);
 
 private:
     /// Locates the edge-cell of (src, dst); nullopt when absent.

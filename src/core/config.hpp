@@ -11,12 +11,14 @@ namespace gt::core {
 /// Deletion mechanism (paper §III.C).
 enum class DeletionMode : std::uint8_t {
     /// Tombstone the slot; no structural shrinking. Fast deletes, but probe
-    /// work and analytics scans stay proportional to the peak graph size.
+    /// work and analytics scans stay proportional to the peak graph size
+    /// until an explicit maintain() sweep purges the debris.
     DeleteOnly,
     /// Refill the hole with an edge pulled from the deepest descendant
-    /// subblock on the same hash path, freeing emptied edgeblocks. Robin Hood
-    /// swapping is disabled in this mode (the paper turns RHH off to avoid
-    /// the edge-tracking overhead of swaps).
+    /// subblock on the same hash path, freeing emptied edgeblocks and
+    /// compacting the CAL in place. Robin Hood swapping is disabled in this
+    /// mode (the paper turns RHH off to avoid the edge-tracking overhead of
+    /// swaps). The default: the store shrinks as edges are deleted.
     DeleteAndCompact,
 };
 
@@ -32,10 +34,11 @@ struct Config {
     bool enable_sgh = true;
     /// Coarse Adjacency List: maintain the compact secondary edge copy.
     bool enable_cal = true;
-    /// Robin Hood swapping during inserts (forced off by DeleteAndCompact).
+    /// Robin Hood swapping during inserts (forced off by DeleteAndCompact,
+    /// so it takes effect only with DeletionMode::DeleteOnly).
     bool enable_rhh = true;
 
-    DeletionMode deletion_mode = DeletionMode::DeleteOnly;
+    DeletionMode deletion_mode = DeletionMode::DeleteAndCompact;
 
     /// Source vertices per CAL group ("for example 1024", paper §III.B).
     std::uint32_t cal_group_size = 1024;
@@ -63,11 +66,6 @@ struct Config {
     /// compacts the group chains, returning emptied blocks to the CAL free
     /// list. 1 disables chain compaction.
     double cal_compact_threshold = 0.25;
-    /// Amortized maintenance: after every insert_batch/delete_batch, up to
-    /// this many edge-cells' worth of maintenance work (tree scans, purge
-    /// rebuilds, un-branch merges) runs, resuming round-robin across
-    /// vertices. 0 leaves all maintenance to explicit maintain() calls.
-    std::uint32_t maintenance_budget_cells = 0;
 
     // ---- sharded ingest pipeline (core/sharded.hpp) ----------------------
 

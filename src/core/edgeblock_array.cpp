@@ -232,6 +232,75 @@ void EdgeblockArray::end_stats_batch() const noexcept {
     g_deferred_stats = DeferredStats{};
 }
 
+FindStep EdgeblockArray::find_in_window(std::uint32_t block,
+                                        std::uint32_t sb_base,
+                                        std::uint32_t level,
+                                        VertexId dst) const {
+    if (kernel_ok_) {
+        // Bit-parallel FIND: one SIMD dst compare over the subblock plus
+        // the occupancy/tombstone windows decide found/absent/descend
+        // without a per-cell walk (see core/probe_kernel.hpp).
+        const WindowBits bits = window_bits(block, sb_base);
+        const SubblockWindow w{&cells_[index(block, sb_base)], subblock_,
+                               bits.occ, bits.tomb};
+        return rhh_ ? find_step<kProbeKernelSimd>(w, home_of(dst, level), dst)
+                    : find_step_full<kProbeKernelSimd>(w, dst);
+    }
+    // Windows wider than one mask word: the same decisions, cell by cell.
+    if (rhh_) {
+        // Probe-order scan with Robin Hood early exit. An EMPTY cell on the
+        // probe path proves the key is absent at this level *and* below:
+        // had the key ever been pushed deeper, this window was congested at
+        // that moment, and delete-only mode never turns an occupied cell
+        // back into EMPTY (deletes tombstone).
+        const std::uint32_t home = home_of(dst, level);
+        for (std::uint32_t d = 0; d < subblock_; ++d) {
+            const std::uint32_t off = (home + d) & (subblock_ - 1);
+            const CellState state = state_of(block, sb_base + off);
+            if (state == CellState::Empty) {
+                return FindStep{FindStep::Kind::Absent, 0, d + 1};
+            }
+            if (state == CellState::Occupied &&
+                cell(block, sb_base + off).dst == dst) {
+                return FindStep{FindStep::Kind::Found, off, d + 1};
+            }
+        }
+        return FindStep{FindStep::Kind::Descend, 0, subblock_};
+    }
+    // No Robin Hood order: the whole window is inspected (find_step_full).
+    bool empty = false;
+    for (std::uint32_t off = 0; off < subblock_; ++off) {
+        const CellState state = state_of(block, sb_base + off);
+        if (state == CellState::Occupied &&
+            cell(block, sb_base + off).dst == dst) {
+            return FindStep{FindStep::Kind::Found, off, subblock_};
+        }
+        empty = empty || state == CellState::Empty;
+    }
+    return FindStep{empty ? FindStep::Kind::Absent : FindStep::Kind::Descend,
+                    0, subblock_};
+}
+
+std::optional<CellRef> EdgeblockArray::first_unoccupied(
+    std::uint32_t block, std::uint32_t sb_base, std::uint32_t home) const {
+    if (kernel_ok_) {
+        const std::uint64_t free =
+            ~window_bits(block, sb_base).occ & window_mask(subblock_);
+        const std::uint32_t d = first_probe_dist(free, home, subblock_);
+        if (d == subblock_) {
+            return std::nullopt;
+        }
+        return CellRef{block, sb_base + ((home + d) & (subblock_ - 1))};
+    }
+    for (std::uint32_t d = 0; d < subblock_; ++d) {
+        const std::uint32_t slot = sb_base + ((home + d) & (subblock_ - 1));
+        if (!is_occupied(block, slot)) {
+            return CellRef{block, slot};
+        }
+    }
+    return std::nullopt;
+}
+
 std::optional<EdgeblockArray::Located> EdgeblockArray::locate(
     std::uint32_t top, VertexId dst) const {
     StatsFlush flush{metrics_, metrics_.find_probe_cells};
@@ -240,70 +309,14 @@ std::optional<EdgeblockArray::Located> EdgeblockArray::locate(
     while (block != kNoBlock) {
         const std::uint32_t sb = sb_of(dst, level);
         const std::uint32_t sb_base = sb * subblock_;
-        if (kernel_ok_) {
-            // Bit-parallel FIND: one SIMD dst compare over the subblock plus
-            // the occupancy/tombstone windows decide found/absent/descend
-            // without a per-cell walk (see core/probe_kernel.hpp).
-            const WindowBits bits = window_bits(block, sb_base);
-            const SubblockWindow w{&cells_[index(block, sb_base)], subblock_,
-                                   bits.occ, bits.tomb};
-            const FindStep step =
-                rhh_ ? find_step<kProbeKernelSimd>(w, home_of(dst, level),
-                                                   dst)
-                     : find_step_full<kProbeKernelSimd>(w, dst);
-            flush.cells += step.scanned;
-            flush.workblocks += (step.scanned + workblock_ - 1) / workblock_;
-            if (step.kind == FindStep::Kind::Found) {
-                return Located{block, sb, sb_base + step.slot};
-            }
-            if (step.kind == FindStep::Kind::Absent) {
-                return std::nullopt;
-            }
-        } else if (rhh_) {
-            // Probe-order scan with Robin Hood early exit. An EMPTY cell on
-            // the probe path proves the key is absent at this level *and*
-            // below: had the key ever been pushed deeper, this window was
-            // congested at that moment, and delete-only mode never turns an
-            // occupied cell back into EMPTY (deletes tombstone).
-            const std::uint32_t home = home_of(dst, level);
-            std::uint32_t scanned = 0;
-            for (std::uint32_t d = 0; d < subblock_; ++d) {
-                const std::uint32_t slot =
-                    sb_base + ((home + d) & (subblock_ - 1));
-                const CellState state = state_of(block, slot);
-                ++scanned;
-                if (state == CellState::Empty) {
-                    flush.cells += scanned;
-                    flush.workblocks += (scanned + workblock_ - 1) / workblock_;
-                    return std::nullopt;
-                }
-                if (state == CellState::Occupied &&
-                    cell(block, slot).dst == dst) {
-                    flush.cells += scanned;
-                    flush.workblocks += (scanned + workblock_ - 1) / workblock_;
-                    return Located{block, sb, slot};
-                }
-            }
-            flush.cells += scanned;
-            flush.workblocks += subblock_ / workblock_;
-        } else {
-            // Compact-delete mode refills holes out of refill order, so the
-            // whole subblock window must be inspected.
-            flush.workblocks += subblock_ / workblock_;
-            flush.cells += subblock_;
-            bool found = false;
-            std::uint32_t where = 0;
-            for (std::uint32_t off = 0; off < subblock_; ++off) {
-                if (is_occupied(block, sb_base + off) &&
-                    cell(block, sb_base + off).dst == dst) {
-                    found = true;
-                    where = sb_base + off;
-                    break;
-                }
-            }
-            if (found) {
-                return Located{block, sb, where};
-            }
+        const FindStep step = find_in_window(block, sb_base, level, dst);
+        flush.cells += step.scanned;
+        flush.workblocks += (step.scanned + workblock_ - 1) / workblock_;
+        if (step.kind == FindStep::Kind::Found) {
+            return Located{block, sb, sb_base + step.slot};
+        }
+        if (step.kind == FindStep::Kind::Absent) {
+            return std::nullopt;
         }
         block = child(block, sb);
         ++level;
@@ -362,16 +375,48 @@ EdgeblockArray::ProbeResult EdgeblockArray::probe_insert(std::uint32_t& top,
         c.weight = weight;
         return dup;
     };
-    if (!rhh_) {
-        // Compact-delete mode refills holes out of probe order, so the
-        // EMPTY-exit shortcut is unsound there; fall back to FIND + INSERT.
-        if (const auto loc = locate(top, dst)) {
-            return duplicate(loc->block, loc->slot);
-        }
-        return ProbeResult{ProbeResult::Kind::Absent, kNoCalPos, CellRef{}};
-    }
     std::uint32_t block = top;
     std::uint32_t level = 0;
+    // Where insert_new resumes when the probe returns Absent: see the
+    // ProbeResult fields.
+    std::uint32_t resume_block = top;
+    std::uint32_t resume_level = 0;
+    if (!rhh_) {
+        // Without Robin Hood swaps the INSERT cascade puts an edge on the
+        // first unoccupied cell (EMPTY or tombstone) of the first window on
+        // its path that has one, so the FIND walk pins that cell on the
+        // way. The walk ends at the first window holding an EMPTY cell (one
+        // that links a child never does); when it falls off the tree
+        // without passing an unoccupied cell, the deepest block is the
+        // resume point and insert_new branches out below it.
+        std::optional<CellRef> place;
+        while (block != kNoBlock) {
+            const std::uint32_t sb = sb_of(dst, level);
+            const std::uint32_t sb_base = sb * subblock_;
+            simd::prefetch_write(&cal_pos_[index(block, sb_base)]);
+            const FindStep step = find_in_window(block, sb_base, level, dst);
+            flush.cells += step.scanned;
+            flush.workblocks += (step.scanned + workblock_ - 1) / workblock_;
+            if (step.kind == FindStep::Kind::Found) {
+                return duplicate(block, sb_base + step.slot);
+            }
+            if (!place) {
+                place = first_unoccupied(block, sb_base, home_of(dst, level));
+            }
+            if (step.kind == FindStep::Kind::Absent) {
+                break;
+            }
+            resume_block = block;
+            resume_level = level;
+            block = child(block, sb);
+            ++level;
+        }
+        if (place) {
+            return ProbeResult{ProbeResult::Kind::PlaceAt, kNoCalPos, *place};
+        }
+        return ProbeResult{ProbeResult::Kind::Absent, kNoCalPos, CellRef{},
+                           resume_block, resume_level};
+    }
     // A tombstone or Robin Hood swap point earlier on the probe path means
     // insertion belongs there rather than at a later EMPTY cell; the full
     // INSERT cascade handles those (rarer) cases. The first such point (or
@@ -379,8 +424,6 @@ EdgeblockArray::ProbeResult EdgeblockArray::probe_insert(std::uint32_t& top,
     // the cascade's resume point so it need not re-walk the levels above,
     // which are full windows with nothing for it to do.
     bool earlier_candidate = false;
-    std::uint32_t resume_block = top;
-    std::uint32_t resume_level = 0;
     if (kernel_ok_) {
         // Bit-parallel fused FIND/INSERT (see core/probe_kernel.hpp):
         // duplicate and first-EMPTY detection run on the subblock's masks

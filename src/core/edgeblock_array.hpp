@@ -49,6 +49,8 @@
 
 namespace gt::core {
 
+struct FindStep;  // core/probe_kernel.hpp
+
 /// Typed obs handles the EdgeblockArray records through — resolved once at
 /// construction from the owning registry, so hot paths never touch the
 /// registry's name map. Counter names: "eba.<field>"; the two histograms
@@ -126,11 +128,14 @@ public:
 
     /// Fused FIND/INSERT probe (the hot path). One walk of the hash path
     /// that either updates an existing edge in place (Duplicate), proves the
-    /// key absent *and* pins a directly writable cell (PlaceAt — the first
-    /// EMPTY on the probe path with no earlier reusable slot or Robin Hood
-    /// swap point, which by the delete-only invariant also proves nothing
-    /// lives deeper), or proves it absent but needs the full INSERT-mode
-    /// cascade (Absent). Callers follow up with place_at or insert_new.
+    /// key absent *and* pins a directly writable cell (PlaceAt), or proves
+    /// it absent but needs the full INSERT-mode cascade (Absent). With
+    /// Robin Hood swaps the PlaceAt cell is the first EMPTY on the probe
+    /// path with no earlier reusable slot or swap point; without them it is
+    /// the first unoccupied cell on the path, the one insert_new would
+    /// pick. Either way an EMPTY cell also proves nothing lives deeper.
+    /// Callers follow up with place_at, or with insert_new from the resume
+    /// point.
     struct ProbeResult {
         enum class Kind : std::uint8_t { Duplicate, PlaceAt, Absent };
         Kind kind = Kind::Absent;
@@ -138,8 +143,9 @@ public:
         CellRef where{};                    // PlaceAt: the free cell
         // Absent: where the INSERT cascade must begin — the first level with
         // a tombstone or Robin Hood swap point (or the deepest block when
-        // the walk fell off the tree). Levels above are full windows the
-        // cascade would cross without effect, so insert_new skips them.
+        // the walk fell off the tree, which is the only Absent without
+        // Robin Hood swaps). Levels above are full windows the cascade
+        // would cross without effect, so insert_new skips them.
         std::uint32_t resume_block = kNoBlock;
         std::uint32_t resume_level = 0;
         // Duplicate: the weight the cell held before this probe overwrote
@@ -418,6 +424,18 @@ private:
     };
     [[nodiscard]] std::optional<Located> locate(std::uint32_t top,
                                                 VertexId dst) const;
+    /// FIND over the subblock window starting at cell `sb_base` of `block`
+    /// at tree `level`, under the store's mode: Robin Hood probe order with
+    /// the EMPTY early exit, or the whole window without it. Bit-parallel
+    /// when the window fits one mask word, cell by cell otherwise.
+    [[nodiscard]] FindStep find_in_window(std::uint32_t block,
+                                          std::uint32_t sb_base,
+                                          std::uint32_t level,
+                                          VertexId dst) const;
+    /// The first cell of that window, in probe order from `home`, that
+    /// holds no live edge (EMPTY or tombstone); nullopt when it is full.
+    [[nodiscard]] std::optional<CellRef> first_unoccupied(
+        std::uint32_t block, std::uint32_t sb_base, std::uint32_t home) const;
 
     [[nodiscard]] std::size_t bytes_per_block() const noexcept {
         return static_cast<std::size_t>(pagewidth_) *

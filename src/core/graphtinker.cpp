@@ -24,7 +24,6 @@ GraphTinker::GraphTinker(Config config)
     batches_ingested_ = &obs_->counter("gt.batches");
     updates_applied_ = &obs_->counter("gt.updates");
     maintenance_runs_ = &obs_->counter("maintenance.runs");
-    maintenance_complete_runs_ = &obs_->counter("maintenance.complete_runs");
     maintenance_cells_touched_ =
         &obs_->histogram("maintenance.cells_touched");
 }
@@ -165,7 +164,8 @@ bool GraphTinker::insert_resolved(VertexId dense, VertexId raw_src,
             // (placeholder owner) and let the edge carry its CAL pointer
             // through the Robin Hood cascade — every placement re-binds the
             // owner, so the backreference stays correct however often the
-            // new edge is displaced.
+            // new edge is displaced. The cascade starts at the probe's
+            // resume point, below the full windows it already crossed.
             std::uint32_t cal_pos = kNoCalPos;
             if (config_.enable_cal) {
                 cal_pos = app != nullptr
@@ -173,7 +173,8 @@ bool GraphTinker::insert_resolved(VertexId dense, VertexId raw_src,
                               : cal_.insert(dense, raw_src, dst, weight,
                                             CellRef{});
             }
-            eba_.insert_new(top_[dense], dst, weight, cal_pos);
+            eba_.insert_new(top_[dense], dst, weight, cal_pos,
+                            probe.resume_block, probe.resume_level);
             break;
         }
     }
@@ -525,15 +526,6 @@ Status GraphTinker::insert_batch(std::span<const Edge> batch) {
     batches_ingested_->inc();
     updates_applied_->add(batch.size());
     const BatchLatencyScope lat{ingest_batch_us_};
-    // Amortized maintenance rides on every batch boundary when configured.
-    struct MaintainAtExit {
-        GraphTinker& g;
-        ~MaintainAtExit() {
-            if (g.config_.maintenance_budget_cells > 0) {
-                g.maintain_some(g.config_.maintenance_budget_cells);
-            }
-        }
-    } maintain_at_exit{*this};
     // Single-edge bypass (durability off): a 1-edge batch is inherently
     // atomic because insert_edge's growth pre-flights throw before any
     // mutation, so the journal/txn frame would be pure overhead — route it
@@ -648,14 +640,6 @@ Status GraphTinker::delete_batch(std::span<const Edge> batch) {
     batches_ingested_->inc();
     updates_applied_->add(batch.size());
     const BatchLatencyScope lat{delete_batch_us_};
-    struct MaintainAtExit {
-        GraphTinker& g;
-        ~MaintainAtExit() {
-            if (g.config_.maintenance_budget_cells > 0) {
-                g.maintain_some(g.config_.maintenance_budget_cells);
-            }
-        }
-    } maintain_at_exit{*this};
     // Single-edge bypass, mirroring insert_batch: an absent edge is a legal
     // no-op and delete_edge's erase pre-flight throws before any mutation,
     // so the 1-edge case needs no journal frame when durability is off.

@@ -114,10 +114,6 @@ public:
     /// are untouched; probe distance and memory_footprint() shrink back
     /// toward fresh-build levels.
     MaintenanceReport maintain();
-    /// Bounded maintenance slice (~`budget_cells` edge-cells of work),
-    /// resuming round-robin across vertices. insert_batch/delete_batch call
-    /// this automatically when Config::maintenance_budget_cells > 0.
-    MaintenanceReport maintain_some(std::uint32_t budget_cells);
 
     // ---- queries ---------------------------------------------------------
 
@@ -348,8 +344,6 @@ private:
     /// See mutation_epoch(). Release on bump / acquire on read so an epoch
     /// observation publishes the mutations it counts.
     std::atomic<std::uint64_t> mutation_epoch_{0};
-    /// Resume point of the amortized maintenance slices (dense id).
-    VertexId maintain_cursor_ = 0;
 
     /// Durability tee (non-owning; nullptr = durability off).
     UpdateLog* log_ = nullptr;
@@ -365,7 +359,6 @@ private:
     obs::Counter* batches_ingested_ = nullptr;
     obs::Counter* updates_applied_ = nullptr;
     obs::Counter* maintenance_runs_ = nullptr;
-    obs::Counter* maintenance_complete_runs_ = nullptr;
     obs::Histogram* maintenance_cells_touched_ = nullptr;
 
     // Batched-ingest scratch (capacity reused across batches; holds keys and

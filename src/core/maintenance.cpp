@@ -8,49 +8,24 @@ namespace gt::core {
 /// the friend access GraphTinker grants.
 class Maintainer::Run {
 public:
-    Run(GraphTinker& g, std::uint64_t budget, bool bounded)
-        : g_(g), budget_(budget), bounded_(bounded) {}
+    explicit Run(GraphTinker& g) : g_(g) {}
 
     MaintenanceReport run() {
         // Purge rebuilds go through the regular INSERT cascade; defer their
         // probe-counter flushes to one batch like the ingest paths do.
         const EdgeblockArray::StatsBatchScope stats_scope{g_.eba_};
-        sweep_trees();
+        for (VertexId dense = 0; dense < g_.top_.size(); ++dense) {
+            maintain_tree(dense);
+        }
         compact_cal();
         // One record per sweep: how much work this run touched (cells
-        // examined + moved) and whether it finished its walk. The handles
-        // were resolved when the store was built — maintain_some() rides on
-        // every batch boundary, so no registry lookups here.
+        // examined + moved).
         g_.maintenance_runs_->inc();
-        if (report_.complete) {
-            g_.maintenance_complete_runs_->inc();
-        }
         g_.maintenance_cells_touched_->record(cost_);
         return report_;
     }
 
 private:
-    void sweep_trees() {
-        const std::size_t n = g_.top_.size();
-        if (n == 0) {
-            report_.complete = true;
-            return;
-        }
-        const std::size_t start = bounded_ ? g_.maintain_cursor_ % n : 0;
-        std::size_t step = 0;
-        for (; step < n; ++step) {
-            if (bounded_ && cost_ >= budget_) {
-                break;
-            }
-            maintain_tree(static_cast<VertexId>((start + step) % n));
-        }
-        report_.complete = step == n;
-        if (bounded_) {
-            g_.maintain_cursor_ =
-                static_cast<VertexId>((start + step) % n);
-        }
-    }
-
     void maintain_tree(VertexId dense) {
         std::uint32_t& top = g_.top_[dense];
         if (top == EdgeblockArray::kNoBlock) {
@@ -113,24 +88,13 @@ private:
 
     GraphTinker& g_;
     MaintenanceReport report_;
-    std::uint64_t budget_ = 0;
     std::uint64_t cost_ = 0;
-    bool bounded_ = false;
 };
 
 MaintenanceReport Maintainer::run(GraphTinker& graph) {
-    return Run(graph, 0, /*bounded=*/false).run();
-}
-
-MaintenanceReport Maintainer::run_budget(GraphTinker& graph,
-                                         std::uint32_t budget_cells) {
-    return Run(graph, budget_cells, /*bounded=*/true).run();
+    return Run(graph).run();
 }
 
 MaintenanceReport GraphTinker::maintain() { return Maintainer::run(*this); }
-
-MaintenanceReport GraphTinker::maintain_some(std::uint32_t budget_cells) {
-    return Maintainer::run_budget(*this, budget_cells);
-}
 
 }  // namespace gt::core

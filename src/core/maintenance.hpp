@@ -1,10 +1,9 @@
 // Maintenance & space reclamation for GraphTinker (DESIGN.md §3.5).
 //
-// Deletion leaves debris behind: delete-only mode accumulates tombstones
-// (probe work stays proportional to the peak graph), delete-and-compact can
-// strand sparse child edgeblocks under their parents, and the CAL chains
-// keep scanning holes forever. The maintainer walks the store and undoes
-// all three:
+// Delete-only mode leaves debris behind: tombstones (probe work stays
+// proportional to the peak graph), populated child edgeblocks under
+// tombstoned parent windows, and CAL holes that keep being scanned. The
+// maintainer walks the store and undoes all three:
 //
 //   tombstone purge   delete-only trees whose tombstone fraction crosses
 //                     Config::purge_tombstone_threshold are rebuilt in
@@ -21,11 +20,10 @@
 //                     and emptied blocks return to the CAL free list; moved
 //                     edges' owners are re-bound through set_cal_pos
 //
-// Two entry points: GraphTinker::maintain() sweeps everything, and
-// GraphTinker::maintain_some(budget) runs a bounded slice that resumes
-// round-robin across vertices — insert_batch/delete_batch call the latter
-// automatically when Config::maintenance_budget_cells is non-zero, so
-// reclamation cost is amortized over the update stream.
+// GraphTinker::maintain() is the one entry point: an explicit sweep over
+// every vertex tree and the CAL. Stores in the default compact-delete mode
+// reclaim on every erase and leave it nothing to do; delete-only stores
+// (the paper's Robin Hood configuration) call it between delete waves.
 #pragma once
 
 #include <cstddef>
@@ -45,8 +43,6 @@ struct MaintenanceReport {
     std::size_t eba_blocks_reclaimed = 0; // edgeblocks freed (net)
     std::size_t cal_holes_reclaimed = 0;  // CAL slots compacted away
     std::size_t cal_blocks_reclaimed = 0; // CAL blocks freed (net)
-    /// False when a budgeted run stopped before visiting every vertex.
-    bool complete = false;
 
     /// True when the run changed nothing (no purge, merge or compaction).
     [[nodiscard]] bool idle() const noexcept {
@@ -65,7 +61,6 @@ struct MaintenanceReport {
         eba_blocks_reclaimed += o.eba_blocks_reclaimed;
         cal_holes_reclaimed += o.cal_holes_reclaimed;
         cal_blocks_reclaimed += o.cal_blocks_reclaimed;
-        complete = complete && o.complete;
         return *this;
     }
 };
@@ -76,12 +71,6 @@ class Maintainer {
 public:
     /// Full sweep: every vertex tree plus the CAL chains.
     static MaintenanceReport run(GraphTinker& graph);
-    /// Bounded slice: stops once ~`budget_cells` edge-cells of work (census
-    /// + relocation) have been spent, resuming where the last slice left
-    /// off. The CAL compaction, when triggered, always runs whole — the
-    /// sweep resets the hole fraction to zero, so it is self-amortizing.
-    static MaintenanceReport run_budget(GraphTinker& graph,
-                                        std::uint32_t budget_cells);
 
 private:
     class Run;  // stateful single-run walk (maintenance.cpp)

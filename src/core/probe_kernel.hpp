@@ -15,6 +15,11 @@
 // and then compare distances — the key is found iff it sits strictly before
 // the first EMPTY on the probe path, absent at every level iff an EMPTY
 // comes first, and the walk descends iff the window has no EMPTY at all.
+// Without Robin Hood swaps (compact-delete or RHH off) a key may sit
+// anywhere in its window, so the whole window is matched; an EMPTY cell
+// still proves the key absent below, because a window that links a child
+// is full in every mode (a branch-out fills it first, and a compacting
+// erase refills its hole from below or unlinks the emptied child).
 // Cells carry no state or probe distance: the masks are the state, and a
 // resident's displacement is recomputed from its hash by the caller.
 // Both the template instantiations (SIMD and scalar compare) are compiled in
@@ -81,7 +86,7 @@ template <bool UseSimd>
     }
 }
 
-/// Outcome of the FIND walk over one subblock (locate(), RHH mode).
+/// Outcome of the FIND walk over one subblock (locate()).
 struct FindStep {
     enum class Kind : std::uint8_t {
         Found,    ///< key occupies cells[slot]
@@ -113,9 +118,10 @@ template <bool UseSimd>
     return FindStep{FindStep::Kind::Descend, 0, w.width};
 }
 
-/// FIND over one subblock in compact-delete mode: holes are refilled out of
-/// probe order there, so the whole window is inspected and the only
-/// outcomes are a match or a descent.
+/// FIND over one subblock without Robin Hood order (compact-delete or RHH
+/// off): holes are refilled out of probe order there, so the whole window
+/// is inspected. A miss in a window that holds an EMPTY cell is Absent —
+/// such a window never links a child — and a miss in a full one descends.
 template <bool UseSimd>
 [[nodiscard]] inline FindStep find_step_full(const SubblockWindow& w,
                                              VertexId dst) noexcept {
@@ -125,7 +131,10 @@ template <bool UseSimd>
                         static_cast<std::uint32_t>(std::countr_zero(match)),
                         w.width};
     }
-    return FindStep{FindStep::Kind::Descend, 0, w.width};
+    const std::uint64_t empty = ~(w.occ | w.tomb) & window_mask(w.width);
+    return FindStep{empty != 0 ? FindStep::Kind::Absent
+                               : FindStep::Kind::Descend,
+                    0, w.width};
 }
 
 /// Outcome of the fused FIND/INSERT walk over one subblock (probe_insert).

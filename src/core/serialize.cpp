@@ -62,7 +62,9 @@ std::vector<unsigned char> encode_config(const Config& cfg) {
     put_buf(buf, cfg.reserve_edges);
     put_buf(buf, cfg.purge_tombstone_threshold);
     put_buf(buf, cfg.cal_compact_threshold);
-    put_buf(buf, cfg.maintenance_budget_cells);
+    // Retired slot (an amortized maintenance budget): written as 0 and
+    // ignored on read, so the section keeps its v2 width.
+    put_buf(buf, std::uint32_t{0});
     return buf;
 }
 
@@ -73,6 +75,7 @@ std::vector<unsigned char> encode_config(const Config& cfg) {
     std::uint8_t cal = 0;
     std::uint8_t rhh = 0;
     std::uint8_t mode = 0;
+    std::uint32_t retired = 0;
     const bool ok =
         get_buf(buf, off, cfg.pagewidth) && get_buf(buf, off, cfg.subblock) &&
         get_buf(buf, off, cfg.workblock) && get_buf(buf, off, sgh) &&
@@ -83,7 +86,7 @@ std::vector<unsigned char> encode_config(const Config& cfg) {
         get_buf(buf, off, cfg.reserve_edges) &&
         get_buf(buf, off, cfg.purge_tombstone_threshold) &&
         get_buf(buf, off, cfg.cal_compact_threshold) &&
-        get_buf(buf, off, cfg.maintenance_budget_cells);
+        get_buf(buf, off, retired);
     if (!ok || off != buf.size()) {
         return false;
     }

@@ -4,10 +4,10 @@
 // never run concurrently with anything. What makes them safe to interleave
 // across threads is the lock discipline documented in DESIGN.md §12 — an
 // annotated gt::SharedMutex where every mutator (writer batches AND
-// maintain_some) holds the exclusive side and readers hold the shared side.
-// This suite drives that exact pattern hard: a churn writer, a budgeted
-// maintenance thread and a pack of traversal readers hammer one store
-// through the gt:: wrappers. Under the tsan preset, any hole in the
+// maintain() sweeps) holds the exclusive side and readers hold the shared
+// side. This suite drives that exact pattern hard: a churn writer, a
+// maintenance thread sweeping between its batches and a pack of traversal
+// readers hammer one store through the gt:: wrappers. Under the tsan preset, any hole in the
 // wrappers (a forgotten unlock, maintenance sneaking in beside a reader)
 // surfaces as a data-race report; under plain builds it still verifies
 // reader-visible consistency and a clean final audit.
@@ -112,14 +112,13 @@ TEST(MaintenanceRace, BudgetedSweepsRaceReadersAndWriterUnderLock) {
     }
 
     MaintenanceReport total;
-    total.complete = true;
     std::thread maintainer([&] {
         while (!stop.load(std::memory_order_acquire)) {
             {
                 const LockGuard<SharedMutex> lock(store_mu);
-                total += g.maintain_some(/*budget_cells=*/400);
+                total += g.maintain();
             }
-            // Release between slices so the churn writer gets its turn.
+            // Release between sweeps so the churn writer gets its turn.
             std::this_thread::sleep_for(std::chrono::microseconds(50));
         }
     });

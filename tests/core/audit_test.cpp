@@ -127,6 +127,32 @@ TEST(Audit, DetectsTbhCycle) {
     EXPECT_TRUE(report.has(AuditCheck::TbhStructure)) << report.to_string();
 }
 
+TEST(Audit, DetectsChildUnderWindowWithEmptyCell) {
+    // A FIND without Robin Hood order stops at a window holding an EMPTY
+    // cell, which is sound only because no such window links a child. A
+    // fresh child linked under one hides nothing yet (it is empty), so the
+    // branched-full check is the only class that may fire — in both modes.
+    for (const DeletionMode mode :
+         {DeletionMode::DeleteOnly, DeletionMode::DeleteAndCompact}) {
+        Config cfg = small_config();
+        cfg.deletion_mode = mode;
+        GraphTinker g(cfg);
+        load_dense(g);
+        ASSERT_TRUE(g.audit().ok()) << g.audit().to_string();
+        bool linked = false;
+        for (VertexId src = 0; src < 32 && !linked; ++src) {
+            linked = CorruptionInjector::branch_unfull_window(g, src);
+        }
+        ASSERT_TRUE(linked) << "no top block had a childless window with "
+                               "an EMPTY cell";
+        const AuditReport report = g.audit();
+        ASSERT_FALSE(report.ok());
+        for (const AuditViolation& v : report.violations) {
+            EXPECT_EQ(v.check, AuditCheck::TbhBranchedFull) << v.to_string();
+        }
+    }
+}
+
 TEST(Audit, DetectsDegreeDrift) {
     GraphTinker g(small_config());
     load_dense(g);

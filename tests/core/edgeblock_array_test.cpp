@@ -79,6 +79,7 @@ TEST(EdgeblockArray, DepthIsLogarithmicInDegree) {
 
 TEST(EdgeblockArray, RobinHoodSwapsHappenAndPreserveFindability) {
     Config cfg = small_config();
+    cfg.deletion_mode = DeletionMode::DeleteOnly;  // RHH needs delete-only
     EdgeblockArray eba(cfg, nullptr);
     std::uint32_t top = EdgeblockArray::kNoBlock;
     for (VertexId d = 0; d < 64; ++d) {
@@ -108,6 +109,7 @@ TEST(EdgeblockArray, RhhDisabledInCompactMode) {
 
 TEST(EdgeblockArray, DeleteOnlyTombstonesWithoutFreeingBlocks) {
     Config cfg = small_config();
+    cfg.deletion_mode = DeletionMode::DeleteOnly;
     EdgeblockArray eba(cfg, nullptr);
     std::uint32_t top = EdgeblockArray::kNoBlock;
     for (VertexId d = 0; d < 100; ++d) {

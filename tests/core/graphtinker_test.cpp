@@ -4,10 +4,14 @@
 
 #include <map>
 #include <set>
+#include <string>
 #include <tuple>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "common/scoped_audit.hpp"
+#include "core/audit.hpp"
 #include "core/graphtinker.hpp"
 #include "gen/rmat.hpp"
 #include "util/rng.hpp"
@@ -250,6 +254,133 @@ INSTANTIATE_TEST_SUITE_P(
                (p.cal ? "_cal" : "_nocal") +
                (p.mode == DeletionMode::DeleteOnly ? "_delonly" : "_delcompact");
     });
+
+// ---- churn without Robin Hood order --------------------------------------
+
+TEST(GraphTinkerChurn, NoRhhModesMatchModelAcrossBatchShapes) {
+    // Compact-delete (the default) and delete-only with RHH off share the
+    // one-walk insert probe: it stops at the first window holding an EMPTY
+    // cell and places the edge on the first unoccupied cell it passed.
+    // Churn that deletes edges and re-inserts them, one edge at a time and
+    // in batches large enough for the source-grouped fast path, must match
+    // a model after every batch and leave a clean audit. The wide geometry
+    // (128-cell subblocks) runs the cell-by-cell walk instead of the
+    // bit-parallel kernel.
+    struct Case {
+        std::string name;
+        Config cfg;
+    };
+    std::vector<Case> cases;
+    cases.push_back({"compact", Config{}});
+    Config wide;
+    wide.pagewidth = 256;
+    wide.subblock = 128;
+    wide.workblock = 8;
+    cases.push_back({"compact_wide", wide});
+    Config no_rhh;
+    no_rhh.deletion_mode = DeletionMode::DeleteOnly;
+    no_rhh.enable_rhh = false;
+    cases.push_back({"delete_only_no_rhh", no_rhh});
+    Config no_rhh_small = no_rhh;
+    no_rhh_small.pagewidth = 16;
+    no_rhh_small.subblock = 4;
+    no_rhh_small.workblock = 2;
+    cases.push_back({"delete_only_no_rhh_small", no_rhh_small});
+
+    constexpr VertexId kSources = 160;
+    for (const Case& c : cases) {
+        ASSERT_FALSE(c.cfg.rhh_active()) << c.name;
+        GraphTinker g(c.cfg);
+        std::map<std::pair<VertexId, VertexId>, Weight> model;
+        std::vector<Edge> live;     // delete candidates (may be stale)
+        std::vector<Edge> deleted;  // re-insert candidates
+        Rng rng(97);
+        const auto fresh_edge = [&] {
+            // Skewed sources so a few hubs grow deep trees.
+            const auto src = static_cast<VertexId>(
+                rng.next_below(rng.next_below(2) != 0U ? 6 : kSources));
+            return Edge{src, static_cast<VertexId>(rng.next_below(400)),
+                        static_cast<Weight>(1 + rng.next_below(1000))};
+        };
+        const auto take = [&](std::vector<Edge>& pool) {
+            const std::size_t at = rng.next_below(pool.size());
+            const Edge e = pool[at];
+            pool[at] = pool.back();
+            pool.pop_back();
+            return e;
+        };
+        for (int round = 0; round < 240; ++round) {
+            const bool per_edge = round % 3 == 0;
+            const bool inserts = rng.next_below(5) < 3;
+            const std::size_t n = per_edge ? 1 : 33 + rng.next_below(168);
+            std::vector<Edge> batch;
+            for (std::size_t i = 0; i < n; ++i) {
+                if (inserts) {
+                    Edge e = !deleted.empty() && rng.next_below(2) == 0
+                                 ? take(deleted)
+                                 : fresh_edge();
+                    e.weight = static_cast<Weight>(1 + rng.next_below(1000));
+                    batch.push_back(e);
+                } else {
+                    batch.push_back(!live.empty() && rng.next_below(4) != 0
+                                        ? take(live)
+                                        : fresh_edge());
+                }
+            }
+            if (per_edge) {
+                const Edge& e = batch.front();
+                const auto k = std::make_pair(e.src, e.dst);
+                if (inserts) {
+                    ASSERT_EQ(g.insert_edge(e.src, e.dst, e.weight),
+                              !model.contains(k))
+                        << c.name << " round " << round;
+                } else {
+                    ASSERT_EQ(g.delete_edge(e.src, e.dst), model.contains(k))
+                        << c.name << " round " << round;
+                }
+            } else if (inserts) {
+                ASSERT_TRUE(g.insert_batch(batch).ok()) << c.name;
+            } else {
+                ASSERT_TRUE(g.delete_batch(batch).ok()) << c.name;
+            }
+            // A batch applies as its edges would one after another.
+            for (const Edge& e : batch) {
+                const auto k = std::make_pair(e.src, e.dst);
+                if (inserts) {
+                    model[k] = e.weight;
+                    live.push_back(e);
+                } else if (model.erase(k) > 0) {
+                    deleted.push_back(e);
+                }
+            }
+
+            ASSERT_EQ(g.num_edges(), model.size())
+                << c.name << " round " << round;
+            std::vector<std::uint32_t> degree(kSources, 0);
+            for (const auto& [k, w] : model) {
+                ++degree[k.first];
+                ASSERT_EQ(g.find_edge(k.first, k.second),
+                          std::optional<Weight>(w))
+                    << c.name << " round " << round << " (" << k.first
+                    << "," << k.second << ")";
+            }
+            for (const Edge& e : batch) {
+                if (!model.contains({e.src, e.dst})) {
+                    ASSERT_FALSE(g.find_edge(e.src, e.dst).has_value())
+                        << c.name << " round " << round;
+                }
+            }
+            for (VertexId v = 0; v < kSources; ++v) {
+                ASSERT_EQ(g.degree(v), degree[v])
+                    << c.name << " round " << round << " v=" << v;
+            }
+            const AuditReport report = g.audit();
+            ASSERT_TRUE(report.ok())
+                << c.name << " round " << round << ": " << report.to_string();
+        }
+        EXPECT_GT(g.obs().counter("eba.branch_outs").value(), 0U) << c.name;
+    }
+}
 
 }  // namespace
 }  // namespace gt::core

@@ -59,16 +59,24 @@ struct NamedConfig {
     Config config;
 };
 
+/// Delete-only mode: deletes tombstone, so maintain() has debris to purge.
+Config delete_only() {
+    Config cfg;
+    cfg.deletion_mode = DeletionMode::DeleteOnly;
+    return cfg;
+}
+
 std::vector<NamedConfig> all_configs() {
     std::vector<NamedConfig> out;
-    out.push_back({"default", Config{}});
-    Config no_cal;
+    out.push_back({"default_compact", Config{}});
+    Config compact_no_cal;
+    compact_no_cal.enable_cal = false;
+    out.push_back({"compact_no_cal", compact_no_cal});
+    out.push_back({"delete_only", delete_only()});
+    Config no_cal = delete_only();
     no_cal.enable_cal = false;
-    out.push_back({"no_cal", no_cal});
-    Config compact;
-    compact.deletion_mode = DeletionMode::DeleteAndCompact;
-    out.push_back({"compact_delete", compact});
-    Config no_rhh;
+    out.push_back({"delete_only_no_cal", no_cal});
+    Config no_rhh = delete_only();
     no_rhh.enable_rhh = false;
     out.push_back({"no_rhh", no_rhh});
     return out;
@@ -78,7 +86,7 @@ TEST(Maintenance, PurgeRestoresProbeDistanceAndFreesBlocks) {
     // Delete-only mode: a heavy delete wave leaves tombstones that keep
     // probe chains at peak-graph length. The purge must erase them, shorten
     // lookups and hand surplus blocks back to the arena.
-    GraphTinker g;  // default = DeleteOnly + RHH
+    GraphTinker g(delete_only());  // RHH is active in delete-only mode
     const test::ScopedAudit audit(g, "purge");
     const auto edges = rmat_edges(800, 40000, 5);
     (void)g.insert_batch(edges);
@@ -90,7 +98,6 @@ TEST(Maintenance, PurgeRestoresProbeDistanceAndFreesBlocks) {
     const std::size_t bytes_before = g.memory_footprint().edgeblock_bytes;
 
     const MaintenanceReport report = g.maintain();
-    EXPECT_TRUE(report.complete);
     EXPECT_GT(report.trees_purged, 0u);
     EXPECT_GT(report.tombstones_purged, 0u);
     EXPECT_EQ(g.obs().counter("eba.trees_rebuilt").value(),
@@ -128,8 +135,7 @@ TEST(Maintenance, MaintainPreservesEquivalenceAcrossConfigs) {
 
         const EdgeMap before_map = edge_map(g);
         const EdgeCount before_edges = g.num_edges();
-        const MaintenanceReport report = g.maintain();
-        EXPECT_TRUE(report.complete) << nc.name;
+        (void)g.maintain();
         audit.check();
         EXPECT_EQ(g.num_edges(), before_edges) << nc.name;
         EXPECT_EQ(edge_map(g), before_map) << nc.name;
@@ -140,7 +146,6 @@ TEST(Maintenance, MaintainPreservesEquivalenceAcrossConfigs) {
 
         // A second sweep right away finds nothing left to do.
         const MaintenanceReport again = g.maintain();
-        EXPECT_TRUE(again.complete) << nc.name;
         EXPECT_TRUE(again.idle()) << nc.name;
     }
 }
@@ -153,7 +158,7 @@ TEST(Maintenance, UnbranchShrinksTreeDepth) {
     // branched windows full — un-branching targets exactly this config.)
     // Purge is disabled so the merge path, not the rebuild path, does the
     // reclamation.
-    Config cfg;
+    Config cfg = delete_only();
     cfg.enable_rhh = false;
     cfg.purge_tombstone_threshold = 1.0;
     GraphTinker g(cfg);
@@ -189,7 +194,7 @@ TEST(Maintenance, CalCompactionReclaimsHolesAndBlocks) {
     // Delete-only holes keep being scanned until compact_chains rewrites the
     // chains dense; afterwards the scanned and live slot counts coincide and
     // emptied blocks sit on the CAL free list.
-    GraphTinker g;
+    GraphTinker g(delete_only());
     const test::ScopedAudit audit(g, "cal_compact");
     const auto edges = rmat_edges(500, 30000, 13);
     (void)g.insert_batch(edges);
@@ -207,80 +212,10 @@ TEST(Maintenance, CalCompactionReclaimsHolesAndBlocks) {
     EXPECT_EQ(edge_map(g), before_map);
 }
 
-TEST(Maintenance, BudgetedSlicesConvergeToFullSweep) {
-    // maintain_some must make monotone progress: repeated small slices end
-    // in the same state as one full sweep on a twin store.
-    Config cfg;  // explicit maintain_some calls only; no auto budget
-    GraphTinker sliced(cfg);
-    GraphTinker full(cfg);
-    const test::ScopedAudit audit(sliced, "budgeted");
-    const auto edges = rmat_edges(400, 15000, 17);
-    (void)sliced.insert_batch(edges);
-    (void)full.insert_batch(edges);
-    delete_half(sliced, edges);
-    delete_half(full, edges);
-
-    full.maintain();
-    // 400 slices x 512 cells is far more than the total census + relocation
-    // work, so the round-robin cursor wraps the vertex set several times and
-    // every purge/compaction lands; idle slices still advance the cursor.
-    for (int slice = 0; slice < 400; ++slice) {
-        const MaintenanceReport r = sliced.maintain_some(512);
-        if (slice % 50 == 0) {
-            audit.check();
-        }
-        if (r.complete && r.idle()) {
-            break;
-        }
-    }
-    EXPECT_EQ(edge_map(sliced), edge_map(full));
-    EXPECT_EQ(sliced.edgeblock_array().blocks_in_use(),
-              full.edgeblock_array().blocks_in_use());
-    EXPECT_EQ(sliced.cal().scanned_slots(), full.cal().scanned_slots());
-}
-
-TEST(Maintenance, AmortizedBudgetInsideBatchesKeepsTwinEquivalence) {
-    // With maintenance_budget_cells set, every insert_batch/delete_batch
-    // runs a bounded slice on the way out. The store must stay equivalent
-    // to a maintenance-free twin at every step.
-    Config amortized;
-    amortized.maintenance_budget_cells = 2048;
-    GraphTinker g(amortized);
-    GraphTinker twin;  // no amortized maintenance
-    const test::ScopedAudit audit(g, "amortized");
-    std::mt19937 rng(23);
-    std::vector<Edge> live;
-    for (int round = 0; round < 6; ++round) {
-        const auto inserts = rmat_edges(300, 5000, 400 + round);
-        (void)g.insert_batch(inserts);
-        (void)twin.insert_batch(inserts);
-        live.insert(live.end(), inserts.begin(), inserts.end());
-        std::vector<Edge> deletes;
-        for (int i = 0; i < 2000 && !live.empty(); ++i) {
-            const std::size_t pick = rng() % live.size();
-            deletes.push_back(live[pick]);
-            live[pick] = live.back();
-            live.pop_back();
-        }
-        (void)g.delete_batch(deletes);
-        (void)twin.delete_batch(deletes);
-        audit.check();
-        ASSERT_EQ(g.num_edges(), twin.num_edges()) << "round " << round;
-        ASSERT_EQ(edge_map(g), edge_map(twin)) << "round " << round;
-    }
-    // The amortized store did real reclamation along the way.
-    EXPECT_GT(g.obs().counter("eba.trees_rebuilt").value() +
-                  g.obs().counter("eba.blocks_freed").value(),
-              0u);
-}
-
 TEST(Maintenance, NoopOnEmptyAndFreshStores) {
     for (const NamedConfig& nc : all_configs()) {
         GraphTinker empty(nc.config);
-        const MaintenanceReport r0 = empty.maintain();
-        EXPECT_TRUE(r0.complete) << nc.name;
-        EXPECT_TRUE(r0.idle()) << nc.name;
-        EXPECT_TRUE(empty.maintain_some(64).idle()) << nc.name;
+        EXPECT_TRUE(empty.maintain().idle()) << nc.name;
     }
 
     // A freshly built delete-free store has nothing to purge or compact.
@@ -288,9 +223,7 @@ TEST(Maintenance, NoopOnEmptyAndFreshStores) {
     const test::ScopedAudit audit(fresh, "fresh");
     (void)fresh.insert_batch(rmat_edges(300, 8000, 3));
     const EdgeMap before = edge_map(fresh);
-    const MaintenanceReport r = fresh.maintain();
-    EXPECT_TRUE(r.complete);
-    EXPECT_TRUE(r.idle());
+    EXPECT_TRUE(fresh.maintain().idle());
     EXPECT_EQ(edge_map(fresh), before);
 }
 
@@ -314,7 +247,7 @@ TEST(Maintenance, FootprintSeparatesInUseFromCapacity) {
 }
 
 TEST(Maintenance, PurgeThresholdOneDisablesPurges) {
-    Config cfg;
+    Config cfg = delete_only();
     cfg.purge_tombstone_threshold = 1.0;
     cfg.cal_compact_threshold = 1.0;
     GraphTinker g(cfg);
@@ -323,7 +256,6 @@ TEST(Maintenance, PurgeThresholdOneDisablesPurges) {
     (void)g.insert_batch(edges);
     delete_half(g, edges);
     const MaintenanceReport report = g.maintain();
-    EXPECT_TRUE(report.complete);
     EXPECT_EQ(report.trees_purged, 0u);
     EXPECT_EQ(report.cal_holes_reclaimed, 0u);
 }

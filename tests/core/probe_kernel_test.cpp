@@ -295,7 +295,8 @@ TEST(ProbeKernel, DuplicateBeyondEmptyIsInvisible) {
 
 TEST(ProbeKernel, CompactModeFullScan) {
     // find_step_full ignores probe order entirely — compact mode refills
-    // holes out of order, so only presence anywhere in the window counts.
+    // holes out of order, so only presence anywhere in the window counts;
+    // a miss in a window with EMPTY cells is Absent.
     TestWindow w(16);
     w.occupy(11, 800, 0);
     w.occupy(3, 801, 0);
@@ -310,7 +311,63 @@ TEST(ProbeKernel, CompactModeFullScan) {
               FindStep::Kind::Found);
     EXPECT_EQ(find_step_full<false>(w.view(), 800U).slot, 11U);
     EXPECT_EQ(find_step_full<false>(w.view(), 0xdeadbeefU).kind,
-              FindStep::Kind::Descend);
+              FindStep::Kind::Absent);
+}
+
+/// Straight-line reference for find_step_full: a match anywhere in the
+/// window, else Absent when some cell is EMPTY, else Descend.
+FindStep reference_find_full(const TestWindow& w, VertexId dst) {
+    bool empty = false;
+    for (std::uint32_t slot = 0; slot < w.width(); ++slot) {
+        if (w.state(slot) == CellState::Occupied && w.cells[slot].dst == dst) {
+            return FindStep{FindStep::Kind::Found, slot, w.width()};
+        }
+        empty = empty || w.state(slot) == CellState::Empty;
+    }
+    return FindStep{empty ? FindStep::Kind::Absent : FindStep::Kind::Descend,
+                    0, w.width()};
+}
+
+TEST(ProbeKernel, FullScanAbsentNeedsAnEmptyCell) {
+    // Without Robin Hood order an EMPTY cell anywhere in the window proves
+    // a missed key absent below (a window that links a child is full).
+    // Tombstones prove nothing, so a window of live cells and tombstones
+    // descends. SIMD and scalar must agree with the reference on both.
+    std::mt19937 rng(20261017);
+    int absent = 0;
+    int descend = 0;
+    for (int round = 0; round < 400; ++round) {
+        const std::uint32_t width = 1U << (2 + rng() % 5);  // 4..64
+        TestWindow w(width);
+        for (std::uint32_t slot = 0; slot < width; ++slot) {
+            w.occupy(slot, 1 + rng() % 64, 0);
+            if (rng() % 4 == 0) {
+                w.bury(slot);
+            }
+        }
+        if (rng() % 2 == 0) {
+            for (std::uint32_t k = 1 + rng() % 3; k > 0; --k) {
+                const std::uint64_t bit = 1ULL << (rng() % width);
+                w.occ &= ~bit;
+                w.tomb &= ~bit;
+            }
+        }
+        const VertexId dst = 1 + rng() % 64;
+        const FindStep ref = reference_find_full(w, dst);
+        const FindStep scalar = find_step_full<false>(w.view(), dst);
+        const FindStep simd = find_step_full<true>(w.view(), dst);
+        for (const FindStep* step : {&scalar, &simd}) {
+            ASSERT_EQ(step->kind, ref.kind) << "round " << round;
+            EXPECT_EQ(step->scanned, ref.scanned) << "round " << round;
+            if (ref.kind == FindStep::Kind::Found) {
+                EXPECT_EQ(step->slot, ref.slot) << "round " << round;
+            }
+        }
+        absent += ref.kind == FindStep::Kind::Absent ? 1 : 0;
+        descend += ref.kind == FindStep::Kind::Descend ? 1 : 0;
+    }
+    EXPECT_GT(absent, 0);
+    EXPECT_GT(descend, 0);
 }
 
 TEST(ProbeKernel, RandomizedPropertySweep) {

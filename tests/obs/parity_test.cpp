@@ -18,7 +18,9 @@ namespace gt::core {
 namespace {
 
 TEST(ObsParity, GaugesMatchAuditCensusAfterChurn) {
-    GraphTinker g;  // default config: CAL on, delete-only RHH
+    Config config;  // CAL on; delete-only RHH so deletes leave tombstones
+    config.deletion_mode = DeletionMode::DeleteOnly;
+    GraphTinker g(config);
     test::ScopedAudit audit(g);
 
     const auto edges = rmat_edges(700, 30000, 23);
@@ -61,7 +63,9 @@ TEST(ObsParity, GaugesMatchAuditCensusAfterChurn) {
 }
 
 TEST(ObsParity, CensusTracksTombstonePurge) {
-    GraphTinker g;
+    Config config;
+    config.deletion_mode = DeletionMode::DeleteOnly;  // deletes tombstone
+    GraphTinker g(config);
     test::ScopedAudit audit(g);
     const auto edges = rmat_edges(300, 8000, 7);
     (void)g.insert_batch(edges);
