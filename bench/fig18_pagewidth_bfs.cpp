@@ -32,11 +32,15 @@ int main() {
         core::GraphTinker store(cfg);
         const auto stats = bench::dynamic_analytics<engine::Bfs>(
             store, edges, batch, engine::ModePolicy::ForceIncremental, root);
-        const double cells =
-            static_cast<double>(store.edgeblock_array().blocks_in_use()) * pw;
+        // Cells held: wide blocks of PAGEWIDTH cells plus one-subblock
+        // narrow tops.
+        const core::EdgeblockArray& eba = store.edgeblock_array();
+        const double cells = static_cast<double>(
+            eba.blocks_in_use(core::BlockClass::Wide) * pw +
+            eba.blocks_in_use(core::BlockClass::Narrow) * cfg.subblock);
         table.add_row({"PW" + std::to_string(pw),
                        Table::fmt(stats.throughput_meps(), 3),
-                       std::to_string(store.edgeblock_array().blocks_in_use()),
+                       std::to_string(eba.blocks_in_use()),
                        Table::fmt(cells / static_cast<double>(
                                               store.num_edges()),
                                   2)});

@@ -35,6 +35,8 @@ std::string_view to_string(AuditCheck check) noexcept {
             return "edge-accounting";
         case AuditCheck::TbhBranchedFull:
             return "tbh-branched-full";
+        case AuditCheck::SizeClass:
+            return "size-class";
     }
     return "unknown";
 }
@@ -109,38 +111,40 @@ private:
 
     // ---- pass 1: TBH tree walk + per-cell RHH / CAL-forward checks -------
 
+    static constexpr BlockClass kClasses[] = {BlockClass::Wide,
+                                              BlockClass::Narrow};
+
+    [[nodiscard]] const EdgeblockArray::Arena& arena_of(BlockClass c) const {
+        return eba_.arenas_[static_cast<std::size_t>(c)];
+    }
+    /// Index of class `c` in the per-class vectors (the arenas' order).
+    [[nodiscard]] static std::size_t ci(BlockClass c) {
+        return static_cast<std::size_t>(c);
+    }
+    [[nodiscard]] static std::string name(std::uint32_t h) {
+        return (EdgeblockArray::is_narrow(h) ? "narrow block " : "block ") +
+               std::to_string(EdgeblockArray::block_index(h));
+    }
+
     void audit_tree_and_cells() {
-        const std::size_t blocks = eba_.block_count_;
-        std::vector<std::uint8_t> reached(blocks, 0);
-        std::vector<std::uint8_t> free_flag(blocks, 0);
-        for (const std::uint32_t b : eba_.free_blocks_) {
-            if (b >= blocks) {
-                add(AuditCheck::TbhStructure, kInvalidVertex, kInvalidVertex,
-                    "free list holds out-of-range block " + std::to_string(b));
-                continue;
-            }
-            if (free_flag[b]) {
-                add(AuditCheck::TbhStructure, kInvalidVertex, kInvalidVertex,
-                    "block " + std::to_string(b) + " free-listed twice");
-            }
-            free_flag[b] = 1;
-            for (std::uint32_t s = 0; s < eba_.spb_; ++s) {
-                if (eba_.child(b, s) != EdgeblockArray::kNoBlock) {
-                    add(AuditCheck::TbhStructure, kInvalidVertex,
-                        kInvalidVertex,
-                        "free block " + std::to_string(b) +
-                            " still links child at subblock " +
-                            std::to_string(s));
-                }
-            }
-            audit_free_block(b);
+        for (const BlockClass c : kClasses) {
+            reached_[ci(c)].assign(arena_of(c).count, 0);
+            free_flag_[ci(c)].assign(arena_of(c).count, 0);
         }
+        if (!eba_.has_narrow_class() &&
+            arena_of(BlockClass::Narrow).count != 0) {
+            add(AuditCheck::SizeClass, kInvalidVertex, kInvalidVertex,
+                std::to_string(arena_of(BlockClass::Narrow).count) +
+                    " narrow blocks allocated but PAGEWIDTH == SUBBLOCK "
+                    "leaves no narrow class");
+        }
+        audit_free_list(BlockClass::Wide, AuditCheck::TbhStructure);
+        audit_free_list(BlockClass::Narrow, AuditCheck::SizeClass);
 
         for (VertexId dense = 0; dense < g_.top_.size(); ++dense) {
             ++report_.vertices_audited;
             const VertexId raw = g_.raw_of(dense);
-            const EdgeCount cells = walk_vertex(dense, raw, reached,
-                                                free_flag);
+            const EdgeCount cells = walk_vertex(dense, raw);
             total_cells_ += cells;
             const std::uint32_t degree =
                 dense < g_.props_.size() ? g_.props_[dense].degree : 0;
@@ -151,30 +155,59 @@ private:
             }
         }
 
-        for (std::uint32_t b = 0; b < blocks; ++b) {
-            if (!free_flag[b] && reached[b] == 0) {
-                add(AuditCheck::TbhOrphan, kInvalidVertex, kInvalidVertex,
-                    "allocated block " + std::to_string(b) +
-                        " unreachable from every top parent");
+        for (const BlockClass c : kClasses) {
+            for (std::uint32_t b = 0; b < arena_of(c).count; ++b) {
+                if (!free_flag_[ci(c)][b] && reached_[ci(c)][b] == 0) {
+                    add(AuditCheck::TbhOrphan, kInvalidVertex, kInvalidVertex,
+                        "allocated " + name(EdgeblockArray::handle(c, b)) +
+                            " unreachable from every top parent");
+                }
             }
         }
     }
 
-    /// Reclaimed blocks must be scrubbed clean: free_block clears both mask
-    /// planes (which are the cells' state), and allocate_block recycles
-    /// them without re-clearing — a dirty free block would leak stale edges
-    /// (or tombstones) straight into the next tree built on top of it.
-    void audit_free_block(std::uint32_t b) {
-        if (eba_.occupied_[b] != 0) {
-            add(AuditCheck::TbhStructure, kInvalidVertex, kInvalidVertex,
-                "free block " + std::to_string(b) + " counts " +
-                    std::to_string(eba_.occupied_[b]) + " occupied cells");
+    /// A class's free list names each of its blocks at most once, and only
+    /// blocks its arena has handed out. `check` is the class the list's
+    /// violations report under.
+    void audit_free_list(BlockClass c, AuditCheck check) {
+        for (const std::uint32_t b : arena_of(c).free) {
+            const std::uint32_t h = EdgeblockArray::handle(c, b);
+            if (b >= arena_of(c).count) {
+                add(check, kInvalidVertex, kInvalidVertex,
+                    "free list holds out-of-range " + name(h));
+                continue;
+            }
+            if (free_flag_[ci(c)][b]) {
+                add(check, kInvalidVertex, kInvalidVertex,
+                    name(h) + " free-listed twice");
+            }
+            free_flag_[ci(c)][b] = 1;
+            for (std::uint32_t s = 0; s < eba_.fanout(h); ++s) {
+                if (eba_.child(h, s) != EdgeblockArray::kNoBlock) {
+                    add(check, kInvalidVertex, kInvalidVertex,
+                        "free " + name(h) + " still links child at subblock " +
+                            std::to_string(s));
+                }
+            }
+            audit_free_block(h, check);
         }
-        for (std::uint32_t w = 0; w < eba_.words_per_block_; ++w) {
-            if (eba_.masks_[eba_.occ_word(b, w)] != 0 ||
-                eba_.masks_[eba_.tomb_word(b, w)] != 0) {
-                add(AuditCheck::TbhStructure, kInvalidVertex, kInvalidVertex,
-                    "free block " + std::to_string(b) +
+    }
+
+    /// Reclaimed blocks must be scrubbed clean: release_block clears both
+    /// mask planes (which are the cells' state), and allocate_block
+    /// recycles them without re-clearing — a dirty free block would leak
+    /// stale edges (or tombstones) straight into the next tree built on top
+    /// of it.
+    void audit_free_block(std::uint32_t h, AuditCheck check) {
+        if (eba_.occupied(h) != 0) {
+            add(check, kInvalidVertex, kInvalidVertex,
+                "free " + name(h) + " counts " +
+                    std::to_string(eba_.occupied(h)) + " occupied cells");
+        }
+        for (std::uint32_t w = 0; w < eba_.arena(h).words; ++w) {
+            if (eba_.occ_mask(h, w) != 0 || eba_.tomb_mask(h, w) != 0) {
+                add(check, kInvalidVertex, kInvalidVertex,
+                    "free " + name(h) +
                         " has non-empty occupancy/tombstone masks");
                 break;
             }
@@ -183,9 +216,7 @@ private:
 
     /// Depth-first walk of one vertex's edgeblock tree. Returns the number
     /// of live cells seen under the tree.
-    EdgeCount walk_vertex(VertexId dense, VertexId raw,
-                          std::vector<std::uint8_t>& reached,
-                          const std::vector<std::uint8_t>& free_flag) {
+    EdgeCount walk_vertex(VertexId dense, VertexId raw) {
         const std::uint32_t top = g_.top_[dense];
         if (top == EdgeblockArray::kNoBlock) {
             return 0;
@@ -199,34 +230,58 @@ private:
         while (!stack.empty()) {
             const auto [block, level] = stack.back();
             stack.pop_back();
-            if (block >= eba_.block_count_) {
+            if (!eba_.in_range(block)) {
                 add(AuditCheck::TbhStructure, raw, kInvalidVertex,
                     "handle " + std::to_string(block) +
                         " outside the arena (level " + std::to_string(level) +
                         ")");
                 continue;
             }
-            if (free_flag[block]) {
+            const std::size_t c = ci(EdgeblockArray::class_of(block));
+            const std::uint32_t b = EdgeblockArray::block_index(block);
+            if (free_flag_[c][b]) {
                 add(AuditCheck::TbhStructure, raw, kInvalidVertex,
-                    "reachable block " + std::to_string(block) +
-                        " is on the free list");
+                    "reachable " + name(block) + " is on the free list");
                 continue;
             }
-            if (reached[block]++ != 0) {
+            if (reached_[c][b]++ != 0) {
                 add(AuditCheck::TbhStructure, raw, kInvalidVertex,
-                    "block " + std::to_string(block) +
-                        " reached twice (cycle or shared child)");
+                    name(block) + " reached twice (cycle or shared child)");
                 continue;  // do not descend again
+            }
+            if (EdgeblockArray::is_narrow(block)) {
+                ++report_.narrow_blocks;
+                if (level != 0) {
+                    add(AuditCheck::SizeClass, raw, kInvalidVertex,
+                        name(block) + " linked as a child at level " +
+                            std::to_string(level));
+                }
+                if (!eba_.has_narrow_class()) {
+                    add(AuditCheck::SizeClass, raw, kInvalidVertex,
+                        name(block) +
+                            " in a store whose PAGEWIDTH == SUBBLOCK");
+                }
+            } else {
+                ++report_.wide_blocks;
             }
             ++report_.blocks_audited;
             cells += audit_block(raw, top, block, level);
-            for (std::uint32_t s = 0; s < eba_.spb_; ++s) {
+            for (std::uint32_t s = 0; s < eba_.fanout(block); ++s) {
                 const std::uint32_t down = eba_.child(block, s);
                 if (down != EdgeblockArray::kNoBlock) {
                     audit_branched_window(raw, block, s);
                     stack.push_back(Frame{down, level + 1});
                 }
             }
+        }
+        // Compact deletes demote a wide top once it holds SUBBLOCK/2 edges
+        // or fewer, so a smaller one means a missed demotion.
+        if (eba_.compact_delete_ && eba_.has_narrow_class() &&
+            !EdgeblockArray::is_narrow(top) && cells <= eba_.subblock_ / 2) {
+            add(AuditCheck::SizeClass, raw, kInvalidVertex,
+                "wide top " + name(top) + " holds only " +
+                    std::to_string(cells) + " live edges (demotes at <= " +
+                    std::to_string(eba_.subblock_ / 2) + ")");
         }
         return cells;
     }
@@ -242,8 +297,8 @@ private:
         for (std::uint32_t off = 0; off < eba_.subblock_; ++off) {
             if (eba_.state_of(block, sb_base + off) == CellState::Empty) {
                 add(AuditCheck::TbhBranchedFull, raw, kInvalidVertex,
-                    "block " + std::to_string(block) + " subblock " +
-                        std::to_string(sb) + " links a child but its slot " +
+                    name(block) + " subblock " + std::to_string(sb) +
+                        " links a child but its slot " +
                         std::to_string(off) + " is EMPTY");
                 return;
             }
@@ -255,16 +310,15 @@ private:
     EdgeCount audit_block(VertexId raw, std::uint32_t top,
                           std::uint32_t block, std::uint32_t level) {
         EdgeCount occupied = 0;
-        for (std::uint32_t slot = 0; slot < eba_.pagewidth_; ++slot) {
+        for (std::uint32_t slot = 0; slot < eba_.arena(block).width; ++slot) {
             const EdgeCell& c = eba_.cell(block, slot);
             const bool is_occupied = eba_.is_occupied(block, slot);
             if (eba_.is_tombstone(block, slot)) {
                 ++report_.tombstones;
                 if (is_occupied) {
                     add(AuditCheck::Occupancy, raw, c.dst,
-                        "cell both occupied and tombstoned (block " +
-                            std::to_string(block) + " slot " +
-                            std::to_string(slot) + ")");
+                        "cell both occupied and tombstoned (" + name(block) +
+                            " slot " + std::to_string(slot) + ")");
                 }
             }
             if (!is_occupied) {
@@ -275,10 +329,10 @@ private:
             ++report_.cells_audited;
             audit_cell(raw, top, block, slot, level, c);
         }
-        if (occupied != eba_.occupied_[block]) {
+        if (occupied != eba_.occupied(block)) {
             add(AuditCheck::Occupancy, raw, kInvalidVertex,
-                "block " + std::to_string(block) + " counter says " +
-                    std::to_string(eba_.occupied_[block]) + " but " +
+                name(block) + " counter says " +
+                    std::to_string(eba_.occupied(block)) + " but " +
                     std::to_string(occupied) + " cells are occupied");
         }
         return occupied;
@@ -291,13 +345,14 @@ private:
         const std::uint32_t sb_base = sb * eba_.subblock_;
 
         // Robin Hood placement: the cell sits in the subblock its
-        // (dst, level) hash selects. Any slot of that window is ownable —
-        // the probe distance is derived from where the edge sits.
-        if (eba_.sb_of(c.dst, level) != sb) {
+        // (dst, level) hash selects (a narrow block is one window). Any
+        // slot of that window is ownable — the probe distance is derived
+        // from where the edge sits.
+        const std::uint32_t want = eba_.window_of(block, c.dst, level);
+        if (want != sb) {
             add(AuditCheck::RhhPlacement, raw, c.dst,
                 "cell stored in subblock " + std::to_string(sb) +
-                    " but hashes to " +
-                    std::to_string(eba_.sb_of(c.dst, level)) + " at level " +
+                    " but hashes to " + std::to_string(want) + " at level " +
                     std::to_string(level));
         } else if (eba_.rhh_) {
             // Probe-path continuity (delete-only mode): no EMPTY cell may
@@ -329,7 +384,7 @@ private:
         }
 
         // CAL forward pointer.
-        const std::uint32_t cal_pos = eba_.cal_pos_[eba_.index(block, slot)];
+        const std::uint32_t cal_pos = eba_.cal_pos_of(block, slot);
         if (!g_.config_.enable_cal) {
             if (cal_pos != kNoCalPos) {
                 add(AuditCheck::CalForward, raw, c.dst,
@@ -483,8 +538,10 @@ private:
             }
             ++cal_live_;
             const auto pos = static_cast<std::uint32_t>(base + i);
-            if (slot.owner.block >= eba_.block_count_ ||
-                slot.owner.slot >= eba_.pagewidth_) {
+            // The owner handle names its arena: the block must be one that
+            // arena handed out, the slot one of its blocks' cells.
+            if (!eba_.in_range(slot.owner.block) ||
+                slot.owner.slot >= eba_.arena(slot.owner.block).width) {
                 add(AuditCheck::CalReverse, slot.src, slot.dst,
                     "CAL slot " + std::to_string(pos) +
                         " owner reference outside the arena");
@@ -493,8 +550,7 @@ private:
             const EdgeCell& cell =
                 eba_.cell(slot.owner.block, slot.owner.slot);
             if (!eba_.is_occupied(slot.owner.block, slot.owner.slot) ||
-                eba_.cal_pos_[eba_.index(slot.owner.block,
-                                         slot.owner.slot)] != pos ||
+                eba_.cal_pos_of(slot.owner.block, slot.owner.slot) != pos ||
                 cell.dst != slot.dst || cell.weight != slot.weight) {
                 add(AuditCheck::CalReverse, slot.src, slot.dst,
                     "CAL slot " + std::to_string(pos) +
@@ -564,6 +620,9 @@ private:
     const GraphTinker& g_;
     const EdgeblockArray& eba_;
     AuditReport report_;
+    // Per size class: blocks reached from a top, and free-listed blocks.
+    std::vector<std::uint8_t> reached_[2];
+    std::vector<std::uint8_t> free_flag_[2];
     EdgeCount total_cells_ = 0;
     EdgeCount cal_live_ = 0;
 };
@@ -592,8 +651,7 @@ bool CorruptionInjector::break_cal_pointer(GraphTinker& graph, VertexId src,
     if (!ref) {
         return false;
     }
-    std::uint32_t& cal_pos =
-        graph.eba_.cal_pos_[graph.eba_.index(ref->block, ref->slot)];
+    std::uint32_t& cal_pos = graph.eba_.cal_pos_of(ref->block, ref->slot);
     if (cal_pos == kNoCalPos) {
         return false;
     }
@@ -605,7 +663,7 @@ bool CorruptionInjector::corrupt_probe(GraphTinker& graph, VertexId src,
                                        VertexId dst) {
     const auto ref = locate_cell(graph, src, dst);
     EdgeblockArray& eba = graph.eba_;
-    if (!ref || eba.spb_ < 2) {
+    if (!ref || EdgeblockArray::is_narrow(ref->block) || eba.spb_ < 2) {
         return false;
     }
     // Swap the cell with the first slot of the next subblock (wrapping):
@@ -616,8 +674,7 @@ bool CorruptionInjector::corrupt_probe(GraphTinker& graph, VertexId src,
     const std::uint32_t b =
         (a / eba.subblock_ + 1) % eba.spb_ * eba.subblock_;
     std::swap(eba.cell(ref->block, a), eba.cell(ref->block, b));
-    std::swap(eba.cal_pos_[eba.index(ref->block, a)],
-              eba.cal_pos_[eba.index(ref->block, b)]);
+    std::swap(eba.cal_pos_of(ref->block, a), eba.cal_pos_of(ref->block, b));
     const bool occ_b = eba.is_occupied(ref->block, b);
     const bool tomb_b = eba.is_tombstone(ref->block, b);
     eba.set_occupancy(ref->block, b, true);
@@ -633,16 +690,12 @@ bool CorruptionInjector::orphan_child(GraphTinker& graph, VertexId src) {
         return false;
     }
     EdgeblockArray& eba = graph.eba_;
-    std::vector<std::uint32_t> stack{graph.top_[*dense]};
-    while (!stack.empty()) {
-        const std::uint32_t block = stack.back();
-        stack.pop_back();
-        for (std::uint32_t s = 0; s < eba.spb_; ++s) {
-            std::uint32_t& down = eba.child(block, s);
-            if (down != EdgeblockArray::kNoBlock) {
-                down = EdgeblockArray::kNoBlock;
-                return true;
-            }
+    const std::uint32_t top = graph.top_[*dense];
+    for (std::uint32_t s = 0; s < eba.fanout(top); ++s) {
+        std::uint32_t& down = eba.child(top, s);
+        if (down != EdgeblockArray::kNoBlock) {
+            down = EdgeblockArray::kNoBlock;
+            return true;
         }
     }
     return false;
@@ -655,7 +708,7 @@ bool CorruptionInjector::link_cycle(GraphTinker& graph, VertexId src) {
     }
     EdgeblockArray& eba = graph.eba_;
     const std::uint32_t top = graph.top_[*dense];
-    for (std::uint32_t s = 0; s < eba.spb_; ++s) {
+    for (std::uint32_t s = 0; s < eba.fanout(top); ++s) {
         std::uint32_t& down = eba.child(top, s);
         if (down == EdgeblockArray::kNoBlock) {
             down = top;  // the top block becomes its own descendant
@@ -703,21 +756,72 @@ bool CorruptionInjector::branch_unfull_window(GraphTinker& graph,
     }
     EdgeblockArray& eba = graph.eba_;
     const std::uint32_t top = graph.top_[*dense];
-    for (std::uint32_t s = 0; s < eba.spb_; ++s) {
+    for (std::uint32_t s = 0; s < eba.fanout(top); ++s) {
         if (eba.child(top, s) != EdgeblockArray::kNoBlock) {
             continue;
         }
         for (std::uint32_t off = 0; off < eba.subblock_; ++off) {
             if (eba.state_of(top, s * eba.subblock_ + off) ==
                 CellState::Empty) {
-                eba.ensure_block_available();
-                const std::uint32_t fresh = eba.allocate_block();
+                const std::uint32_t fresh =
+                    eba.allocate_block(BlockClass::Wide);
                 eba.child(top, s) = fresh;
                 return true;
             }
         }
     }
     return false;
+}
+
+bool CorruptionInjector::widen_top(GraphTinker& graph, VertexId src) {
+    const auto dense = graph.dense_of(src);
+    if (!dense) {
+        return false;
+    }
+    std::uint32_t& top = graph.top_[*dense];
+    if (top == EdgeblockArray::kNoBlock || !EdgeblockArray::is_narrow(top)) {
+        return false;
+    }
+    ProbeWork work;
+    (void)graph.eba_.promote(top, work);
+    return true;
+}
+
+bool CorruptionInjector::link_narrow_as_child(GraphTinker& graph,
+                                              VertexId src) {
+    const auto dense = graph.dense_of(src);
+    if (!dense) {
+        return false;
+    }
+    EdgeblockArray& eba = graph.eba_;
+    const std::uint32_t top = graph.top_[*dense];
+    if (top == EdgeblockArray::kNoBlock || EdgeblockArray::is_narrow(top)) {
+        return false;
+    }
+    // Prefer a full childless window, so only the class rule breaks.
+    std::uint32_t pick = EdgeblockArray::kNoBlock;
+    for (std::uint32_t s = 0; s < eba.fanout(top); ++s) {
+        if (eba.child(top, s) != EdgeblockArray::kNoBlock) {
+            continue;
+        }
+        bool full = true;
+        for (std::uint32_t off = 0; off < eba.subblock_; ++off) {
+            full = full && eba.is_occupied(top, s * eba.subblock_ + off);
+        }
+        if (full) {
+            pick = s;
+            break;
+        }
+        if (pick == EdgeblockArray::kNoBlock) {
+            pick = s;
+        }
+    }
+    if (pick == EdgeblockArray::kNoBlock) {
+        return false;
+    }
+    const std::uint32_t fresh = eba.allocate_block(BlockClass::Narrow);
+    eba.child(top, pick) = fresh;
+    return true;
 }
 
 }  // namespace gt::core

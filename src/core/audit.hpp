@@ -43,6 +43,11 @@
 //                     under the vertex's tree
 //   edge accounting   the global edge counter, the per-vertex sum and the
 //                     CAL live count all agree
+//   size class        a narrow block is only ever a top (never a linked
+//                     child) and exists only when PAGEWIDTH > SUBBLOCK, the
+//                     narrow free list is in range, disjoint and scrubbed,
+//                     and under compact deletes every wide top holds more
+//                     than SUBBLOCK/2 live edges (smaller ones demote)
 #pragma once
 
 #include <cstdint>
@@ -73,6 +78,7 @@ enum class AuditCheck : std::uint8_t {
     DegreeAccounting,  // per-vertex degree counter drift
     EdgeAccounting,    // global edge counters disagree
     TbhBranchedFull,   // window that links a child holds an EMPTY cell
+    SizeClass,         // narrow block misplaced or a wide top left too small
 };
 
 [[nodiscard]] std::string_view to_string(AuditCheck check) noexcept;
@@ -108,6 +114,8 @@ struct AuditReport {
     EdgeCount live_edges = 0;    // occupied cells across reachable trees
     EdgeCount tombstones = 0;    // tombstone cells across reachable trees
     std::size_t cal_blocks = 0;  // CAL blocks reached via group chains
+    std::size_t wide_blocks = 0;    // reachable blocks of each size class
+    std::size_t narrow_blocks = 0;
 
     [[nodiscard]] bool ok() const noexcept { return violations.empty(); }
     /// True when the report contains at least one violation of `check`.
@@ -158,6 +166,14 @@ public:
     /// Links a fresh empty block under the first childless subblock window
     /// of `src`'s top block that holds an EMPTY cell -> TbhBranchedFull.
     static bool branch_unfull_window(GraphTinker& graph, VertexId src);
+    /// Re-places the edges of `src`'s narrow top into a wide top, CAL
+    /// owners re-bound, as a promotion would — but without the full window
+    /// that triggers one. With at most SUBBLOCK/2 edges under compact
+    /// deletes -> SizeClass alone.
+    static bool widen_top(GraphTinker& graph, VertexId src);
+    /// Links a fresh narrow block as the child of a childless window of
+    /// `src`'s wide top (a full one when there is one) -> SizeClass.
+    static bool link_narrow_as_child(GraphTinker& graph, VertexId src);
 
 private:
     /// Locates the edge-cell of (src, dst); nullopt when absent.

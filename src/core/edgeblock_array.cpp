@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <new>
 
 #include "core/probe_kernel.hpp"
 #include "util/failpoint.hpp"
@@ -32,13 +33,12 @@ thread_local DeferredStats g_deferred_stats;
 /// When `probe_hist` is set, the operation's total probe distance (cells)
 /// additionally lands in that histogram — sampled and gated, so the cost
 /// with recording off is one predictable branch per op.
-struct StatsFlush {
-    const gt::core::EbaMetrics& m;
-    gt::obs::Histogram* probe_hist = nullptr;
-    std::uint64_t cells = 0;
-    std::uint64_t workblocks = 0;
-    std::uint64_t swaps = 0;
-    std::uint64_t branch_outs = 0;
+struct StatsFlush : gt::core::ProbeWork {
+    StatsFlush(const gt::core::EbaMetrics& metrics,
+               gt::obs::Histogram* hist) noexcept
+        : m(metrics), probe_hist(hist) {}
+    StatsFlush(const StatsFlush&) = delete;
+    StatsFlush& operator=(const StatsFlush&) = delete;
     ~StatsFlush() {
         if (probe_hist != nullptr) {
             probe_hist->record_sampled(cells);
@@ -63,11 +63,21 @@ struct StatsFlush {
             m.branch_outs->add(branch_outs);
         }
     }
+
+    const gt::core::EbaMetrics& m;
+    gt::obs::Histogram* probe_hist;
 };
 
 }  // namespace
 
 namespace gt::core {
+
+namespace {
+
+/// Arena indices stay below the handle's class bit.
+constexpr std::uint32_t kMaxArenaBlocks = EdgeblockArray::kNarrowTag - 1;
+
+}  // namespace
 
 EdgeblockArray::EdgeblockArray(const Config& config, CoarseAdjacencyList* cal,
                                obs::Registry* registry)
@@ -78,10 +88,13 @@ EdgeblockArray::EdgeblockArray(const Config& config, CoarseAdjacencyList* cal,
       rhh_(config.rhh_active()),
       compact_delete_(config.deletion_mode == DeletionMode::DeleteAndCompact),
       kernel_ok_(config.subblock <= 64),
-      words_per_block_((config.pagewidth + 63) / 64),
       cal_(cal),
       registry_(registry) {
     config.validate();
+    arenas_[0].width = pagewidth_;
+    arenas_[0].words = (pagewidth_ + 63) / 64;
+    arenas_[1].width = subblock_;
+    arenas_[1].words = (subblock_ + 63) / 64;
     if (registry_ == nullptr) {
         owned_registry_ = std::make_unique<obs::Registry>();
         registry_ = owned_registry_.get();
@@ -96,93 +109,160 @@ EdgeblockArray::EdgeblockArray(const Config& config, CoarseAdjacencyList* cal,
     metrics_.trees_rebuilt = &r.counter("eba.trees_rebuilt");
     metrics_.tombstones_purged = &r.counter("eba.tombstones_purged");
     metrics_.unbranch_moves = &r.counter("eba.unbranch_moves");
+    metrics_.promotions = &r.counter("eba.promotions");
+    metrics_.demotions = &r.counter("eba.demotions");
     metrics_.find_probe_cells = &r.histogram("eba.find_probe_cells");
     metrics_.insert_probe_cells = &r.histogram("eba.insert_probe_cells");
     if (config.reserve_edges > 0) {
-        // Pre-size the arena eagerly (resize, not reserve) so the bulk
+        // Pre-size the arenas eagerly (resize, not reserve) so the bulk
         // fills and first-touch page faults happen here instead of on the
-        // insert hot path. Hash-sharded subblocks branch out well before a
-        // block fills (skewed streams average ~a quarter occupancy), hence
-        // the 4-edges-per-pagewidth sizing; geometric growth in
-        // allocate_block covers any tail.
-        const std::size_t blocks = std::min<std::size_t>(
-            static_cast<std::size_t>(config.reserve_edges * 4 / pagewidth_) +
-                config.initial_vertices + 1,
-            kNoBlock - 1);
-        grow_storage(static_cast<std::uint32_t>(blocks));
+        // insert hot path. Without narrow tops, hash-sharded subblocks
+        // branch out well before a block fills (skewed streams average ~a
+        // quarter occupancy), hence 4 edges per pagewidth plus a top per
+        // expected vertex. With them, the census of a churned power-law
+        // window (1M edges over 190k sources at 64/8/4) is one narrow top
+        // per 6 edges and one wide block per 24. Geometric growth covers
+        // any tail.
+        const std::uint64_t edges = config.reserve_edges;
+        const std::uint64_t tops = config.initial_vertices + 1;
+        const auto cap = [](std::uint64_t blocks) {
+            return std::min<std::uint64_t>(blocks, kMaxArenaBlocks);
+        };
+        if (has_narrow_class()) {
+            grow_storage(BlockClass::Narrow, cap(edges / 6 + tops));
+            grow_storage(BlockClass::Wide, cap(edges / 24 + 1));
+        } else {
+            grow_storage(BlockClass::Wide, cap(edges * 4 / pagewidth_ + tops));
+        }
     }
 }
 
-void EdgeblockArray::grow_storage(std::uint32_t target) {
+void EdgeblockArray::grow_storage(BlockClass c, std::uint64_t need) {
+    // Grow by many blocks at once: branch-outs and new tops allocate
+    // constantly on the insert hot path, and five small resizes per block
+    // (each element-constructing one block's worth of cells) cost more
+    // than one bulk fill amortized over the chunk.
+    Arena& a = arenas_[static_cast<std::size_t>(c)];
+    const std::uint64_t target = std::min<std::uint64_t>(
+        std::max<std::uint64_t>(
+            {need, std::uint64_t{a.storage} + a.storage / 2, 64}),
+        kMaxArenaBlocks);
+    if (target < need) {
+        throw std::bad_alloc();
+    }
     // Resize order is failure-safe: if any resize throws, the vectors that
-    // already grew merely carry unused slack (block_count_ and
-    // storage_blocks_ are written only after every resize landed), so the
-    // arena stays consistent. The line allocator keeps every reallocated
-    // buffer cache-line aligned.
-    const std::size_t cells = static_cast<std::size_t>(target) * pagewidth_;
-    cells_.resize(cells + kArenaPadCells);
-    cal_pos_.resize(cells, kNoCalPos);
-    children_.resize(static_cast<std::size_t>(target) * spb_, kNoBlock);
-    occupied_.resize(target, 0);
-    masks_.resize(static_cast<std::size_t>(target) * words_per_block_ * 2, 0);
-    storage_blocks_ = target;
+    // already grew merely carry unused slack (count and storage are written
+    // only after every resize landed), so the arena stays consistent. The
+    // line allocator keeps every reallocated buffer cache-line aligned.
+    const std::size_t cells = target * a.width;
+    a.cells.resize(cells + kArenaPadCells);
+    a.cal_pos.resize(cells, kNoCalPos);
+    if (c == BlockClass::Wide) {
+        children_.resize(target * spb_, kNoBlock);
+    }
+    a.occupied.resize(target, 0);
+    a.masks.resize(target * a.words * 2, 0);
+    a.free.reserve(target);
+    a.storage = static_cast<std::uint32_t>(target);
 }
 
-void EdgeblockArray::ensure_block_available() {
-    if (!free_blocks_.empty() || block_count_ < storage_blocks_) {
+void EdgeblockArray::ensure_available(BlockClass c, std::uint32_t n) {
+    const Arena& a = arenas_[static_cast<std::size_t>(c)];
+    if (a.free.size() + (a.storage - a.count) >= n) {
         return;
     }
     GT_FAILPOINT("eba.grow");
-    // Grow the arena by many blocks at once: branch-outs allocate
-    // constantly on the insert hot path, and five small resizes per
-    // block (each element-constructing one block's worth of cells)
-    // cost more than one bulk fill amortized over the chunk.
-    grow_storage(std::max({block_count_ + 1,
-                           storage_blocks_ + storage_blocks_ / 2, 64U}));
+    grow_storage(c, std::uint64_t{a.count} + n);
 }
 
-std::uint32_t EdgeblockArray::allocate_block() {
-    std::uint32_t block;
-    if (!free_blocks_.empty()) {
-        block = free_blocks_.back();
-        free_blocks_.pop_back();
-    } else {
-        block = block_count_++;
-        if (block_count_ > storage_blocks_) {
-            // Growth fallback for paths that skipped the pre-flight
-            // (maintenance rebuilds); the insert path always runs
-            // ensure_block_available first, so it never grows here.
-            grow_storage(std::max(
-                {block_count_, storage_blocks_ + storage_blocks_ / 2, 64U}));
-        }
-        return block;  // freshly appended storage is already cleared
+void EdgeblockArray::prepare_insert(std::uint32_t top) {
+    if (top == kNoBlock) {
+        ensure_available(
+            has_narrow_class() ? BlockClass::Narrow : BlockClass::Wide, 1);
+    } else if (!is_narrow(top)) {
+        ensure_available(BlockClass::Wide, 1);
+    } else if (!has_empty_cell(top)) {
+        // Only a narrow window without an EMPTY cell can overflow. Its
+        // promotion takes a wide top, plus one branch-out when all
+        // SUBBLOCK + 1 edges hash to one window of it.
+        ensure_available(BlockClass::Wide, 2);
     }
-    // Free-listed blocks were scrubbed clean by free_block (an invariant
-    // the auditor enforces), so recycling is pop-and-go.
-    assert(occupied_[block] == 0);
-    return block;
 }
 
-void EdgeblockArray::free_block(std::uint32_t block) {
-    assert(occupied_[block] == 0);
+bool EdgeblockArray::has_empty_cell(std::uint32_t narrow) const noexcept {
+    // A narrow block is one window: every mask bit up to its width is a
+    // cell of it.
+    const std::uint64_t all = window_mask(std::min(subblock_, 64U));
+    for (std::uint32_t w = 0; w < arena(narrow).words; ++w) {
+        if (((occ_mask(narrow, w) | tomb_mask(narrow, w)) & all) != all) {
+            return true;
+        }
+    }
+    return false;
+}
+
+void EdgeblockArray::prepare_erase(std::uint32_t top) {
+    // An erase takes at most one edge out of the top block (a hole in a
+    // window that links a child is refilled from below), so only a wide
+    // top one edge above the demotion threshold can demote.
+    if (compact_delete_ && has_narrow_class() && top != kNoBlock &&
+        !is_narrow(top) && occupied(top) <= subblock_ / 2 + 1) {
+        ensure_available(BlockClass::Narrow, 1);
+    }
+}
+
+std::uint32_t EdgeblockArray::allocate_top(std::uint32_t edges) {
+    return allocate_block(has_narrow_class() && edges <= subblock_
+                              ? BlockClass::Narrow
+                              : BlockClass::Wide);
+}
+
+std::uint32_t EdgeblockArray::allocate_block(BlockClass c) {
+    Arena& a = arenas_[static_cast<std::size_t>(c)];
+    if (!a.free.empty()) {
+        const std::uint32_t index = a.free.back();
+        a.free.pop_back();
+        // Free-listed blocks were scrubbed clean by release_block (an
+        // invariant the auditor enforces), so recycling is pop-and-go.
+        assert(a.occupied[index] == 0);
+        return handle(c, index);
+    }
+    if (a.count == a.storage) {
+        // Growth fallback for paths that skipped the pre-flight (direct
+        // EdgeblockArray use, maintenance rebuilds); GraphTinker's insert
+        // and erase paths always run prepare_insert/prepare_erase first,
+        // so they never grow here.
+        grow_storage(c, std::uint64_t{a.count} + 1);
+    }
+    // Freshly appended storage is already cleared.
+    return handle(c, a.count++);
+}
+
+void EdgeblockArray::release_block(std::uint32_t block) {
+    assert(occupied(block) == 0);
     // Scrub on the way out so free-listed blocks hold no live or tombstoned
     // cells and no child links — allocate_block recycles them without
     // re-clearing, and the auditor checks reclaimed blocks are genuinely
     // empty. The masks are the cells' state, so clearing them empties every
     // cell; stale dst/weight/CAL bytes are never read while unoccupied.
-    for (std::uint32_t w = 0; w < words_per_block_; ++w) {
-        masks_[occ_word(block, w)] = 0;
-        masks_[tomb_word(block, w)] = 0;
+    Arena& a = arena(block);
+    for (std::uint32_t w = 0; w < a.words; ++w) {
+        occ_mask(block, w) = 0;
+        tomb_mask(block, w) = 0;
     }
-    for (std::uint32_t s = 0; s < spb_; ++s) {
+    for (std::uint32_t s = 0; s < fanout(block); ++s) {
         child(block, s) = kNoBlock;
     }
-    free_blocks_.push_back(block);
+    a.free.push_back(block_index(block));  // capacity >= storage: no throw
+}
+
+void EdgeblockArray::free_block(std::uint32_t block) {
+    release_block(block);
     metrics_.blocks_freed->inc();
 }
 
 void EdgeblockArray::free_subtree(std::uint32_t block) {
-    for (std::uint32_t s = 0; s < spb_; ++s) {
+    for (std::uint32_t s = 0; s < fanout(block); ++s) {
         const std::uint32_t c = child(block, s);
         if (c != kNoBlock) {
             free_subtree(c);
@@ -193,10 +273,10 @@ void EdgeblockArray::free_subtree(std::uint32_t block) {
 }
 
 bool EdgeblockArray::subtree_is_empty(std::uint32_t block) const {
-    if (occupied_[block] != 0) {
+    if (occupied(block) != 0) {
         return false;
     }
-    for (std::uint32_t s = 0; s < spb_; ++s) {
+    for (std::uint32_t s = 0; s < fanout(block); ++s) {
         if (child(block, s) != kNoBlock) {
             return false;  // descendants were pruned eagerly; conservative
         }
@@ -241,8 +321,8 @@ FindStep EdgeblockArray::find_in_window(std::uint32_t block,
         // the occupancy/tombstone windows decide found/absent/descend
         // without a per-cell walk (see core/probe_kernel.hpp).
         const WindowBits bits = window_bits(block, sb_base);
-        const SubblockWindow w{&cells_[index(block, sb_base)], subblock_,
-                               bits.occ, bits.tomb};
+        const SubblockWindow w{&cell(block, sb_base), subblock_, bits.occ,
+                               bits.tomb};
         return rhh_ ? find_step<kProbeKernelSimd>(w, home_of(dst, level), dst)
                     : find_step_full<kProbeKernelSimd>(w, dst);
     }
@@ -307,7 +387,7 @@ std::optional<EdgeblockArray::Located> EdgeblockArray::locate(
     std::uint32_t block = top;
     std::uint32_t level = 0;
     while (block != kNoBlock) {
-        const std::uint32_t sb = sb_of(dst, level);
+        const std::uint32_t sb = window_of(block, dst, level);
         const std::uint32_t sb_base = sb * subblock_;
         const FindStep step = find_in_window(block, sb_base, level, dst);
         flush.cells += step.scanned;
@@ -318,7 +398,7 @@ std::optional<EdgeblockArray::Located> EdgeblockArray::locate(
         if (step.kind == FindStep::Kind::Absent) {
             return std::nullopt;
         }
-        block = child(block, sb);
+        block = next_block(block, sb);
         ++level;
     }
     return std::nullopt;
@@ -358,19 +438,18 @@ EdgeblockArray::ProbeResult EdgeblockArray::probe_insert(std::uint32_t& top,
                                                          Weight weight) {
     StatsFlush flush{metrics_, metrics_.insert_probe_cells};
     if (top == kNoBlock) {
-        top = allocate_block();
-        const std::uint32_t sb = sb_of(dst, 0);
-        const std::uint32_t home = home_of(dst, 0);
+        top = allocate_top();
         ++flush.cells;
-        return ProbeResult{ProbeResult::Kind::PlaceAt, kNoCalPos,
-                           CellRef{top, sb * subblock_ + home}};
+        return ProbeResult{
+            ProbeResult::Kind::PlaceAt, kNoCalPos,
+            CellRef{top, window_of(top, dst, 0) * subblock_ + home_of(dst, 0)}};
     }
     // Duplicate: overwrite the weight in place, keeping the old one for
     // the batch undo journal.
     const auto duplicate = [&](std::uint32_t block, std::uint32_t slot) {
         EdgeCell& c = cell(block, slot);
-        ProbeResult dup{ProbeResult::Kind::Duplicate,
-                        cal_pos_[index(block, slot)], CellRef{}};
+        ProbeResult dup{ProbeResult::Kind::Duplicate, cal_pos_of(block, slot),
+                        CellRef{}};
         dup.prev_weight = c.weight;
         c.weight = weight;
         return dup;
@@ -378,7 +457,8 @@ EdgeblockArray::ProbeResult EdgeblockArray::probe_insert(std::uint32_t& top,
     std::uint32_t block = top;
     std::uint32_t level = 0;
     // Where insert_new resumes when the probe returns Absent: see the
-    // ProbeResult fields.
+    // ProbeResult fields. A full narrow top is such a point too: the
+    // cascade promotes it.
     std::uint32_t resume_block = top;
     std::uint32_t resume_level = 0;
     if (!rhh_) {
@@ -391,9 +471,9 @@ EdgeblockArray::ProbeResult EdgeblockArray::probe_insert(std::uint32_t& top,
         // resume point and insert_new branches out below it.
         std::optional<CellRef> place;
         while (block != kNoBlock) {
-            const std::uint32_t sb = sb_of(dst, level);
+            const std::uint32_t sb = window_of(block, dst, level);
             const std::uint32_t sb_base = sb * subblock_;
-            simd::prefetch_write(&cal_pos_[index(block, sb_base)]);
+            simd::prefetch_write(&cal_pos_of(block, sb_base));
             const FindStep step = find_in_window(block, sb_base, level, dst);
             flush.cells += step.scanned;
             flush.workblocks += (step.scanned + workblock_ - 1) / workblock_;
@@ -408,7 +488,7 @@ EdgeblockArray::ProbeResult EdgeblockArray::probe_insert(std::uint32_t& top,
             }
             resume_block = block;
             resume_level = level;
-            block = child(block, sb);
+            block = next_block(block, sb);
             ++level;
         }
         if (place) {
@@ -429,13 +509,13 @@ EdgeblockArray::ProbeResult EdgeblockArray::probe_insert(std::uint32_t& top,
         // duplicate and first-EMPTY detection run on the subblock's masks
         // and one SIMD dst compare per level.
         while (block != kNoBlock) {
-            const std::uint32_t sb = sb_of(dst, level);
+            const std::uint32_t sb = window_of(block, dst, level);
             const std::uint32_t sb_base = sb * subblock_;
             // The walk usually ends writing this window's CAL pointers (a
             // placement or a weight update): fetch that line alongside.
-            simd::prefetch_write(&cal_pos_[index(block, sb_base)]);
+            simd::prefetch_write(&cal_pos_of(block, sb_base));
             const WindowBits bits = window_bits(block, sb_base);
-            const SubblockWindow w{&cells_[index(block, sb_base)], subblock_,
+            const SubblockWindow w{&cell(block, sb_base), subblock_,
                                    bits.occ, bits.tomb};
             const ProbeStep step = probe_step<kProbeKernelSimd>(
                 w, home_of(dst, level), dst, [&](std::uint32_t off) {
@@ -467,14 +547,14 @@ EdgeblockArray::ProbeResult EdgeblockArray::probe_insert(std::uint32_t& top,
                 resume_block = block;
                 resume_level = level;
             }
-            block = child(block, sb);
+            block = next_block(block, sb);
             ++level;
         }
         return ProbeResult{ProbeResult::Kind::Absent, kNoCalPos, CellRef{},
                            resume_block, resume_level};
     }
     while (block != kNoBlock) {
-        const std::uint32_t sb = sb_of(dst, level);
+        const std::uint32_t sb = window_of(block, dst, level);
         const std::uint32_t sb_base = sb * subblock_;
         const std::uint32_t home = home_of(dst, level);
         for (std::uint32_t d = 0; d < subblock_; ++d) {
@@ -515,7 +595,7 @@ EdgeblockArray::ProbeResult EdgeblockArray::probe_insert(std::uint32_t& top,
             resume_block = block;
             resume_level = level;
         }
-        block = child(block, sb);
+        block = next_block(block, sb);
         ++level;
     }
     return ProbeResult{ProbeResult::Kind::Absent, kNoCalPos, CellRef{},
@@ -527,37 +607,41 @@ void EdgeblockArray::insert_new(std::uint32_t& top, VertexId dst,
                                 std::uint32_t start_block,
                                 std::uint32_t start_level) {
     if (top == kNoBlock) {
-        top = allocate_block();
+        top = allocate_top();
         start_block = kNoBlock;
     }
+    // When the caller's probe proved the levels above `start_block` are
+    // full windows with no tombstone and no swap point, the cascade resumes
+    // there directly.
+    StatsFlush flush{metrics_, metrics_.insert_probe_cells};
+    const bool resume = start_block != kNoBlock;
+    cascade(top, resume ? start_block : top, resume ? start_level : 0,
+            LiveEdge{dst, weight, new_cal_pos}, flush);
+}
+
+void EdgeblockArray::cascade(std::uint32_t& top, std::uint32_t block,
+                             std::uint32_t level, LiveEdge carry,
+                             ProbeWork& work) {
     // INSERT mode: Robin Hood within the subblock, Tree-Based Hashing
     // descent on congestion. `carry` is the floating edge; after a swap it
     // becomes the displaced resident. Every element placed into a cell has
     // its CAL copy re-bound to the new location — the new edge included,
-    // since it carries `new_cal_pos` from the start. When the caller's
-    // probe proved the levels above `start_block` are full windows with no
-    // tombstone and no swap point, the cascade resumes there directly.
-    StatsFlush flush{metrics_, metrics_.insert_probe_cells};
-    std::uint32_t block = start_block == kNoBlock ? top : start_block;
-    std::uint32_t level = start_block == kNoBlock ? 0 : start_level;
-    LiveEdge carry{dst, weight, new_cal_pos};
+    // since it carries its CAL pointer from the start.
     std::uint32_t dist = 0;  // carry's probe distance on entering a level
     for (;;) {
-        const std::uint32_t sb = sb_of(carry.dst, level);
+        const std::uint32_t sb = window_of(block, carry.dst, level);
         const std::uint32_t sb_base = sb * subblock_;
         std::uint32_t home = home_of(carry.dst, level);
-        bool placed = false;
+        if (is_narrow(block) && occupied(block) == subblock_) {
+            dist = subblock_;  // no cell to take: straight to the promotion
+        }
         while (dist < subblock_) {
             const std::uint32_t off = (home + dist) & (subblock_ - 1);
             const std::uint32_t slot = sb_base + off;
-            ++flush.cells;
+            ++work.cells;
             if (!is_occupied(block, slot)) {
-                fill(block, slot, carry);
-                if (cal_ != nullptr && carry.cal_pos != kNoCalPos) {
-                    cal_->rebind(carry.cal_pos, CellRef{block, slot});
-                }
-                placed = true;
-                break;
+                fill_and_rebind(block, slot, carry);
+                return;
             }
             EdgeCell& resident = cell(block, slot);
             const std::uint32_t resident_probe =
@@ -566,11 +650,11 @@ void EdgeblockArray::insert_new(std::uint32_t& top, VertexId dst,
                 // Rob the rich: the floater takes this cell, the richer
                 // resident is displaced and continues probing. (Without
                 // RHH the resident counts as never richer.)
-                std::uint32_t& resident_cal = cal_pos_[index(block, slot)];
+                std::uint32_t& resident_cal = cal_pos_of(block, slot);
                 std::swap(resident.dst, carry.dst);
                 std::swap(resident.weight, carry.weight);
                 std::swap(resident_cal, carry.cal_pos);
-                ++flush.swaps;
+                ++work.swaps;
                 if (cal_ != nullptr && resident_cal != kNoCalPos) {
                     cal_->rebind(resident_cal, CellRef{block, slot});
                 }
@@ -581,28 +665,71 @@ void EdgeblockArray::insert_new(std::uint32_t& top, VertexId dst,
             }
             ++dist;
         }
-        if (placed) {
-            break;
+        dist = 0;
+        if (is_narrow(block)) {
+            // No cell of the narrow top takes the carry: promote it and
+            // carry on at level 0 of the wide top that replaces it. Not a
+            // branch-out — the tree gains no level.
+            assert(level == 0 && block == top);
+            block = promote(top, work);
+            continue;
         }
         // Subblock congested: branch out (Tree-Based Hashing). NB: allocate
         // first — allocate_block() may reallocate children_, so the child
         // slot must be re-resolved afterwards.
         std::uint32_t down = child(block, sb);
         if (down == kNoBlock) {
-            down = allocate_block();
+            down = allocate_block(BlockClass::Wide);
             child(block, sb) = down;
-            ++flush.branch_outs;
+            ++work.branch_outs;
         }
         block = down;
         ++level;
-        dist = 0;
     }
+}
+
+std::uint32_t EdgeblockArray::promote(std::uint32_t& top, ProbeWork& work) {
+    const std::uint32_t narrow = top;
+    top = allocate_block(BlockClass::Wide);
+    // The narrow window held the edges the wide top's level 0 would, so
+    // each re-placement is a fresh cascade from there. SUBBLOCK edges spread
+    // over the wide top's windows; only when every one of them and the
+    // carried edge share a window does it branch out, once.
+    for_each_occupied(narrow, [&](std::uint32_t slot) {
+        const EdgeCell& c = cell(narrow, slot);
+        cascade(top, top, 0,
+                LiveEdge{c.dst, c.weight, cal_pos_of(narrow, slot)}, work);
+    });
+    occupied(narrow) = 0;
+    release_block(narrow);
+    metrics_.promotions->inc();
+    return top;
+}
+
+void EdgeblockArray::demote(std::uint32_t& top) {
+    assert(!rhh_);
+    const std::uint32_t wide = top;
+    top = allocate_block(BlockClass::Narrow);
+    // At most SUBBLOCK/2 edges, so no window of the wide top is full and it
+    // links no child; all of them fit the narrow window. Without Robin Hood
+    // swaps the first unoccupied cell from home is where the cascade would
+    // place each one.
+    for_each_occupied(wide, [&](std::uint32_t slot) {
+        const EdgeCell& c = cell(wide, slot);
+        const LiveEdge e{c.dst, c.weight, cal_pos_of(wide, slot)};
+        const auto at = first_unoccupied(top, 0, home_of(e.dst, 0));
+        assert(at.has_value());
+        fill_and_rebind(top, at->slot, e);
+    });
+    occupied(wide) = 0;
+    release_block(wide);
+    metrics_.demotions->inc();
 }
 
 bool EdgeblockArray::extract_deepest(std::uint32_t block, LiveEdge& out) {
     // Descend first: the victim must come from the deepest populated block so
     // compaction shortens probe paths.
-    for (std::uint32_t s = 0; s < spb_; ++s) {
+    for (std::uint32_t s = 0; s < fanout(block); ++s) {
         std::uint32_t& c = child(block, s);
         if (c == kNoBlock) {
             continue;
@@ -618,28 +745,31 @@ bool EdgeblockArray::extract_deepest(std::uint32_t block, LiveEdge& out) {
         free_subtree(c);
         c = kNoBlock;
     }
-    if (occupied_[block] == 0) {
+    if (occupied(block) == 0) {
         return false;
     }
-    for (std::uint32_t w = 0; w < words_per_block_; ++w) {
-        const std::uint64_t bits = masks_[occ_word(block, w)];
+    for (std::uint32_t w = 0; w < arena(block).words; ++w) {
+        const std::uint64_t bits = occ_mask(block, w);
         if (bits == 0) {
             continue;
         }
         const auto slot =
             w * 64 + static_cast<std::uint32_t>(std::countr_zero(bits));
         const EdgeCell& c = cell(block, slot);
-        out = LiveEdge{c.dst, c.weight, cal_pos_[index(block, slot)]};
-        --occupied_[block];
+        out = LiveEdge{c.dst, c.weight, cal_pos_of(block, slot)};
+        --occupied(block);
         set_occupancy(block, slot, false);
         return true;
     }
-    assert(false && "occupied_ count out of sync");
+    assert(false && "occupied count out of sync");
     return false;
 }
 
 void EdgeblockArray::refill_hole(std::uint32_t block, std::uint32_t sb,
                                  std::uint32_t slot) {
+    if (is_narrow(block)) {
+        return;  // nothing lives below a narrow top
+    }
     std::uint32_t& down = child(block, sb);
     if (down == kNoBlock) {
         return;
@@ -653,10 +783,7 @@ void EdgeblockArray::refill_hole(std::uint32_t block, std::uint32_t sb,
     // Any edge in the subtree hashes to this subblock at this level, so it
     // may legally occupy the hole (its displacement is derived from where
     // it lands).
-    fill(block, slot, victim);
-    if (cal_ != nullptr && victim.cal_pos != kNoCalPos) {
-        cal_->rebind(victim.cal_pos, CellRef{block, slot});
-    }
+    fill_and_rebind(block, slot, victim);
     metrics_.compaction_moves->inc();
     if (down != kNoBlock && subtree_is_empty(down)) {
         free_block(down);
@@ -669,40 +796,40 @@ EdgeblockArray::EraseResult EdgeblockArray::erase(std::uint32_t& top,
     if (top != kNoBlock) {
         // Most erases find their edge at level 0 and read its CAL pointer
         // next: fetch that line alongside the walk's own.
-        simd::prefetch(&cal_pos_[index(top, sb_of(dst, 0) * subblock_)]);
+        simd::prefetch(&cal_pos_of(top, window_of(top, dst, 0) * subblock_));
     }
     const auto loc = locate(top, dst);
     if (!loc) {
         return EraseResult{};
     }
-    const std::uint32_t cal_pos = cal_pos_[index(loc->block, loc->slot)];
+    const std::uint32_t cal_pos = cal_pos_of(loc->block, loc->slot);
     const Weight weight = cell(loc->block, loc->slot).weight;
     if (!compact_delete_) {
         // Delete-only: tombstone the cell; probing sees the slot as vacant
         // for future inserts but nothing shrinks.
-        --occupied_[loc->block];
+        --occupied(loc->block);
         set_occupancy(loc->block, loc->slot, false);
         set_tombstone(loc->block, loc->slot, true);
         return EraseResult{true, cal_pos, weight};
     }
-    --occupied_[loc->block];
+    --occupied(loc->block);
     set_occupancy(loc->block, loc->slot, false);
     refill_hole(loc->block, loc->sb, loc->slot);
     // Prune the now-possibly-empty tail of the hash path so the structure
     // keeps shrinking as the graph shrinks (paper: "the data structure
     // shrinks as more edges are deleted").
     prune_path(top, dst);
-    if (top != kNoBlock && subtree_is_empty(top)) {
+    if (subtree_is_empty(top)) {
         free_block(top);
         top = kNoBlock;
+    } else if (has_narrow_class() && !is_narrow(top) &&
+               occupied(top) <= subblock_ / 2) {
+        demote(top);
     }
     return EraseResult{true, cal_pos, weight};
 }
 
 void EdgeblockArray::prune_path(std::uint32_t top, VertexId dst) {
-    if (top == kNoBlock) {
-        return;
-    }
     // Record the descent path of dst, then free empty childless blocks from
     // the deepest level upward.
     struct Step {
@@ -714,9 +841,9 @@ void EdgeblockArray::prune_path(std::uint32_t top, VertexId dst) {
     std::uint32_t block = top;
     std::uint32_t level = 0;
     while (block != kNoBlock && depth < kMaxPruneDepth) {
-        const std::uint32_t sb = sb_of(dst, level);
+        const std::uint32_t sb = window_of(block, dst, level);
         path[depth++] = Step{block, sb};
-        block = child(block, sb);
+        block = next_block(block, sb);
         ++level;
     }
     for (std::size_t i = depth; i-- > 1;) {
@@ -732,21 +859,23 @@ void EdgeblockArray::prune_path(std::uint32_t top, VertexId dst) {
 
 void EdgeblockArray::prefetch_probe(std::uint32_t top,
                                     VertexId dst) const noexcept {
-    if (top == kNoBlock || top >= block_count_) {
+    if (!in_range(top)) {
         return;
     }
     // The first probe of (top, dst) reads the level-0 window's cells and
     // the mask words covering it.
-    const std::uint32_t sb0 = sb_of(dst, 0);
+    const std::uint32_t sb0 = window_of(top, dst, 0);
     prefetch_window(top, sb0 * subblock_);
-    // Warm the child handle too so the second prefetch stage
+    // Warm a wide top's child handle too so the second prefetch stage
     // (prefetch_probe_child) can read it without its own miss.
-    simd::prefetch(&children_[static_cast<std::size_t>(top) * spb_ + sb0]);
+    if (!is_narrow(top)) {
+        simd::prefetch(&children_[static_cast<std::size_t>(top) * spb_ + sb0]);
+    }
 }
 
 void EdgeblockArray::prefetch_probe_child(std::uint32_t top,
                                           VertexId dst) const noexcept {
-    if (top == kNoBlock || top >= block_count_) {
+    if (!in_range(top) || is_narrow(top)) {
         return;
     }
     const std::uint32_t sb0 = sb_of(dst, 0);
@@ -754,16 +883,14 @@ void EdgeblockArray::prefetch_probe_child(std::uint32_t top,
     // only case where the probe descends, and the masks are already cached
     // from the first prefetch stage, so this peek is (nearly) free.
     const WindowBits bits = window_bits(top, sb0 * subblock_);
-    const std::uint64_t full =
-        subblock_ >= 64 ? ~0ULL : (1ULL << subblock_) - 1;
-    if (bits.occ != full) {
+    if (bits.occ != window_mask(subblock_)) {
         return;
     }
     const std::uint32_t c = child(top, sb0);
-    if (c == kNoBlock || c >= block_count_) {
+    if (!in_range(c)) {
         return;
     }
-    prefetch_window(c, sb_of(dst, 1) * subblock_);
+    prefetch_window(c, window_of(c, dst, 1) * subblock_);
 }
 
 EdgeblockArray::TreeLoad EdgeblockArray::tree_load(std::uint32_t top) const {
@@ -776,12 +903,12 @@ EdgeblockArray::TreeLoad EdgeblockArray::tree_load(std::uint32_t top) const {
         const std::uint32_t block = stack.back();
         stack.pop_back();
         ++load.blocks;
-        load.live += occupied_[block];
-        for (std::uint32_t w = 0; w < words_per_block_; ++w) {
-            load.tombstones += static_cast<std::uint32_t>(
-                std::popcount(masks_[tomb_word(block, w)]));
+        load.live += occupied(block);
+        for (std::uint32_t w = 0; w < arena(block).words; ++w) {
+            load.tombstones +=
+                static_cast<std::uint32_t>(std::popcount(tomb_mask(block, w)));
         }
-        for (std::uint32_t s = 0; s < spb_; ++s) {
+        for (std::uint32_t s = 0; s < fanout(block); ++s) {
             if (child(block, s) != kNoBlock) {
                 stack.push_back(child(block, s));
             }
@@ -795,45 +922,45 @@ std::uint32_t EdgeblockArray::rebuild_tree(std::uint32_t& top) {
         return 0;
     }
     // Collect the live cells, freeing each block as it is drained. The
-    // freed blocks land on the free list before the reinsert below starts
+    // freed blocks land on the free lists before the reinsert below starts
     // allocating, so a rebuild recycles its own storage instead of growing
-    // the arena.
+    // the arenas.
     std::vector<LiveEdge> live;
     std::vector<std::uint32_t> stack{top};
     std::uint64_t tombstones = 0;
     while (!stack.empty()) {
         const std::uint32_t block = stack.back();
         stack.pop_back();
-        for (std::uint32_t w = 0; w < words_per_block_; ++w) {
-            std::uint64_t bits = masks_[occ_word(block, w)];
-            while (bits != 0) {
-                const auto slot =
-                    w * 64 + static_cast<std::uint32_t>(std::countr_zero(bits));
-                bits &= bits - 1;
-                const EdgeCell& c = cell(block, slot);
-                live.push_back(
-                    LiveEdge{c.dst, c.weight, cal_pos_[index(block, slot)]});
-            }
-            tombstones += static_cast<std::uint64_t>(
-                std::popcount(masks_[tomb_word(block, w)]));
+        for_each_occupied(block, [&](std::uint32_t slot) {
+            const EdgeCell& c = cell(block, slot);
+            live.push_back(LiveEdge{c.dst, c.weight, cal_pos_of(block, slot)});
+        });
+        for (std::uint32_t w = 0; w < arena(block).words; ++w) {
+            tombstones +=
+                static_cast<std::uint64_t>(std::popcount(tomb_mask(block, w)));
         }
-        for (std::uint32_t s = 0; s < spb_; ++s) {
+        for (std::uint32_t s = 0; s < fanout(block); ++s) {
             std::uint32_t& down = child(block, s);
             if (down != kNoBlock) {
                 stack.push_back(down);
                 down = kNoBlock;
             }
         }
-        occupied_[block] = 0;
+        occupied(block) = 0;
         free_block(block);
     }
     top = kNoBlock;
     metrics_.tombstones_purged->add(tombstones);
     metrics_.trees_rebuilt->inc();
-    // Reinsert through the regular INSERT cascade: placement invariants
-    // (including the delete-only EMPTY-exit soundness) hold by construction
-    // in a tombstone-free tree, and every placement re-binds the cell's CAL
-    // copy exactly as a fresh build would.
+    if (live.empty()) {
+        return 0;
+    }
+    // Reinsert through the regular INSERT cascade into a top sized for the
+    // survivors: placement invariants (including the delete-only EMPTY-exit
+    // soundness) hold by construction in a tombstone-free tree, and every
+    // placement re-binds the cell's CAL copy exactly as a fresh build
+    // would.
+    top = allocate_top(static_cast<std::uint32_t>(live.size()));
     for (const LiveEdge& e : live) {
         insert_new(top, e.dst, e.weight, e.cal_pos);
     }
@@ -841,8 +968,8 @@ std::uint32_t EdgeblockArray::rebuild_tree(std::uint32_t& top) {
 }
 
 std::uint32_t EdgeblockArray::subtree_live(std::uint32_t block) const {
-    std::uint32_t live = occupied_[block];
-    for (std::uint32_t s = 0; s < spb_; ++s) {
+    std::uint32_t live = occupied(block);
+    for (std::uint32_t s = 0; s < fanout(block); ++s) {
         const std::uint32_t down = child(block, s);
         if (down != kNoBlock) {
             live += subtree_live(down);
@@ -860,7 +987,7 @@ std::uint32_t EdgeblockArray::unbranch(std::uint32_t& top) {
 
 std::uint32_t EdgeblockArray::unbranch_block(std::uint32_t block) {
     std::uint32_t moved = 0;
-    for (std::uint32_t s = 0; s < spb_; ++s) {
+    for (std::uint32_t s = 0; s < fanout(block); ++s) {
         std::uint32_t& down = child(block, s);
         if (down == kNoBlock) {
             continue;
@@ -893,11 +1020,7 @@ std::uint32_t EdgeblockArray::unbranch_block(std::uint32_t block) {
             while (is_occupied(block, sb_base + off)) {
                 ++off;
             }
-            const std::uint32_t slot = sb_base + off;
-            fill(block, slot, victim);
-            if (cal_ != nullptr && victim.cal_pos != kNoCalPos) {
-                cal_->rebind(victim.cal_pos, CellRef{block, slot});
-            }
+            fill_and_rebind(block, sb_base + off, victim);
             ++moved;
             metrics_.unbranch_moves->inc();
         }
@@ -911,10 +1034,13 @@ std::uint32_t EdgeblockArray::unbranch_block(std::uint32_t block) {
 
 std::uint64_t EdgeblockArray::tombstones_in_arena() const noexcept {
     std::uint64_t total = 0;
-    for (std::uint32_t b = 0; b < block_count_; ++b) {
-        for (std::uint32_t w = 0; w < words_per_block_; ++w) {
-            total += static_cast<std::uint64_t>(
-                std::popcount(masks_[tomb_word(b, w)]));
+    for (const BlockClass c : {BlockClass::Wide, BlockClass::Narrow}) {
+        const Arena& a = arenas_[static_cast<std::size_t>(c)];
+        for (std::uint32_t b = 0; b < a.count; ++b) {
+            for (std::uint32_t w = 0; w < a.words; ++w) {
+                total += static_cast<std::uint64_t>(
+                    std::popcount(tomb_mask(handle(c, b), w)));
+            }
         }
     }
     return total;
@@ -925,7 +1051,7 @@ std::uint32_t EdgeblockArray::subtree_depth(std::uint32_t top) const {
         return 0;
     }
     std::uint32_t depth = 0;
-    for (std::uint32_t s = 0; s < spb_; ++s) {
+    for (std::uint32_t s = 0; s < fanout(top); ++s) {
         const std::uint32_t c = child(top, s);
         if (c != kNoBlock) {
             depth = std::max(depth, subtree_depth(c));

@@ -18,12 +18,24 @@
 // are refilled by pulling the deepest descendant edge on the same hash path
 // back up, freeing emptied edgeblocks.
 //
-// Blocks live in one pooled arena: callers (GraphTinker) hold a top-block
-// handle per dense source vertex. The structure never stores source ids —
-// ownership is implied by the handle, exactly as the paper's main-region
-// indexing implies it.
+// Level 0 is degree-adaptive. Whenever PAGEWIDTH > SUBBLOCK there are two
+// block sizes, each in its own pooled arena: *wide* blocks of PAGEWIDTH
+// cells (every tree level) and *narrow* blocks of one SUBBLOCK window (a
+// new vertex's top). A narrow top is the same window a wide top would hash
+// the vertex's edges into at level 0, minus the other windows and the child
+// handles; it never links a child. The first insert that finds it full
+// promotes it: the edges move into a fresh wide top by the usual level-0
+// hash and the insert carries on there, so hubs keep the paper's tree.
+// Under compact deletes an erase that leaves a wide top with at most
+// SUBBLOCK/2 edges demotes it again (the gap is the hysteresis). A handle
+// carries its class in its top bit (kNarrowTag), so CAL owner references
+// stay plain {handle, slot} pairs.
 //
-// The arena is shaped so one probe level reads whole cache lines: every
+// Callers (GraphTinker) hold a top-block handle per dense source vertex.
+// The structure never stores source ids — ownership is implied by the
+// handle, exactly as the paper's main-region indexing implies it.
+//
+// The arenas are shaped so one probe level reads whole cache lines: every
 // per-block array is 64-byte aligned (util/line_alloc.hpp), an edge-cell is
 // 8 bytes, so a default 8-cell subblock window is exactly one line, and a
 // block's interleaved occupancy/tombstone words share one line. A cell's
@@ -66,12 +78,26 @@ struct EbaMetrics {
     obs::Counter* trees_rebuilt = nullptr;
     obs::Counter* tombstones_purged = nullptr;
     obs::Counter* unbranch_moves = nullptr;
+    obs::Counter* promotions = nullptr;
+    obs::Counter* demotions = nullptr;
     obs::Histogram* find_probe_cells = nullptr;
     obs::Histogram* insert_probe_cells = nullptr;
 };
 
+/// Probe work one operation did, flushed into the EbaMetrics counters.
+struct ProbeWork {
+    std::uint64_t cells = 0;
+    std::uint64_t workblocks = 0;
+    std::uint64_t swaps = 0;
+    std::uint64_t branch_outs = 0;
+};
+
 /// A cell's state, as its block's occupancy/tombstone masks record it.
 enum class CellState : std::uint8_t { Empty, Occupied, Tombstone };
+
+/// The two block sizes: PAGEWIDTH-cell wide blocks and one-subblock narrow
+/// tops (see the file comment). The value is the handle's top bit.
+enum class BlockClass : std::uint8_t { Wide = 0, Narrow = 1 };
 
 /// The most primitive unit of the EdgeblockArray (one edge-cell): the edge
 /// and nothing else, so eight cells fill one cache line. State, probe
@@ -85,10 +111,26 @@ static_assert(sizeof(EdgeCell) == 8, "an edge-cell is {dst, weight}");
 class EdgeblockArray {
 public:
     static constexpr std::uint32_t kNoBlock = 0xffffffffU;
-    /// Cells of slack past the last block: one cache line, so the SIMD
-    /// compare of the arena's last window may read whole 4-cell groups
-    /// without running off the allocation.
+    /// Handle bit marking a narrow block; the low bits index its arena.
+    /// kNoBlock has it set too, so callers test for kNoBlock first.
+    static constexpr std::uint32_t kNarrowTag = 0x80000000U;
+    /// Cells of slack past each arena's last block: one cache line, so the
+    /// SIMD compare of the last window may read whole 4-cell groups without
+    /// running off the allocation.
     static constexpr std::size_t kArenaPadCells = kCacheLine / sizeof(EdgeCell);
+
+    [[nodiscard]] static constexpr bool is_narrow(std::uint32_t h) noexcept {
+        return (h & kNarrowTag) != 0;
+    }
+    [[nodiscard]] static constexpr BlockClass class_of(
+        std::uint32_t h) noexcept {
+        return is_narrow(h) ? BlockClass::Narrow : BlockClass::Wide;
+    }
+    /// The handle of block `index` of class `c`'s arena.
+    [[nodiscard]] static constexpr std::uint32_t handle(
+        BlockClass c, std::uint32_t index) noexcept {
+        return c == BlockClass::Narrow ? index | kNarrowTag : index;
+    }
 
     /// `cal` may be null (CAL feature disabled); when set, the array keeps
     /// CAL-pointers consistent whenever cells move. `registry` names where
@@ -115,7 +157,7 @@ public:
 
     /// INSERT mode only — precondition: (…, dst) is absent under `top`
     /// (i.e. find_ref returned nothing). Used by callers that already ran
-    /// the FIND stage themselves.
+    /// the FIND stage themselves. A full narrow top is promoted on the way.
     /// `start_block`/`start_level` (optional) resume the cascade below the
     /// tree's top: probe_insert proves that every level above its Absent
     /// resume point is a full window with no tombstone and no Robin Hood
@@ -156,24 +198,21 @@ public:
     };
     ProbeResult probe_insert(std::uint32_t& top, VertexId dst, Weight weight);
 
-    /// Growth pre-flight for the insert path: guarantees that at least one
-    /// block can be allocated without the arena having to grow, so the
-    /// probe/cascade that follows cannot hit an allocation failure after it
-    /// has started mutating cells (one insert allocates at most one block —
-    /// a branch-out's fresh child absorbs the carried edge immediately).
-    /// All throwing work (the "eba.grow" fail point and the backing-vector
+    /// Growth pre-flight for one insert under `top`: makes sure every block
+    /// the probe/cascade that follows may allocate exists without an arena
+    /// having to grow — a fresh top; the promotion of a narrow top plus the
+    /// one branch-out re-placing its edges can need (all SUBBLOCK + 1 edges
+    /// hashing to one window); or one branch-out below a wide top (a
+    /// branch-out's fresh child absorbs the carried edge immediately). All
+    /// throwing work (the "eba.grow" fail point and the backing-vector
     /// resizes) happens here, before any structural mutation, which is what
     /// makes a mid-batch allocation failure cleanly roll-backable.
-    void ensure_block_available();
+    void prepare_insert(std::uint32_t top);
 
-    /// Erase-path counterpart: keeps the block free-list able to absorb
-    /// every block that exists, so the (possibly several) free_block calls
-    /// a compacting erase performs can never throw mid-mutation.
-    void ensure_erase_headroom() {
-        if (free_blocks_.capacity() < block_count_) {
-            free_blocks_.reserve(block_count_);
-        }
-    }
+    /// Erase-path counterpart: the narrow block a demoting erase under
+    /// `top` allocates. Block frees never throw — every free list keeps
+    /// room for its whole arena.
+    void prepare_erase(std::uint32_t top);
 
     /// Writes a new edge into the cell pinned by probe_insert (PlaceAt).
     void place_at(CellRef ref, VertexId dst, Weight weight,
@@ -183,16 +222,16 @@ public:
 
     /// Software-prefetches the lines a FIND/INSERT probe of (`top`, `dst`)
     /// reads at level 0: the subblock window's cells (one line at the
-    /// default geometry), the block's mask line and the child handle the
-    /// walk descends through. The batched ingest path calls this for the
-    /// *next* source run while the current one drains, hiding the arena
-    /// miss.
+    /// default geometry), the block's mask line and, for a wide top, the
+    /// child handle the walk descends through. The batched ingest path
+    /// calls this for the *next* source run while the current one drains,
+    /// hiding the arena miss.
     void prefetch_probe(std::uint32_t top, VertexId dst) const noexcept;
 
     /// Second prefetch stage: once prefetch_probe's lines have landed, the
-    /// level-0 masks are cheap to read, so this peeks at them — if the
-    /// level-0 subblock is full (the probe will descend) it prefetches the
-    /// level-1 child's window and mask line too. Call it at a *shorter*
+    /// level-0 masks are cheap to read, so this peeks at them — if a wide
+    /// top's level-0 subblock is full (the probe will descend) it prefetches
+    /// the level-1 child's window and mask line too. Call it at a *shorter*
     /// lookahead distance than prefetch_probe so the stage-1 lines have
     /// arrived.
     void prefetch_probe_child(std::uint32_t top, VertexId dst) const noexcept;
@@ -220,8 +259,8 @@ public:
     };
 
     /// Deletes (…, dst) under the configured deletion mode. In
-    /// delete-and-compact mode, `top` may be reset to kNoBlock when the
-    /// vertex's whole subtree empties.
+    /// delete-and-compact mode `top` may be rewritten: to kNoBlock when the
+    /// vertex's whole subtree empties, or to a narrow block on demotion.
     EraseResult erase(std::uint32_t& top, VertexId dst);
 
     // ---- maintenance primitives (policy lives in core/maintenance.hpp) ---
@@ -235,12 +274,13 @@ public:
     [[nodiscard]] TreeLoad tree_load(std::uint32_t top) const;
 
     /// Tombstone purge: collects the live cells under `top`, frees the whole
-    /// subtree and reinserts them into a fresh tree. Tombstones vanish, the
-    /// Robin Hood placement returns to fresh-build probe distance, depth
-    /// shrinks, and surplus blocks land on the free list. CAL pointers of
-    /// moved cells are re-bound through the usual insert path. Returns the
-    /// number of live cells reinserted; `top` is rewritten (kNoBlock when
-    /// the tree held no live cells).
+    /// subtree and reinserts them into a fresh tree — rooted in a narrow top
+    /// when they fit one window. Tombstones vanish, the Robin Hood placement
+    /// returns to fresh-build probe distance, depth shrinks, and surplus
+    /// blocks land on the free lists. CAL pointers of moved cells are
+    /// re-bound through the usual insert path. Returns the number of live
+    /// cells reinserted; `top` is rewritten (kNoBlock when the tree held no
+    /// live cells).
     std::uint32_t rebuild_tree(std::uint32_t& top);
 
     /// TBH un-branching: bottom-up, merges every child subtree whose live
@@ -260,7 +300,7 @@ public:
     /// Rewrites a cell's CAL pointer (used right after a CAL insert, and by
     /// CAL compaction when a CAL edge moves).
     void set_cal_pos(CellRef ref, std::uint32_t pos) {
-        cal_pos_[index(ref.block, ref.slot)] = pos;
+        cal_pos_of(ref.block, ref.slot) = pos;
     }
 
     /// Visits every live out-edge under `top`: fn(dst, weight), where fn may
@@ -281,24 +321,23 @@ public:
         while (visit_stack_.size() > sbase) {
             const std::uint32_t block = visit_stack_.back();
             visit_stack_.pop_back();
-            const std::size_t base = index(block, 0);
-            for (std::uint32_t w = 0; w < words_per_block_; ++w) {
-                std::uint64_t bits = masks_[occ_word(block, w)];
+            const EdgeCell* cells = &cell(block, 0);
+            for (std::uint32_t w = 0; w < arena(block).words; ++w) {
+                std::uint64_t bits = occ_mask(block, w);
                 while (bits != 0) {
                     const auto i = static_cast<std::uint32_t>(
                         std::countr_zero(bits));
                     bits &= bits - 1;
-                    const EdgeCell& c = cells_[base + w * 64 + i];
+                    const EdgeCell& c = cells[w * 64 + i];
                     if (!visit_step(fn, c.dst, c.weight)) {
                         visit_stack_.resize(sbase);
                         return false;
                     }
                 }
             }
-            const std::size_t cbase = static_cast<std::size_t>(block) * spb_;
-            for (std::uint32_t s = 0; s < spb_; ++s) {
-                if (children_[cbase + s] != kNoBlock) {
-                    visit_stack_.push_back(children_[cbase + s]);
+            for (std::uint32_t s = 0; s < fanout(block); ++s) {
+                if (child(block, s) != kNoBlock) {
+                    visit_stack_.push_back(child(block, s));
                 }
             }
         }
@@ -307,30 +346,66 @@ public:
 
     // ---- diagnostics / test hooks -------------------------------------
 
+    /// Blocks currently holding a tree node, of one class or of both (every
+    /// narrow block in use is a top).
+    [[nodiscard]] std::size_t blocks_in_use(BlockClass c) const noexcept {
+        const Arena& a = arenas_[static_cast<std::size_t>(c)];
+        return a.count - a.free.size();
+    }
     [[nodiscard]] std::size_t blocks_in_use() const noexcept {
-        return block_count_ - free_blocks_.size();
+        return blocks_in_use(BlockClass::Wide) +
+               blocks_in_use(BlockClass::Narrow);
+    }
+    /// Blocks ever handed out (in use plus free-listed), per class or both.
+    [[nodiscard]] std::size_t blocks_allocated(BlockClass c) const noexcept {
+        return arenas_[static_cast<std::size_t>(c)].count;
     }
     [[nodiscard]] std::size_t blocks_allocated() const noexcept {
-        return block_count_;
+        return blocks_allocated(BlockClass::Wide) +
+               blocks_allocated(BlockClass::Narrow);
     }
-    /// Bytes held by in-use blocks (cells + CAL pointers + child handles +
-    /// occupancy and tombstone masks + the occupied counter). Free-listed
-    /// blocks are excluded — this is the footprint reclamation shrinks, not
-    /// the arena's high-water mark.
+    /// Blocks class `c`'s arena has storage for: allocated ones plus the
+    /// growth slack the next allocations take without growing.
+    [[nodiscard]] std::size_t blocks_reserved(BlockClass c) const noexcept {
+        return arenas_[static_cast<std::size_t>(c)].storage;
+    }
+    /// True when new tops start narrow (PAGEWIDTH > SUBBLOCK).
+    [[nodiscard]] bool has_narrow_class() const noexcept {
+        return pagewidth_ > subblock_;
+    }
+    /// Bytes one block of class `c` holds: cells + CAL pointers +
+    /// occupancy and tombstone masks + the occupied counter, plus the child
+    /// handles of a wide block. 820 B wide and 116 B narrow at 64/8/4.
+    [[nodiscard]] std::size_t block_bytes(BlockClass c) const noexcept {
+        const Arena& a = arenas_[static_cast<std::size_t>(c)];
+        return static_cast<std::size_t>(a.width) *
+                   (sizeof(EdgeCell) + sizeof(std::uint32_t)) +
+               (c == BlockClass::Wide ? spb_ * sizeof(std::uint32_t) : 0) +
+               2 * a.words * sizeof(std::uint64_t) + sizeof(std::uint32_t);
+    }
+    /// Bytes held by in-use blocks, each class at its full size.
+    /// Free-listed blocks are excluded — this is the footprint reclamation
+    /// shrinks, not the arenas' high-water mark.
     [[nodiscard]] std::size_t memory_bytes() const noexcept {
-        return blocks_in_use() * bytes_per_block();
+        return blocks_in_use(BlockClass::Wide) *
+                   block_bytes(BlockClass::Wide) +
+               blocks_in_use(BlockClass::Narrow) *
+                   block_bytes(BlockClass::Narrow);
     }
     /// Bytes of arena storage actually allocated (the capacity high-water
     /// mark): in-use blocks plus free-listed blocks plus growth slack.
     [[nodiscard]] std::size_t memory_capacity_bytes() const noexcept {
-        return static_cast<std::size_t>(storage_blocks_) * bytes_per_block();
+        return blocks_reserved(BlockClass::Wide) *
+                   block_bytes(BlockClass::Wide) +
+               blocks_reserved(BlockClass::Narrow) *
+                   block_bytes(BlockClass::Narrow);
     }
     /// The registry this array records into (owned fallback when none was
     /// supplied at construction).
     [[nodiscard]] obs::Registry& registry() const noexcept {
         return *registry_;
     }
-    /// Tombstone cells across the whole arena (popcount of the tombstone
+    /// Tombstone cells across both arenas (popcount of the tombstone
     /// masks). Free-listed blocks are scrubbed on free, so they contribute
     /// zero — this is the live tombstone census the auditor cross-checks.
     [[nodiscard]] std::uint64_t tombstones_in_arena() const noexcept;
@@ -361,37 +436,96 @@ public:
     [[nodiscard]] std::uint32_t subtree_depth(std::uint32_t top) const;
     /// Live cells in one block.
     [[nodiscard]] std::uint32_t occupied_in(std::uint32_t block) const {
-        return occupied_[block];
+        return occupied(block);
     }
     [[nodiscard]] std::uint32_t pagewidth() const noexcept { return pagewidth_; }
 
 private:
     /// An edge off its cell: what the Robin Hood cascade carries, and what
-    /// compaction, un-branching and rebuilds move between cells.
+    /// compaction, un-branching, rebuilds and class changes move between
+    /// cells.
     struct LiveEdge {
         VertexId dst = kInvalidVertex;
         Weight weight = 0;
         std::uint32_t cal_pos = kNoCalPos;
     };
 
-    /// Index of (block, slot) in the per-cell arrays (cells_, cal_pos_).
-    [[nodiscard]] std::size_t index(std::uint32_t block,
+    /// One block size class's storage, all cache-line aligned. cells
+    /// carries kArenaPadCells of slack past the last block.
+    struct Arena {
+        std::uint32_t width = 0;  // cells per block
+        std::uint32_t words = 0;  // occupancy-mask words per block
+        LineVector<EdgeCell> cells;
+        LineVector<std::uint32_t> cal_pos;  // per cell; valid while occupied
+        LineVector<std::uint32_t> occupied;
+        LineVector<std::uint64_t> masks;  // occupancy/tombstone, interleaved
+        /// Recycled block indices. Its capacity tracks `storage`, so a free
+        /// never reallocates.
+        std::vector<std::uint32_t> free;
+        std::uint32_t count = 0;  // blocks handed out (in use + free-listed)
+        /// Blocks the vectors have storage for (>= count; arenas grow in
+        /// chunks, not per block).
+        std::uint32_t storage = 0;
+    };
+
+    [[nodiscard]] static constexpr std::uint32_t block_index(
+        std::uint32_t h) noexcept {
+        return h & ~kNarrowTag;
+    }
+    [[nodiscard]] Arena& arena(std::uint32_t h) noexcept {
+        return arenas_[h >> 31];
+    }
+    [[nodiscard]] const Arena& arena(std::uint32_t h) const noexcept {
+        return arenas_[h >> 31];
+    }
+    /// True when `h` names a block its arena has handed out.
+    [[nodiscard]] bool in_range(std::uint32_t h) const noexcept {
+        return h != kNoBlock && block_index(h) < arena(h).count;
+    }
+    /// Index of (block, slot) in its arena's per-cell arrays.
+    [[nodiscard]] std::size_t index(std::uint32_t h,
                                     std::uint32_t slot) const noexcept {
-        return static_cast<std::size_t>(block) * pagewidth_ + slot;
+        return static_cast<std::size_t>(block_index(h)) * arena(h).width +
+               slot;
     }
-    [[nodiscard]] EdgeCell& cell(std::uint32_t block, std::uint32_t slot) {
-        return cells_[index(block, slot)];
+    [[nodiscard]] EdgeCell& cell(std::uint32_t h, std::uint32_t slot) {
+        return arena(h).cells[index(h, slot)];
     }
-    [[nodiscard]] const EdgeCell& cell(std::uint32_t block,
+    [[nodiscard]] const EdgeCell& cell(std::uint32_t h,
                                        std::uint32_t slot) const {
-        return cells_[index(block, slot)];
+        return arena(h).cells[index(h, slot)];
     }
-    [[nodiscard]] std::uint32_t& child(std::uint32_t block, std::uint32_t sb) {
-        return children_[static_cast<std::size_t>(block) * spb_ + sb];
+    [[nodiscard]] std::uint32_t& cal_pos_of(std::uint32_t h,
+                                            std::uint32_t slot) {
+        return arena(h).cal_pos[index(h, slot)];
     }
-    [[nodiscard]] std::uint32_t child(std::uint32_t block,
+    [[nodiscard]] std::uint32_t cal_pos_of(std::uint32_t h,
+                                           std::uint32_t slot) const {
+        return arena(h).cal_pos[index(h, slot)];
+    }
+    [[nodiscard]] std::uint32_t& occupied(std::uint32_t h) {
+        return arena(h).occupied[block_index(h)];
+    }
+    [[nodiscard]] std::uint32_t occupied(std::uint32_t h) const {
+        return arena(h).occupied[block_index(h)];
+    }
+    /// Child slots of a block: spb_ for a wide block, none for a narrow one.
+    [[nodiscard]] std::uint32_t fanout(std::uint32_t h) const noexcept {
+        return is_narrow(h) ? 0 : spb_;
+    }
+    /// Child handle of a wide block's subblock window `sb`.
+    [[nodiscard]] std::uint32_t& child(std::uint32_t h, std::uint32_t sb) {
+        return children_[static_cast<std::size_t>(h) * spb_ + sb];
+    }
+    [[nodiscard]] std::uint32_t child(std::uint32_t h,
                                       std::uint32_t sb) const {
-        return children_[static_cast<std::size_t>(block) * spb_ + sb];
+        return children_[static_cast<std::size_t>(h) * spb_ + sb];
+    }
+    /// Where a walk continues below window `sb` of `h`: its child, or
+    /// kNoBlock under a narrow block.
+    [[nodiscard]] std::uint32_t next_block(std::uint32_t h,
+                                           std::uint32_t sb) const {
+        return is_narrow(h) ? kNoBlock : child(h, sb);
     }
 
     /// Tree-Based Hashing: one mixed hash per (dst, level) supplies both the
@@ -401,6 +535,12 @@ private:
     [[nodiscard]] std::uint32_t sb_of(VertexId dst,
                                       std::uint32_t level) const noexcept {
         return static_cast<std::uint32_t>(level_hash(dst, level)) & (spb_ - 1);
+    }
+    /// The subblock window of block `h` that `dst` hashes to at `level`: a
+    /// narrow block is a single window (and only ever a level-0 top).
+    [[nodiscard]] std::uint32_t window_of(std::uint32_t h, VertexId dst,
+                                          std::uint32_t level) const noexcept {
+        return is_narrow(h) ? 0 : sb_of(dst, level);
     }
     /// Robin Hood home offset of `dst` within its subblock at `level`.
     [[nodiscard]] std::uint32_t home_of(VertexId dst,
@@ -437,20 +577,37 @@ private:
     [[nodiscard]] std::optional<CellRef> first_unoccupied(
         std::uint32_t block, std::uint32_t sb_base, std::uint32_t home) const;
 
-    [[nodiscard]] std::size_t bytes_per_block() const noexcept {
-        return static_cast<std::size_t>(pagewidth_) *
-                   (sizeof(EdgeCell) + sizeof(std::uint32_t)) +
-               spb_ * sizeof(std::uint32_t) +
-               2 * words_per_block_ * sizeof(std::uint64_t) +
-               sizeof(std::uint32_t);
-    }
+    /// The INSERT cascade: Robin Hood within the subblock window, a
+    /// Tree-Based Hashing branch-out when it congests, and the promotion of
+    /// a full narrow top, starting with `carry` at `block` on `level`.
+    void cascade(std::uint32_t& top, std::uint32_t block, std::uint32_t level,
+                 LiveEdge carry, ProbeWork& work);
+    /// Replaces the full narrow top `top` with a wide one holding its edges
+    /// (re-placed by the level-0 hash, CAL owners re-bound); returns it.
+    std::uint32_t promote(std::uint32_t& top, ProbeWork& work);
+    /// Compact mode: replaces a wide top holding at most SUBBLOCK/2 edges
+    /// (so no child) with a narrow one.
+    void demote(std::uint32_t& top);
+    /// True when narrow block `narrow`'s window holds an EMPTY cell, which
+    /// an insert takes without promoting (a cascade reaches every EMPTY).
+    [[nodiscard]] bool has_empty_cell(std::uint32_t narrow) const noexcept;
 
-    std::uint32_t allocate_block();
-    /// Grows the backing vectors to `target` blocks of storage. The only
-    /// place the arena's vectors reallocate; may throw std::bad_alloc, in
-    /// which case no arena state has changed (sizes only ever grow, and
-    /// block_count_ is untouched).
-    void grow_storage(std::uint32_t target);
+    /// A fresh top for `edges` edges: narrow when they fit one window and
+    /// the class exists, wide otherwise.
+    std::uint32_t allocate_top(std::uint32_t edges = 1);
+    std::uint32_t allocate_block(BlockClass c);
+    /// Makes `n` blocks of class `c` allocatable without growth; the
+    /// insert/erase pre-flights' only throwing step.
+    void ensure_available(BlockClass c, std::uint32_t n);
+    /// Grows class `c`'s backing vectors to storage for at least `need`
+    /// blocks, in chunks of half the arena (64 at least). The only place
+    /// the arenas' vectors reallocate; may throw std::bad_alloc, in which
+    /// case no arena state has changed (sizes only ever grow, and count is
+    /// untouched).
+    void grow_storage(BlockClass c, std::uint64_t need);
+    /// Scrubs `block` and puts it on its free list. release_block is the
+    /// class-change form (the edges moved on); free_block counts a reclaim.
+    void release_block(std::uint32_t block);
     void free_block(std::uint32_t block);
     void free_subtree(std::uint32_t block);
     /// Total live cells under `block`'s subtree.
@@ -471,31 +628,42 @@ private:
     std::uint32_t pagewidth_;
     std::uint32_t subblock_;
     std::uint32_t workblock_;
-    std::uint32_t spb_;  // subblocks per block
+    std::uint32_t spb_;  // subblocks per wide block
     bool rhh_;
     bool compact_delete_;
     bool kernel_ok_;  // subblock fits one mask word: bit-parallel probing
-    std::uint32_t words_per_block_;  // occupancy-mask words per block
     CoarseAdjacencyList* cal_;
 
-    /// masks_ interleaves each block's mask words: the occupancy word
-    /// covering cells [64w, 64w + 64) of `block`, then its tombstone word.
-    [[nodiscard]] std::size_t occ_word(std::uint32_t block,
+    /// An arena's masks interleave each block's mask words: the occupancy
+    /// word covering cells [64w, 64w + 64) of `h` sits at this index, its
+    /// tombstone word right after it.
+    [[nodiscard]] std::size_t occ_word(std::uint32_t h,
                                        std::uint32_t w) const noexcept {
-        return (static_cast<std::size_t>(block) * words_per_block_ + w) * 2;
+        return (static_cast<std::size_t>(block_index(h)) * arena(h).words +
+                w) *
+               2;
     }
-    [[nodiscard]] std::size_t tomb_word(std::uint32_t block,
-                                        std::uint32_t w) const noexcept {
-        return occ_word(block, w) + 1;
+    [[nodiscard]] std::uint64_t& occ_mask(std::uint32_t h, std::uint32_t w) {
+        return arena(h).masks[occ_word(h, w)];
+    }
+    [[nodiscard]] std::uint64_t occ_mask(std::uint32_t h,
+                                         std::uint32_t w) const {
+        return arena(h).masks[occ_word(h, w)];
+    }
+    [[nodiscard]] std::uint64_t& tomb_mask(std::uint32_t h, std::uint32_t w) {
+        return arena(h).masks[occ_word(h, w) + 1];
+    }
+    [[nodiscard]] std::uint64_t tomb_mask(std::uint32_t h,
+                                          std::uint32_t w) const {
+        return arena(h).masks[occ_word(h, w) + 1];
     }
     [[nodiscard]] bool is_occupied(std::uint32_t block,
                                    std::uint32_t slot) const noexcept {
-        return ((masks_[occ_word(block, slot / 64)] >> (slot % 64)) & 1U) != 0;
+        return ((occ_mask(block, slot / 64) >> (slot % 64)) & 1U) != 0;
     }
     [[nodiscard]] bool is_tombstone(std::uint32_t block,
                                     std::uint32_t slot) const noexcept {
-        return ((masks_[tomb_word(block, slot / 64)] >> (slot % 64)) & 1U) !=
-               0;
+        return ((tomb_mask(block, slot / 64) >> (slot % 64)) & 1U) != 0;
     }
     [[nodiscard]] CellState state_of(std::uint32_t block,
                                      std::uint32_t slot) const noexcept {
@@ -507,7 +675,7 @@ private:
     }
 
     void set_occupancy(std::uint32_t block, std::uint32_t slot, bool on) {
-        std::uint64_t& word = masks_[occ_word(block, slot / 64)];
+        std::uint64_t& word = occ_mask(block, slot / 64);
         if (on) {
             word |= 1ULL << (slot % 64);
         } else {
@@ -516,7 +684,7 @@ private:
     }
 
     void set_tombstone(std::uint32_t block, std::uint32_t slot, bool on) {
-        std::uint64_t& word = masks_[tomb_word(block, slot / 64)];
+        std::uint64_t& word = tomb_mask(block, slot / 64);
         if (on) {
             word |= 1ULL << (slot % 64);
         } else {
@@ -527,12 +695,33 @@ private:
     /// Writes `e` into the free cell (block, slot) and marks it occupied.
     /// CAL re-binding is the caller's business.
     void fill(std::uint32_t block, std::uint32_t slot, const LiveEdge& e) {
+        Arena& a = arena(block);
         const std::size_t i = index(block, slot);
-        cells_[i] = EdgeCell{e.dst, e.weight};
-        cal_pos_[i] = e.cal_pos;
-        ++occupied_[block];
+        a.cells[i] = EdgeCell{e.dst, e.weight};
+        a.cal_pos[i] = e.cal_pos;
+        ++a.occupied[block_index(block)];
         set_occupancy(block, slot, true);
         set_tombstone(block, slot, false);
+    }
+    /// fill, then points the edge's CAL copy at its new cell.
+    void fill_and_rebind(std::uint32_t block, std::uint32_t slot,
+                         const LiveEdge& e) {
+        fill(block, slot, e);
+        if (cal_ != nullptr && e.cal_pos != kNoCalPos) {
+            cal_->rebind(e.cal_pos, CellRef{block, slot});
+        }
+    }
+
+    /// Calls fn(slot) for every occupied cell of `block`, in slot order.
+    template <typename Fn>
+    void for_each_occupied(std::uint32_t block, Fn&& fn) const {
+        for (std::uint32_t w = 0; w < arena(block).words; ++w) {
+            std::uint64_t bits = occ_mask(block, w);
+            while (bits != 0) {
+                fn(w * 64 + static_cast<std::uint32_t>(std::countr_zero(bits)));
+                bits &= bits - 1;
+            }
+        }
     }
 
     /// Occupancy/tombstone bits of the subblock starting at cell `sb_base`.
@@ -545,12 +734,13 @@ private:
     };
     [[nodiscard]] WindowBits window_bits(std::uint32_t block,
                                          std::uint32_t sb_base) const {
-        const std::size_t word = occ_word(block, sb_base / 64);
+        const std::uint64_t* word =
+            &arena(block).masks[occ_word(block, sb_base / 64)];
         const std::uint32_t shift = sb_base % 64;
         const std::uint64_t wmask =
             subblock_ >= 64 ? ~0ULL : (1ULL << subblock_) - 1;
-        return WindowBits{(masks_[word] >> shift) & wmask,
-                          (masks_[word + 1] >> shift) & wmask};
+        return WindowBits{(word[0] >> shift) & wmask,
+                          (word[1] >> shift) & wmask};
     }
 
     /// Prefetches the lines a probe of the subblock window starting at cell
@@ -565,28 +755,22 @@ private:
         // the line exclusive up front avoids a second coherence transition.
         // Windows start on a line boundary once they are a line or wider,
         // and narrower ones never straddle one.
-        const auto* first = reinterpret_cast<const unsigned char*>(
-            &cells_[index(block, sb_base)]);
+        const Arena& a = arena(block);
+        const std::size_t i = index(block, sb_base);
+        const auto* first =
+            reinterpret_cast<const unsigned char*>(&a.cells[i]);
         const std::size_t bytes = std::size_t{subblock_} * sizeof(EdgeCell);
         for (std::size_t at = 0; at < bytes; at += kCacheLine) {
             simd::prefetch_write(first + at);
         }
-        simd::prefetch(&masks_[occ_word(block, sb_base / 64)]);
-        simd::prefetch_write(&cal_pos_[index(block, sb_base)]);
+        simd::prefetch(&a.masks[occ_word(block, sb_base / 64)]);
+        simd::prefetch_write(&a.cal_pos[i]);
     }
 
-    // Per-block arrays, all cache-line aligned. cells_ carries
-    // kArenaPadCells of slack past the last block.
-    LineVector<EdgeCell> cells_;
-    LineVector<std::uint32_t> cal_pos_;  // per cell; valid while occupied
+    /// [Wide, Narrow], indexed by a handle's top bit.
+    Arena arenas_[2];
+    /// Child handles of the wide arena's blocks, spb_ per block.
     LineVector<std::uint32_t> children_;
-    LineVector<std::uint32_t> occupied_;
-    LineVector<std::uint64_t> masks_;  // occupancy/tombstone, interleaved
-    std::vector<std::uint32_t> free_blocks_;
-    std::uint32_t block_count_ = 0;
-    /// Blocks the backing vectors currently have storage for
-    /// (>= block_count_; the arena grows in chunks, not per block).
-    std::uint32_t storage_blocks_ = 0;
     // Telemetry: counters/histograms live in the registry (relaxed atomics,
     // so const FIND paths may be shared by concurrent readers); metrics_
     // caches the typed handles resolved once at construction.
@@ -594,8 +778,8 @@ private:
     std::unique_ptr<obs::Registry> owned_registry_;
     EbaMetrics metrics_{};
 
-    // The structural auditor (src/core/audit.hpp) reads the raw arena, and
-    // its test-only corruption hook writes it.
+    // The structural auditor (src/core/audit.hpp) reads the raw arenas, and
+    // its test-only corruption hook writes them.
     friend class Auditor;
     friend class CorruptionInjector;
 };

@@ -118,13 +118,14 @@ bool GraphTinker::insert_resolved(VertexId dense, VertexId raw_src,
                                   CoarseAdjacencyList::Appender* app) {
     // Growth pre-flight: every allocation the apply below could need is
     // performed (or its capacity reserved) here, before any structural
-    // mutation — one insert allocates at most one edgeblock and one CAL
-    // block, so after these calls the probe/cascade/append below is
-    // nothrow. A failure here (real or injected via the "eba.grow" /
-    // "cal.grow" fail points) therefore leaves this edge un-applied and the
-    // store untouched, which is what makes a mid-batch failure cleanly
+    // mutation — one insert allocates at most a fresh top, a branch-out, or
+    // a narrow top's promotion plus one branch-out, and one CAL block, so
+    // after these calls the probe/cascade/append below is nothrow. A
+    // failure here (real or injected via the "eba.grow" / "cal.grow" fail
+    // points) therefore leaves this edge un-applied and the store
+    // untouched, which is what makes a mid-batch failure cleanly
     // roll-backable from the undo journal alone.
-    eba_.ensure_block_available();
+    eba_.prepare_insert(top_[dense]);
     if (config_.enable_cal) {
         if (app != nullptr) {
             app->prepare();
@@ -236,10 +237,10 @@ bool GraphTinker::delete_resolved(VertexId dense, VertexId raw_src,
     if (top_[dense] == EdgeblockArray::kNoBlock) {
         return false;
     }
-    // Erase pre-flight: free-list headroom (and the "cal.grow" fail point)
-    // up front, so the block frees a compacting erase performs mid-mutation
-    // cannot throw.
-    eba_.ensure_erase_headroom();
+    // Erase pre-flight: the narrow block a demotion takes (and the
+    // "cal.grow" fail point) up front, so a compacting erase cannot throw
+    // mid-mutation.
+    eba_.prepare_erase(top_[dense]);
     if (config_.enable_cal) {
         cal_.prepare_erase();
     }
@@ -712,6 +713,13 @@ std::optional<Weight> GraphTinker::find_edge(VertexId src,
     return eba_.find(top_[*dense], dst);
 }
 
+std::size_t GraphTinker::num_nonempty_vertices() const noexcept {
+    return static_cast<std::size_t>(
+        std::count_if(top_.begin(), top_.end(), [](std::uint32_t top) {
+            return top != EdgeblockArray::kNoBlock;
+        }));
+}
+
 std::uint32_t GraphTinker::degree(VertexId raw_src) const {
     const auto dense = dense_of(raw_src);
     if (!dense || *dense >= props_.size()) {
@@ -743,9 +751,12 @@ obs::Snapshot GraphTinker::telemetry() const {
     obs::Registry& r = *obs_;
     r.gauge("gt.num_edges").set(static_cast<double>(num_edges_));
     r.gauge("gt.num_vertices").set(static_cast<double>(raw_bound_));
-    r.gauge("gt.nonempty_vertices").set(static_cast<double>(top_.size()));
+    r.gauge("gt.nonempty_vertices")
+        .set(static_cast<double>(num_nonempty_vertices()));
     r.gauge("eba.blocks_in_use")
         .set(static_cast<double>(eba_.blocks_in_use()));
+    r.gauge("eba.narrow_tops")
+        .set(static_cast<double>(eba_.blocks_in_use(BlockClass::Narrow)));
     r.gauge("eba.blocks_allocated")
         .set(static_cast<double>(eba_.blocks_allocated()));
     r.gauge("eba.tombstones")

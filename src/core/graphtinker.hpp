@@ -133,8 +133,15 @@ public:
     [[nodiscard]] VertexId num_vertices() const noexcept {
         return raw_bound_;
     }
-    /// Vertices that own at least one edge slot (streamed sources).
-    [[nodiscard]] std::size_t num_nonempty_vertices() const noexcept {
+    /// Sources that hold a top block: with compact deletes (the default)
+    /// exactly the sources with at least one live edge; a delete-only store
+    /// keeps an emptied source's tombstoned top until maintain(). A census
+    /// over the main region, O(main_region_size()).
+    [[nodiscard]] std::size_t num_nonempty_vertices() const noexcept;
+    /// Dense ids the main region (the top-block table) spans: every source
+    /// ever streamed with SGH, the raw id range without it. Maintenance and
+    /// full EdgeblockArray sweeps walk this many entries.
+    [[nodiscard]] std::size_t main_region_size() const noexcept {
         return top_.size();
     }
     [[nodiscard]] std::uint32_t degree(VertexId raw_src) const;

@@ -75,7 +75,7 @@ inline constexpr bool kEnabled = false;
 /// per step — SSE2 gathers the even lanes of two loads, NEON de-interleaves
 /// with vld2q. There is no scalar tail: a `count` that is not a multiple of
 /// 4 still reads the whole last group, so the buffer must stay readable
-/// through key round_up(count, 4) - 1 (the EdgeblockArray pads its arena by
+/// through key round_up(count, 4) - 1 (the EdgeblockArray pads each arena by
 /// a cache line for exactly this). Bits at or above `count` are cleared, so
 /// the result agrees bit-for-bit with the scalar reference. Falls back to
 /// the scalar reference when no vector ISA is selected.

@@ -52,7 +52,7 @@ TEST(Audit, CleanGraphReportsNoViolationsWithFullCoverage) {
     EXPECT_EQ(report.cells_audited, g.num_edges());
     EXPECT_EQ(report.cal_slots_audited, g.num_edges());
     EXPECT_GT(report.blocks_audited, 1u) << "expected TBH branch-outs";
-    EXPECT_EQ(report.vertices_audited, g.num_nonempty_vertices());
+    EXPECT_EQ(report.vertices_audited, g.main_region_size());
     EXPECT_FALSE(report.truncated);
 }
 
@@ -151,6 +151,37 @@ TEST(Audit, DetectsChildUnderWindowWithEmptyCell) {
             EXPECT_EQ(v.check, AuditCheck::TbhBranchedFull) << v.to_string();
         }
     }
+}
+
+TEST(Audit, DetectsWidenedTopAsSizeClassOnly) {
+    // A wide top holding SUBBLOCK/2 edges or fewer under compact deletes
+    // is a missed demotion. The injector re-places a narrow top's edges
+    // exactly as a promotion would (CAL owners re-bound), so every other
+    // invariant still holds and only the size-class check may fire.
+    GraphTinker g;  // 64/8/4, compact
+    for (VertexId d = 0; d < 3; ++d) {
+        ASSERT_TRUE(g.insert_edge(9, d * 5, d + 1));
+    }
+    ASSERT_TRUE(g.audit().ok()) << g.audit().to_string();
+    ASSERT_TRUE(CorruptionInjector::widen_top(g, 9));
+    const AuditReport report = g.audit();
+    ASSERT_FALSE(report.ok());
+    for (const AuditViolation& v : report.violations) {
+        EXPECT_EQ(v.check, AuditCheck::SizeClass) << v.to_string();
+    }
+}
+
+TEST(Audit, DetectsNarrowBlockLinkedAsChild) {
+    GraphTinker g(small_config());
+    load_dense(g);
+    bool linked = false;
+    for (VertexId src = 0; src < 32 && !linked; ++src) {
+        linked = CorruptionInjector::link_narrow_as_child(g, src);
+    }
+    ASSERT_TRUE(linked) << "no wide top had a childless window";
+    const AuditReport report = g.audit();
+    ASSERT_FALSE(report.ok());
+    EXPECT_TRUE(report.has(AuditCheck::SizeClass)) << report.to_string();
 }
 
 TEST(Audit, DetectsDegreeDrift) {

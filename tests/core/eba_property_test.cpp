@@ -208,13 +208,18 @@ TEST(EbaMemory, BytesTrackBlocksInUse) {
     EXPECT_EQ(eba.memory_bytes(), 0u);
     std::uint32_t top = EdgeblockArray::kNoBlock;
     eba.insert(top, 1, 1);
-    const auto one_block = eba.memory_bytes();
-    EXPECT_GT(one_block, 0u);
+    // A new vertex starts on a narrow top.
+    EXPECT_EQ(eba.memory_bytes(), eba.block_bytes(BlockClass::Narrow));
+    EXPECT_EQ(eba.block_bytes(BlockClass::Narrow), 116u);
     for (VertexId d = 0; d < 2000; ++d) {
         eba.insert(top, d, 1);
     }
-    EXPECT_GT(eba.memory_bytes(), one_block);
-    EXPECT_EQ(eba.memory_bytes() % one_block, 0u);  // whole blocks
+    // Each class counts at its full size; the hub's tree is all wide.
+    EXPECT_EQ(eba.blocks_in_use(BlockClass::Narrow), 0u);
+    EXPECT_GT(eba.blocks_in_use(BlockClass::Wide), 1u);
+    EXPECT_EQ(eba.memory_bytes(), eba.blocks_in_use(BlockClass::Wide) *
+                                      eba.block_bytes(BlockClass::Wide));
+    EXPECT_EQ(eba.block_bytes(BlockClass::Wide), 820u);
 }
 
 }  // namespace

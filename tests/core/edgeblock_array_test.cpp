@@ -226,14 +226,52 @@ TEST(EdgeblockArray, WorkblockFetchesAreCounted) {
 }
 
 TEST(EbaLayout, CellsAreEightBytesAndBlocksAre820) {
-    // Default geometry 64/8/4: 64 x 8 B cells + 64 x 4 B CAL pointers +
-    // 8 x 4 B child handles + 2 x 8 B mask words + a 4 B occupied counter.
+    // Default geometry 64/8/4. A wide block: 64 x 8 B cells + 64 x 4 B CAL
+    // pointers + 8 x 4 B child handles + 2 x 8 B mask words + a 4 B
+    // occupied counter. A narrow top is one 8-cell window: 8 x 8 B cells +
+    // 8 x 4 B CAL pointers + 2 x 8 B mask words + the counter.
     static_assert(sizeof(EdgeCell) == 8);
     EdgeblockArray eba(Config{}, nullptr);
+    EXPECT_EQ(eba.block_bytes(BlockClass::Wide), 820u);
+    EXPECT_EQ(eba.block_bytes(BlockClass::Narrow), 116u);
     std::uint32_t top = EdgeblockArray::kNoBlock;
     eba.insert(top, 1, 1);
     ASSERT_EQ(eba.blocks_in_use(), 1u);
-    EXPECT_EQ(eba.memory_bytes(), 820u);
+    EXPECT_TRUE(EdgeblockArray::is_narrow(top));
+    EXPECT_EQ(eba.memory_bytes(), 116u);
+    // The ninth edge finds the window full: the top is promoted and every
+    // block in use is a wide one.
+    for (VertexId d = 2; d <= 9; ++d) {
+        eba.insert(top, d, 1);
+    }
+    EXPECT_FALSE(EdgeblockArray::is_narrow(top));
+    EXPECT_EQ(eba.blocks_in_use(BlockClass::Narrow), 0u);
+    EXPECT_GE(eba.blocks_in_use(BlockClass::Wide), 1u);
+    EXPECT_EQ(eba.memory_bytes(), eba.blocks_in_use(BlockClass::Wide) * 820u);
+}
+
+/// Subblock windows of class `c` that do not start on a line boundary or
+/// spill past the line they start in (every window is at most one line at
+/// the default geometry).
+std::size_t misaligned_windows(const EdgeblockArray& eba, const Config& cfg,
+                               BlockClass c) {
+    const std::uint32_t width =
+        c == BlockClass::Wide ? cfg.pagewidth : cfg.subblock;
+    std::size_t bad = 0;
+    for (std::uint32_t b = 0; b < eba.blocks_allocated(c); ++b) {
+        const std::uint32_t h = EdgeblockArray::handle(c, b);
+        for (std::uint32_t s = 0; s < width; s += cfg.subblock) {
+            const auto first =
+                reinterpret_cast<std::uintptr_t>(&eba.cell_at(CellRef{h, s}));
+            const auto last = reinterpret_cast<std::uintptr_t>(
+                &eba.cell_at(CellRef{h, s + cfg.subblock - 1}));
+            if (first % kCacheLine != 0 ||
+                last / kCacheLine != first / kCacheLine) {
+                ++bad;
+            }
+        }
+    }
+    return bad;
 }
 
 TEST(EbaLayout, SubblockWindowsStayLineAlignedAcrossGrowth) {
@@ -242,35 +280,49 @@ TEST(EbaLayout, SubblockWindowsStayLineAlignedAcrossGrowth) {
     // in the same line. The arena must keep that through reallocations.
     const Config cfg;
     EdgeblockArray eba(cfg, nullptr);
-    const auto misaligned_windows = [&] {
-        std::size_t bad = 0;
-        for (std::uint32_t b = 0; b < eba.blocks_allocated(); ++b) {
-            for (std::uint32_t s = 0; s < cfg.pagewidth; s += cfg.subblock) {
-                const auto first = reinterpret_cast<std::uintptr_t>(
-                    &eba.cell_at(CellRef{b, s}));
-                const auto last = reinterpret_cast<std::uintptr_t>(
-                    &eba.cell_at(CellRef{b, s + cfg.subblock - 1}));
-                if (first % kCacheLine != 0 ||
-                    last / kCacheLine != first / kCacheLine) {
-                    ++bad;
-                }
-            }
-        }
-        return bad;
-    };
-    // One top block per vertex: the arena grows block by block.
+    // Nine edges per vertex promote each top: the wide arena grows by one
+    // top per vertex.
     std::vector<std::uint32_t> tops(3000, EdgeblockArray::kNoBlock);
     std::set<const EdgeCell*> bases;
     for (VertexId v = 0; v < tops.size(); ++v) {
-        eba.insert(tops[v], v, 1);
+        for (VertexId d = 0; d < 9; ++d) {
+            eba.insert(tops[v], v * 16 + d, 1);
+        }
+        ASSERT_FALSE(EdgeblockArray::is_narrow(tops[v]));
         const EdgeCell* base = &eba.cell_at(CellRef{0, 0});
         if (bases.insert(base).second) {
-            EXPECT_EQ(misaligned_windows(), 0u)
+            EXPECT_EQ(misaligned_windows(eba, cfg, BlockClass::Wide), 0u)
                 << "after reallocation " << bases.size();
         }
     }
     EXPECT_GE(bases.size(), 4u) << "expected several reallocations";
-    EXPECT_EQ(misaligned_windows(), 0u);
+    EXPECT_EQ(misaligned_windows(eba, cfg, BlockClass::Wide), 0u);
+    for (VertexId v = 0; v < tops.size(); ++v) {
+        EXPECT_EQ(eba.find(tops[v], v * 16 + 8), std::optional<Weight>(1));
+    }
+}
+
+TEST(EbaLayout, NarrowWindowsStayLineAlignedAcrossGrowth) {
+    // A narrow top is one subblock window, so its cells are one line and
+    // must start on a line boundary after every narrow-arena reallocation.
+    const Config cfg;
+    EdgeblockArray eba(cfg, nullptr);
+    std::vector<std::uint32_t> tops(3000, EdgeblockArray::kNoBlock);
+    std::set<const EdgeCell*> bases;
+    const std::uint32_t first_narrow =
+        EdgeblockArray::handle(BlockClass::Narrow, 0);
+    for (VertexId v = 0; v < tops.size(); ++v) {
+        eba.insert(tops[v], v, 1);
+        ASSERT_TRUE(EdgeblockArray::is_narrow(tops[v]));
+        const EdgeCell* base = &eba.cell_at(CellRef{first_narrow, 0});
+        if (bases.insert(base).second) {
+            EXPECT_EQ(misaligned_windows(eba, cfg, BlockClass::Narrow), 0u)
+                << "after reallocation " << bases.size();
+        }
+    }
+    EXPECT_GE(bases.size(), 4u) << "expected several reallocations";
+    EXPECT_EQ(eba.blocks_allocated(BlockClass::Wide), 0u);
+    EXPECT_EQ(misaligned_windows(eba, cfg, BlockClass::Narrow), 0u);
     for (VertexId v = 0; v < tops.size(); ++v) {
         EXPECT_EQ(eba.find(tops[v], v), std::optional<Weight>(1));
     }

@@ -105,11 +105,65 @@ TEST(GraphTinker, SghDisabledSweepsRawIdSpace) {
     (void)g.insert_edge(22789, 1, 1);
     // Without SGH the main region spans the raw id range (the paper's
     // "22755 indexes apart" motivating example).
-    EXPECT_EQ(g.num_nonempty_vertices(), 22790u);
+    EXPECT_EQ(g.main_region_size(), 22790u);
+    EXPECT_EQ(g.num_nonempty_vertices(), 2u);
     GraphTinker with_sgh;
     (void)with_sgh.insert_edge(34, 1, 1);
     (void)with_sgh.insert_edge(22789, 1, 1);
-    EXPECT_EQ(with_sgh.num_nonempty_vertices(), 2u);
+    EXPECT_EQ(with_sgh.main_region_size(), 2u);
+}
+
+TEST(GraphTinker, NonemptyVerticesCountSourcesHoldingEdges) {
+    // Compact deletes free a source's top with its last edge, so the held
+    // tops are exactly the sources with edges; the main region keeps every
+    // dense id ever assigned.
+    GraphTinker g;
+    std::map<VertexId, std::set<VertexId>> model;
+    Rng rng(29);
+    const auto held = [&] {
+        std::size_t n = 0;
+        for (const auto& [src, out] : model) {
+            n += out.empty() ? 0 : 1;
+        }
+        return n;
+    };
+    for (int round = 0; round < 6; ++round) {
+        std::vector<Edge> inserts;
+        std::vector<Edge> deletes;
+        for (int i = 0; i < 200; ++i) {
+            const auto src = static_cast<VertexId>(rng.next_below(50));
+            const auto dst = static_cast<VertexId>(rng.next_below(20));
+            if (model[src].insert(dst).second) {
+                inserts.push_back(Edge{src, dst, 1});
+            }
+        }
+        // Every third source in turn churns down to zero edges.
+        for (auto& [src, out] : model) {
+            if ((src + round) % 3 == 0) {
+                for (const VertexId dst : out) {
+                    deletes.push_back(Edge{src, dst, 0});
+                }
+                out.clear();
+            }
+        }
+        ASSERT_TRUE(g.insert_batch(inserts).ok());
+        ASSERT_TRUE(g.delete_batch(deletes).ok());
+        EXPECT_EQ(g.num_nonempty_vertices(), held()) << "round " << round;
+        EXPECT_DOUBLE_EQ(g.telemetry().gauge_value("gt.nonempty_vertices"),
+                         static_cast<double>(held()));
+        EXPECT_EQ(g.main_region_size(), model.size());
+    }
+    std::vector<Edge> rest;
+    for (auto& [src, out] : model) {
+        for (const VertexId dst : out) {
+            rest.push_back(Edge{src, dst, 0});
+        }
+        out.clear();
+    }
+    ASSERT_TRUE(g.delete_batch(rest).ok());
+    EXPECT_EQ(g.num_nonempty_vertices(), 0u);
+    EXPECT_EQ(g.main_region_size(), model.size());
+    EXPECT_TRUE(g.audit().ok()) << g.audit().to_string();
 }
 
 TEST(GraphTinker, CalDisabledStillStreams) {

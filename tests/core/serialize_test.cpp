@@ -198,6 +198,90 @@ TEST(Serialize, DeleteHeavyStoreRoundTripsInBothModes) {
     }
 }
 
+/// A v2 snapshot written by the store before level 0 had two block sizes
+/// (every top a full PAGEWIDTH block): the default Config and six sources
+/// of degree 1, 4, 5, 8, 9 and 20 — either side of both size-class
+/// thresholds. Source 10i+3 holds edges to 100+7d+i with weight d+1.
+constexpr unsigned char kSingleClassSnapshot[] = {
+    0x42, 0x53, 0x54, 0x47, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x40, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00,
+    0x04, 0x00, 0x00, 0x00, 0x01, 0x01, 0x01, 0x01, 0x00, 0x04, 0x00, 0x00,
+    0x80, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xd0, 0x3f,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xd0, 0x3f, 0x00, 0x00, 0x00, 0x00,
+    0x49, 0xc0, 0xc4, 0x96, 0x2f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x03, 0x00, 0x00, 0x00, 0x64, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+    0x0d, 0x00, 0x00, 0x00, 0x65, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+    0x0d, 0x00, 0x00, 0x00, 0x6c, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+    0x0d, 0x00, 0x00, 0x00, 0x73, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
+    0x0d, 0x00, 0x00, 0x00, 0x7a, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00,
+    0x17, 0x00, 0x00, 0x00, 0x66, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+    0x17, 0x00, 0x00, 0x00, 0x6d, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+    0x17, 0x00, 0x00, 0x00, 0x74, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
+    0x17, 0x00, 0x00, 0x00, 0x7b, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00,
+    0x17, 0x00, 0x00, 0x00, 0x82, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00,
+    0x21, 0x00, 0x00, 0x00, 0x67, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+    0x21, 0x00, 0x00, 0x00, 0x6e, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+    0x21, 0x00, 0x00, 0x00, 0x75, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
+    0x21, 0x00, 0x00, 0x00, 0x7c, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00,
+    0x21, 0x00, 0x00, 0x00, 0x83, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00,
+    0x21, 0x00, 0x00, 0x00, 0x8a, 0x00, 0x00, 0x00, 0x06, 0x00, 0x00, 0x00,
+    0x21, 0x00, 0x00, 0x00, 0x91, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00,
+    0x21, 0x00, 0x00, 0x00, 0x98, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00,
+    0x2b, 0x00, 0x00, 0x00, 0x68, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+    0x2b, 0x00, 0x00, 0x00, 0x6f, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+    0x2b, 0x00, 0x00, 0x00, 0x76, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
+    0x2b, 0x00, 0x00, 0x00, 0x7d, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00,
+    0x2b, 0x00, 0x00, 0x00, 0x84, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00,
+    0x2b, 0x00, 0x00, 0x00, 0x8b, 0x00, 0x00, 0x00, 0x06, 0x00, 0x00, 0x00,
+    0x2b, 0x00, 0x00, 0x00, 0x92, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00,
+    0x2b, 0x00, 0x00, 0x00, 0x99, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00,
+    0x2b, 0x00, 0x00, 0x00, 0xa0, 0x00, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00,
+    0x35, 0x00, 0x00, 0x00, 0x69, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+    0x35, 0x00, 0x00, 0x00, 0x70, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+    0x35, 0x00, 0x00, 0x00, 0x77, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
+    0x35, 0x00, 0x00, 0x00, 0x7e, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00,
+    0x35, 0x00, 0x00, 0x00, 0x85, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00,
+    0x35, 0x00, 0x00, 0x00, 0x8c, 0x00, 0x00, 0x00, 0x06, 0x00, 0x00, 0x00,
+    0x35, 0x00, 0x00, 0x00, 0x93, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00,
+    0x35, 0x00, 0x00, 0x00, 0x9a, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00,
+    0x35, 0x00, 0x00, 0x00, 0xa1, 0x00, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00,
+    0x35, 0x00, 0x00, 0x00, 0xa8, 0x00, 0x00, 0x00, 0x0a, 0x00, 0x00, 0x00,
+    0x35, 0x00, 0x00, 0x00, 0xaf, 0x00, 0x00, 0x00, 0x0b, 0x00, 0x00, 0x00,
+    0x35, 0x00, 0x00, 0x00, 0xb6, 0x00, 0x00, 0x00, 0x0c, 0x00, 0x00, 0x00,
+    0x35, 0x00, 0x00, 0x00, 0xbd, 0x00, 0x00, 0x00, 0x0d, 0x00, 0x00, 0x00,
+    0x35, 0x00, 0x00, 0x00, 0xc4, 0x00, 0x00, 0x00, 0x0e, 0x00, 0x00, 0x00,
+    0x35, 0x00, 0x00, 0x00, 0xcb, 0x00, 0x00, 0x00, 0x0f, 0x00, 0x00, 0x00,
+    0x35, 0x00, 0x00, 0x00, 0xd2, 0x00, 0x00, 0x00, 0x10, 0x00, 0x00, 0x00,
+    0x35, 0x00, 0x00, 0x00, 0xd9, 0x00, 0x00, 0x00, 0x11, 0x00, 0x00, 0x00,
+    0x35, 0x00, 0x00, 0x00, 0xe0, 0x00, 0x00, 0x00, 0x12, 0x00, 0x00, 0x00,
+    0x35, 0x00, 0x00, 0x00, 0xe7, 0x00, 0x00, 0x00, 0x13, 0x00, 0x00, 0x00,
+    0x35, 0x00, 0x00, 0x00, 0xee, 0x00, 0x00, 0x00, 0x14, 0x00, 0x00, 0x00,
+    0x77, 0x6b, 0xcc, 0x0f, 0x45, 0x53, 0x54, 0x47,
+};
+
+TEST(Serialize, SnapshotFromSingleClassStoreLoadsAndAuditsClean) {
+    const std::string bytes(
+        reinterpret_cast<const char*>(kSingleClassSnapshot),
+        sizeof(kSingleClassSnapshot));
+    std::istringstream in(bytes);
+    LoadedSnapshot loaded;
+    ASSERT_TRUE(read_snapshot(in, loaded).ok());
+    const GraphTinker& g = *loaded.graph;
+    const test::ScopedAudit audit(g, "single-class snapshot");
+    EdgeMap want;
+    const unsigned degrees[] = {1, 4, 5, 8, 9, 20};
+    for (VertexId i = 0; i < 6; ++i) {
+        for (VertexId d = 0; d < degrees[i]; ++d) {
+            want[{10 * i + 3, 100 + 7 * d + i}] = d + 1;
+        }
+        EXPECT_EQ(g.degree(10 * i + 3), degrees[i]);
+    }
+    EXPECT_EQ(edge_map(g), want);
+    // Sources up to one window's worth of edges load onto narrow tops.
+    EXPECT_EQ(g.edgeblock_array().blocks_in_use(BlockClass::Narrow), 4u);
+}
+
 TEST(Serialize, RejectsGarbageAndTruncation) {
     {
         std::stringstream buffer("definitely not a snapshot");

@@ -53,6 +53,22 @@ TEST(ObsParity, GaugesMatchAuditCensusAfterChurn) {
                      static_cast<double>(report.cal_blocks));
     EXPECT_DOUBLE_EQ(snap.gauge_value("cal.live_edges"),
                      static_cast<double>(report.live_edges));
+    // The EdgeblockArray footprint: each size class the audit reached at
+    // its block size, plus the top-block table.
+    const EdgeblockArray& eba = g.edgeblock_array();
+    EXPECT_GT(report.narrow_blocks, 0u);
+    EXPECT_GT(report.wide_blocks, 0u);
+    EXPECT_DOUBLE_EQ(snap.gauge_value("eba.narrow_tops"),
+                     static_cast<double>(report.narrow_blocks));
+    EXPECT_DOUBLE_EQ(
+        snap.gauge_value("eba.blocks_in_use"),
+        static_cast<double>(report.wide_blocks + report.narrow_blocks));
+    EXPECT_DOUBLE_EQ(
+        snap.gauge_value("mem.edgeblock_bytes"),
+        static_cast<double>(
+            report.wide_blocks * eba.block_bytes(BlockClass::Wide) +
+            report.narrow_blocks * eba.block_bytes(BlockClass::Narrow) +
+            g.main_region_size() * sizeof(std::uint32_t)));
 
     // Batch accounting: three batches were fed, each counted once, and
     // gt.updates sums their sizes whether or not an update landed.

@@ -226,12 +226,14 @@ int cmd_stats(const ParsedGraph& parsed, bool json) {
     }
     std::printf("vertices (id space) : %u\n", g.num_vertices());
     std::printf("non-empty sources   : %zu\n", g.num_nonempty_vertices());
+    std::printf("main region (ids)   : %zu\n", g.main_region_size());
     std::printf("edges (distinct)    : %llu\n",
                 static_cast<unsigned long long>(g.num_edges()));
     std::printf("stream updates      : %zu\n", parsed.edges.size());
     std::printf("max out-degree      : %u\n", max_degree);
-    std::printf("edgeblocks in use   : %zu\n",
-                g.edgeblock_array().blocks_in_use());
+    std::printf("edgeblocks in use   : %zu (%zu narrow tops)\n",
+                g.edgeblock_array().blocks_in_use(),
+                g.edgeblock_array().blocks_in_use(core::BlockClass::Narrow));
     std::printf("load time           : %.3f s (%.2f Mupdates/s)\n", load_s,
                 mops(parsed.edges.size(), load_s));
     std::printf("\n-- telemetry (gt.obs) --\n");
