@@ -79,7 +79,9 @@ double mean_probe(const core::GraphTinker& g,
 }
 
 /// In-use bytes of the two edge-bearing components (what maintenance can
-/// actually give back; SGH/props never shrink).
+/// actually give back). SGH and the vertex properties are left out: they
+/// span the peak number of sources mapped at once, so they do not shrink
+/// when edges go (an emptied source's dense id is recycled, not freed).
 std::size_t edge_bytes(const core::GraphTinker& g) {
     const auto mf = g.memory_footprint();
     return mf.edgeblock_bytes + mf.cal_bytes;

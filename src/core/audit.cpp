@@ -559,44 +559,84 @@ private:
         }
     }
 
-    // ---- pass 3: SGH bijection ------------------------------------------
+    // ---- pass 3: SGH bijection and its free list --------------------------
 
+    /// Every dense id SGH has handed out is either mapped, by exactly one
+    /// source whose reverse entry names it back, or free-listed once,
+    /// unmapped and holding nothing. A mapped source always holds a top:
+    /// the operation that empties a tree (compact erase, purge rebuild,
+    /// unwind of a failed insert) recycles its id.
     void audit_sgh() {
         const ScatterGatherHash& sgh = g_.sgh_;
-        if (sgh.size() != g_.top_.size()) {
+        const std::size_t span = sgh.span();
+        if (span != g_.top_.size()) {
             add(AuditCheck::SghBijection, kInvalidVertex, kInvalidVertex,
-                "SGH maps " + std::to_string(sgh.size()) +
-                    " vertices but the top-parent table holds " +
+                "SGH spans " + std::to_string(span) +
+                    " dense ids but the top-parent table holds " +
                     std::to_string(g_.top_.size()));
         }
-        if (sgh.map_.size() != sgh.dense_to_raw_.size()) {
-            add(AuditCheck::SghBijection, kInvalidVertex, kInvalidVertex,
-                "forward map holds " + std::to_string(sgh.map_.size()) +
-                    " entries but reverse table holds " +
-                    std::to_string(sgh.dense_to_raw_.size()));
-        }
-        const VertexId bound =
-            static_cast<VertexId>(std::min(sgh.size(), g_.top_.size()));
-        for (VertexId dense = 0; dense < bound; ++dense) {
-            const VertexId raw = sgh.raw_of(dense);
-            const auto round_trip = sgh.lookup(raw);
-            if (!round_trip || *round_trip != dense) {
-                add(AuditCheck::SghBijection, raw, kInvalidVertex,
-                    "dense id " + std::to_string(dense) +
-                        " does not round-trip (raw " + std::to_string(raw) +
-                        " maps to " +
-                        (round_trip ? std::to_string(*round_trip)
-                                    : std::string("nothing")) +
-                        ")");
+        enum : std::uint8_t { kUnclaimed, kFree, kMapped };
+        std::vector<std::uint8_t> state(span, kUnclaimed);
+        for (const VertexId dense : sgh.free_) {
+            const std::string id = "free dense id " + std::to_string(dense);
+            if (dense >= span) {
+                add(AuditCheck::SghBijection, kInvalidVertex, kInvalidVertex,
+                    id + " lies outside the span");
                 continue;
             }
-            if (dense < g_.props_.size() &&
-                g_.props_[dense].raw_id != raw) {
-                add(AuditCheck::SghBijection, raw, kInvalidVertex,
-                    "vertex property raw_id " +
-                        std::to_string(g_.props_[dense].raw_id) +
-                        " disagrees with SGH raw id " + std::to_string(raw));
+            if (state[dense] == kFree) {
+                add(AuditCheck::SghBijection, kInvalidVertex, kInvalidVertex,
+                    id + " is free-listed twice");
+                continue;
             }
+            state[dense] = kFree;
+            if (sgh.raw_of(dense) != kInvalidVertex) {
+                add(AuditCheck::SghBijection, sgh.raw_of(dense),
+                    kInvalidVertex, id + " still names a raw id");
+            }
+            if (dense < g_.top_.size() &&
+                g_.top_[dense] != EdgeblockArray::kNoBlock) {
+                add(AuditCheck::SghBijection, kInvalidVertex, kInvalidVertex,
+                    id + " holds a top");
+            }
+            if (dense < g_.props_.size() && g_.props_[dense].degree != 0) {
+                add(AuditCheck::SghBijection, kInvalidVertex, kInvalidVertex,
+                    id + " has degree " +
+                        std::to_string(g_.props_[dense].degree));
+            }
+        }
+        sgh.map_.for_each([&](VertexId raw, VertexId dense) {
+            const std::string id = "dense id " + std::to_string(dense);
+            if (dense >= span) {
+                add(AuditCheck::SghBijection, raw, kInvalidVertex,
+                    id + " lies outside the span");
+                return;
+            }
+            if (state[dense] != kUnclaimed) {
+                add(AuditCheck::SghBijection, raw, kInvalidVertex,
+                    id + (state[dense] == kFree ? " is mapped and free-listed"
+                                                : " is mapped twice"));
+                return;
+            }
+            state[dense] = kMapped;
+            if (sgh.raw_of(dense) != raw) {
+                add(AuditCheck::SghBijection, raw, kInvalidVertex,
+                    id + " does not round-trip (its reverse entry names " +
+                        std::to_string(sgh.raw_of(dense)) + ")");
+            }
+            if (dense < g_.top_.size() &&
+                g_.top_[dense] == EdgeblockArray::kNoBlock) {
+                add(AuditCheck::SghBijection, raw, kInvalidVertex,
+                    id + " is mapped but holds no top (not recycled)");
+            }
+        });
+        for (VertexId dense = 0; dense < span; ++dense) {
+            if (state[dense] == kUnclaimed) {
+                add(AuditCheck::SghBijection, kInvalidVertex, kInvalidVertex,
+                    "dense id " + std::to_string(dense) +
+                        " is neither mapped nor free-listed");
+            }
+            report_.free_ids += state[dense] != kMapped ? 1 : 0;
         }
     }
 
@@ -733,6 +773,15 @@ bool CorruptionInjector::corrupt_sgh(GraphTinker& graph) {
         return false;
     }
     std::swap(table[0], table[1]);
+    return true;
+}
+
+bool CorruptionInjector::free_mapped_id(GraphTinker& graph, VertexId src) {
+    const auto dense = graph.dense_of(src);
+    if (!graph.config_.enable_sgh || !dense) {
+        return false;
+    }
+    graph.sgh_.free_.push_back(*dense);
     return true;
 }
 

@@ -37,8 +37,10 @@
 //                     edge-cell that points back at it (the round-trip)
 //   CAL chains        group chains are well-linked doubly linked lists and
 //                     chained + free blocks account for the whole pool
-//   SGH bijection     dense->raw->dense round-trips for every dense id, and
-//                     table sizes agree (the mapping is a bijection)
+//   SGH bijection     every dense id in the span is either mapped by one
+//                     source whose reverse entry round-trips (and which
+//                     holds a top) or free-listed once, unmapped, with no
+//                     top and degree 0
 //   degree accounting per-vertex degree counters equal the live cells stored
 //                     under the vertex's tree
 //   edge accounting   the global edge counter, the per-vertex sum and the
@@ -74,7 +76,7 @@ enum class AuditCheck : std::uint8_t {
     CalForward,        // edge-cell -> CAL slot mismatch
     CalReverse,        // CAL slot -> edge-cell back-pointer mismatch
     CalChain,          // group chain linkage broken or pool unaccounted
-    SghBijection,      // dense<->raw mapping fails to round-trip
+    SghBijection,      // dense<->raw round-trip or free-list breach
     DegreeAccounting,  // per-vertex degree counter drift
     EdgeAccounting,    // global edge counters disagree
     TbhBranchedFull,   // window that links a child holds an EMPTY cell
@@ -116,6 +118,7 @@ struct AuditReport {
     std::size_t cal_blocks = 0;  // CAL blocks reached via group chains
     std::size_t wide_blocks = 0;    // reachable blocks of each size class
     std::size_t narrow_blocks = 0;
+    std::size_t free_ids = 0;  // SGH span ids no forward entry claims
 
     [[nodiscard]] bool ok() const noexcept { return violations.empty(); }
     /// True when the report contains at least one violation of `check`.
@@ -160,6 +163,9 @@ public:
     /// Swaps the first two dense->raw entries of the SGH without updating
     /// the forward map -> SghBijection.
     static bool corrupt_sgh(GraphTinker& graph);
+    /// Pushes `src`'s dense id on SGH's free list while the source stays
+    /// mapped and keeps its tree -> SghBijection alone.
+    static bool free_mapped_id(GraphTinker& graph, VertexId src);
     /// Clears the occupancy bit of (src, dst) without updating the block's
     /// occupied counter -> Occupancy (+ accounting drift).
     static bool vanish_cell(GraphTinker& graph, VertexId src, VertexId dst);

@@ -30,11 +30,17 @@ GraphTinker::GraphTinker(Config config)
 
 VertexId GraphTinker::map_source(VertexId raw) {
     if (config_.enable_sgh) {
+        // top_ and props_ cover exactly the dense ids SGH has handed out.
+        // Their room for one more entry is made first, so a failed growth
+        // leaves the mapping unchanged.
+        if (top_.size() == top_.capacity()) {
+            top_.reserve(std::max<std::size_t>(16, 2 * top_.capacity()));
+        }
+        props_.reserve(top_.capacity());
         const VertexId dense = sgh_.get_or_assign(raw);
-        if (dense >= top_.size()) {
-            top_.resize(static_cast<std::size_t>(dense) + 1,
-                        EdgeblockArray::kNoBlock);
-            props_.ensure(dense).raw_id = raw;
+        if (dense == top_.size()) {
+            top_.push_back(EdgeblockArray::kNoBlock);
+            props_.ensure(dense);
         }
         return dense;
     }
@@ -44,7 +50,7 @@ VertexId GraphTinker::map_source(VertexId raw) {
         top_.resize(static_cast<std::size_t>(raw) + 1,
                     EdgeblockArray::kNoBlock);
     }
-    props_.ensure(raw).raw_id = raw;
+    props_.ensure(raw);
     return raw;
 }
 
@@ -59,6 +65,9 @@ std::optional<VertexId> GraphTinker::dense_of(VertexId raw) const {
 }
 
 bool GraphTinker::insert_edge(VertexId src, VertexId dst, Weight weight) {
+    if (src == kInvalidVertex || dst == kInvalidVertex) {
+        return false;  // refused before any frame or mutation (see header)
+    }
     // Solo durability frame: a single-edge call outside any batch is its
     // own all-or-nothing commit unit, with the same policy as
     // run_transaction — if the frame cannot be staged the mutation is
@@ -81,17 +90,22 @@ bool GraphTinker::insert_edge(VertexId src, VertexId dst, Weight weight) {
     note_raw(src);
     note_raw(dst);
     bool created = false;
+    VertexId dense = kInvalidVertex;
     try {
-        const VertexId dense = map_source(src);
+        dense = map_source(src);
         created = insert_resolved(dense, src, dst, weight, nullptr);
         if (created) {
             ++props_[dense].degree;
             ++num_edges_;
         }
     } catch (...) {
+        // Growth pre-flights throw before any structural mutation, so the
+        // only thing to undo is a mapping this call made for a source that
+        // never got its edge.
+        if (dense != kInvalidVertex) {
+            release_if_empty(dense);
+        }
         if (tee) {
-            // Growth pre-flights throw before any structural mutation, so
-            // there is nothing to undo — just drop the frame.
             txn_ = TxnState::Idle;
             journal_.clear();
             log_->abort_batch();
@@ -187,6 +201,9 @@ bool GraphTinker::insert_resolved(VertexId dense, VertexId raw_src,
 }
 
 bool GraphTinker::delete_edge(VertexId src, VertexId dst) {
+    if (src == kInvalidVertex || dst == kInvalidVertex) {
+        return false;  // refused before any frame is staged (see header)
+    }
     // Same solo-frame policy as insert_edge: refuse when staging fails,
     // roll back (re-inserting with the journaled weight) when the commit
     // cannot be made durable.
@@ -237,13 +254,15 @@ bool GraphTinker::delete_resolved(VertexId dense, VertexId raw_src,
     if (top_[dense] == EdgeblockArray::kNoBlock) {
         return false;
     }
-    // Erase pre-flight: the narrow block a demotion takes (and the
-    // "cal.grow" fail point) up front, so a compacting erase cannot throw
+    // Erase pre-flight: the narrow block a demotion takes, the "cal.grow"
+    // fail point and room on SGH's free list for the id an emptied tree
+    // returns, all up front, so a compacting erase cannot throw
     // mid-mutation.
     eba_.prepare_erase(top_[dense]);
     if (config_.enable_cal) {
         cal_.prepare_erase();
     }
+    prepare_release();
     const auto result = eba_.erase(top_[dense], dst);
     if (!result.found) {
         return false;
@@ -259,6 +278,7 @@ bool GraphTinker::delete_resolved(VertexId dense, VertexId raw_src,
             eba_.set_cal_pos(moved->owner, moved->new_pos);
         }
     }
+    release_if_empty(dense);
     if (txn_ == TxnState::Applying) {
         journal_.push_back(UndoEntry{UndoEntry::Kind::Reinsert, raw_src, dst,
                                      result.weight});
@@ -349,7 +369,7 @@ void GraphTinker::materialize_sorted(std::span<const Edge> batch) {
 }
 
 std::span<const GraphTinker::SourceRun> GraphTinker::resolve_runs(
-    std::size_t n, bool assign) {
+    std::size_t n, bool inserts) {
     ingest_runs_.clear();
     // SGH lookahead: the source this many positions ahead has its hash
     // bucket warmed while the current run resolves. Short runs (the worst
@@ -364,19 +384,23 @@ std::span<const GraphTinker::SourceRun> GraphTinker::resolve_runs(
         while (end < n && ingest_sorted_[end].src == src) {
             ++end;
         }
-        if (assign) {
+        if (inserts) {
             note_raw(src);
-            const VertexId dense = map_source(src);
-            ingest_runs_.push_back(SourceRun{
-                src, dense, top_[dense], static_cast<std::uint32_t>(i),
-                static_cast<std::uint32_t>(end)});
-        } else if (const auto dense = dense_of(src)) {
-            // Unknown sources drop out here: every delete under them is a
-            // no-op, so their run never reaches the apply loop.
+        }
+        if (const auto dense = dense_of(src)) {
             ingest_runs_.push_back(SourceRun{
                 src, *dense, top_[*dense], static_cast<std::uint32_t>(i),
                 static_cast<std::uint32_t>(end)});
+        } else if (inserts) {
+            // An unmapped source is mapped by the apply loop, right before
+            // its first edge lands.
+            ingest_runs_.push_back(SourceRun{
+                src, kInvalidVertex, EdgeblockArray::kNoBlock,
+                static_cast<std::uint32_t>(i),
+                static_cast<std::uint32_t>(end)});
         }
+        // Unknown sources drop out of a delete batch here: every delete
+        // under them is a no-op, so their run never reaches the apply loop.
         i = end;
     }
     return ingest_runs_;
@@ -566,11 +590,11 @@ Status GraphTinker::insert_batch(std::span<const Edge> batch) {
             return;
         }
         sort_batch_by_source(batch);
-        // All sources resolve before any edge applies, so the lookahead
-        // prefetch below reads tops straight out of the run table (top_
-        // cannot be resized mid-loop — map_source only runs here).
+        // Every mapped source resolves before any edge applies, so the
+        // lookahead prefetch below reads tops straight out of the run table;
+        // an unmapped source's run carries no top (it has none to warm).
         const std::span<const SourceRun> runs =
-            resolve_runs(batch.size(), /*assign=*/true);
+            resolve_runs(batch.size(), /*inserts=*/true);
         // One stats flush for the whole batch instead of 2–4 atomic RMWs
         // per probe; readers on other threads see the counters a batch
         // late, which relaxed counters already permit.
@@ -578,6 +602,12 @@ Status GraphTinker::insert_batch(std::span<const Edge> batch) {
         std::size_t pf_cursor = 0;
         std::size_t pf_child_cursor = 0;
         for (const SourceRun& run : runs) {
+            // Mapping a source at its first edge means a failed batch only
+            // ever has one mapped source without an edge to release: this
+            // run's, in the catch below.
+            const VertexId dense = run.dense != kInvalidVertex
+                                       ? run.dense
+                                       : map_source(run.src);
             // Constant-distance lookahead: while edge i resolves, the
             // subblock edge i+D will probe is already in flight, so its
             // DRAM miss overlaps useful work instead of serializing behind
@@ -600,7 +630,7 @@ Status GraphTinker::insert_batch(std::span<const Edge> batch) {
                         continue;
                     }
                     max_dst = std::max(max_dst, e.dst);
-                    created += insert_resolved(run.dense, run.src, e.dst,
+                    created += insert_resolved(dense, run.src, e.dst,
                                                e.weight, app_ptr)
                                    ? 1U
                                    : 0U;
@@ -614,20 +644,20 @@ Status GraphTinker::insert_batch(std::span<const Edge> batch) {
             // cover them before the unwind reaches the rollback.
             try {
                 if (config_.enable_cal) {
-                    CoarseAdjacencyList::Appender app =
-                        cal_.appender(run.dense);
+                    CoarseAdjacencyList::Appender app = cal_.appender(dense);
                     drain(&app);
                 } else {
                     drain(nullptr);
                 }
             } catch (...) {
                 note_raw(max_dst);
-                props_[run.dense].degree += created;
+                props_[dense].degree += created;
                 num_edges_ += created;
+                release_if_empty(dense);
                 throw;
             }
             note_raw(max_dst);
-            props_[run.dense].degree += created;
+            props_[dense].degree += created;
             num_edges_ += created;
         }
     });
@@ -678,7 +708,7 @@ Status GraphTinker::delete_batch(std::span<const Edge> batch) {
         }
         sort_batch_by_source(batch);
         const std::span<const SourceRun> runs =
-            resolve_runs(batch.size(), /*assign=*/false);
+            resolve_runs(batch.size(), /*inserts=*/false);
         const EdgeblockArray::StatsBatchScope stats_scope{eba_};
         std::size_t pf_cursor = 0;
         for (const SourceRun& run : runs) {
@@ -768,10 +798,15 @@ obs::Snapshot GraphTinker::telemetry() const {
         r.gauge("cal.scanned_slots")
             .set(static_cast<double>(cal_.scanned_slots()));
     }
+    if (config_.enable_sgh) {
+        r.gauge("sgh.free_ids").set(static_cast<double>(sgh_.free_ids()));
+    }
     const MemoryFootprint mem = memory_footprint();
     r.gauge("mem.edgeblock_bytes")
         .set(static_cast<double>(mem.edgeblock_bytes));
     r.gauge("mem.cal_bytes").set(static_cast<double>(mem.cal_bytes));
+    r.gauge("mem.sgh_bytes").set(static_cast<double>(mem.sgh_bytes));
+    r.gauge("mem.props_bytes").set(static_cast<double>(mem.props_bytes));
     r.gauge("mem.total_bytes").set(static_cast<double>(mem.total()));
     return r.snapshot();
 }

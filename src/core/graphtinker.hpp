@@ -56,6 +56,9 @@ public:
     /// diverges from what post-crash replay rebuilds. The cause stays
     /// latched in the log's status() (recover::WalWriter::status()).
     ///
+    /// An endpoint equal to kInvalidVertex is refused (false) before any
+    /// frame is staged or anything mutates, as insert_batch rejects it.
+    ///
     /// [[nodiscard]]: with durability attached a dropped false conflates
     /// "already present" with "refused commit" — callers that genuinely
     /// don't care cast to void at the call site, visibly.
@@ -65,7 +68,8 @@ public:
     /// Deletes (src, dst) under the configured deletion mode. Returns true
     /// when the edge existed. Under an attached update log the same
     /// all-or-nothing solo-frame policy as insert_edge applies: a failed
-    /// stage/commit leaves the edge in place and returns false.
+    /// stage/commit leaves the edge in place and returns false, and an
+    /// endpoint equal to kInvalidVertex is refused before any frame.
     [[nodiscard]] bool delete_edge(VertexId src, VertexId dst);
 
     /// Batched insert. Large batches take the source-grouped fast path:
@@ -138,11 +142,17 @@ public:
     /// keeps an emptied source's tombstoned top until maintain(). A census
     /// over the main region, O(main_region_size()).
     [[nodiscard]] std::size_t num_nonempty_vertices() const noexcept;
-    /// Dense ids the main region (the top-block table) spans: every source
-    /// ever streamed with SGH, the raw id range without it. Maintenance and
-    /// full EdgeblockArray sweeps walk this many entries.
+    /// Dense ids the main region (the top-block table) spans. With SGH an
+    /// emptied source's id is recycled, so this is the peak number of
+    /// sources mapped at once; without SGH it is the raw id range.
+    /// Maintenance and full EdgeblockArray sweeps walk this many entries.
     [[nodiscard]] std::size_t main_region_size() const noexcept {
         return top_.size();
+    }
+    /// Main-region ids on SGH's free list, waiting for the next new source
+    /// (0 without SGH).
+    [[nodiscard]] std::size_t free_ids() const noexcept {
+        return config_.enable_sgh ? sgh_.free_ids() : 0;
     }
     [[nodiscard]] std::uint32_t degree(VertexId raw_src) const;
 
@@ -253,8 +263,23 @@ private:
     /// child prefetch (EdgeblockArray::prefetch_probe_child) can run.
     static constexpr std::size_t kPrefetchChildDistance = 16;
 
-    /// Maps a raw source id to its dense index, assigning one when new.
+    /// Maps a raw source id to its dense index, assigning one when new
+    /// (a recycled id first). A failed growth maps nothing.
     VertexId map_source(VertexId raw);
+    /// Free-list pre-flight for an operation that may empty a tree.
+    void prepare_release() {
+        if (config_.enable_sgh) {
+            sgh_.prepare_release();
+        }
+    }
+    /// Recycles the dense id of a source that holds no top: SGH unmaps it
+    /// and the next new source reuses it. No-op while the source holds a
+    /// top, and without SGH (raw ids index the main region).
+    void release_if_empty(VertexId dense) noexcept {
+        if (config_.enable_sgh && top_[dense] == EdgeblockArray::kNoBlock) {
+            sgh_.release(dense);
+        }
+    }
     /// insert_edge body after source resolution; `app` (optional) amortizes
     /// the CAL group lookup across a source run. Returns true when a new
     /// edge was created — the caller owns the degree / num_edges_ updates,
@@ -305,10 +330,11 @@ private:
     /// radix-sort fallback's final pass).
     void materialize_sorted(std::span<const Edge> batch);
     /// One source run of a sorted batch: positions [begin, end) of
-    /// ingest_sorted_ share `src`, resolved to `dense` before application.
-    /// `top` snapshots top_[dense] at resolve time — a prefetch hint only
-    /// (kNoBlock for fresh vertices, and the apply loop may re-root the
-    /// tree), but it spares the lookahead a second random top_ read.
+    /// ingest_sorted_ share `src`, resolved to `dense` before application
+    /// (kInvalidVertex for a source not yet mapped). `top` snapshots
+    /// top_[dense] at resolve time — a prefetch hint only (kNoBlock for
+    /// unmapped sources, and the apply loop may re-root the tree), but it
+    /// spares the lookahead a second random top_ read.
     struct SourceRun {
         VertexId src;
         VertexId dense;
@@ -316,17 +342,18 @@ private:
         std::uint32_t begin;
         std::uint32_t end;
     };
-    /// Scans ingest_sorted_ into ingest_runs_, resolving each source once
-    /// (`assign` = map_source for inserts, dense_of for deletes — runs with
-    /// unknown sources are dropped there). Returns the runs.
-    std::span<const SourceRun> resolve_runs(std::size_t n, bool assign);
+    /// Scans ingest_sorted_ into ingest_runs_, looking each source up once
+    /// without mapping it. Runs of unmapped sources stay in an insert batch
+    /// (the apply loop maps them) and drop out of a delete batch. Returns
+    /// the runs.
+    std::span<const SourceRun> resolve_runs(std::size_t n, bool inserts);
     /// Prefetches the probe target of sorted-batch position `pos`, walking
     /// `cursor` forward through ingest_runs_ to find its run (amortized
     /// O(1): both advance monotonically). `deep` selects the second stage
     /// (child chase) instead of the level-0 warm-up.
     void prefetch_ahead(std::span<const SourceRun> runs, std::size_t& cursor,
                         std::size_t pos, bool deep) const;
-    /// Read-only dense lookup; empty when the source never streamed.
+    /// Read-only dense lookup; empty when the source is not mapped.
     [[nodiscard]] std::optional<VertexId> dense_of(VertexId raw) const;
     [[nodiscard]] VertexId raw_of(VertexId dense) const {
         return config_.enable_sgh ? sgh_.raw_of(dense) : dense;

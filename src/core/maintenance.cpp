@@ -43,11 +43,15 @@ private:
             static_cast<double>(load.tombstones) >
                 cfg.purge_tombstone_threshold *
                     static_cast<double>(load.live + load.tombstones)) {
+            // A tree with no live cell rebuilds to nothing, and its source's
+            // dense id is recycled below.
+            g_.prepare_release();
             const std::uint32_t moved = g_.eba_.rebuild_tree(top);
             cost_ += 2ULL * moved;  // collect + reinsert
             ++report_.trees_purged;
             report_.cells_moved += moved;
             report_.tombstones_purged += load.tombstones;
+            g_.release_if_empty(dense);
         } else if (!cfg.rhh_active() && load.blocks > 1) {
             const std::uint32_t moved = g_.eba_.unbranch(top);
             cost_ += 2ULL * moved;

@@ -1,5 +1,6 @@
 // VertexPropertyArray (paper §III.B): per-vertex metadata indexed by the
-// dense (hashed) source id — degree, an application value slot and flags.
+// dense (hashed) source id — the live out-degree. SGH's reverse table holds
+// each dense id's raw id.
 #pragma once
 
 #include <cstdint>
@@ -10,10 +11,7 @@
 namespace gt::core {
 
 struct VertexProperty {
-    VertexId raw_id = kInvalidVertex;  // the pre-SGH id of this vertex
-    std::uint32_t degree = 0;          // live out-edges
-    std::uint32_t value = 0;           // application-defined property slot
-    std::uint32_t flags = 0;           // application-defined flag bits
+    std::uint32_t degree = 0;  // live out-edges
 };
 
 class VertexPropertyArray {
@@ -32,6 +30,9 @@ public:
     [[nodiscard]] VertexProperty& operator[](VertexId dense) {
         return props_[dense];
     }
+
+    /// Capacity for `n` entries, so ensure() below `n` never allocates.
+    void reserve(std::size_t n) { props_.reserve(n); }
 
     [[nodiscard]] std::size_t size() const noexcept { return props_.size(); }
 

@@ -6,15 +6,23 @@
 // slot and the displaced element continues probing. The result is a tight
 // upper bound on probe distance and very stable lookup cost at high load.
 //
+// A slot is just {key, value}: an empty slot holds the reserved key
+// (the key type's maximum), and a resident's displacement is recomputed
+// from its hash instead of being stored, so a u32 -> u32 map costs 8 bytes
+// per slot.
+//
 // GraphTinker uses this map for the Scatter-Gather Hashing table (raw source
-// id -> dense hashed id, and reverse), and the benchmark suite measures it in
-// isolation (bench/micro_rhh).
+// id -> dense hashed id), and the benchmark suite measures it in isolation
+// (bench/micro_rhh).
 #pragma once
 
-#include <cassert>
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <optional>
+#include <stdexcept>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -31,6 +39,10 @@ class RobinHoodMap {
     static_assert(std::is_integral_v<Key>, "RobinHoodMap keys are integers");
 
 public:
+    /// Marks an empty slot, so it can never be stored: insert() rejects it
+    /// and find()/erase() report it absent.
+    static constexpr Key kEmptyKey = std::numeric_limits<Key>::max();
+
     explicit RobinHoodMap(std::size_t initial_capacity = 16) {
         rehash(round_up(initial_capacity));
     }
@@ -44,8 +56,14 @@ public:
     }
 
     /// Inserts key->value or overwrites the existing mapping.
-    /// Returns true when the key was newly inserted.
+    /// Returns true when the key was newly inserted. Throws
+    /// std::invalid_argument for kEmptyKey; a failed table growth leaves
+    /// the map unchanged.
     [[nodiscard]] bool insert(Key key, Value value) {
+        if (key == kEmptyKey) {
+            throw std::invalid_argument(
+                "RobinHoodMap: the reserved empty key cannot be stored");
+        }
         if ((size_ + 1) * 10 >= capacity() * 7) {  // load factor 0.7
             rehash(capacity() * 2);
         }
@@ -54,19 +72,8 @@ public:
 
     /// Looks up a key; nullptr when absent.
     [[nodiscard]] const Value* find(Key key) const noexcept {
-        const std::size_t mask = capacity() - 1;
-        std::size_t pos = home(key);
-        for (std::uint32_t dist = 0;; ++dist, pos = (pos + 1) & mask) {
-            const Slot& slot = slots_[pos];
-            if (!slot.occupied || slot.probe < dist) {
-                // Robin Hood invariant: if this element were present it would
-                // have displaced a richer resident by now.
-                return nullptr;
-            }
-            if (slot.key == key) {
-                return &slot.value;
-            }
-        }
+        const std::size_t pos = locate(key);
+        return pos == kAbsent ? nullptr : &slots_[pos].value;
     }
 
     [[nodiscard]] Value* find(Key key) noexcept {
@@ -86,28 +93,22 @@ public:
 
     /// Removes a key via backward-shift; returns the removed value if any.
     std::optional<Value> erase(Key key) {
-        const std::size_t mask = capacity() - 1;
-        std::size_t pos = home(key);
-        for (std::uint32_t dist = 0;; ++dist, pos = (pos + 1) & mask) {
-            Slot& slot = slots_[pos];
-            if (!slot.occupied || slot.probe < dist) {
-                return std::nullopt;
-            }
-            if (slot.key == key) {
-                std::optional<Value> out = std::move(slot.value);
-                backward_shift(pos);
-                --size_;
-                return out;
-            }
+        const std::size_t pos = locate(key);
+        if (pos == kAbsent) {
+            return std::nullopt;
         }
+        std::optional<Value> out = std::move(slots_[pos].value);
+        backward_shift(pos);
+        --size_;
+        return out;
     }
 
     /// Maximum displacement of any resident element (diagnostics).
     [[nodiscard]] std::uint32_t max_probe_distance() const noexcept {
         std::uint32_t max = 0;
-        for (const Slot& slot : slots_) {
-            if (slot.occupied && slot.probe > max) {
-                max = slot.probe;
+        for (std::size_t pos = 0; pos < slots_.size(); ++pos) {
+            if (slots_[pos].key != kEmptyKey) {
+                max = std::max(max, displacement(pos, slots_[pos].key));
             }
         }
         return max;
@@ -119,9 +120,9 @@ public:
             return 0.0;
         }
         std::uint64_t total = 0;
-        for (const Slot& slot : slots_) {
-            if (slot.occupied) {
-                total += slot.probe;
+        for (std::size_t pos = 0; pos < slots_.size(); ++pos) {
+            if (slots_[pos].key != kEmptyKey) {
+                total += displacement(pos, slots_[pos].key);
             }
         }
         return static_cast<double>(total) / static_cast<double>(size_);
@@ -131,7 +132,7 @@ public:
     template <typename Fn>
     void for_each(Fn&& fn) const {
         for (const Slot& slot : slots_) {
-            if (slot.occupied) {
+            if (slot.key != kEmptyKey) {
                 fn(slot.key, slot.value);
             }
         }
@@ -146,11 +147,12 @@ public:
 
 private:
     struct Slot {
-        Key key{};
+        Key key = kEmptyKey;
         Value value{};
-        std::uint32_t probe = 0;
-        bool occupied = false;
     };
+
+    static constexpr std::size_t kAbsent =
+        std::numeric_limits<std::size_t>::max();
 
     static std::size_t round_up(std::size_t n) {
         std::size_t p = 16;
@@ -166,37 +168,56 @@ private:
                (capacity() - 1);
     }
 
+    /// How far the resident `key` at `pos` sits from its home bucket.
+    [[nodiscard]] std::uint32_t displacement(std::size_t pos,
+                                             Key key) const noexcept {
+        return static_cast<std::uint32_t>((pos - home(key)) &
+                                          (capacity() - 1));
+    }
+
+    /// Slot index holding `key`, or kAbsent.
+    [[nodiscard]] std::size_t locate(Key key) const noexcept {
+        if (key == kEmptyKey) {
+            return kAbsent;
+        }
+        const std::size_t mask = capacity() - 1;
+        std::size_t pos = home(key);
+        for (std::uint32_t dist = 0;; ++dist, pos = (pos + 1) & mask) {
+            const Key resident = slots_[pos].key;
+            if (resident == key) {
+                return pos;
+            }
+            if (resident == kEmptyKey || displacement(pos, resident) < dist) {
+                // Robin Hood invariant: if this element were present it would
+                // have displaced a richer resident by now.
+                return kAbsent;
+            }
+        }
+    }
+
     bool insert_no_grow(Key key, Value value) {
         const std::size_t mask = capacity() - 1;
         std::size_t pos = home(key);
-        Key cur_key = key;
-        Value cur_value = std::move(value);
-        std::uint32_t cur_probe = 0;
-        bool inserted_new = false;
-        bool still_original = true;  // tracks whether cur_* is the new entry
-        for (;; pos = (pos + 1) & mask, ++cur_probe) {
+        for (std::uint32_t dist = 0;; pos = (pos + 1) & mask, ++dist) {
             Slot& slot = slots_[pos];
-            if (!slot.occupied) {
-                slot.key = cur_key;
-                slot.value = std::move(cur_value);
-                slot.probe = cur_probe;
-                slot.occupied = true;
+            if (slot.key == kEmptyKey) {
+                slot.key = key;
+                slot.value = std::move(value);
                 ++size_;
-                return still_original ? true : inserted_new;
+                return true;
             }
-            if (still_original && slot.key == cur_key) {
-                slot.value = std::move(cur_value);  // overwrite semantics
+            if (slot.key == key) {
+                // Only reachable before the first swap below: after it the
+                // floater is a resident, and resident keys are unique.
+                slot.value = std::move(value);  // overwrite semantics
                 return false;
             }
-            if (slot.probe < cur_probe) {
+            const std::uint32_t resident = displacement(pos, slot.key);
+            if (resident < dist) {
                 // Rob the rich: swap the floater with the resident.
-                std::swap(slot.key, cur_key);
-                std::swap(slot.value, cur_value);
-                std::swap(slot.probe, cur_probe);
-                if (still_original) {
-                    inserted_new = true;
-                    still_original = false;
-                }
+                std::swap(slot.key, key);
+                std::swap(slot.value, value);
+                dist = resident;
             }
         }
     }
@@ -206,22 +227,23 @@ private:
         for (;;) {
             const std::size_t next = (hole + 1) & mask;
             Slot& successor = slots_[next];
-            if (!successor.occupied || successor.probe == 0) {
+            if (successor.key == kEmptyKey ||
+                displacement(next, successor.key) == 0) {
                 slots_[hole] = Slot{};
                 return;
             }
             slots_[hole] = std::move(successor);
-            --slots_[hole].probe;
             hole = next;
         }
     }
 
     void rehash(std::size_t new_capacity) {
-        std::vector<Slot> old = std::move(slots_);
-        slots_.assign(new_capacity, Slot{});
+        // Allocate first: a failed allocation leaves the current table.
+        std::vector<Slot> old(new_capacity);
+        old.swap(slots_);
         size_ = 0;
         for (Slot& slot : old) {
-            if (slot.occupied) {
+            if (slot.key != kEmptyKey) {
                 insert_no_grow(slot.key, std::move(slot.value));
             }
         }

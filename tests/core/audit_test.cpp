@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/graphtinker.hpp"
 #include "util/rng.hpp"
 
@@ -201,6 +203,30 @@ TEST(Audit, DetectsSghBijectionBreak) {
     const AuditReport report = g.audit();
     ASSERT_FALSE(report.ok());
     EXPECT_TRUE(report.has(AuditCheck::SghBijection)) << report.to_string();
+}
+
+TEST(Audit, DetectsMappedIdOnFreeListAsSghBijectionOnly) {
+    // A release that skipped the unmap: the id sits on SGH's free list
+    // while its source still maps to it and keeps its tree, so the next new
+    // source would share it. Only the SGH check may fire.
+    GraphTinker g(small_config());
+    load_dense(g);
+    std::vector<Edge> out;
+    g.visit_out_edges(3, [&](VertexId dst, Weight) {
+        out.push_back(Edge{3, dst, 0});
+    });
+    ASSERT_TRUE(g.delete_batch(out).ok());  // source 3 empties: recycled
+    ASSERT_EQ(g.free_ids(), 1u);
+    const AuditReport clean = g.audit();
+    ASSERT_TRUE(clean.ok()) << clean.to_string();
+    EXPECT_EQ(clean.free_ids, 1u);
+
+    ASSERT_TRUE(CorruptionInjector::free_mapped_id(g, 5));
+    const AuditReport report = g.audit();
+    ASSERT_FALSE(report.ok());
+    for (const AuditViolation& v : report.violations) {
+        EXPECT_EQ(v.check, AuditCheck::SghBijection) << v.to_string();
+    }
 }
 
 TEST(Audit, DetectsOccupancyDrift) {

@@ -70,6 +70,21 @@ TEST(ObsParity, GaugesMatchAuditCensusAfterChurn) {
             report.narrow_blocks * eba.block_bytes(BlockClass::Narrow) +
             g.main_region_size() * sizeof(std::uint32_t)));
 
+    // The per-source tables: SGH and the vertex properties at their
+    // footprint, and the recycled ids the audit finds unclaimed.
+    const GraphTinker::MemoryFootprint mem = g.memory_footprint();
+    EXPECT_GT(mem.sgh_bytes, 0u);
+    EXPECT_DOUBLE_EQ(snap.gauge_value("mem.sgh_bytes"),
+                     static_cast<double>(mem.sgh_bytes));
+    EXPECT_DOUBLE_EQ(snap.gauge_value("mem.props_bytes"),
+                     static_cast<double>(mem.props_bytes));
+    EXPECT_DOUBLE_EQ(snap.gauge_value("mem.total_bytes"),
+                     static_cast<double>(mem.total()));
+    EXPECT_GT(report.free_ids, 0u);
+    EXPECT_DOUBLE_EQ(snap.gauge_value("sgh.free_ids"),
+                     static_cast<double>(report.free_ids));
+    EXPECT_EQ(report.free_ids, g.free_ids());
+
     // Batch accounting: three batches were fed, each counted once, and
     // gt.updates sums their sizes whether or not an update landed.
     EXPECT_EQ(snap.counter_value("gt.batches"), 3u);

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <stdexcept>
 #include <unordered_map>
 #include <vector>
 
@@ -115,18 +116,31 @@ TEST(RobinHoodMap, BackwardShiftKeepsClusterFindable) {
 class RobinHoodModelTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(RobinHoodModelTest, MatchesUnorderedMapUnderRandomOps) {
+    using Map = RobinHoodMap<std::uint32_t, std::uint32_t>;
     const std::size_t universe = GetParam();
-    RobinHoodMap<std::uint32_t, std::uint32_t> map;
+    Map map;
     std::unordered_map<std::uint32_t, std::uint32_t> model;
     Rng rng(universe);
-    for (int op = 0; op < 20000; ++op) {
-        const auto key = static_cast<std::uint32_t>(rng.next_below(universe));
+    // 20k ops of a 50/30/20 insert/find/erase mix, then 20k erase-heavy
+    // ones: phases that fill toward the growth point alternate with phases
+    // that drain, so backward shifts run through long clusters, and half
+    // their keys are the largest storable ones, right below the reserved
+    // key that marks an empty slot.
+    for (int op = 0; op < 40000; ++op) {
+        const bool churn = op >= 20000;
+        const std::uint64_t r = rng.next_below(universe);
+        const auto key =
+            churn && (r & 1) != 0
+                ? static_cast<std::uint32_t>(Map::kEmptyKey - 1 - (r >> 1) % 64)
+                : static_cast<std::uint32_t>(churn ? r >> 1 : r);
         const auto roll = rng.next_below(10);
-        if (roll < 5) {
+        const std::uint64_t inserts = !churn ? 5 : (op / 2000) % 2 ? 2 : 6;
+        const std::uint64_t finds = churn ? 0 : 3;
+        if (roll < inserts) {
             const auto value = static_cast<std::uint32_t>(rng.next());
             (void)map.insert(key, value);
             model[key] = value;
-        } else if (roll < 8) {
+        } else if (roll < inserts + finds) {
             const auto got = map.find(key);
             const auto it = model.find(key);
             if (it == model.end()) {
@@ -145,16 +159,49 @@ TEST_P(RobinHoodModelTest, MatchesUnorderedMapUnderRandomOps) {
             }
         }
         ASSERT_EQ(map.size(), model.size());
+        ASSERT_EQ(map.find(Map::kEmptyKey), nullptr);
+        if (op % 997 == 0 || op == 19999) {
+            for (const auto& [k, v] : model) {
+                ASSERT_NE(map.find(k), nullptr) << k;
+                ASSERT_EQ(*map.find(k), v);
+            }
+        }
     }
-    // Final full audit.
+    // Final full audit, both directions.
     for (const auto& [k, v] : model) {
         ASSERT_NE(map.find(k), nullptr);
         EXPECT_EQ(*map.find(k), v);
     }
+    std::size_t visited = 0;
+    map.for_each([&](std::uint32_t k, std::uint32_t v) {
+        EXPECT_EQ(model.at(k), v);
+        ++visited;
+    });
+    EXPECT_EQ(visited, model.size());
+    EXPECT_LT(map.max_probe_distance(), 64u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Universes, RobinHoodModelTest,
                          ::testing::Values(16, 256, 4096, 100000));
+
+TEST(RobinHoodMap, SlotIsJustKeyAndValue) {
+    // The empty marker is a reserved key and the displacement is derived
+    // from the hash, so a u32 -> u32 map pays 8 bytes per slot.
+    RobinHoodMap<std::uint32_t, std::uint32_t> map(1024);
+    EXPECT_EQ(map.memory_bytes(), map.capacity() * 8);
+}
+
+TEST(RobinHoodMap, ReservedKeyIsNeverStoredOrFound) {
+    using Map = RobinHoodMap<std::uint32_t, std::uint32_t>;
+    Map map;
+    EXPECT_THROW((void)map.insert(Map::kEmptyKey, 1), std::invalid_argument);
+    EXPECT_EQ(map.size(), 0u);
+    EXPECT_EQ(map.find(Map::kEmptyKey), nullptr);
+    EXPECT_FALSE(map.erase(Map::kEmptyKey).has_value());
+    (void)map.insert(Map::kEmptyKey - 1, 7);  // the largest storable key
+    EXPECT_EQ(*map.find(Map::kEmptyKey - 1), 7u);
+    EXPECT_EQ(map.find(Map::kEmptyKey), nullptr);
+}
 
 }  // namespace
 }  // namespace gt

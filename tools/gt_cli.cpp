@@ -226,7 +226,8 @@ int cmd_stats(const ParsedGraph& parsed, bool json) {
     }
     std::printf("vertices (id space) : %u\n", g.num_vertices());
     std::printf("non-empty sources   : %zu\n", g.num_nonempty_vertices());
-    std::printf("main region (ids)   : %zu\n", g.main_region_size());
+    std::printf("main region (ids)   : %zu (%zu free)\n",
+                g.main_region_size(), g.free_ids());
     std::printf("edges (distinct)    : %llu\n",
                 static_cast<unsigned long long>(g.num_edges()));
     std::printf("stream updates      : %zu\n", parsed.edges.size());
