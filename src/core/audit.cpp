@@ -473,6 +473,12 @@ private:
                 prev = b;
                 b = bm.next;
             }
+            if (b == kNone && steps != meta.blocks) {
+                add(AuditCheck::CalChain, kInvalidVertex, kInvalidVertex,
+                    "group " + std::to_string(group) + " counts " +
+                        std::to_string(meta.blocks) + " blocks but chains " +
+                        std::to_string(steps));
+            }
         }
 
         // Every pool block is either chained or free-listed, never both.
@@ -526,15 +532,24 @@ private:
     }
 
     /// Reverse (CAL slot -> edge-cell) round-trip for one chained block.
+    /// Holes are legal only under delete-only deletes: a compacting erase
+    /// refills every hole it marks before the operation returns.
     void audit_cal_block(std::uint32_t block) {
         const CoarseAdjacencyList& cal = g_.cal_;
         const std::size_t base =
             static_cast<std::size_t>(block) * cal.block_edges_;
+        const bool compact =
+            g_.config_.deletion_mode == DeletionMode::DeleteAndCompact;
         for (std::uint32_t i = 0; i < cal.blocks_[block].used; ++i) {
             ++report_.cal_slots_audited;
             const auto& slot = cal.pool_[base + i];
             if (slot.src == kInvalidVertex) {
-                continue;  // delete-only hole
+                if (compact) {
+                    add(AuditCheck::CalChain, kInvalidVertex, kInvalidVertex,
+                        "CAL slot " + std::to_string(base + i) +
+                            " is a hole in a compacting store");
+                }
+                continue;
             }
             ++cal_live_;
             const auto pos = static_cast<std::uint32_t>(base + i);
@@ -833,6 +848,29 @@ bool CorruptionInjector::widen_top(GraphTinker& graph, VertexId src) {
     }
     ProbeWork work;
     (void)graph.eba_.promote(top, work);
+    return true;
+}
+
+bool CorruptionInjector::punch_cal_hole(GraphTinker& graph, VertexId src,
+                                        VertexId dst) {
+    const auto ref = locate_cell(graph, src, dst);
+    if (!ref || !graph.config_.enable_cal) {
+        return false;
+    }
+    std::uint32_t& cal_pos = graph.eba_.cal_pos_of(ref->block, ref->slot);
+    if (cal_pos == kNoCalPos) {
+        return false;
+    }
+    // Re-append the edge's copy at its group's tail, re-point the cell at
+    // it, and mark the old slot: what a compacting erase leaves behind when
+    // it marks a hole and never refills it.
+    CoarseAdjacencyList& cal = graph.cal_;
+    const auto old = cal.pool_[cal_pos];
+    const std::uint32_t moved_to = cal.insert(*graph.dense_of(src), old.src,
+                                              old.dst, old.weight, old.owner);
+    cal.pool_[cal_pos].src = kInvalidVertex;
+    --cal.live_;
+    cal_pos = moved_to;
     return true;
 }
 

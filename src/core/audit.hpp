@@ -75,7 +75,7 @@ enum class AuditCheck : std::uint8_t {
     FindReachability,  // stored cell not retrievable via FIND
     CalForward,        // edge-cell -> CAL slot mismatch
     CalReverse,        // CAL slot -> edge-cell back-pointer mismatch
-    CalChain,          // group chain linkage broken or pool unaccounted
+    CalChain,          // chain link/length, compact-mode hole, pool leak
     SghBijection,      // dense<->raw round-trip or free-list breach
     DegreeAccounting,  // per-vertex degree counter drift
     EdgeAccounting,    // global edge counters disagree
@@ -180,6 +180,10 @@ public:
     /// Links a fresh narrow block as the child of a childless window of
     /// `src`'s wide top (a full one when there is one) -> SizeClass.
     static bool link_narrow_as_child(GraphTinker& graph, VertexId src);
+    /// Moves the (src, dst) edge's CAL copy to its group's tail, leaving a
+    /// marked hole behind -> CalChain alone under compact deletes (a legal
+    /// hole under delete-only).
+    static bool punch_cal_hole(GraphTinker& graph, VertexId src, VertexId dst);
 
 private:
     /// Locates the edge-cell of (src, dst); nullopt when absent.

@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "util/failpoint.hpp"
+#include "util/simd.hpp"
 
 namespace gt::core {
 
@@ -39,19 +40,6 @@ std::uint32_t CoarseAdjacencyList::allocate_block(std::uint32_t group) {
     blocks_[id] = BlockMeta{.next = kNone, .prev = kNone, .group = group,
                             .used = 0};
     blocks_allocated_m_->inc();
-    // Chain-length distribution: sampled at growth time, when the walk is
-    // proportional to the chain the paper cares about anyway. Gated so a
-    // disabled run never pays the walk.
-    if constexpr (obs::kEnabled) {
-        if (obs::recording() && group < groups_.size()) {
-            std::uint64_t len = 1;  // the block being linked in
-            for (std::uint32_t b = groups_[group].head; b != kNone;
-                 b = blocks_[b].next) {
-                ++len;
-            }
-            chain_blocks_m_->record(len);
-        }
-    }
     return id;
 }
 
@@ -123,6 +111,13 @@ std::uint32_t CoarseAdjacencyList::insert_in_group(std::uint32_t group,
             blocks_[meta.tail].next = block;
         }
         meta.tail = block;
+        ++meta.blocks;
+        // Chain-length distribution, sampled at growth time.
+        if constexpr (obs::kEnabled) {
+            if (obs::recording()) {
+                chain_blocks_m_->record(meta.blocks);
+            }
+        }
     }
     BlockMeta& tail = blocks_[meta.tail];
     const std::uint32_t pos = meta.tail * block_edges_ + tail.used;
@@ -144,49 +139,80 @@ void CoarseAdjacencyList::free_tail_block(GroupMeta& meta) {
     } else {
         blocks_[prev].next = kNone;
     }
+    --meta.blocks;
     free_.push_back(old_tail);
     blocks_freed_m_->inc();
 }
 
-std::optional<CoarseAdjacencyList::Moved> CoarseAdjacencyList::erase(
-    std::uint32_t pos, bool compact) {
-    CalEdgeSlot& victim = pool_[pos];
-    assert(victim.src != kInvalidVertex && "double CAL erase");
-    --live_;
-    if (!compact) {
-        // Delete-only: flag as invalid; the hole is skipped during streaming
-        // but keeps being scanned, which is exactly the degradation Fig 15
-        // measures.
+std::size_t CoarseAdjacencyList::erase_batch(
+    std::span<const std::uint32_t> holes, bool compact,
+    std::span<Moved> moved) noexcept {
+    // Pass 1: mark. Holes are random pool positions, so each one's line is
+    // requested a few holes ahead; pass 2 then finds them cached.
+    constexpr std::size_t kAhead = 8;
+    const std::size_t n = holes.size();
+    for (std::size_t i = 0; i < n; ++i) {
+        if (i + kAhead < n) {
+            simd::prefetch_write(&pool_[holes[i + kAhead]]);
+        }
+        CalEdgeSlot& victim = pool_[holes[i]];
+        assert(victim.src != kInvalidVertex && "double CAL erase");
         victim.src = kInvalidVertex;
-        holes_created_m_->inc();
-        return std::nullopt;
+    }
+    live_ -= n;
+    if (!compact) {
+        // Delete-only: the holes are skipped during streaming but keep
+        // being scanned, which is exactly the degradation Fig 15 measures.
+        holes_created_m_->add(n);
+        return 0;
     }
 
-    const std::uint32_t block = pos / block_edges_;
-    GroupMeta& meta = groups_[blocks_[block].group];
-    BlockMeta& tail = blocks_[meta.tail];
-    assert(tail.used > 0);
-    const std::uint32_t last_pos = meta.tail * block_edges_ + tail.used - 1;
-    --tail.used;
-    --used_;
-    std::optional<Moved> moved;
-    // Self-move guard: when the erased edge IS the group's tail edge
-    // (last_pos == pos), there is nothing to relocate and no Moved may be
-    // emitted — the caller would re-bind an owner's CAL pointer to a slot
-    // this erase just vacated.
-    if (last_pos != pos) {
-        // Compact chains hold no holes, so the relocated tail edge is
-        // always live and its owner backreference is current (every prior
-        // cell move re-bound it through rebind()).
-        assert(pool_[last_pos].src != kInvalidVertex &&
-               "compact-mode tail slot must be live");
-        pool_[pos] = pool_[last_pos];
-        moved = Moved{.owner = pool_[pos].owner, .new_pos = pos};
-        compact_moves_m_->inc();
+    // Pass 2: refill each hole from its group's tail. Every hole is marked
+    // by now, so a tail slot that is one is dropped rather than moved, and
+    // a hole dropped that way has left its chain (its offset is at or past
+    // its block's bump counter, which nothing raises during the pass) and
+    // is skipped when its own turn comes. A moved tail edge is live, so its
+    // owner backreference is current: every prior cell move re-bound it.
+    std::size_t n_moved = 0;
+    for (const std::uint32_t pos : holes) {
+        const std::uint32_t block = pos / block_edges_;
+        if (pos - block * block_edges_ >= blocks_[block].used) {
+            continue;
+        }
+        GroupMeta& meta = groups_[blocks_[block].group];
+        for (;;) {
+            BlockMeta& tail = blocks_[meta.tail];
+            assert(tail.used > 0);
+            const std::uint32_t last = meta.tail * block_edges_ + --tail.used;
+            --used_;
+            CalEdgeSlot& from = pool_[last];
+            // `last == pos` is the self-move case: the hole IS the tail slot,
+            // and emitting a Moved would re-bind an owner to a vacated slot.
+            const bool live = from.src != kInvalidVertex;
+            if (live) {
+                pool_[pos] = from;
+                moved[n_moved++] = Moved{.owner = from.owner, .new_pos = pos};
+            }
+            from = CalEdgeSlot{};
+            if (tail.used == 0) {
+                free_tail_block(meta);
+            }
+            if (live || last == pos) {
+                break;
+            }
+        }
     }
-    pool_[last_pos] = CalEdgeSlot{};
-    if (tail.used == 0) {
-        free_tail_block(meta);
+    if (n_moved != 0) {
+        compact_moves_m_->add(n_moved);
+    }
+    return n_moved;
+}
+
+std::optional<CoarseAdjacencyList::Moved> CoarseAdjacencyList::erase(
+    std::uint32_t pos, bool compact) {
+    Moved moved{};
+    if (erase_batch({&pos, 1}, compact, {&moved, 1}) == 0) {
+        return std::nullopt;
     }
     return moved;
 }

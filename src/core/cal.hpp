@@ -18,6 +18,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -107,11 +108,23 @@ public:
         std::uint32_t new_pos;  // its new CAL position
     };
 
-    /// Removes the edge at `pos`. With `compact` the group's tail edge is
-    /// relocated into the hole (keeping every chain dense) and emptied tail
-    /// blocks are returned to the free list; without it the slot is flagged
-    /// invalid and the chain does not shrink until the next compact_chains
-    /// sweep (delete-only semantics).
+    /// Removes the edges at `holes`, distinct live positions in any order,
+    /// in two passes. The first marks every hole invalid. Without `compact`
+    /// it stops there: the holes are skipped during streaming but keep being
+    /// scanned until the next compact_chains sweep (delete-only semantics).
+    /// With `compact` the second pass refills each hole still inside its
+    /// chain from the group's tail, dropping tail slots that are holes
+    /// themselves instead of moving them, and returns emptied tail blocks to
+    /// the free list, so every chain ends dense. Each relocation is written
+    /// to `moved` in order (an edge moved twice appears twice, its last
+    /// entry final); `moved` needs room for one entry per hole. Returns the
+    /// number of relocations. prepare_erase must have run for each hole, so
+    /// that freeing tail blocks never allocates.
+    std::size_t erase_batch(std::span<const std::uint32_t> holes, bool compact,
+                            std::span<Moved> moved) noexcept;
+
+    /// Removes the edge at `pos`: erase_batch of one hole. Returns the
+    /// relocation a compacting erase made, if any.
     std::optional<Moved> erase(std::uint32_t pos, bool compact);
 
     /// Maintenance sweep: rewrites every group chain dense — live slots
@@ -199,6 +212,7 @@ private:
     struct GroupMeta {
         std::uint32_t head = kNone;
         std::uint32_t tail = kNone;
+        std::uint32_t blocks = 0;  // chain length, kept where blocks link/free
     };
 
     static constexpr std::uint32_t kNone = 0xffffffffU;

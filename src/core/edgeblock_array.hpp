@@ -48,6 +48,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/cal.hpp"
@@ -301,6 +302,21 @@ public:
     /// CAL compaction when a CAL edge moves).
     void set_cal_pos(CellRef ref, std::uint32_t pos) {
         cal_pos_of(ref.block, ref.slot) = pos;
+    }
+
+    /// Applies a CAL compaction pass's relocations in order (an edge moved
+    /// twice ends at its last position). The owner cells are random arena
+    /// lines, so each one is requested a few moves ahead.
+    void set_cal_positions(
+        std::span<const CoarseAdjacencyList::Moved> moved) noexcept {
+        constexpr std::size_t kAhead = 8;
+        for (std::size_t i = 0; i < moved.size(); ++i) {
+            if (i + kAhead < moved.size()) {
+                const CellRef next = moved[i + kAhead].owner;
+                simd::prefetch_write(&cal_pos_of(next.block, next.slot));
+            }
+            set_cal_pos(moved[i].owner, moved[i].new_pos);
+        }
     }
 
     /// Visits every live out-edge under `top`: fn(dst, weight), where fn may

@@ -1,9 +1,11 @@
 #include "core/graphtinker.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "util/failpoint.hpp"
+#include "util/simd.hpp"
 #include "util/timer.hpp"
 
 namespace gt::core {
@@ -250,7 +252,7 @@ bool GraphTinker::delete_edge(VertexId src, VertexId dst) {
 }
 
 bool GraphTinker::delete_resolved(VertexId dense, VertexId raw_src,
-                                  VertexId dst) {
+                                  VertexId dst, bool defer_cal) {
     if (top_[dense] == EdgeblockArray::kNoBlock) {
         return false;
     }
@@ -272,7 +274,9 @@ bool GraphTinker::delete_resolved(VertexId dense, VertexId raw_src,
     if (config_.enable_cal && result.cal_pos != kNoCalPos) {
         const bool compact =
             config_.deletion_mode == DeletionMode::DeleteAndCompact;
-        if (const auto moved = cal_.erase(result.cal_pos, compact)) {
+        if (defer_cal) {
+            cal_holes_.push_back(result.cal_pos);  // reserved per batch
+        } else if (const auto moved = cal_.erase(result.cal_pos, compact)) {
             // CAL compaction relocated another edge's copy; point its owning
             // edge-cell at the new CAL position.
             eba_.set_cal_pos(moved->owner, moved->new_pos);
@@ -324,21 +328,21 @@ void GraphTinker::sort_batch_by_source(std::span<const Edge> batch) {
         materialize_sorted(batch);
         return;
     }
-    // LSD radix over the source digits only (16 bits per pass); ties keep
-    // their batch order, which full-key passes would also guarantee but at
-    // twice the cost.
-    constexpr std::uint32_t kRadixBits = 16;
+    // LSD radix over the source digits only; ties keep their batch order,
+    // which full-key passes would also guarantee but at twice the cost.
+    // 11-bit digits keep the 2,048-bucket histogram in L1 and its clear and
+    // prefix scan small beside the batch; the pass count follows the widest
+    // source.
+    constexpr std::uint32_t kRadixBits = 11;
     constexpr std::uint32_t kBuckets = 1U << kRadixBits;
     ingest_tmp_.resize(n);
-    ingest_hist_.assign(kBuckets, 0);
     std::uint64_t* from = ingest_keys_.data();
     std::uint64_t* to = ingest_tmp_.data();
-    const std::uint32_t passes = max_src < kBuckets ? 1 : 2;
+    const auto passes = static_cast<std::uint32_t>(
+        (std::bit_width(max_src) + kRadixBits - 1) / kRadixBits);
     for (std::uint32_t pass = 0; pass < passes; ++pass) {
         const std::uint32_t shift = 32 + pass * kRadixBits;
-        if (pass > 0) {
-            ingest_hist_.assign(kBuckets, 0);
-        }
+        ingest_hist_.assign(kBuckets, 0);
         for (std::size_t i = 0; i < n; ++i) {
             ++ingest_hist_[(from[i] >> shift) & (kBuckets - 1)];
         }
@@ -415,10 +419,16 @@ void GraphTinker::prefetch_ahead(std::span<const SourceRun> runs,
     if (cursor >= runs.size() || pos < runs[cursor].begin) {
         return;
     }
+    const SourceRun& run = runs[cursor];
     if (deep) {
-        eba_.prefetch_probe_child(runs[cursor].top, ingest_sorted_[pos].dst);
-    } else {
-        eba_.prefetch_probe(runs[cursor].top, ingest_sorted_[pos].dst);
+        eba_.prefetch_probe_child(run.top, ingest_sorted_[pos].dst);
+        return;
+    }
+    eba_.prefetch_probe(run.top, ingest_sorted_[pos].dst);
+    // The run's degree update is another random line; a source the insert
+    // loop has yet to map has no entry to warm.
+    if (pos == run.begin && run.dense != kInvalidVertex) {
+        simd::prefetch_write(&props_[run.dense]);
     }
 }
 
@@ -501,6 +511,29 @@ Status GraphTinker::run_transaction(std::span<const Edge> batch, bool deletes,
     if (const Status st = validate_batch(batch); !st.ok()) {
         return st;
     }
+    // Pre-flight: size the scratch the apply path pushes to without
+    // throwing. It runs before the log stages the batch, so a failed
+    // allocation leaves both the store and the log untouched.
+    try {
+        GT_FAILPOINT("txn.preflight");
+        journal_.clear();
+        journal_.reserve(batch.size());
+        if (deletes && config_.enable_cal) {
+            // One CAL hole per erase and at most one relocation per hole.
+            cal_holes_.reserve(batch.size());
+            if (cal_moves_.size() < batch.size()) {
+                cal_moves_.resize(batch.size());
+            }
+        }
+    } catch (const fail::InjectedFault& f) {
+        return Status{StatusCode::FaultInjected,
+                      "injected fault at site '" + f.site() +
+                          "' before the batch",
+                      0};
+    } catch (const std::bad_alloc&) {
+        return Status{StatusCode::ResourceExhausted,
+                      "allocation failed before the batch", 0};
+    }
     // Stage-before-apply: the durability frame holds the batch before the
     // first in-memory mutation; it is committed only after the apply fully
     // succeeded. A crash anywhere in between leaves an uncommitted frame
@@ -515,8 +548,6 @@ Status GraphTinker::run_transaction(std::span<const Edge> batch, bool deletes,
                           "update log could not stage the batch"};
         }
     }
-    journal_.clear();
-    journal_.reserve(batch.size());  // apply-path journal pushes are nothrow
     txn_ = TxnState::Applying;
     // gt-txn: first-mutation
     Status st = Status::success();
@@ -710,11 +741,22 @@ Status GraphTinker::delete_batch(std::span<const Edge> batch) {
         const std::span<const SourceRun> runs =
             resolve_runs(batch.size(), /*inserts=*/false);
         const EdgeblockArray::StatsBatchScope stats_scope{eba_};
+        // Two passes: the EBA erases below only collect CAL holes, and the
+        // CAL pass erases them all at once when this scope exits — a throw
+        // included, so rollback_journal re-inserts over a dense CAL. The
+        // writer's exclusive lock covers the gap between the passes.
+        struct CalPass {
+            GraphTinker* g;
+            ~CalPass() { g->flush_cal_holes(); }
+        } const cal_pass{this};
         std::size_t pf_cursor = 0;
+        std::size_t pf_child_cursor = 0;
         for (const SourceRun& run : runs) {
             for (std::size_t i = run.begin; i < run.end; ++i) {
                 prefetch_ahead(runs, pf_cursor, i + kPrefetchDistance,
                                /*deep=*/false);
+                prefetch_ahead(runs, pf_child_cursor,
+                               i + kPrefetchChildDistance, /*deep=*/true);
                 const Edge& e = ingest_sorted_[i];
                 // Adjacent same-destination deletes: the first one removes
                 // the edge and every later one is a guaranteed no-op (erase
@@ -724,7 +766,8 @@ Status GraphTinker::delete_batch(std::span<const Edge> batch) {
                 if (i + 1 < run.end && ingest_sorted_[i + 1].dst == e.dst) {
                     continue;
                 }
-                delete_resolved(run.dense, run.src, e.dst);
+                delete_resolved(run.dense, run.src, e.dst,
+                                /*defer_cal=*/true);
             }
         }
     });
@@ -732,6 +775,17 @@ Status GraphTinker::delete_batch(std::span<const Edge> batch) {
         mutation_epoch_.fetch_add(1, std::memory_order_release);
     }
     return st;
+}
+
+void GraphTinker::flush_cal_holes() noexcept {
+    if (cal_holes_.empty()) {
+        return;
+    }
+    const std::size_t moved = cal_.erase_batch(
+        cal_holes_, config_.deletion_mode == DeletionMode::DeleteAndCompact,
+        cal_moves_);
+    eba_.set_cal_positions(std::span(cal_moves_).first(moved));
+    cal_holes_.clear();
 }
 
 std::optional<Weight> GraphTinker::find_edge(VertexId src,

@@ -95,9 +95,11 @@ public:
     [[nodiscard]] Status insert_batch(std::span<const Edge> batch);
     /// Batched delete with the same source-grouped fast path and the same
     /// transactional all-or-nothing semantics (rolled-back deletes are
-    /// re-inserted with their original weights). Duplicate (src, dst) pairs
-    /// within a batch delete the edge once: later occurrences are no-ops,
-    /// exactly as per-edge application behaves.
+    /// re-inserted with their original weights). On the fast path the CAL
+    /// copies are erased in one pass after the EdgeblockArray erases
+    /// (flush_cal_holes). Duplicate (src, dst) pairs within a batch delete
+    /// the edge once: later occurrences are no-ops, exactly as per-edge
+    /// application behaves.
     [[nodiscard]] Status delete_batch(std::span<const Edge> batch);
 
     // ---- durability (src/recover) ----------------------------------------
@@ -287,8 +289,16 @@ private:
     bool insert_resolved(VertexId dense, VertexId raw_src, VertexId dst,
                          Weight weight, CoarseAdjacencyList::Appender* app);
     /// delete_edge body after source resolution (`raw_src` only feeds the
-    /// undo journal).
-    bool delete_resolved(VertexId dense, VertexId raw_src, VertexId dst);
+    /// undo journal). With `defer_cal` the edge's CAL position goes on
+    /// cal_holes_ for the batch's CAL pass instead of being erased now.
+    bool delete_resolved(VertexId dense, VertexId raw_src, VertexId dst,
+                         bool defer_cal = false);
+    /// A sorted delete batch's CAL pass: erases every position on
+    /// cal_holes_ in one CoarseAdjacencyList::erase_batch, re-binds the
+    /// relocated edges' owner cells, and empties the list. Runs on every
+    /// exit from the batch's apply, so a failed batch rolls back over a
+    /// dense CAL.
+    void flush_cal_holes() noexcept;
 
     // ---- transactional batch machinery -----------------------------------
 
@@ -350,7 +360,8 @@ private:
     /// Prefetches the probe target of sorted-batch position `pos`, walking
     /// `cursor` forward through ingest_runs_ to find its run (amortized
     /// O(1): both advance monotonically). `deep` selects the second stage
-    /// (child chase) instead of the level-0 warm-up.
+    /// (child chase) instead of the level-0 warm-up; the warm-up also
+    /// requests a mapped source's degree entry at its run's first edge.
     void prefetch_ahead(std::span<const SourceRun> runs, std::size_t& cursor,
                         std::size_t pos, bool deep) const;
     /// Read-only dense lookup; empty when the source is not mapped.
@@ -385,6 +396,10 @@ private:
     /// Undo journal of the in-flight batch. Reserved to the batch size up
     /// front so the per-update pushes on the apply path cannot throw.
     std::vector<UndoEntry> journal_;
+    /// A sorted delete batch's CAL holes and the relocations its CAL pass
+    /// makes (see flush_cal_holes), sized beside the journal.
+    std::vector<std::uint32_t> cal_holes_;
+    std::vector<CoarseAdjacencyList::Moved> cal_moves_;
 
     // Batch-ingest and maintenance telemetry handles (resolved once at
     // construction; recording through them is lock-free).

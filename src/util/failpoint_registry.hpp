@@ -16,7 +16,7 @@
 
 namespace gt::fail {
 
-inline constexpr std::array<std::string_view, 12> kKnownSites = {
+inline constexpr std::array<std::string_view, 13> kKnownSites = {
     "cal.grow",    // src/core/cal.cpp — CAL block allocation during append
     "eba.grow",    // src/core/edgeblock_array.cpp — edgeblock pool growth
     "net.client.drop_frame",  // src/net/client.cpp — a decoded reply frame
@@ -31,6 +31,8 @@ inline constexpr std::array<std::string_view, 12> kKnownSites = {
     "net.send.reset",         // src/net/io.cpp — ECONNRESET on send
     "net.send.short",         // src/net/io.cpp — kernel takes one byte
                               // (partial-send reassembly)
+    "txn.preflight",  // src/core/graphtinker.cpp — a batch's scratch
+                      // reservation, before the log stages the batch
     "wal.commit",  // src/recover/wal.cpp — commit-record write/fsync
     "wal.stage",   // src/recover/wal.cpp — payload staging write
 };

@@ -173,6 +173,33 @@ TEST(Audit, DetectsWidenedTopAsSizeClassOnly) {
     }
 }
 
+TEST(Audit, DetectsUnfilledCalHoleAsCalChainOnly) {
+    // A compacting erase refills every CAL hole it marks. The injector
+    // leaves one marked and unfilled, with the edge's copy re-appended and
+    // its cell re-pointed, so only the chain check may fire; the same hole
+    // is legal in a delete-only store.
+    for (const DeletionMode mode :
+         {DeletionMode::DeleteAndCompact, DeletionMode::DeleteOnly}) {
+        Config cfg = small_config();
+        cfg.deletion_mode = mode;
+        GraphTinker g(cfg);
+        load_dense(g);
+        const Edge target = first_edge_of(g, 4);
+        ASSERT_NE(target.dst, kInvalidVertex);
+        ASSERT_TRUE(CorruptionInjector::punch_cal_hole(g, 4, target.dst));
+        EXPECT_EQ(g.cal().scanned_slots(), g.cal().live_edges() + 1);
+        const AuditReport report = g.audit();
+        if (mode == DeletionMode::DeleteOnly) {
+            EXPECT_TRUE(report.ok()) << report.to_string();
+            continue;
+        }
+        ASSERT_FALSE(report.ok());
+        for (const AuditViolation& v : report.violations) {
+            EXPECT_EQ(v.check, AuditCheck::CalChain) << v.to_string();
+        }
+    }
+}
+
 TEST(Audit, DetectsNarrowBlockLinkedAsChild) {
     GraphTinker g(small_config());
     load_dense(g);

@@ -96,6 +96,50 @@ TEST_P(CalFuzzTest, RandomChurnKeepsStreamExact) {
     }
 }
 
+TEST_P(CalFuzzTest, RandomBatchErasesKeepOwnersBound) {
+    // Random batches of holes through erase_batch, with its relocations
+    // applied in order to a model of the owner cells' CAL pointers: every
+    // surviving owner must end bound to a slot that names it back.
+    const bool compact = GetParam();
+    CoarseAdjacencyList cal(/*group_size=*/4, /*block_edges=*/4);
+    std::unordered_map<std::uint32_t, std::uint32_t> pos_of;  // owner -> pos
+    Rng rng(compact ? 3 : 4);
+    std::uint32_t next_owner = 0;
+    for (int round = 0; round < 300; ++round) {
+        const auto inserts = rng.next_below(40);
+        for (std::uint64_t i = 0; i < inserts; ++i) {
+            const auto dense = static_cast<VertexId>(rng.next_below(32));
+            const std::uint32_t owner = next_owner++;
+            pos_of[owner] =
+                cal.insert(dense, dense, owner, 1, CellRef{owner, 0});
+        }
+        std::vector<std::uint32_t> holes;
+        for (auto it = pos_of.begin(); it != pos_of.end();) {
+            if (rng.next_below(3) == 0) {
+                holes.push_back(it->second);
+                it = pos_of.erase(it);
+            } else {
+                ++it;
+            }
+        }
+        std::vector<CoarseAdjacencyList::Moved> moved(holes.size());
+        const std::size_t n = cal.erase_batch(holes, compact, moved);
+        for (std::size_t i = 0; i < n; ++i) {
+            pos_of[moved[i].owner.block] = moved[i].new_pos;
+        }
+        ASSERT_EQ(cal.live_edges(), pos_of.size());
+        for (const auto& [owner, pos] : pos_of) {
+            const auto slot = cal.slot_at(pos);
+            ASSERT_TRUE(slot.valid) << "owner " << owner;
+            ASSERT_EQ(slot.owner.block, owner);
+            ASSERT_EQ(slot.dst, owner);
+        }
+        if (compact) {
+            ASSERT_EQ(cal.scanned_slots(), pos_of.size());
+        }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(Modes, CalFuzzTest, ::testing::Bool(),
                          [](const auto& info) {
                              return info.param ? "compact" : "delete_only";

@@ -4,6 +4,7 @@
 
 #include <map>
 #include <set>
+#include <vector>
 
 #include "core/cal.hpp"
 
@@ -123,6 +124,48 @@ TEST(Cal, CompactionIsGroupLocal) {
     std::multiset<VertexId> srcs;
     cal.visit_edges([&](VertexId s, VertexId, Weight) { srcs.insert(s); });
     EXPECT_EQ(srcs, (std::multiset<VertexId>{1}));
+}
+
+TEST(Cal, BatchEraseDropsTailHolesInsteadOfMoving) {
+    CoarseAdjacencyList cal(1024, 4);
+    std::vector<std::uint32_t> pos;
+    for (std::uint32_t i = 0; i < 10; ++i) {  // 3 blocks: 4 + 4 + 2
+        pos.push_back(cal.insert(0, 0, i, 1, ref(0, i)));
+    }
+    // Filling pos[1] first drops the holes at pos[9] and pos[8], which are
+    // then skipped, and moves dst 7; pos[3] takes dst 6.
+    const std::vector<std::uint32_t> holes{pos[1], pos[8], pos[9], pos[3]};
+    std::vector<CoarseAdjacencyList::Moved> moved(holes.size());
+    ASSERT_EQ(cal.erase_batch(holes, /*compact=*/true, moved), 2u);
+    EXPECT_EQ(moved[0].new_pos, pos[1]);
+    EXPECT_EQ(moved[0].owner.slot, 7u);
+    EXPECT_EQ(moved[1].new_pos, pos[3]);
+    EXPECT_EQ(moved[1].owner.slot, 6u);
+    EXPECT_EQ(cal.live_edges(), 6u);
+    EXPECT_EQ(cal.scanned_slots(), 6u);
+    EXPECT_EQ(cal.blocks_in_use(), 2u);  // the emptied tail block is freed
+    std::set<VertexId> dsts;
+    cal.visit_edges([&](VertexId, VertexId d, Weight) { dsts.insert(d); });
+    EXPECT_EQ(dsts, (std::set<VertexId>{0, 2, 4, 5, 6, 7}));
+}
+
+TEST(Cal, BatchEraseReportsEveryRelocationInOrder) {
+    // The tail edge fills the later hole first and then, having become the
+    // tail again, the earlier one: both moves are reported, the last final.
+    CoarseAdjacencyList cal(1024, 4);
+    std::vector<std::uint32_t> pos;
+    for (std::uint32_t i = 0; i < 4; ++i) {
+        pos.push_back(cal.insert(0, 0, i, 1, ref(0, i)));
+    }
+    const std::vector<std::uint32_t> holes{pos[2], pos[1]};
+    std::vector<CoarseAdjacencyList::Moved> moved(holes.size());
+    ASSERT_EQ(cal.erase_batch(holes, /*compact=*/true, moved), 2u);
+    EXPECT_EQ(moved[0].owner.slot, 3u);
+    EXPECT_EQ(moved[0].new_pos, pos[2]);
+    EXPECT_EQ(moved[1].owner.slot, 3u);
+    EXPECT_EQ(moved[1].new_pos, pos[1]);
+    EXPECT_EQ(cal.slot_at(pos[1]).dst, 3u);
+    EXPECT_EQ(cal.scanned_slots(), 2u);
 }
 
 TEST(Cal, UpdateWeightInPlace) {

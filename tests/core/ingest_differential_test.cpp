@@ -7,6 +7,7 @@
 
 #include <map>
 #include <random>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "core/sharded.hpp"
 #include "gen/batch_prep.hpp"
 #include "gen/rmat.hpp"
+#include "util/rng.hpp"
 
 namespace gt::core {
 namespace {
@@ -43,14 +45,28 @@ EdgeMap edge_map_sharded(const Sharded& sharded) {
 /// Batch path and per-edge twin must agree on all observable state.
 void expect_equivalent(const GraphTinker& batch, const GraphTinker& serial,
                        const std::string& label) {
+    const EdgeMap batch_edges = edge_map(batch);
+    const EdgeMap serial_edges = edge_map(serial);
     EXPECT_EQ(batch.num_edges(), serial.num_edges()) << label;
-    EXPECT_EQ(edge_map(batch), edge_map(serial)) << label;
+    EXPECT_EQ(batch_edges, serial_edges) << label;
     EXPECT_EQ(batch.num_vertices(), serial.num_vertices()) << label;
-    for (VertexId v = 0; v < serial.num_vertices(); ++v) {
+    // Degrees of every source either side holds edges for (ids may reach
+    // kInvalidVertex - 1). Both stores are audited, so a stray degree on an
+    // edgeless id fails either side's DegreeAccounting check.
+    std::set<VertexId> sources;
+    for (const EdgeMap* edges : {&batch_edges, &serial_edges}) {
+        for (const auto& [key, weight] : *edges) {
+            sources.insert(key.first);
+        }
+    }
+    for (const VertexId v : sources) {
         ASSERT_EQ(batch.degree(v), serial.degree(v)) << label << " v=" << v;
     }
     const AuditReport batch_audit = batch.audit();
     EXPECT_TRUE(batch_audit.ok()) << label << ": " << batch_audit.to_string();
+    const AuditReport serial_audit = serial.audit();
+    EXPECT_TRUE(serial_audit.ok())
+        << label << " (per-edge): " << serial_audit.to_string();
 }
 
 struct NamedConfig {
@@ -58,21 +74,84 @@ struct NamedConfig {
     Config config;
 };
 
+/// Compact deletes (the default) turn Robin Hood swapping off, so RHH is
+/// toggled under delete-only, the mode the paper figures use.
 std::vector<NamedConfig> all_configs() {
     std::vector<NamedConfig> out;
     out.push_back({"default", Config{}});
+    Config delete_only;
+    delete_only.deletion_mode = DeletionMode::DeleteOnly;
+    out.push_back({"delete_only", delete_only});
+    Config delete_only_no_rhh = delete_only;
+    delete_only_no_rhh.enable_rhh = false;
+    out.push_back({"delete_only_no_rhh", delete_only_no_rhh});
     Config no_cal;
     no_cal.enable_cal = false;
     out.push_back({"no_cal", no_cal});
     Config no_sgh;
     no_sgh.enable_sgh = false;
     out.push_back({"no_sgh", no_sgh});
-    Config compact;
-    compact.deletion_mode = DeletionMode::DeleteAndCompact;
-    out.push_back({"compact_delete", compact});
-    Config no_rhh;
-    no_rhh.enable_rhh = false;
-    out.push_back({"no_rhh", no_rhh});
+    return out;
+}
+
+struct NamedBatch {
+    std::string name;
+    std::vector<Edge> edges;
+};
+
+/// Batches for every branch of the source sort: sizes around the 2048-edge
+/// std::sort cut-off plus a sharded_churn-sized shard slice, with sources
+/// one, two or three 11-bit radix digits wide. At 2047 edges every width
+/// takes std::sort; from 2048 edges one digit takes the counting sort and
+/// two or three digits take as many LSD radix passes. Every seventh
+/// edge repeats an earlier (src, dst) pair with a new weight, so the last
+/// weight must win. Without SGH raw ids index the main region, so the
+/// three-digit width stops at 2^22 there instead of kInvalidVertex - 1.
+std::vector<NamedBatch> sort_batches(bool sgh) {
+    const VertexId widest[] = {2047, (1U << 22) - 1,
+                               sgh ? kInvalidVertex - 1 : 1U << 22};
+    std::vector<NamedBatch> out;
+    std::uint64_t seed = 1;
+    for (const std::size_t n : {2047UL, 2048UL, 2049UL, 16667UL}) {
+        for (std::size_t digits = 1; digits <= 3; ++digits) {
+            const VertexId max_src = widest[digits - 1];
+            Rng rng(seed++);
+            // A quarter as many sources as edges, so runs hold several.
+            std::vector<VertexId> sources(n / 4);
+            for (VertexId& src : sources) {
+                src = static_cast<VertexId>(rng.next_below(max_src + 1ULL));
+            }
+            sources[0] = max_src;
+            std::vector<Edge> edges;
+            for (std::size_t i = 0; i < n; ++i) {
+                const auto weight = static_cast<Weight>(i + 1);
+                if (i % 7 == 6) {
+                    Edge again = edges[rng.next_below(edges.size())];
+                    again.weight = weight;
+                    edges.push_back(again);
+                } else {
+                    edges.push_back(
+                        Edge{sources[rng.next_below(sources.size())],
+                             static_cast<VertexId>(rng.next_below(4096)),
+                             weight});
+                }
+            }
+            out.push_back({"n=" + std::to_string(n) +
+                               " digits=" + std::to_string(digits),
+                           std::move(edges)});
+        }
+    }
+    return out;
+}
+
+/// Deletes for a sort_batches batch: the same sources in the same order,
+/// so the delete batch takes the same sort branch, with every third edge
+/// aimed at an absent destination and repeated pairs deleted twice.
+std::vector<Edge> deletes_for(const std::vector<Edge>& inserts) {
+    std::vector<Edge> out = inserts;
+    for (std::size_t i = 0; i < out.size(); i += 3) {
+        out[i].dst += 4096;
+    }
     return out;
 }
 
@@ -108,6 +187,17 @@ TEST(IngestDifferential, DuplicatePairsKeepLastWeight) {
     }
     expect_equivalent(batch, serial, "dup_pairs");
     EXPECT_EQ(batch.find_edge(0, 5), serial.find_edge(0, 5));
+
+    // The same contract on every sort branch, against the stream itself.
+    for (const NamedBatch& nb : sort_batches(/*sgh=*/true)) {
+        GraphTinker g;
+        ASSERT_TRUE(g.insert_batch(nb.edges).ok()) << nb.name;
+        EdgeMap last;
+        for (const Edge& e : nb.edges) {
+            last[{e.src, e.dst}] = e.weight;
+        }
+        EXPECT_EQ(edge_map(g), last) << nb.name;
+    }
 }
 
 TEST(IngestDifferential, DuplicateDeletesDecrementOnce) {
@@ -161,7 +251,8 @@ TEST(IngestDifferential, DuplicateDeletesDecrementOnce) {
 
 TEST(IngestDifferential, MixedInsertDeleteStream) {
     // Interleaved insert/delete batches, including deletes of absent edges
-    // and of never-streamed sources, across every config.
+    // and of never-streamed sources, across every config; then the
+    // sort_batches inputs.
     std::mt19937 rng(99);
     for (const NamedConfig& nc : all_configs()) {
         GraphTinker batch(nc.config);
@@ -192,6 +283,22 @@ TEST(IngestDifferential, MixedInsertDeleteStream) {
             }
             expect_equivalent(batch, serial,
                               nc.name + " round " + std::to_string(round));
+        }
+        // Every branch of the source sort, inserts then deletes, on the
+        // populated store.
+        for (const NamedBatch& nb : sort_batches(nc.config.enable_sgh)) {
+            const std::string label = nc.name + " " + nb.name;
+            ASSERT_TRUE(batch.insert_batch(nb.edges).ok()) << label;
+            for (const Edge& e : nb.edges) {
+                (void)serial.insert_edge(e.src, e.dst, e.weight);
+            }
+            expect_equivalent(batch, serial, label + " inserts");
+            const std::vector<Edge> deletes = deletes_for(nb.edges);
+            ASSERT_TRUE(batch.delete_batch(deletes).ok()) << label;
+            for (const Edge& e : deletes) {
+                (void)serial.delete_edge(e.src, e.dst);
+            }
+            expect_equivalent(batch, serial, label + " deletes");
         }
     }
 }

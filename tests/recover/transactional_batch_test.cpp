@@ -19,6 +19,12 @@ namespace {
 using test::edge_map_of;
 using test::TempDir;
 
+/// Every store here compacts on delete, so its CAL holds no holes — after a
+/// rollback too.
+void expect_dense_cal(const GraphTinker& g) {
+    EXPECT_EQ(g.cal().scanned_slots(), g.cal().live_edges());
+}
+
 TEST(TransactionalBatch, SentinelEndpointRejectsWholeBatchWithIndex) {
     GraphTinker g;
     const test::ScopedAudit audit(g, "sentinel");
@@ -54,6 +60,7 @@ TEST(TransactionalBatch, EbaGrowthFailureMidBatchRollsBackCompletely) {
         ASSERT_EQ(st.code, StatusCode::FaultInjected) << countdown;
         EXPECT_EQ(g.num_edges(), edges_before) << countdown;
         EXPECT_EQ(edge_map_of(g), before) << countdown;
+        expect_dense_cal(g);
         audit.check();
 
         // The store stays fully usable: the same batch succeeds once the
@@ -78,6 +85,7 @@ TEST(TransactionalBatch, CalGrowthFailureMidBatchRollsBackCompletely) {
         const Status st = g.insert_batch(batch);
         ASSERT_EQ(st.code, StatusCode::FaultInjected) << countdown;
         EXPECT_EQ(edge_map_of(g), before) << countdown;
+        expect_dense_cal(g);
         audit.check();
         ASSERT_TRUE(g.insert_batch(batch).ok()) << countdown;
     }
@@ -108,6 +116,7 @@ TEST(TransactionalBatch, WeightUpdatesAreRolledBackToo) {
     const Status st = g.insert_batch(update);
     ASSERT_EQ(st.code, StatusCode::FaultInjected);
     EXPECT_EQ(edge_map_of(g), before);
+    expect_dense_cal(g);
     audit.check();
 }
 
@@ -123,6 +132,7 @@ TEST(TransactionalBatch, DeleteBatchRollbackReinsertsDeletedEdges) {
     const Status st = g.delete_batch(base);
     ASSERT_EQ(st.code, StatusCode::FaultInjected);
     EXPECT_EQ(edge_map_of(g), before);
+    expect_dense_cal(g);
     audit.check();
 
     ASSERT_TRUE(g.delete_batch(base).ok());
@@ -152,37 +162,89 @@ TEST(TransactionalBatch, WalStageFailureAbortsBeforeAnyMutation) {
     g.attach_update_log(nullptr);
 }
 
-TEST(TransactionalBatch, WalCommitFailureRollsBackMemoryToo) {
-    // If the durability point cannot be reached, memory must roll back —
-    // otherwise the store and its log diverge and replay reproduces a
-    // different graph.
+TEST(TransactionalBatch, PreflightFailureLeavesStoreAndLogUntouched) {
+    // The batch's scratch reservations run before the log opens a frame, so
+    // a failed one neither mutates the store nor leaves the log mid-batch:
+    // the next batch of either kind stages and commits.
     TempDir dir;
     GraphTinker g;
-    const test::ScopedAudit audit(g, "wal commit");
+    const test::ScopedAudit audit(g, "preflight");
     recover::WalWriter wal;
     ASSERT_TRUE(wal.open(dir.file("wal.gtw"),
                          recover::DurabilityMode::Buffered).ok());
     g.attach_update_log(&wal);
-    ASSERT_TRUE(g.insert_batch(rmat_edges(64, 500, 81)).ok());
+    const auto base = rmat_edges(64, 500, 74);
+    ASSERT_TRUE(g.insert_batch(base).ok());
     const auto before = edge_map_of(g);
+    const std::uint64_t seq = wal.next_seq();
 
-    {
-        fail::ScopedFailPoint fp("wal.commit", 1);
-        const Status st = g.insert_batch(rmat_edges(64, 500, 82));
-        EXPECT_EQ(st.code, StatusCode::IoError);
-        EXPECT_EQ(edge_map_of(g), before);
-        audit.check();
+    for (const bool deletes : {false, true}) {
+        {
+            fail::ScopedFailPoint fp("txn.preflight", 1);
+            const Status st = deletes
+                                  ? g.delete_batch(base)
+                                  : g.insert_batch(rmat_edges(64, 500, 75));
+            EXPECT_EQ(st.code, StatusCode::FaultInjected) << deletes;
+            EXPECT_EQ(edge_map_of(g), before) << deletes;
+        }
+        EXPECT_EQ(wal.next_seq(), seq) << deletes;
+        EXPECT_TRUE(wal.status().ok()) << deletes;
     }
+    const auto more = rmat_edges(64, 500, 76);
+    ASSERT_TRUE(g.insert_batch(more).ok());
+    ASSERT_TRUE(g.delete_batch(more).ok());
+    expect_dense_cal(g);
+    audit.check();
     g.attach_update_log(nullptr);
     wal.close();
 
-    // The log holds exactly the committed batch — replay agrees with the
-    // rolled-back store.
     GraphTinker replayed;
     recover::ReplayStats stats;
     ASSERT_TRUE(
         recover::replay_wal(dir.file("wal.gtw"), replayed, 0, stats).ok());
-    EXPECT_EQ(edge_map_of(replayed), before);
+    EXPECT_EQ(edge_map_of(replayed), edge_map_of(g));
+}
+
+TEST(TransactionalBatch, WalCommitFailureRollsBackMemoryToo) {
+    // If the durability point cannot be reached, memory must roll back —
+    // otherwise the store and its log diverge and replay reproduces a
+    // different graph. The delete batch applies in full, its CAL pass
+    // included, before the commit fails; the journal then re-inserts every
+    // edge it removed.
+    for (const bool deletes : {false, true}) {
+        TempDir dir;
+        GraphTinker g;
+        const test::ScopedAudit audit(
+            g, deletes ? "wal commit delete" : "wal commit insert");
+        recover::WalWriter wal;
+        ASSERT_TRUE(wal.open(dir.file("wal.gtw"),
+                             recover::DurabilityMode::Buffered).ok());
+        g.attach_update_log(&wal);
+        const auto base = rmat_edges(64, 500, 81);
+        ASSERT_TRUE(g.insert_batch(base).ok());
+        const auto before = edge_map_of(g);
+
+        {
+            fail::ScopedFailPoint fp("wal.commit", 1);
+            const Status st = deletes
+                                  ? g.delete_batch(base)
+                                  : g.insert_batch(rmat_edges(64, 500, 82));
+            EXPECT_EQ(st.code, StatusCode::IoError) << deletes;
+            EXPECT_EQ(edge_map_of(g), before) << deletes;
+            expect_dense_cal(g);
+            audit.check();
+        }
+        g.attach_update_log(nullptr);
+        wal.close();
+
+        // The log holds exactly the committed batch — replay agrees with
+        // the rolled-back store.
+        GraphTinker replayed;
+        recover::ReplayStats stats;
+        ASSERT_TRUE(
+            recover::replay_wal(dir.file("wal.gtw"), replayed, 0, stats).ok());
+        EXPECT_EQ(edge_map_of(replayed), before) << deletes;
+    }
 }
 
 TEST(TransactionalBatch, SoloCommitFailureRollsBackAndReturnsFalse) {
@@ -210,6 +272,7 @@ TEST(TransactionalBatch, SoloCommitFailureRollsBackAndReturnsFalse) {
     EXPECT_FALSE(g.insert_edge(5, 6, 7));
     EXPECT_FALSE(g.delete_edge(1, 2));
     EXPECT_EQ(edge_map_of(g), before);
+    expect_dense_cal(g);
     audit.check();
     g.attach_update_log(nullptr);
     wal.close();
@@ -236,6 +299,7 @@ TEST(TransactionalBatch, SoloWeightUpdateRollsBackOnCommitFailure) {
         EXPECT_FALSE(g.insert_edge(1, 2, 99));  // duplicate: weight update
     }
     EXPECT_EQ(g.find_edge(1, 2), std::optional<Weight>(10));
+    expect_dense_cal(g);
     audit.check();
     g.attach_update_log(nullptr);
 }
@@ -255,6 +319,7 @@ TEST(TransactionalBatch, SoloDeleteCommitFailureReinsertsTheEdge) {
     }
     EXPECT_EQ(g.find_edge(1, 2), std::optional<Weight>(10));
     EXPECT_EQ(g.num_edges(), 1u);
+    expect_dense_cal(g);
     audit.check();
     g.attach_update_log(nullptr);
 }
@@ -268,6 +333,7 @@ TEST(TransactionalBatch, SoloInsertFaultLeavesStoreUntouched) {
     fail::ScopedFailPoint fp("cal.grow", 1);
     EXPECT_THROW((void)g.insert_edge(999999, 1, 2), fail::InjectedFault);
     EXPECT_EQ(edge_map_of(g), before);
+    expect_dense_cal(g);
     audit.check();
     EXPECT_TRUE(g.insert_edge(999999, 1, 2));
 }
