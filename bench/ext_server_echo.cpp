@@ -1,5 +1,5 @@
-// Extension bench (no paper figure): gt serve wire-protocol overhead and
-// multi-loop scaling. Emits BENCH_server_echo.json.
+// Extension bench (no paper figure): gt serve wire-protocol overhead.
+// Emits BENCH_server_echo.json.
 //
 // Spins a Server on 127.0.0.1 (ephemeral port, tmpdir root) and measures,
 // from clients on the same host:
@@ -8,10 +8,8 @@
 //   pipelined_rps       pings/sec with `depth` requests in flight on one
 //                       connection — the pipelining win the request-id
 //                       design pays for
-//   pipelined_rps_loops1/loops4
-//                       aggregate pings/sec from 4 concurrent connections
-//                       against a 1-loop vs a 4-loop server; their ratio
-//                       (loop_scaling) is the multi-loop payoff
+//   pipelined_rps_4conn aggregate pings/sec from 4 concurrent pipelining
+//                       connections sharing the server's one event loop
 //   wire_ingest_eps     insert_edges edges/sec through socket + WAL
 //   local_ingest_eps    the same stream into a local DurableStore — the
 //                       denominator isolating wire + loop overhead
@@ -23,10 +21,7 @@
 //
 // Flags / env:
 //   --out=PATH           JSON output path (default BENCH_server_echo.json)
-//   --check              require wire_ingest_eps >= 10% of local, and — on
-//                        hosts with >= 4 cores — loop_scaling >= 2.0
-//                        (fewer cores cannot run 4 loops in parallel, so
-//                        the scaling gate is skipped there)
+//   --check              require wire_ingest_eps >= 10% of local
 //   GT_SERVER_EDGES      stream length (default 500000)
 //   GT_SERVER_PINGS      ping count per mode (default 2000)
 //   GT_SERVER_DEPTH      pipeline depth (default 64)
@@ -149,13 +144,12 @@ int main(int argc, char** argv) {
     const std::size_t depth = env_size("GT_SERVER_DEPTH", 64);
     const unsigned cores = std::thread::hardware_concurrency();
     bench::banner("ext: server echo",
-                  "gt.net.v1 round-trip latency, pipelined throughput, "
-                  "multi-loop scaling and wire-vs-local ingest");
+                  "gt.net.v1 round-trip latency, pipelined throughput "
+                  "and wire-vs-local ingest");
 
     const std::string root = make_temp_root();
-    const std::size_t kScaleClients = 4;
-    double pipelined_loops1 = 0.0;
-    double pipelined_loops4 = 0.0;
+    const std::size_t kClients = 4;
+    double pipelined_4conn = 0.0;
     double rtt_us = 0.0;
     double pipelined_rps = 0.0;
     double wire_eps = 0.0;
@@ -166,7 +160,6 @@ int main(int argc, char** argv) {
         net::ServerOptions options;
         options.root = root;
         options.max_inflight = depth * 2;
-        options.loop_threads = 1;
         if (const Status st = server.start(options); !st.ok()) {
             std::fprintf(stderr, "start: %s\n", st.to_string().c_str());
             return 1;
@@ -199,11 +192,11 @@ int main(int argc, char** argv) {
         }
         pipelined_rps = static_cast<double>(num_pings) / timer.seconds();
 
-        // --- 4 connections against 1 loop (scaling denominator) ------------
-        pipelined_loops1 = measure_multi_client(server.port(), kScaleClients,
-                                                num_pings, depth);
-        if (pipelined_loops1 == 0.0) {
-            std::fprintf(stderr, "multi-client pings (1 loop) failed\n");
+        // --- pipelined ping throughput, 4 connections ----------------------
+        pipelined_4conn =
+            measure_multi_client(server.port(), kClients, num_pings, depth);
+        if (pipelined_4conn == 0.0) {
+            std::fprintf(stderr, "multi-client pings failed\n");
             return 1;
         }
 
@@ -232,31 +225,6 @@ int main(int argc, char** argv) {
         server.stop();
         loop.join();
     }
-
-    // --- 4 connections against 4 loops (scaling numerator) -----------------
-    {
-        net::Server server;
-        net::ServerOptions options;
-        options.root = root;
-        options.max_inflight = depth * 2;
-        options.loop_threads = 4;
-        if (const Status st = server.start(options); !st.ok()) {
-            std::fprintf(stderr, "start (4 loops): %s\n",
-                         st.to_string().c_str());
-            return 1;
-        }
-        std::thread loop([&server] { (void)server.run(); });
-        pipelined_loops4 = measure_multi_client(server.port(), kScaleClients,
-                                                num_pings, depth);
-        server.stop();
-        loop.join();
-        if (pipelined_loops4 == 0.0) {
-            std::fprintf(stderr, "multi-client pings (4 loops) failed\n");
-            return 1;
-        }
-    }
-    const double loop_scaling =
-        pipelined_loops1 > 0 ? pipelined_loops4 / pipelined_loops1 : 0.0;
 
     // --- local baseline: same stream, same durability, same code path ------
     const std::vector<Edge> stream = rmat_edges(
@@ -293,11 +261,10 @@ int main(int argc, char** argv) {
     }
 
     const double wire_ratio = local_eps > 0 ? wire_eps / local_eps : 0.0;
-    std::printf("rtt: %.1f us  pipelined: %.0f rps  4-conn: %.0f/%.0f rps "
-                "(x%.2f @4 loops)  wire: %.2f Meps  local: %.2f Meps  "
-                "ratio: %.2f\n",
-                rtt_us, pipelined_rps, pipelined_loops1, pipelined_loops4,
-                loop_scaling, wire_eps / 1e6, local_eps / 1e6, wire_ratio);
+    std::printf("rtt: %.1f us  pipelined: %.0f rps  4-conn: %.0f rps  "
+                "wire: %.2f Meps  local: %.2f Meps  ratio: %.2f\n",
+                rtt_us, pipelined_rps, pipelined_4conn, wire_eps / 1e6,
+                local_eps / 1e6, wire_ratio);
 
     {
         std::ofstream json(args.out_path);
@@ -310,9 +277,7 @@ int main(int argc, char** argv) {
         w.member("cores", static_cast<std::uint64_t>(cores));
         w.member("rtt_us", rtt_us);
         w.member("pipelined_rps", pipelined_rps);
-        w.member("pipelined_rps_loops1", pipelined_loops1);
-        w.member("pipelined_rps_loops4", pipelined_loops4);
-        w.member("loop_scaling", loop_scaling);
+        w.member("pipelined_rps_4conn", pipelined_4conn);
         w.member("wire_ingest_eps", wire_eps);
         w.member("local_ingest_eps", local_eps);
         w.member("wire_local_ratio", wire_ratio);
@@ -330,23 +295,8 @@ int main(int argc, char** argv) {
                      wire_ratio * 100.0);
         return 1;
     }
-    if (args.check && cores >= 4 && loop_scaling < 2.0) {
-        std::fprintf(stderr,
-                     "check FAILED: 4-loop scaling x%.2f < 2.0 on %u "
-                     "cores\n",
-                     loop_scaling, cores);
-        return 1;
-    }
     if (args.check) {
-        if (cores >= 4) {
-            std::printf("check passed: ratio %.2f >= 0.10, scaling x%.2f "
-                        ">= 2.0\n",
-                        wire_ratio, loop_scaling);
-        } else {
-            std::printf("check passed: ratio %.2f >= 0.10 (scaling gate "
-                        "skipped, %u < 4 cores)\n",
-                        wire_ratio, cores);
-        }
+        std::printf("check passed: ratio %.2f >= 0.10\n", wire_ratio);
     }
     return 0;
 }

@@ -173,7 +173,7 @@ Status Replicator::apply_frame(const Frame& f) {
         report_to_->set_replication_lag(lag_seqs());
         // Chain link: records we just mirrored arrived outside the serving
         // side's request path, so its subscribers only see them if we kick
-        // the owner-loop pump ourselves.
+        // the loop's pump ourselves.
         report_to_->pump_graph(graph_);
     }
     return remote_.send_ack(applied_seq());

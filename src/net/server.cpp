@@ -8,6 +8,7 @@
 #include <cstring>
 #include <optional>
 #include <sstream>
+#include <thread>
 #include <utility>
 
 #include "engine/algorithms.hpp"
@@ -42,6 +43,8 @@ constexpr std::size_t kShipRecordOverhead = 13;
 /// u64 term | u64 primary_seq | u32 count and the frame header need the
 /// rest).
 constexpr std::size_t kShipBudget = kMaxFramePayload - 64;
+/// start() refuses larger reader pools before run() could spawn them.
+constexpr std::size_t kMaxReaderThreads = 256;
 
 [[nodiscard]] std::uint64_t now_us() noexcept {
     return static_cast<std::uint64_t>(
@@ -59,9 +62,9 @@ constexpr std::size_t kShipBudget = kMaxFramePayload - 64;
                   "mkdir('" + path + "') failed: " + std::strerror(errno)};
 }
 
-/// Owner verbs that mutate store state and therefore need the exclusive
-/// state lock. Subscribe/SubAck only touch owner-loop-private follower
-/// bookkeeping, so they run lock-free on the owner loop.
+/// Loop verbs that mutate store state and therefore need the exclusive
+/// state lock. Subscribe/SubAck/Hello only touch loop-private follower
+/// bookkeeping, so they run under a shared hold on the loop.
 [[nodiscard]] bool needs_exclusive_lock(std::uint8_t type) noexcept {
     return type == static_cast<std::uint8_t>(MsgType::InsertBatch) ||
            type == static_cast<std::uint8_t>(MsgType::DeleteBatch) ||
@@ -69,7 +72,7 @@ constexpr std::size_t kShipBudget = kMaxFramePayload - 64;
            type == static_cast<std::uint8_t>(MsgType::Sync);
 }
 
-[[nodiscard]] bool is_owner_verb(std::uint8_t type) noexcept {
+[[nodiscard]] bool is_loop_verb(std::uint8_t type) noexcept {
     return needs_exclusive_lock(type) ||
            type == static_cast<std::uint8_t>(MsgType::Subscribe) ||
            type == static_cast<std::uint8_t>(MsgType::SubAck) ||
@@ -144,8 +147,8 @@ public:
 #endif
     }
 
-    /// Blocks until at least one event; EINTR retries (the accept/event
-    /// loop discipline — a signal must wake stop(), not kill the wait).
+    /// Blocks until at least one event; EINTR retries (the event loop
+    /// discipline — a signal must wake stop(), not kill the wait).
     [[nodiscard]] Status wait(std::vector<Event>& out) {
         out.clear();
 #if GT_NET_USE_EPOLL
@@ -217,29 +220,12 @@ private:
 };
 
 // ---------------------------------------------------------------------------
-// Loop — one event-loop thread's world: its poller, the connections it owns
-// (keyed by fd, and by process-unique conn id for async completions), and a
-// wake-pipe-signalled inbox other threads post LoopMsgs into.
-
-struct Server::Loop {
-    std::uint32_t index = 0;
-    Fd wake_r;
-    Fd wake_w;
-    std::unique_ptr<Poller> poller;
-    std::map<int, std::unique_ptr<Conn>> conns;
-    std::unordered_map<std::uint64_t, Conn*> by_id;
-    gt::Mutex inbox_mu;
-    std::vector<LoopMsg> inbox GT_GUARDED_BY(inbox_mu);
-    std::thread thread;
-};
-
-// ---------------------------------------------------------------------------
 // ReaderPool — the shared-lock analytics pool. Workers pull read tasks,
 // take the graph's state lock shared, and run the verb; results ride a Done
-// message back to the connection's loop. A task against a graph with
-// deferred mutations parks (same mu_ hold as the dequeue — the unpark in
-// drain_deferred cannot miss it), which is what stops readers from starving
-// writers through glibc's reader-preferring shared_mutex.
+// message back to the loop. A task against a graph with deferred mutations
+// parks (same mu_ hold as the dequeue — the unpark in drain_deferred cannot
+// miss it), which is what stops readers from starving writers through
+// glibc's reader-preferring shared_mutex.
 
 class Server::ReaderPool {
 public:
@@ -253,11 +239,10 @@ public:
         }
     }
 
-    void submit(GraphEntry* graph, std::uint64_t conn_id,
-                std::uint32_t origin_loop, const Frame& req) {
+    void submit(GraphEntry* graph, std::uint64_t conn_id, const Frame& req) {
         {
             gt::LockGuard lk(mu_);
-            queue_.push_back(Task{graph, conn_id, origin_loop, req});
+            queue_.push_back(Task{graph, conn_id, req});
         }
         cv_.notify_one();
     }
@@ -302,7 +287,6 @@ private:
     struct Task {
         GraphEntry* graph = nullptr;
         std::uint64_t conn_id = 0;
-        std::uint32_t origin_loop = 0;
         Frame req;
     };
 
@@ -329,21 +313,21 @@ private:
             if (!have) {
                 continue;
             }
-            Sink sink;
+            LoopMsg done;
+            done.conn_id = t.conn_id;
             {
                 gt::SharedLockGuard g(t.graph->state_lock);
-                server_.execute_read(t.graph, t.req, sink);
+                server_.execute_read(t.graph, t.req, done.reply);
             }
             if (t.graph->has_deferred.load()) {
                 // We may have been the hold blocking a deferred mutation —
-                // tell the owner loop the lock is droppable now.
+                // tell the loop the lock is free now.
                 LoopMsg m;
                 m.kind = LoopMsg::Kind::Retry;
                 m.graph = t.graph;
-                server_.post(t.graph->owner_loop, std::move(m));
+                server_.post(std::move(m));
             }
-            server_.deliver(nullptr, t.origin_loop, t.conn_id,
-                            std::move(sink), 1);
+            server_.post(std::move(done));
         }
     }
 
@@ -374,7 +358,6 @@ void Server::bind_metrics() {
     busy_shed_m_ = &r.counter("net.busy_shed");
     bad_frames_m_ = &r.counter("net.bad_frames");
     errors_tx_m_ = &r.counter("net.errors_tx");
-    cross_loop_m_ = &r.counter("net.cross_loop_hops");
     deferred_m_ = &r.counter("net.deferred_ops");
     shipped_m_ = &r.counter("net.wal_frames_shipped");
     request_us_m_ = &r.histogram("net.request_us");
@@ -387,19 +370,23 @@ void Server::bind_metrics() {
 }
 
 void Server::update_gauges() {
-    conns_gauge_->set(static_cast<double>(num_conns_.load()));
-    wbuf_gauge_->set(static_cast<double>(
-        std::max<long long>(0, wbuf_total_.load())));
-    subs_gauge_->set(static_cast<double>(
-        std::max<long long>(0, num_subs_.load())));
+    std::size_t wbuf = 0;
+    for (const auto& [fd, conn] : conns_) {
+        wbuf += conn->wbuf.size() - conn->wpos;
+    }
+    conns_gauge_->set(static_cast<double>(conns_.size()));
+    wbuf_gauge_->set(static_cast<double>(wbuf));
     role_gauge_->set(read_only_.load(std::memory_order_relaxed) ? 1.0 : 0.0);
     gt::LockGuard lk(graphs_mu_);
     graphs_gauge_->set(static_cast<double>(graphs_.size()));
+    std::size_t subs = 0;
     std::uint64_t max_term = 0;
     for (const auto& [name, g] : graphs_) {
+        subs += g->subscribers.size();
         max_term = std::max(
             max_term, g->term.load(std::memory_order_relaxed));
     }
+    subs_gauge_->set(static_cast<double>(subs));
     term_gauge_->set(static_cast<double>(max_term));
 }
 
@@ -409,9 +396,18 @@ Status Server::start(const ServerOptions& options) {
         return Status{StatusCode::InvalidArgument,
                       "ServerOptions.root is required"};
     }
+    if (opts_.loop_threads > 1) {
+        return Status{StatusCode::InvalidArgument,
+                      "ServerOptions.loop_threads is retired: the server "
+                      "runs one event loop"};
+    }
+    if (opts_.reader_threads > kMaxReaderThreads) {
+        return Status{StatusCode::InvalidArgument,
+                      "ServerOptions.reader_threads exceeds " +
+                          std::to_string(kMaxReaderThreads)};
+    }
     opts_.max_inflight = std::max<std::size_t>(opts_.max_inflight, 1);
     opts_.parse_budget = std::max<std::size_t>(opts_.parse_budget, 1);
-    opts_.loop_threads = std::max<std::size_t>(opts_.loop_threads, 1);
     read_only_.store(opts_.read_only, std::memory_order_relaxed);
     registry_ = opts_.registry;
     if (registry_ == nullptr) {
@@ -432,21 +428,13 @@ Status Server::start(const ServerOptions& options) {
     if (Status st = set_nonblocking(listen_fd_.get()); !st.ok()) {
         return st;
     }
-    loops_.clear();
-    for (std::size_t i = 0; i < opts_.loop_threads; ++i) {
-        auto loop = std::make_unique<Loop>();
-        loop->index = static_cast<std::uint32_t>(i);
-        if (Status st = make_wake_pipe(loop->wake_r, loop->wake_w);
-            !st.ok()) {
-            return st;
-        }
-        loop->poller = std::make_unique<Poller>();
-        if (Status st = loop->poller->init(); !st.ok()) {
-            return st;
-        }
-        loop->poller->add(loop->wake_r.get(), false);
-        loops_.push_back(std::move(loop));
+    auto poller = std::make_unique<Poller>();
+    if (Status st = poller->init(); !st.ok()) {
+        return st;
     }
+    poller->add(listen_fd_.get(), false);
+    poller->add(wake_r_.get(), false);
+    poller_ = std::move(poller);
     if (opts_.reader_threads > 0) {
         readers_ = std::make_unique<ReaderPool>(*this, opts_.reader_threads);
     }
@@ -454,57 +442,25 @@ Status Server::start(const ServerOptions& options) {
 }
 
 void Server::stop() noexcept {
+    stopping_.store(true);
     if (wake_w_.valid()) {
         wake(wake_w_.get());
     }
 }
 
 Status Server::run() {
-    if (loops_.empty()) {
+    if (poller_ == nullptr) {
         return Status{StatusCode::InvalidArgument, "start() first"};
     }
-    for (auto& loop : loops_) {
-        loop->thread = std::thread([this, lp = loop.get()] { run_loop(*lp); });
-    }
+    Status result;
+    std::thread loop([this, &result] { result = run_loop(); });
     if (readers_ != nullptr) {
         readers_->start();
     }
-    Poller acceptor;
-    Status result = acceptor.init();
-    if (result.ok()) {
-        acceptor.add(listen_fd_.get(), false);
-        acceptor.add(wake_r_.get(), false);
-        std::vector<Poller::Event> events;
-        while (!stopping_.load()) {
-            if (Status st = acceptor.wait(events); !st.ok()) {
-                result = st;
-                break;
-            }
-            for (const Poller::Event& ev : events) {
-                if (ev.fd == wake_r_.get()) {
-                    drain_wake(wake_r_.get());
-                    stopping_.store(true);
-                    continue;
-                }
-                if (ev.fd == listen_fd_.get()) {
-                    accept_new(acceptor);
-                }
-            }
-            update_gauges();
-        }
-    }
-    // Graceful teardown: stop the loops (each drops its connections), the
+    loop.join();
+    // Graceful teardown: the loop has dropped its connections; stop the
     // readers, then close every store (the DurableStore close flushes
     // buffered WAL bytes; FsyncBatch syncs).
-    stopping_.store(true);
-    for (auto& loop : loops_) {
-        wake(loop->wake_w.get());
-    }
-    for (auto& loop : loops_) {
-        if (loop->thread.joinable()) {
-            loop->thread.join();
-        }
-    }
     if (readers_ != nullptr) {
         readers_->stop_and_join();
     }
@@ -520,17 +476,74 @@ Status Server::run() {
 }
 
 // ---------------------------------------------------------------------------
-// Acceptor
+// The loop
 
-void Server::accept_new(Poller& poller) {
-    (void)poller;
+void Server::post(LoopMsg&& msg) {
+    {
+        gt::LockGuard lk(inbox_mu_);
+        inbox_.push_back(std::move(msg));
+    }
+    wake(wake_w_.get());
+}
+
+Status Server::run_loop() {
+    Status result;
+    std::vector<Poller::Event> events;
+    while (!stopping_.load()) {
+        if (Status st = poller_->wait(events); !st.ok()) {
+            result = st;
+            break;
+        }
+        bool woke = false;
+        for (const Poller::Event& ev : events) {
+            if (ev.fd == wake_r_.get()) {
+                drain_wake(wake_r_.get());
+                woke = true;
+                continue;
+            }
+            if (ev.fd == listen_fd_.get()) {
+                accept_new();
+                continue;
+            }
+            // The connection may already have been torn down by an earlier
+            // event in this batch.
+            if (conns_.find(ev.fd) == conns_.end()) {
+                continue;
+            }
+            if (ev.error) {
+                teardown(ev.fd);
+                continue;
+            }
+            if (ev.writable) {
+                handle_writable(ev.fd);
+            }
+            if (conns_.find(ev.fd) != conns_.end() && ev.readable) {
+                handle_readable(ev.fd);
+            }
+        }
+        if (woke) {
+            process_inbox();
+        }
+        drain_pending();
+        flush_all();
+        update_gauges();
+    }
+    stopping_.store(true);  // a poller failure stops the server too
+    while (!conns_.empty()) {
+        teardown(conns_.begin()->first);
+    }
+    return result;
+}
+
+void Server::accept_new() {
     for (;;) {
         const int fd = accept_retry(listen_fd_.get());
         if (fd < 0) {
             return;  // EAGAIN (drained) or transient accept failure
         }
         accepted_m_->inc();
-        if (num_conns_.load() >= opts_.max_conns) {
+        Fd sock(fd);
+        if (conns_.size() >= opts_.max_conns) {
             // Over the connection cap: one best-effort Busy frame so a
             // well-behaved client backs off, then close.
             busy_shed_m_->inc();
@@ -541,114 +554,35 @@ void Server::accept_new(Poller& poller) {
             encode_frame(frame, kErrorType, 0, w.span());
             std::size_t sent = 0;
             (void)send_some(fd, frame.data(), frame.size(), sent);
-            Fd(fd).reset();
             closed_m_->inc();
             continue;
         }
-        num_conns_.fetch_add(1);
-        LoopMsg m;
-        m.kind = LoopMsg::Kind::AdoptFd;
-        m.fd = fd;
-        post(next_loop_, std::move(m));
-        next_loop_ = (next_loop_ + 1) % static_cast<std::uint32_t>(
-                                            loops_.size());
+        if (!set_nonblocking(fd).ok()) {
+            closed_m_->inc();
+            continue;
+        }
+        auto conn = std::make_unique<Conn>();
+        conn->fd = std::move(sock);
+        conn->id = next_conn_id_++;
+        poller_->add(fd, false);
+        by_id_.emplace(conn->id, conn.get());
+        conns_.emplace(fd, std::move(conn));
     }
 }
 
-// ---------------------------------------------------------------------------
-// Loop threads
-
-void Server::post(std::uint32_t loop_index, LoopMsg&& msg) {
-    Loop& loop = *loops_[loop_index];
-    {
-        gt::LockGuard lk(loop.inbox_mu);
-        loop.inbox.push_back(std::move(msg));
-    }
-    wake(loop.wake_w.get());
-}
-
-void Server::run_loop(Loop& loop) {
-    std::vector<Poller::Event> events;
-    for (;;) {
-        if (!loop.poller->wait(events).ok()) {
-            break;  // fatal poller failure; the loop retires
-        }
-        bool woke = false;
-        for (const Poller::Event& ev : events) {
-            if (ev.fd == loop.wake_r.get()) {
-                drain_wake(loop.wake_r.get());
-                woke = true;
-                continue;
-            }
-            // The connection may already have been torn down by an earlier
-            // event in this batch.
-            if (loop.conns.find(ev.fd) == loop.conns.end()) {
-                continue;
-            }
-            if (ev.error) {
-                teardown(loop, ev.fd);
-                continue;
-            }
-            if (ev.writable) {
-                handle_writable(loop, ev.fd);
-            }
-            if (loop.conns.find(ev.fd) != loop.conns.end() && ev.readable) {
-                handle_readable(loop, ev.fd);
-            }
-        }
-        if (woke) {
-            process_inbox(loop);
-        }
-        drain_pending(loop);
-        flush_all(loop);
-        update_gauges();
-        if (stopping_.load()) {
-            break;
-        }
-    }
-    // Final inbox sweep: sockets handed over but never adopted must not
-    // leak. Everything else (replies, retries) has nowhere to go.
-    {
-        std::vector<LoopMsg> msgs;
-        {
-            gt::LockGuard lk(loop.inbox_mu);
-            msgs.swap(loop.inbox);
-        }
-        for (LoopMsg& m : msgs) {
-            if (m.kind == LoopMsg::Kind::AdoptFd) {
-                Fd(m.fd).reset();
-                num_conns_.fetch_sub(1);
-                closed_m_->inc();
-            }
-        }
-    }
-    while (!loop.conns.empty()) {
-        teardown(loop, loop.conns.begin()->first);
-    }
-}
-
-void Server::process_inbox(Loop& loop) {
+void Server::process_inbox() {
     std::vector<LoopMsg> msgs;
     {
-        gt::LockGuard lk(loop.inbox_mu);
-        msgs.swap(loop.inbox);
+        gt::LockGuard lk(inbox_mu_);
+        msgs.swap(inbox_);
     }
     for (LoopMsg& m : msgs) {
         switch (m.kind) {
-            case LoopMsg::Kind::AdoptFd:
-                adopt_fd(loop, m.fd);
-                break;
-            case LoopMsg::Kind::Exec:
-                execute_owner(m.graph, m.conn_id, m.origin_loop, m.req);
-                break;
             case LoopMsg::Kind::Done:
-                apply_done(loop, m);
+                deliver(m.conn_id, std::move(m.reply), 1);
                 break;
             case LoopMsg::Kind::Retry:
                 drain_deferred(m.graph);
-                break;
-            case LoopMsg::Kind::Unsub:
-                drop_subscriber(m.graph, m.conn_id);
                 break;
             case LoopMsg::Kind::Pump:
                 pump_subscribers(m.graph);
@@ -657,94 +591,30 @@ void Server::process_inbox(Loop& loop) {
     }
 }
 
-void Server::adopt_fd(Loop& loop, int fd) {
-    if (stopping_.load()) {
-        Fd(fd).reset();
-        num_conns_.fetch_sub(1);
-        closed_m_->inc();
-        return;
-    }
-    if (!set_nonblocking(fd).ok()) {
-        Fd(fd).reset();
-        num_conns_.fetch_sub(1);
-        closed_m_->inc();
-        return;
-    }
-    auto conn = std::make_unique<Conn>();
-    conn->fd = Fd(fd);
-    conn->id = next_conn_id_.fetch_add(1);
-    loop.poller->add(fd, false);
-    loop.by_id.emplace(conn->id, conn.get());
-    loop.conns.emplace(fd, std::move(conn));
-}
-
-void Server::apply_done(Loop& loop, LoopMsg& msg) {
-    const auto it = loop.by_id.find(msg.conn_id);
-    if (it == loop.by_id.end()) {
-        // The connection died while the op was in flight. If this Done was
-        // also carrying a fresh subscription, the teardown's Unsub cannot
-        // have covered it — retire it at the owner now.
-        if (msg.sub_graph != nullptr) {
-            if (msg.sub_graph->owner_loop == loop.index) {
-                drop_subscriber(msg.sub_graph, msg.conn_id);
-            } else {
-                LoopMsg m;
-                m.kind = LoopMsg::Kind::Unsub;
-                m.graph = msg.sub_graph;
-                m.conn_id = msg.conn_id;
-                post(msg.sub_graph->owner_loop, std::move(m));
-            }
-        }
-        return;
-    }
-    Conn& conn = *it->second;
-    conn.pending -= std::min(msg.ops_done, conn.pending);
-    if (msg.sub_graph != nullptr) {
-        conn.subscribed.push_back(msg.sub_graph);
-    }
-    if (!msg.bytes.empty()) {
-        conn.wbuf.insert(conn.wbuf.end(), msg.bytes.begin(),
-                         msg.bytes.end());
-        conn.inflight += msg.frames;
-        wbuf_total_.fetch_add(static_cast<long long>(msg.bytes.size()));
-    }
-}
-
-void Server::teardown(Loop& loop, int fd) {
-    const auto it = loop.conns.find(fd);
-    if (it == loop.conns.end()) {
+void Server::teardown(int fd) {
+    const auto it = conns_.find(fd);
+    if (it == conns_.end()) {
         return;
     }
     Conn& conn = *it->second;
     for (GraphEntry* g : conn.subscribed) {
-        if (g->owner_loop == loop.index) {
-            drop_subscriber(g, conn.id);
-        } else {
-            LoopMsg m;
-            m.kind = LoopMsg::Kind::Unsub;
-            m.graph = g;
-            m.conn_id = conn.id;
-            post(g->owner_loop, std::move(m));
-        }
+        drop_subscriber(g, conn.id);
     }
-    wbuf_total_.fetch_sub(
-        static_cast<long long>(conn.wbuf.size() - conn.wpos));
-    loop.poller->del(fd);
-    loop.by_id.erase(conn.id);
-    loop.conns.erase(it);  // Fd destructor closes
-    num_conns_.fetch_sub(1);
+    poller_->del(fd);
+    by_id_.erase(conn.id);
+    conns_.erase(it);  // Fd destructor closes
     closed_m_->inc();
 }
 
-void Server::maybe_finish(Loop& loop, Conn& conn) {
+void Server::maybe_finish(Conn& conn) {
     if (conn.closing && conn.wpos == conn.wbuf.size() &&
         conn.pending == 0) {
-        teardown(loop, conn.fd.get());
+        teardown(conn.fd.get());
     }
 }
 
-void Server::handle_readable(Loop& loop, int fd) {
-    Conn& conn = *loop.conns.at(fd);
+void Server::handle_readable(int fd) {
+    Conn& conn = *conns_.at(fd);
     bool peer_done = false;
     for (;;) {
         const std::size_t base = conn.rbuf.size();
@@ -752,7 +622,7 @@ void Server::handle_readable(Loop& loop, int fd) {
         // chunk of slack. A peer that streams past an unread frame this
         // large is either broken or hostile.
         if (base - conn.rpos > kFrameHeaderBytes + kMaxFramePayload) {
-            teardown(loop, fd);
+            teardown(fd);
             return;
         }
         conn.rbuf.resize(base + kReadChunk);
@@ -773,30 +643,30 @@ void Server::handle_readable(Loop& loop, int fd) {
             peer_done = true;
             break;
         }
-        teardown(loop, fd);
+        teardown(fd);
         return;
     }
-    parse_and_execute(loop, conn);
+    parse_and_execute(conn);
     if (peer_done) {
         conn.closing = true;
     }
-    if (!flush_conn(loop, conn)) {
-        teardown(loop, fd);
+    if (!flush_conn(conn)) {
+        teardown(fd);
         return;
     }
-    maybe_finish(loop, conn);
+    maybe_finish(conn);
 }
 
-void Server::handle_writable(Loop& loop, int fd) {
-    Conn& conn = *loop.conns.at(fd);
-    if (!flush_conn(loop, conn)) {
-        teardown(loop, fd);
+void Server::handle_writable(int fd) {
+    Conn& conn = *conns_.at(fd);
+    if (!flush_conn(conn)) {
+        teardown(fd);
         return;
     }
-    maybe_finish(loop, conn);
+    maybe_finish(conn);
 }
 
-bool Server::flush_conn(Loop& loop, Conn& conn) {
+bool Server::flush_conn(Conn& conn) {
     while (conn.wpos < conn.wbuf.size()) {
         std::size_t n = 0;
         const IoResult sent =
@@ -805,13 +675,12 @@ bool Server::flush_conn(Loop& loop, Conn& conn) {
         if (sent == IoResult::Ok) {
             conn.wpos += n;
             bytes_tx_m_->add(n);
-            wbuf_total_.fetch_sub(static_cast<long long>(n));
             continue;
         }
         if (sent == IoResult::WouldBlock) {
             if (!conn.want_write) {
                 conn.want_write = true;
-                loop.poller->mod(conn.fd.get(), true);
+                poller_->mod(conn.fd.get(), true);
             }
             return true;
         }
@@ -825,20 +694,20 @@ bool Server::flush_conn(Loop& loop, Conn& conn) {
     conn.inflight = 0;
     if (conn.want_write) {
         conn.want_write = false;
-        loop.poller->mod(conn.fd.get(), false);
+        poller_->mod(conn.fd.get(), false);
     }
     return true;
 }
 
-void Server::flush_all(Loop& loop) {
+void Server::flush_all() {
     std::vector<int> fds;
-    fds.reserve(loop.conns.size());
-    for (const auto& [fd, conn] : loop.conns) {
+    fds.reserve(conns_.size());
+    for (const auto& [fd, conn] : conns_) {
         fds.push_back(fd);
     }
     for (const int fd : fds) {
-        const auto it = loop.conns.find(fd);
-        if (it == loop.conns.end()) {
+        const auto it = conns_.find(fd);
+        if (it == conns_.end()) {
             continue;
         }
         Conn& conn = *it->second;
@@ -848,18 +717,18 @@ void Server::flush_all(Loop& loop) {
         // shed instead; what is buffered is replies they asked for.
         if (!conn.subscribed.empty() &&
             conn.wbuf.size() - conn.wpos > opts_.max_wbuf_bytes) {
-            teardown(loop, fd);
+            teardown(fd);
             continue;
         }
-        if (!flush_conn(loop, conn)) {
-            teardown(loop, fd);
+        if (!flush_conn(conn)) {
+            teardown(fd);
             continue;
         }
-        maybe_finish(loop, conn);
+        maybe_finish(conn);
     }
 }
 
-void Server::parse_and_execute(Loop& loop, Conn& conn) {
+void Server::parse_and_execute(Conn& conn) {
     for (std::size_t parsed = 0;
          parsed < opts_.parse_budget && !conn.closing; ++parsed) {
         const std::span<const unsigned char> rest(
@@ -898,7 +767,7 @@ void Server::parse_and_execute(Loop& loop, Conn& conn) {
                        "connection backlog full; retry");
             continue;
         }
-        execute(loop, conn, req);
+        execute(conn, req);
     }
     // Reclaim the parsed prefix (or the whole buffer when fully consumed).
     if (conn.rpos == conn.rbuf.size()) {
@@ -912,7 +781,7 @@ void Server::parse_and_execute(Loop& loop, Conn& conn) {
     }
 }
 
-void Server::drain_pending(Loop& loop) {
+void Server::drain_pending() {
     // Passes repeat until no connection consumes anything: each pass gives
     // every connection at most parse_budget frames, so one deep pipeline
     // cannot starve the others within a pass.
@@ -920,13 +789,13 @@ void Server::drain_pending(Loop& loop) {
     while (progress) {
         progress = false;
         std::vector<int> fds;
-        fds.reserve(loop.conns.size());
-        for (const auto& [fd, conn] : loop.conns) {
+        fds.reserve(conns_.size());
+        for (const auto& [fd, conn] : conns_) {
             fds.push_back(fd);
         }
         for (const int fd : fds) {
-            const auto it = loop.conns.find(fd);
-            if (it == loop.conns.end()) {
+            const auto it = conns_.find(fd);
+            if (it == conns_.end()) {
                 continue;  // torn down earlier in this pass
             }
             Conn& conn = *it->second;
@@ -934,13 +803,13 @@ void Server::drain_pending(Loop& loop) {
             if (conn.closing || before < kFrameHeaderBytes) {
                 continue;
             }
-            parse_and_execute(loop, conn);
-            if (!flush_conn(loop, conn)) {
-                teardown(loop, fd);
+            parse_and_execute(conn);
+            if (!flush_conn(conn)) {
+                teardown(fd);
                 continue;
             }
-            maybe_finish(loop, conn);
-            if (loop.conns.find(fd) != loop.conns.end() &&
+            maybe_finish(conn);
+            if (conns_.find(fd) != conns_.end() &&
                 conn.rbuf.size() - conn.rpos < before) {
                 progress = true;
             }
@@ -980,7 +849,6 @@ void Server::append_sink(Conn& conn, Sink&& sink) {
     }
     conn.wbuf.insert(conn.wbuf.end(), sink.bytes.begin(), sink.bytes.end());
     conn.inflight += sink.frames;
-    wbuf_total_.fetch_add(static_cast<long long>(sink.bytes.size()));
 }
 
 void Server::conn_error(Conn& conn, std::uint64_t request_id, WireCode code,
@@ -990,24 +858,15 @@ void Server::conn_error(Conn& conn, std::uint64_t request_id, WireCode code,
     append_sink(conn, std::move(sink));
 }
 
-void Server::deliver(Loop* current, std::uint32_t origin_loop,
-                     std::uint64_t conn_id, Sink&& sink,
+void Server::deliver(std::uint64_t conn_id, Sink&& sink,
                      std::size_t ops_done) {
-    if (sink.bytes.empty() && sink.sub_graph == nullptr && ops_done == 0) {
-        return;
+    const auto it = by_id_.find(conn_id);
+    if (it == by_id_.end()) {
+        return;  // the connection died while the op was in flight
     }
-    LoopMsg m;
-    m.kind = LoopMsg::Kind::Done;
-    m.conn_id = conn_id;
-    m.bytes = std::move(sink.bytes);
-    m.frames = sink.frames;
-    m.ops_done = ops_done;
-    m.sub_graph = sink.sub_graph;
-    if (current != nullptr && current->index == origin_loop) {
-        apply_done(*current, m);
-    } else {
-        post(origin_loop, std::move(m));
-    }
+    Conn& conn = *it->second;
+    conn.pending -= std::min(ops_done, conn.pending);
+    append_sink(conn, std::move(sink));
 }
 
 // ---------------------------------------------------------------------------
@@ -1030,11 +889,11 @@ void Server::pump_graph(const std::string& name) {
     LoopMsg m;
     m.kind = LoopMsg::Kind::Pump;
     m.graph = g;
-    post(g->owner_loop, std::move(m));
+    post(std::move(m));
 }
 
 Status Server::open_entry(const std::string& name, std::uint8_t mode,
-                          std::uint32_t owner_loop, GraphEntry*& out) {
+                          GraphEntry*& out) {
     gt::LockGuard lk(graphs_mu_);
     const auto it = graphs_.find(name);
     if (it != graphs_.end()) {
@@ -1062,7 +921,6 @@ Status Server::open_entry(const std::string& name, std::uint8_t mode,
     fresh->term.store(term, std::memory_order_relaxed);
     fresh->name = name;
     fresh->recovery_source = static_cast<std::uint8_t>(info.source);
-    fresh->owner_loop = owner_loop;
     fresh->mode = dopts.mode;
     out = graphs_.emplace(name, std::move(fresh)).first->second.get();
     return Status::success();
@@ -1096,7 +954,7 @@ Status Server::promote_local(const std::string& name,
 }
 
 Status Server::open_local(const std::string& name, LocalGraph& out) {
-    if (loops_.empty()) {
+    if (poller_ == nullptr) {
         return Status{StatusCode::InvalidArgument, "start() first"};
     }
     if (!validate_graph_name(name)) {
@@ -1104,7 +962,7 @@ Status Server::open_local(const std::string& name, LocalGraph& out) {
                       "graph names are [A-Za-z0-9_-]{1,64}, alnum first"};
     }
     GraphEntry* entry = nullptr;
-    if (Status st = open_entry(name, 255, 0, entry); !st.ok()) {
+    if (Status st = open_entry(name, 255, entry); !st.ok()) {
         return st;
     }
     out.store = &entry->store;
@@ -1112,7 +970,7 @@ Status Server::open_local(const std::string& name, LocalGraph& out) {
     return Status::success();
 }
 
-void Server::handle_open_graph(Loop& loop, Conn& conn, const Frame& req) {
+void Server::handle_open_graph(Conn& conn, const Frame& req) {
     PayloadReader r(req.payload);
     const std::string name = r.str();
     const std::uint8_t mode = r.u8();
@@ -1127,7 +985,7 @@ void Server::handle_open_graph(Loop& loop, Conn& conn, const Frame& req) {
         return;
     }
     GraphEntry* entry = nullptr;
-    if (Status st = open_entry(name, mode, loop.index, entry); !st.ok()) {
+    if (Status st = open_entry(name, mode, entry); !st.ok()) {
         conn_error(conn, req.request_id, wire_code_of(st), st.to_string());
         return;
     }
@@ -1141,7 +999,7 @@ void Server::handle_open_graph(Loop& loop, Conn& conn, const Frame& req) {
 // ---------------------------------------------------------------------------
 // Request routing
 
-void Server::execute(Loop& loop, Conn& conn, const Frame& req) {
+void Server::execute(Conn& conn, const Frame& req) {
     const std::uint64_t begin_us = now_us();
     if (req.type == static_cast<std::uint8_t>(MsgType::Ping)) {
         Sink sink;
@@ -1151,11 +1009,11 @@ void Server::execute(Loop& loop, Conn& conn, const Frame& req) {
         return;
     }
     if (req.type == static_cast<std::uint8_t>(MsgType::OpenGraph)) {
-        handle_open_graph(loop, conn, req);
+        handle_open_graph(conn, req);
         request_us_m_->record(now_us() - begin_us);
         return;
     }
-    if (!is_owner_verb(req.type) && !is_read_verb(req.type)) {
+    if (!is_loop_verb(req.type) && !is_read_verb(req.type)) {
         conn_error(conn, req.request_id, WireCode::UnknownType,
                    "unknown request type " + std::to_string(req.type));
         return;
@@ -1196,27 +1054,16 @@ void Server::execute(Loop& loop, Conn& conn, const Frame& req) {
                        " is fenced: a higher-term primary exists; find it");
         return;
     }
-    if (is_owner_verb(req.type)) {
+    if (is_loop_verb(req.type)) {
         ++conn.pending;
-        if (g->owner_loop == loop.index) {
-            execute_owner(g, conn.id, loop.index, req);
-        } else {
-            cross_loop_m_->inc();
-            LoopMsg m;
-            m.kind = LoopMsg::Kind::Exec;
-            m.graph = g;
-            m.req = req;
-            m.origin_loop = loop.index;
-            m.conn_id = conn.id;
-            post(g->owner_loop, std::move(m));
-        }
+        execute_on_loop(g, conn.id, req);
         request_us_m_->record(now_us() - begin_us);
         return;
     }
     // Read verb.
     if (readers_ != nullptr) {
         ++conn.pending;
-        readers_->submit(g, conn.id, loop.index, req);
+        readers_->submit(g, conn.id, req);
         request_us_m_->record(now_us() - begin_us);
         return;
     }
@@ -1226,40 +1073,31 @@ void Server::execute(Loop& loop, Conn& conn, const Frame& req) {
         execute_read(g, req, sink);
     }
     if (g->has_deferred.load()) {
-        if (g->owner_loop == loop.index) {
-            drain_deferred(g);
-        } else {
-            LoopMsg m;
-            m.kind = LoopMsg::Kind::Retry;
-            m.graph = g;
-            post(g->owner_loop, std::move(m));
-        }
+        drain_deferred(g);
     }
     append_sink(conn, std::move(sink));
     request_us_m_->record(now_us() - begin_us);
 }
 
 // ---------------------------------------------------------------------------
-// Owner-loop graph ops
+// Loop verbs
 
-void Server::execute_owner(GraphEntry* g, std::uint64_t conn_id,
-                           std::uint32_t origin_loop, const Frame& req) {
-    Loop* cur = loops_[g->owner_loop].get();
+void Server::execute_on_loop(GraphEntry* g, std::uint64_t conn_id,
+                             const Frame& req) {
     DeferredOp op;
     op.conn_id = conn_id;
-    op.origin_loop = origin_loop;
     op.req = req;
     if (!needs_exclusive_lock(req.type)) {
-        // Subscribe/SubAck/Hello: owner-loop-private bookkeeping, but held
-        // shared against the state lock — on a chained replica a Replicator
-        // thread appends to the WAL these verbs read (durable_seq, tailer
-        // open) under the exclusive lock.
+        // Subscribe/SubAck/Hello: loop-private bookkeeping, but held shared
+        // against the state lock — on a chained replica a Replicator thread
+        // appends to the WAL these verbs read (durable_seq, tailer open)
+        // under the exclusive lock.
         Sink sink;
         {
             gt::SharedLockGuard lk(g->state_lock);
-            execute_owner_op(g, op, sink);
+            execute_loop_op(g, op, sink);
         }
-        deliver(cur, origin_loop, conn_id, std::move(sink), 1);
+        deliver(conn_id, std::move(sink), 1);
         pump_subscribers(g);
         return;
     }
@@ -1274,14 +1112,13 @@ void Server::execute_owner(GraphEntry* g, std::uint64_t conn_id,
         return;
     }
     Sink sink;
-    execute_owner_op(g, op, sink);
+    execute_loop_op(g, op, sink);
     g->state_lock.unlock();
-    deliver(cur, origin_loop, conn_id, std::move(sink), 1);
+    deliver(conn_id, std::move(sink), 1);
     pump_subscribers(g);
 }
 
 void Server::drain_deferred(GraphEntry* g) {
-    Loop* cur = loops_[g->owner_loop].get();
     while (!g->deferred.empty()) {
         if (!g->state_lock.try_lock()) {
             // A reader is still in; its release posts a Retry (it observes
@@ -1293,12 +1130,12 @@ void Server::drain_deferred(GraphEntry* g) {
             DeferredOp op = std::move(g->deferred.front());
             g->deferred.pop_front();
             Sink sink;
-            execute_owner_op(g, op, sink);
+            execute_loop_op(g, op, sink);
             done.emplace_back(std::move(op), std::move(sink));
         }
         g->state_lock.unlock();
         for (auto& [op, sink] : done) {
-            deliver(cur, op.origin_loop, op.conn_id, std::move(sink), 1);
+            deliver(op.conn_id, std::move(sink), 1);
         }
         pump_subscribers(g);
     }
@@ -1308,8 +1145,8 @@ void Server::drain_deferred(GraphEntry* g) {
     }
 }
 
-void Server::execute_owner_op(GraphEntry* g, const DeferredOp& op,
-                              Sink& sink) {
+void Server::execute_loop_op(GraphEntry* g, const DeferredOp& op,
+                             Sink& sink) {
     const Frame& req = op.req;
     switch (req.type) {
         case static_cast<std::uint8_t>(MsgType::InsertBatch):
@@ -1374,7 +1211,7 @@ void Server::execute_owner_op(GraphEntry* g, const DeferredOp& op,
             return;
         default:
             emit_error(sink, req.request_id, WireCode::Internal,
-                       "non-owner verb routed to the owner loop");
+                       "read verb routed to the loop");
             return;
     }
 }
@@ -1465,13 +1302,11 @@ void Server::handle_subscribe(GraphEntry* g, const DeferredOp& op,
     sink.sub_graph = g;
     Subscriber sub;
     sub.conn_id = op.conn_id;
-    sub.origin_loop = op.origin_loop;
     sub.request_id = op.req.request_id;
     sub.sent_seq = from_seq;
     sub.acked_seq = from_seq;
     sub.tailer = std::move(tailer);
     g->subscribers.push_back(std::move(sub));
-    num_subs_.fetch_add(1);
 }
 
 void Server::handle_sub_ack(GraphEntry* g, const DeferredOp& op,
@@ -1543,7 +1378,6 @@ void Server::handle_checkpoint(GraphEntry* g, const DeferredOp& op,
             // The prune rewrote the log file and orphaned every tailer fd;
             // reopen each at its shipped position (== durable, thanks to
             // the fence) on the fresh log.
-            Loop* cur = loops_[g->owner_loop].get();
             auto it = g->subscribers.begin();
             while (it != g->subscribers.end()) {
                 it->tailer = std::make_unique<recover::WalTailer>();
@@ -1554,10 +1388,8 @@ void Server::handle_checkpoint(GraphEntry* g, const DeferredOp& op,
                     emit_error(err, it->request_id, wire_code_of(st),
                                "subscription lost across WAL prune: " +
                                    st.to_string());
-                    deliver(cur, it->origin_loop, it->conn_id,
-                            std::move(err), 0);
+                    deliver(it->conn_id, std::move(err), 0);
                     it = g->subscribers.erase(it);
-                    num_subs_.fetch_sub(1);
                     continue;
                 }
                 ++it;
@@ -1577,7 +1409,6 @@ void Server::pump_subscribers(GraphEntry* g) {
     // a torn record and durable_seq would be read mid-update. Callers on
     // the exclusive path release the lock before pumping.
     gt::SharedLockGuard lk(g->state_lock);
-    Loop* cur = loops_[g->owner_loop].get();
     if (g->stale.load(std::memory_order_relaxed)) {
         // A fenced history must not keep feeding followers: end every
         // stream loudly so each follower re-subscribes to the new primary.
@@ -1586,8 +1417,7 @@ void Server::pump_subscribers(GraphEntry* g) {
             emit_error(err, sub.request_id, WireCode::StaleTerm,
                        "upstream term " + std::to_string(g->term.load()) +
                            " is fenced; re-subscribe to the current primary");
-            deliver(cur, sub.origin_loop, sub.conn_id, std::move(err), 0);
-            num_subs_.fetch_sub(1);
+            deliver(sub.conn_id, std::move(err), 0);
         }
         g->subscribers.clear();
         return;
@@ -1597,7 +1427,7 @@ void Server::pump_subscribers(GraphEntry* g) {
     // Flow control: ship at most about half the write-buffer cap beyond a
     // subscriber's last SubAck, so a catch-up backlog streams at the
     // follower's pace instead of tripping flush_all's slow-subscriber
-    // teardown. Each SubAck re-pumps (execute_owner). The window only
+    // teardown. Each SubAck re-pumps (execute_on_loop). The window only
     // binds while the follower holds a closed frame it can apply and ack —
     // a batch larger than the window still streams through.
     const std::size_t window = opts_.max_wbuf_bytes / 2;
@@ -1652,8 +1482,7 @@ void Server::pump_subscribers(GraphEntry* g) {
                 emit_error(err, sub.request_id, WireCode::WalError,
                            "WAL tail failed: " +
                                sub.tailer->status().to_string());
-                deliver(cur, sub.origin_loop, sub.conn_id, std::move(err),
-                        0);
+                deliver(sub.conn_id, std::move(err), 0);
                 dropped = true;
                 break;
             }
@@ -1667,8 +1496,7 @@ void Server::pump_subscribers(GraphEntry* g) {
                 emit_error(err, sub.request_id, WireCode::TooLarge,
                            "WAL record exceeds the frame cap; re-seed the "
                            "replica from a snapshot");
-                deliver(cur, sub.origin_loop, sub.conn_id, std::move(err),
-                        0);
+                deliver(sub.conn_id, std::move(err), 0);
                 dropped = true;
                 break;
             }
@@ -1692,11 +1520,10 @@ void Server::pump_subscribers(GraphEntry* g) {
             sub.closed_seq = last_closed;
             sub.unacked.emplace_back(last_shipped, ship.bytes.size());
             sub.unacked_bytes += ship.bytes.size();
-            deliver(cur, sub.origin_loop, sub.conn_id, std::move(ship), 0);
+            deliver(sub.conn_id, std::move(ship), 0);
         }
         if (dropped) {
             it = g->subscribers.erase(it);
-            num_subs_.fetch_sub(1);
         } else {
             ++it;
         }
@@ -1708,7 +1535,6 @@ void Server::drop_subscriber(GraphEntry* g, std::uint64_t conn_id) {
     while (it != g->subscribers.end()) {
         if (it->conn_id == conn_id) {
             it = g->subscribers.erase(it);
-            num_subs_.fetch_sub(1);
         } else {
             ++it;
         }

@@ -1,51 +1,47 @@
 // gt serve — the networked front end over DurableStore (DESIGN.md §14/§15).
 //
-// Threading model (DESIGN.md §15): an acceptor thread plus N event loops
-// plus an optional reader pool.
+// Threading model (DESIGN.md §15): one event loop plus an optional reader
+// pool.
 //
-//   - run() is the acceptor: it owns the listen socket and hands each new
-//     connection to a loop round-robin. With loop_threads == 1 and
-//     reader_threads == 0 the server behaves exactly like the historical
-//     single-threaded build: one loop, zero locks on the request path.
-//   - Each Loop is one epoll/poll event loop owning a disjoint set of
-//     connections: it reads, parses, and executes. Loops exchange work
-//     through per-loop inboxes (mutex-guarded vectors) woken by self-pipes.
-//   - Every graph is *pinned* to the loop that first opened it. Mutation
-//     verbs (Insert/Delete/Checkpoint/Sync/Subscribe/SubAck) execute only
-//     on the owner loop — cross-loop requests hop via the owner's inbox and
-//     the reply rides back to the connection's loop. One writer per graph,
-//     by construction.
+//   - The loop is one epoll/poll thread that owns the listen socket and
+//     every connection: it accepts, reads, parses, runs the mutation and
+//     replication verbs, and writes. With reader_threads == 0 it is the only
+//     thread on the request path.
 //   - Read-only verbs (Degree/Neighbors/Bfs/Sssp/Cc/EdgeCount/StatsJson)
 //     run on the reader pool under a shared (reader) hold of the graph's
-//     state lock, so long analytics overlap ingest on other graphs *and*
-//     other reads of the same graph. With reader_threads == 0 they run
-//     inline on the connection's loop (shared hold, may briefly block).
+//     state lock, so long analytics overlap ingest and each other. With
+//     reader_threads == 0 they run inline on the loop (shared hold, may
+//     briefly block).
+//   - Other threads reach the loop only through its inbox, a mutex-guarded
+//     vector woken by a self-pipe: readers post their replies and lock
+//     releases, a replica feeder posts WAL pumps, and stop() writes the pipe.
 //
-// Writer/reader coordination per graph: the owner loop never blocks its
-// event loop behind readers. A mutation that cannot take the state lock
-// immediately (try_lock fails, or earlier ops are already queued) joins the
-// graph's deferred FIFO; the last reader out posts a Retry to the owner's
-// inbox, which drains the FIFO under one exclusive hold. Queued reads for a
-// graph with deferred mutations park until the drain finishes — writers
-// cannot starve behind glibc's reader-preferring shared_mutex. Ordering
-// contract: mutations from one connection apply in send order; a *read*
-// pipelined behind an unacknowledged mutation may observe the pre-mutation
-// state (wait for the mutation's reply when read-your-writes matters).
+// Writer/reader coordination per graph: the loop never blocks behind
+// readers. A mutation that cannot take the state lock immediately
+// (try_lock fails, or earlier ops are already queued) joins the graph's
+// deferred FIFO; the last reader out posts a Retry to the inbox, and the
+// loop drains the FIFO under one exclusive hold. Queued reads for a graph
+// with deferred mutations park until the drain finishes — writers cannot
+// starve behind glibc's reader-preferring shared_mutex. Ordering contract:
+// mutations from one connection apply in send order; a *read* pipelined
+// behind an unacknowledged mutation may observe the pre-mutation state
+// (wait for the mutation's reply when read-your-writes matters).
 //
 // WAL shipping: Subscribe registers the connection as a replication
-// follower of one graph. The owner loop tails the graph's WAL file and
-// streams committed records (kFlagShipData frames, the Subscribe request id)
-// after every commit; SubAck reports the follower's applied low-water mark,
-// and Checkpoint only prunes the WAL once every follower has acked what the
+// follower of one graph. The loop tails the graph's WAL file and streams
+// committed records (kFlagShipData frames, the Subscribe request id) after
+// every commit; SubAck reports the follower's applied low-water mark, and
+// Checkpoint only prunes the WAL once every follower has acked what the
 // snapshot covers (the checkpoint/prune fence). read_only mode turns the
 // server into a serving replica: mutation verbs are refused with ReadOnly
 // while an external feeder (net::Replicator via open_local()) applies the
 // shipped stream.
 //
-// Backpressure (admission control): per-connection in-flight cap now counts
-// unflushed responses *plus* dispatched-but-unanswered async ops; the write
-// buffer byte cap and the max_conns shed are unchanged from the
-// single-threaded design. All caps surface as retryable Busy errors.
+// Backpressure (admission control): the per-connection in-flight cap counts
+// unflushed responses *plus* dispatched-but-unanswered ops (deferred
+// mutations, pool reads); the write buffer byte cap and the max_conns shed
+// complete it. All caps surface as
+// retryable Busy errors.
 //
 // Robustness: malformed, truncated, fuzzed, or oversized frames produce a
 // clean error reply (or connection close for unsynchronizable streams) —
@@ -60,7 +56,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -84,11 +79,11 @@ struct ServerOptions {
     std::uint16_t port = 0;
     /// Default durability for graphs a client opens without a mode.
     recover::DurabilityMode durability = recover::DurabilityMode::Buffered;
-    /// Event-loop threads; each graph is pinned to the loop that first
-    /// opened it, each connection to the loop that accepted it.
+    /// Retired: the server runs one event loop, and start() refuses values
+    /// above 1 with InvalidArgument. Kept for callers that still set it.
     std::size_t loop_threads = 1;
-    /// Reader-pool threads for the read-only verbs; 0 runs reads inline on
-    /// the connection's loop.
+    /// Reader-pool threads for the read-only verbs, at most 256; 0 runs
+    /// reads inline on the loop.
     std::size_t reader_threads = 0;
     /// Refuse exclusive mutation verbs (Insert/Delete/Checkpoint/Sync) with
     /// ReadOnly (warm-replica mode: an external feeder owns the store's
@@ -118,16 +113,18 @@ public:
     Server& operator=(const Server&) = delete;
 
     /// Binds and listens (no thread is spawned — call run() to serve).
+    /// Refuses loop_threads > 1 and reader_threads > 256 (InvalidArgument).
     [[nodiscard]] Status start(const ServerOptions& options);
 
-    /// Spawns the loop/reader threads and runs the acceptor until stop(),
-    /// then joins everything, tears down connections and closes every open
-    /// graph (flushing WALs). Returns the first fatal acceptor error, Ok on
-    /// a requested shutdown.
+    /// Spawns the loop thread, then the reader threads, and waits until the
+    /// loop exits after stop() (dropping its connections); then joins the
+    /// readers and closes every open graph (flushing WALs). Returns the
+    /// loop's fatal poller error, Ok on a requested shutdown.
     [[nodiscard]] Status run();
 
-    /// Requests shutdown. Async-signal-safe and callable from any thread:
-    /// writes one byte to the acceptor's self-pipe.
+    /// Requests shutdown. Async-signal-safe and callable from any thread,
+    /// also before run(): sets the stop flag, then writes one byte to the
+    /// loop's self-pipe.
     void stop() noexcept;
 
     /// Port actually bound (valid after start()).
@@ -140,7 +137,7 @@ public:
     /// In-process handle to a served graph — the replica feeder's doorway.
     /// `lock` is the graph's state lock: hold it exclusively while mutating
     /// through `store` (sound only with read_only == true, which keeps the
-    /// owner loop from ever writing). Lifetime: the pointers dangle once
+    /// loop from ever writing). Lifetime: the pointers dangle once
     /// run() returns — its teardown closes and frees every store — so a
     /// feeder must be detached (Replicator::close()) before the server is
     /// stopped.
@@ -181,12 +178,11 @@ public:
     /// Ships WAL records appended *outside* the request path (a Replicator
     /// mirroring an upstream) to this graph's subscribers — the link that
     /// keeps replica chains flowing live. Safe from any thread: posts to
-    /// the graph's owner loop. No-op for unknown graphs or while stopping.
+    /// the loop. No-op for unknown graphs or while stopping.
     void pump_graph(const std::string& name);
 
 private:
     struct GraphEntry;
-    struct Loop;
     class Poller;
     class ReaderPool;
 
@@ -205,17 +201,15 @@ private:
         std::vector<GraphEntry*> subscribed;
     };
 
-    /// A mutation/owner op waiting for the graph's exclusive lock.
+    /// A loop verb waiting for the graph's exclusive lock.
     struct DeferredOp {
         std::uint64_t conn_id = 0;
-        std::uint32_t origin_loop = 0;
         Frame req;
     };
 
-    /// One attached WAL-shipping follower (owner-loop state).
+    /// One attached WAL-shipping follower (loop state).
     struct Subscriber {
         std::uint64_t conn_id = 0;
-        std::uint32_t origin_loop = 0;
         std::uint64_t request_id = 0;  // stream frames carry it
         std::uint64_t sent_seq = 0;    // last record shipped
         std::uint64_t acked_seq = 0;   // follower's applied low-water mark
@@ -236,17 +230,16 @@ private:
         std::string name;
         recover::DurableStore store;
         std::uint8_t recovery_source = 0;
-        std::uint32_t owner_loop = 0;
         recover::DurabilityMode mode{};
-        /// Readers (pool / inline) hold shared; the owner loop (or the
-        /// read_only feeder) holds exclusive around mutations.
+        /// Readers (pool / inline) hold shared; the loop (or the read_only
+        /// feeder) holds exclusive around mutations.
         gt::SharedMutex state_lock;
         /// True while `deferred` is non-empty — readers check it to park
         /// (writer gate) and to post a Retry when they release the lock.
         std::atomic<bool> has_deferred{false};
-        /// Owner-loop-private FIFO of ops awaiting the exclusive lock.
+        /// Loop-private FIFO of ops awaiting the exclusive lock.
         std::deque<DeferredOp> deferred;
-        /// Owner-loop-private follower list.
+        /// Loop-private follower list.
         std::vector<Subscriber> subscribers;
         /// Primary term this graph's history belongs to (term.gtt sidecar;
         /// adopted at open, bumped by promote_local).
@@ -257,72 +250,62 @@ private:
         std::atomic<bool> stale{false};
     };
 
-    /// Cross-thread message into a loop's inbox.
-    struct LoopMsg {
-        enum class Kind : std::uint8_t {
-            AdoptFd,  // acceptor -> loop: take ownership of a socket
-            Exec,     // conn loop -> owner loop: run an owner op
-            Done,     // owner loop / pool -> conn loop: deliver reply bytes
-            Retry,    // pool -> owner loop: lock released, drain deferred
-            Unsub,    // conn loop -> owner loop: connection went away
-            Pump,     // feeder thread -> owner loop: ship fresh WAL records
-        };
-        Kind kind = Kind::AdoptFd;
-        int fd = -1;                       // AdoptFd
-        GraphEntry* graph = nullptr;       // Exec / Retry / Unsub / Pump
-        Frame req;                         // Exec
-        std::uint32_t origin_loop = 0;     // Exec
-        std::uint64_t conn_id = 0;         // Exec / Done / Unsub
-        std::vector<unsigned char> bytes;  // Done: encoded reply frames
-        std::size_t frames = 0;            // Done: responses in `bytes`
-        std::size_t ops_done = 0;          // Done: pending ops to retire
-        GraphEntry* sub_graph = nullptr;   // Done: record a subscription
-    };
-
-    /// Reply frames accumulated off the connection's thread, plus routing
-    /// side-effects to apply on delivery.
+    /// Reply frames for one connection, plus a subscription to record on
+    /// it when they are delivered.
     struct Sink {
         std::vector<unsigned char> bytes;
         std::size_t frames = 0;
         GraphEntry* sub_graph = nullptr;
     };
 
-    // ---- acceptor ---------------------------------------------------------
-    void accept_new(Poller& poller);
+    /// Cross-thread message into the loop's inbox.
+    struct LoopMsg {
+        enum class Kind : std::uint8_t {
+            Done,   // pool -> loop: a read verb's reply
+            Retry,  // pool -> loop: lock released, drain deferred
+            Pump,   // feeder thread -> loop: ship fresh WAL records
+        };
+        Kind kind = Kind::Done;
+        GraphEntry* graph = nullptr;  // Retry / Pump
+        std::uint64_t conn_id = 0;    // Done
+        Sink reply;                   // Done
+    };
 
     // ---- loop thread ------------------------------------------------------
-    void run_loop(Loop& loop);
-    void process_inbox(Loop& loop);
-    void adopt_fd(Loop& loop, int fd);
-    void apply_done(Loop& loop, LoopMsg& msg);
-    void handle_readable(Loop& loop, int fd);
-    void handle_writable(Loop& loop, int fd);
-    [[nodiscard]] bool flush_conn(Loop& loop, Conn& conn);
-    /// Flush every connection on the loop, disconnect subscribers whose
-    /// backlog overflowed, finish closing connections — the per-wake sweep.
-    void flush_all(Loop& loop);
-    void parse_and_execute(Loop& loop, Conn& conn);
-    void drain_pending(Loop& loop);
-    void execute(Loop& loop, Conn& conn, const Frame& req);
-    void teardown(Loop& loop, int fd);
-    void maybe_finish(Loop& loop, Conn& conn);
-    void post(std::uint32_t loop_index, LoopMsg&& msg);
+    /// Serves until stop(), then drops every connection. Returns the
+    /// poller's fatal error, Ok on a requested shutdown.
+    [[nodiscard]] Status run_loop();
+    void accept_new();
+    void process_inbox();
+    void handle_readable(int fd);
+    void handle_writable(int fd);
+    [[nodiscard]] bool flush_conn(Conn& conn);
+    /// Flush every connection, disconnect subscribers whose backlog
+    /// overflowed, finish closing connections — the per-wake sweep.
+    void flush_all();
+    void parse_and_execute(Conn& conn);
+    void drain_pending();
+    void execute(Conn& conn, const Frame& req);
+    void teardown(int fd);
+    void maybe_finish(Conn& conn);
+    /// Queues a message for the loop and wakes it; callable from any thread.
+    void post(LoopMsg&& msg);
 
-    // ---- owner-loop graph ops --------------------------------------------
-    /// Entry point for owner ops on the owner loop: respects the deferred
-    /// FIFO, executes inline when the exclusive lock is free.
-    void execute_owner(GraphEntry* g, std::uint64_t conn_id,
-                       std::uint32_t origin_loop, const Frame& req);
+    // ---- loop verbs (mutations + replication bookkeeping) ----------------
+    /// Entry point for loop verbs: respects the deferred FIFO, executes
+    /// inline when the exclusive lock is free.
+    void execute_on_loop(GraphEntry* g, std::uint64_t conn_id,
+                         const Frame& req);
     void drain_deferred(GraphEntry* g);
-    /// Runs one owner op (state lock held for mutations). Appends replies
+    /// Runs one loop verb (state lock held for mutations). Appends replies
     /// to `sink`.
-    void execute_owner_op(GraphEntry* g, const DeferredOp& op, Sink& sink);
+    void execute_loop_op(GraphEntry* g, const DeferredOp& op, Sink& sink);
     void handle_hello(GraphEntry* g, const DeferredOp& op, Sink& sink);
     void handle_subscribe(GraphEntry* g, const DeferredOp& op, Sink& sink);
     void handle_sub_ack(GraphEntry* g, const DeferredOp& op, Sink& sink);
     void handle_checkpoint(GraphEntry* g, const DeferredOp& op, Sink& sink);
-    /// Ships newly committed WAL records to every subscriber (owner loop,
-    /// after commits and on subscribe catch-up).
+    /// Ships newly committed WAL records to every subscriber (after commits
+    /// and on subscribe catch-up).
     void pump_subscribers(GraphEntry* g);
     void drop_subscriber(GraphEntry* g, std::uint64_t conn_id);
 
@@ -335,45 +318,45 @@ private:
                     std::span<const unsigned char> payload);
     void emit_error(Sink& sink, std::uint64_t request_id, WireCode code,
                     std::string_view message);
-    /// Applies a sink to its connection: inline when the caller *is* the
-    /// origin loop (pass it), via a Done inbox message otherwise (null).
-    void deliver(Loop* current, std::uint32_t origin_loop,
-                 std::uint64_t conn_id, Sink&& sink, std::size_t ops_done);
-    /// Appends a sink's frames to the connection's write buffer (the
-    /// loop-local fast path of deliver()).
+    /// Appends a sink to its connection's write buffer and retires
+    /// `ops_done` pending ops (loop thread). A connection that has gone
+    /// drops the reply.
+    void deliver(std::uint64_t conn_id, Sink&& sink, std::size_t ops_done);
     void append_sink(Conn& conn, Sink&& sink);
     void conn_error(Conn& conn, std::uint64_t request_id, WireCode code,
                     std::string_view message);
     [[nodiscard]] GraphEntry* find_graph(const std::string& name);
-    /// Find-or-create under graphs_mu_; a fresh graph is pinned to
-    /// `owner_loop`. `mode`: 0..2 explicit, 255 the server default.
+    /// Find-or-create under graphs_mu_. `mode`: 0..2 explicit, 255 the
+    /// server default.
     [[nodiscard]] Status open_entry(const std::string& name,
-                                    std::uint8_t mode,
-                                    std::uint32_t owner_loop,
-                                    GraphEntry*& out);
-    void handle_open_graph(Loop& loop, Conn& conn, const Frame& req);
+                                    std::uint8_t mode, GraphEntry*& out);
+    void handle_open_graph(Conn& conn, const Frame& req);
 
     void bind_metrics();
+    /// Loop thread, or run() once the loop has exited.
     void update_gauges();
 
     ServerOptions opts_;
     obs::Registry* registry_ = nullptr;
     std::unique_ptr<obs::Registry> owned_registry_;
     Fd listen_fd_;
-    Fd wake_r_;
-    Fd wake_w_;
     std::uint16_t port_ = 0;
     std::atomic<bool> stopping_{false};
     std::atomic<bool> read_only_{false};  // seeded from opts_, flipped by
                                           // promotion
     std::atomic<std::uint64_t> replication_lag_{0};
-    std::vector<std::unique_ptr<Loop>> loops_;
     std::unique_ptr<ReaderPool> readers_;
-    std::uint32_t next_loop_ = 0;  // acceptor round-robin cursor
-    std::atomic<std::uint64_t> next_conn_id_{1};
-    std::atomic<std::size_t> num_conns_{0};
-    std::atomic<long long> wbuf_total_{0};
-    std::atomic<long long> num_subs_{0};
+
+    // The loop. Other threads touch only its self-pipe and inbox; the
+    // poller and the connections are loop-thread state.
+    Fd wake_r_;
+    Fd wake_w_;
+    gt::Mutex inbox_mu_;
+    std::vector<LoopMsg> inbox_ GT_GUARDED_BY(inbox_mu_);
+    std::unique_ptr<Poller> poller_;
+    std::map<int, std::unique_ptr<Conn>> conns_;
+    std::unordered_map<std::uint64_t, Conn*> by_id_;
+    std::uint64_t next_conn_id_ = 1;
 
     gt::Mutex graphs_mu_;
     /// Entries are never erased while the server lives: GraphEntry* is
@@ -392,7 +375,6 @@ private:
     obs::Counter* busy_shed_m_ = nullptr;
     obs::Counter* bad_frames_m_ = nullptr;
     obs::Counter* errors_tx_m_ = nullptr;
-    obs::Counter* cross_loop_m_ = nullptr;
     obs::Counter* deferred_m_ = nullptr;
     obs::Counter* shipped_m_ = nullptr;
     obs::Histogram* request_us_m_ = nullptr;

@@ -519,7 +519,7 @@ TEST(Replica, ChainReplicaOfReplicaCatchesUpAndFollowsLive) {
     EXPECT_EQ(e, 3U);
 
     // Live flow: a fresh primary commit must reach B through A — A's
-    // Replicator kicks A's owner loop (pump_graph) after each mirrored
+    // Replicator kicks A's loop (pump_graph) after each mirrored
     // frame, since the records never crossed A's request path.
     ASSERT_TRUE(
         pg.insert_edges(std::vector<Edge>{{3, 4, 1}}, nullptr).ok());

@@ -4,7 +4,8 @@
 // answers queries with the primary's data), catch-up of a backlog several
 // times the write-buffer cap (flow control), the checkpoint/prune fence
 // (primary keeps its WAL until the subscriber acks), seq mirroring (the
-// replica's own WAL continues seamlessly across a restart), and — via
+// replica's own WAL continues seamlessly across a restart), the primary
+// dropping a subscriber whose connection closed, and — via
 // fork + SIGKILL of the primary — failover: the replica serves exactly a
 // committed prefix of the torture stream.
 #include "net/replica.hpp"
@@ -13,6 +14,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <csignal>
 #include <filesystem>
 #include <string>
@@ -224,6 +226,58 @@ TEST(Replica, CheckpointFenceHoldsWalUntilAck) {
     // Subscribing from the current seq is still fine.
     Subscription sub4;
     EXPECT_TRUE(g3.subscribe(sub.primary_seq, sub4).ok());
+}
+
+TEST(Replica, SubscriberDroppedWhenItsConnectionCloses) {
+    // Closing a Replicator closes its subscribed connection; the primary's
+    // teardown must retire the subscription with it.
+    TempDir primary_dir;
+    TempDir replica_dir;
+    ScopedServer primary({.root = primary_dir.path()});
+    Client pc;
+    ASSERT_TRUE(pc.connect("127.0.0.1", primary.port()).ok());
+    RemoteGraph pg;
+    ASSERT_TRUE(pc.open("g", pg, 1).ok());
+    ASSERT_TRUE(pg.insert_edges(std::vector<Edge>{{0, 1, 1}}, nullptr).ok());
+
+    obs::Registry& reg = primary.server().obs();
+    const auto gauge = [&](const char* name) {
+        return reg.gauge(name).value();
+    };
+    /// Polls until the gauge reads `want` or 5 s pass.
+    const auto settles_at = [&](const char* name, double want) {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (gauge(name) != want &&
+               std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        }
+        return gauge(name) == want;
+    };
+    ASSERT_TRUE(settles_at("net.subscribers", 0.0));
+    const double baseline_conns = gauge("net.open_conns");
+
+    ServerOptions ro{.root = replica_dir.path()};
+    ro.read_only = true;
+    ScopedServer replica(ro);
+    Server::LocalGraph local;
+    ASSERT_TRUE(replica.server().open_local("g", local).ok());
+    Replicator rep;
+    ReplicatorOptions ropts;
+    ropts.port = primary.port();
+    ropts.graph = "g";
+    ASSERT_TRUE(rep.start(ropts, local).ok());
+    ASSERT_TRUE(rep.pump_until_current().ok());
+    EXPECT_TRUE(settles_at("net.subscribers", 1.0));
+    EXPECT_TRUE(settles_at("net.open_conns", baseline_conns + 1));
+
+    rep.close();
+    EXPECT_TRUE(settles_at("net.subscribers", 0.0))
+        << "net.subscribers reads " << gauge("net.subscribers");
+    EXPECT_TRUE(settles_at("net.open_conns", baseline_conns))
+        << "net.open_conns reads " << gauge("net.open_conns");
+    // The primary still serves the connection that stayed.
+    EXPECT_TRUE(pc.ping().ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@
 // session handles, the robustness matrix (malformed frames, garbage bytes,
 // half-open disconnects), backpressure shedding, durable recovery across
 // server restarts, reply-id pairing (out-of-order buffering, stale-reply
-// rejection), multi-loop + reader-pool traffic under TSan, read-only
-// refusal, and — via fork + SIGKILL — the crash contract: a server killed
-// mid-batch leaves a directory that recovers exactly the committed prefix.
+// rejection), mixed writer + reader-pool traffic under TSan, the option
+// bounds start() enforces, stop before run, read-only refusal, and — via
+// fork + SIGKILL — the crash contract: a server killed mid-batch leaves a
+// directory that recovers exactly the committed prefix.
 #include "net/server.hpp"
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <csignal>
 #include <cstring>
 #include <functional>
@@ -563,17 +565,16 @@ TEST(Server, MultiClientConcurrentTraffic) {
     EXPECT_EQ(failures.load(), 0);
 }
 
-TEST(Server, MultiLoopMixedTraffic) {
-    // 4 event loops + a 2-thread reader pool, 4 writer clients + 4 reader
-    // clients, ALL on the same graph: connections land round-robin on
-    // different loops, so mutations from three of the four writers take
-    // the cross-loop hop into the owner loop's inbox, queries fan out to
-    // the reader pool under shared locks, and deferred mutations must
-    // interleave without losing ops. TSan covers the loop/pool handoffs;
-    // the final edge count covers lost-update bugs.
+TEST(Server, ReaderPoolMixedTraffic) {
+    // A 2-thread reader pool, 4 writer clients + 4 reader clients, ALL on
+    // the same graph: queries fan out to the reader pool under shared
+    // locks, so a mutation that finds the lock held joins the deferred
+    // FIFO and waits for a reader's Retry, while queued reads park behind
+    // it. Deferred mutations must interleave without losing ops. TSan
+    // covers the loop/pool handoffs; the final edge count covers
+    // lost-update bugs.
     TempDir dir;
     ServerOptions options{.root = dir.path()};
-    options.loop_threads = 4;
     options.reader_threads = 2;
     ScopedServer server(options);
     {
@@ -642,6 +643,39 @@ TEST(Server, MultiLoopMixedTraffic) {
     std::uint64_t v = 0;
     ASSERT_TRUE(g.count(e, v).ok());
     EXPECT_EQ(e, 2U + kWriters * kOpsPerWriter);
+}
+
+TEST(Server, StartRefusesMoreThanOneLoop) {
+    TempDir dir;
+    ServerOptions options{.root = dir.path()};
+    options.loop_threads = 4;
+    Server server;
+    EXPECT_EQ(server.start(options).code, StatusCode::InvalidArgument);
+}
+
+TEST(Server, StartRefusesOversizedReaderPool) {
+    // start() spawns no thread, so this asks for no thread either.
+    TempDir dir;
+    ServerOptions options{.root = dir.path()};
+    options.reader_threads = std::size_t{1} << 20;
+    Server server;
+    EXPECT_EQ(server.start(options).code, StatusCode::InvalidArgument);
+}
+
+TEST(Server, StopBeforeRunReturnsOk) {
+    // The stop request lands on the loop's self-pipe before the loop
+    // exists; run() must still see it and return instead of serving.
+    TempDir dir;
+    ServerOptions options{.root = dir.path()};
+    options.reader_threads = 1;
+    Server server;
+    ASSERT_TRUE(server.start(options).ok());
+    server.stop();
+    const auto begin = std::chrono::steady_clock::now();
+    const Status st = server.run();
+    EXPECT_TRUE(st.ok()) << st.to_string();
+    EXPECT_LT(std::chrono::steady_clock::now() - begin,
+              std::chrono::seconds(5));
 }
 
 TEST(Server, ConnectionCapShedsExtraClients) {

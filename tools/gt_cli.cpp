@@ -20,15 +20,12 @@
 //                                                writer (killed externally)
 //   gt torture-verify <dir> <seed>               recover + committed-prefix
 //                                                verification (exit 0/1)
-//   gt serve <root> [--host H] [--port N] [--fsync|--nosync]
-//            [--loops N] [--readers N]
+//   gt serve <root> [--host H] [--port N] [--fsync|--nosync] [--readers N]
 //                                                run the gt.net.v1 daemon
 //                                                (DESIGN.md §14/§15); prints
 //                                                "listening on H:P" once
 //                                                bound; SIGINT/SIGTERM
 //                                                drain and exit cleanly;
-//                                                --loops spreads connections
-//                                                over N event loops,
 //                                                --readers adds a shared-lock
 //                                                pool for the query verbs
 //   gt replicate <root> <primary host:port> <graph>
@@ -69,7 +66,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -77,6 +76,7 @@
 #include <map>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -104,6 +104,28 @@ namespace {
 
 using namespace gt;
 
+/// A strict decimal in [0, max]: digits only, no sign, space or suffix.
+bool parse_uint(std::string_view text, std::uint64_t max,
+                std::uint64_t& out) {
+    std::uint64_t v = 0;
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (ec != std::errc{} || ptr != end || v > max) {
+        return false;
+    }
+    out = v;
+    return true;
+}
+
+bool parse_port(std::string_view text, std::uint16_t& port) {
+    std::uint64_t v = 0;
+    if (!parse_uint(text, 65535, v)) {
+        return false;
+    }
+    port = static_cast<std::uint16_t>(v);
+    return true;
+}
+
 int usage() {
     std::fprintf(stderr,
                  "usage: gt <generate|stats|trace|bfs|cc|pagerank|triangles|"
@@ -123,7 +145,7 @@ int usage() {
                  "  gt torture-writer <dir> <seed> [steps] [--fsync]\n"
                  "  gt torture-verify <dir> <seed>\n"
                  "  gt serve <root> [--host H] [--port N] [--fsync|--nosync]"
-                 " [--loops N] [--readers N]\n"
+                 " [--readers N]\n"
                  "  gt replicate <root> <primary host:port> <graph> "
                  "[--host H] [--port N] [--once]\n"
                  "      [--promote-on-failure] [--heartbeat-ms N]\n"
@@ -655,16 +677,19 @@ int cmd_serve(int argc, char** argv) {
         if (arg == "--host" && i + 1 < argc) {
             options.host = argv[++i];
         } else if (arg == "--port" && i + 1 < argc) {
-            options.port = static_cast<std::uint16_t>(
-                std::strtoul(argv[++i], nullptr, 10));
+            if (!parse_port(argv[++i], options.port)) {
+                return usage();
+            }
         } else if (arg == "--fsync") {
             options.durability = recover::DurabilityMode::FsyncBatch;
         } else if (arg == "--nosync") {
             options.durability = recover::DurabilityMode::Off;
-        } else if (arg == "--loops" && i + 1 < argc) {
-            options.loop_threads = std::strtoul(argv[++i], nullptr, 10);
         } else if (arg == "--readers" && i + 1 < argc) {
-            options.reader_threads = std::strtoul(argv[++i], nullptr, 10);
+            std::uint64_t readers = 0;
+            if (!parse_uint(argv[++i], SIZE_MAX, readers)) {
+                return usage();
+            }
+            options.reader_threads = static_cast<std::size_t>(readers);
         } else {
             return usage();
         }
@@ -694,16 +719,15 @@ int cmd_serve(int argc, char** argv) {
     return 0;
 }
 
-/// Splits "host:port"; false on malformed input.
+/// Splits "host:port"; false on malformed input or a port past 65535.
 bool parse_hostport(const std::string& hostport, std::string& host,
                     std::uint16_t& port) {
     const std::size_t colon = hostport.rfind(':');
-    if (colon == std::string::npos || colon + 1 >= hostport.size()) {
+    if (colon == std::string::npos ||
+        !parse_port(std::string_view(hostport).substr(colon + 1), port)) {
         return false;
     }
     host = hostport.substr(0, colon);
-    port = static_cast<std::uint16_t>(
-        std::strtoul(hostport.c_str() + colon + 1, nullptr, 10));
     return true;
 }
 
@@ -786,8 +810,9 @@ int cmd_replicate(int argc, char** argv) {
         if (arg == "--host" && i + 1 < argc) {
             options.host = argv[++i];
         } else if (arg == "--port" && i + 1 < argc) {
-            options.port = static_cast<std::uint16_t>(
-                std::strtoul(argv[++i], nullptr, 10));
+            if (!parse_port(argv[++i], options.port)) {
+                return usage();
+            }
         } else if (arg == "--once") {
             once = true;
         } else if (arg == "--promote-on-failure") {
@@ -924,15 +949,18 @@ int cmd_ping(int argc, char** argv) {
     std::string graph;
     std::uint64_t min_term = 0;
     int i = 1;
-    if (i < argc && argv[i][0] != '-') {
-        count = std::strtoull(argv[i++], nullptr, 10);
+    if (i < argc && argv[i][0] != '-' &&
+        !parse_uint(argv[i++], UINT64_MAX, count)) {
+        return usage();
     }
     for (; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--graph" && i + 1 < argc) {
             graph = argv[++i];
         } else if (arg == "--min-term" && i + 1 < argc) {
-            min_term = std::strtoull(argv[++i], nullptr, 10);
+            if (!parse_uint(argv[++i], UINT64_MAX, min_term)) {
+                return usage();
+            }
         } else {
             return usage();
         }
@@ -986,8 +1014,11 @@ int cmd_remote_load(int argc, char** argv) {
         return usage();
     }
     const std::string graph = argv[1];
-    const std::size_t batch_size =
-        argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 100000;
+    std::uint64_t batch = 100000;
+    if (argc > 3 && (!parse_uint(argv[3], SIZE_MAX, batch) || batch == 0)) {
+        return usage();  // a zero batch would never advance
+    }
+    const auto batch_size = static_cast<std::size_t>(batch);
     const ParsedGraph parsed = load(argv[2]);
     if (!parsed.error.empty()) {
         std::fprintf(stderr, "error: %s\n", parsed.error.c_str());
