@@ -67,17 +67,6 @@ struct Config {
     /// list. 1 disables chain compaction.
     double cal_compact_threshold = 0.25;
 
-    // ---- sharded ingest pipeline (core/sharded.hpp) ----------------------
-
-    /// Batches at or below this size skip the radix partition when every
-    /// edge lands on one shard (always true for batch=1): the mini-batch is
-    /// handed to the owning worker's queue directly. 0 disables the bypass.
-    std::uint32_t sharded_small_batch_threshold = 64;
-    /// Bounded depth (in hand-off tasks) of each shard's ingest queue. The
-    /// producer blocks when a shard's queue fills — backpressure instead of
-    /// unbounded buffering.
-    std::uint32_t sharded_queue_depth = 1024;
-
     /// Non-throwing validation: divisibility/power-of-two invariants plus
     /// the resource-sanity caps an *untrusted* config (one decoded from a
     /// snapshot file) must clear before the store allocates anything from
@@ -113,13 +102,6 @@ struct Config {
         }
         if (reserve_edges > (std::uint64_t{1} << 40)) {
             return bad("reserve_edges implausibly large");
-        }
-        if (sharded_queue_depth == 0) {
-            return bad("sharded_queue_depth must be non-zero");
-        }
-        if (sharded_queue_depth > (1U << 20) ||
-            sharded_small_batch_threshold > (1U << 20)) {
-            return bad("sharded ingest knobs implausibly large");
         }
         if (!(purge_tombstone_threshold >= 0.0 &&
               purge_tombstone_threshold <= 1.0) ||

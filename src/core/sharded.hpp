@@ -15,10 +15,10 @@
 // per-shard HandoffQueue. The caller's role shrinks to radix-scattering the
 // batch into a generation arena and enqueueing one slice task per shard —
 // so partitioning batch N+1 overlaps shard application of batch N, and no
-// thread ever waits at a barrier on the ingest path. Mini-batches at or
-// below Config::sharded_small_batch_threshold that land wholly on one shard
-// (always true for batch=1) skip the partition and hand the slice to the
-// owning worker directly.
+// thread ever waits at a barrier on the ingest path. Mini-batches of at most
+// kSmallBatchThreshold edges that land wholly on one shard (always true for
+// batch=1) skip the partition and hand the slice to the owning worker
+// directly.
 //
 // Concurrency discipline: single writer per shard, many readers. Only shard
 // s's worker mutates shard s's store, holding the shard's rwlock exclusively
@@ -76,17 +76,8 @@ namespace detail {
 inline thread_local std::vector<const void*> tl_pinned_shards;
 }  // namespace detail
 
-/// Pipeline knobs. Fields left at kFromConfig resolve from the store
-/// config when it carries the sharded_* members (gt::core::Config does),
-/// else to the built-in defaults — so STINGER shards pick up sane values
-/// without growing config fields.
+/// Construction options for ShardedStore.
 struct ShardedOptions {
-    static constexpr std::size_t kFromConfig = static_cast<std::size_t>(-1);
-
-    /// Single-shard mini-batches at or below this size bypass partitioning.
-    std::size_t small_batch_threshold = kFromConfig;
-    /// Bounded per-shard queue depth, in hand-off tasks.
-    std::size_t queue_depth = kFromConfig;
     /// Optional metrics sink: per-shard `shard.<i>.queue_depth` gauges, the
     /// `shard.handoff_us` latency histogram and the `shard.tasks_applied`
     /// counter land here.
@@ -105,7 +96,6 @@ public:
     template <typename Factory>
     explicit ShardedStore(std::size_t shards, Factory&& factory,
                           ShardedOptions opts = {}) {
-        resolve_options(opts, factory);
         const std::size_t n = shards == 0 ? 1 : shards;
         for (auto& gen : gens_) {
             gen = std::make_unique<Generation>();
@@ -113,7 +103,7 @@ public:
         shards_.reserve(n);
         for (std::size_t i = 0; i < n; ++i) {
             shards_.push_back(std::make_unique<Shard>(
-                std::make_unique<Store>(factory()), queue_depth_));
+                std::make_unique<Store>(factory()), kQueueDepth));
         }
         bind_metrics(opts.registry);
         for (std::size_t i = 0; i < n; ++i) {
@@ -530,28 +520,14 @@ private:
     /// Worker-side bulk dequeue width: amortizes the queue lock over up to
     /// this many tiny tasks per wakeup.
     static constexpr std::size_t kMaxPopBatch = 64;
-
-    template <typename Factory>
-    void resolve_options(ShardedOptions& opts, Factory& factory) {
-        std::size_t small = 64;
-        std::size_t depth = 1024;
-        if constexpr (requires {
-                          factory().sharded_small_batch_threshold;
-                          factory().sharded_queue_depth;
-                      }) {
-            const auto cfg = factory();
-            small = cfg.sharded_small_batch_threshold;
-            depth = cfg.sharded_queue_depth;
-        }
-        small_batch_ = opts.small_batch_threshold ==
-                               ShardedOptions::kFromConfig
-                           ? small
-                           : opts.small_batch_threshold;
-        queue_depth_ = opts.queue_depth == ShardedOptions::kFromConfig
-                           ? depth
-                           : opts.queue_depth;
-        queue_depth_ = std::max<std::size_t>(queue_depth_, 1);
-    }
+    /// Mini-batches of at most this many edges skip the radix partition
+    /// when every edge lands on one shard (always true for batch=1): the
+    /// batch is handed to the owning worker's queue directly.
+    static constexpr std::size_t kSmallBatchThreshold = 64;
+    /// Bounded depth (in hand-off tasks) of each shard's ingest queue. The
+    /// producer blocks when a shard's queue fills — backpressure instead of
+    /// unbounded buffering.
+    static constexpr std::size_t kQueueDepth = 1024;
 
     void bind_metrics(obs::Registry* registry) {
         if (registry == nullptr) {
@@ -637,7 +613,7 @@ private:
         if (n == 1) {
             return 0;
         }
-        if (batch.size() > small_batch_) {
+        if (batch.size() > kSmallBatchThreshold) {
             return kMixedShards;
         }
         const std::size_t first = shard_of(src_of(batch[0]), n);
@@ -917,8 +893,6 @@ private:
     std::vector<std::size_t> slice_offsets_;  // shard s: [s, s+1) rel. base
     std::vector<std::size_t> cursors_;        // scatter cursors
 
-    std::size_t small_batch_ = 64;
-    std::size_t queue_depth_ = 1024;
     std::uint64_t push_seq_ = 0;
 
     // Bound once at construction (obs hot-path discipline); null without a

@@ -21,6 +21,13 @@ Status errno_status(const std::string& what) {
     return Status{StatusCode::IoError, what + ": " + std::strerror(errno)};
 }
 
+/// Both ends of every connection: the protocol is request/response with
+/// small frames, so Nagle only holds pipelined ones back.
+void set_nodelay(int fd) noexcept {
+    const int one = 1;
+    (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
 Status timeout_status(const char* what) {
     return Status{StatusCode::TimedOut,
                   std::string(what) + " deadline expired"};
@@ -245,7 +252,11 @@ Status wait_readable(int fd, Deadline deadline) noexcept {
 int accept_retry(int listen_fd) noexcept {
     for (;;) {
         const int fd = ::accept(listen_fd, nullptr, nullptr);
-        if (fd >= 0 || errno != EINTR) {
+        if (fd >= 0) {
+            set_nodelay(fd);
+            return fd;
+        }
+        if (errno != EINTR) {
             return fd;
         }
     }
@@ -355,9 +366,7 @@ Status tcp_connect(const std::string& host, std::uint16_t port, Fd& out,
             return errno_status("connect " + where);
         }
     }
-    const int one = 1;
-    (void)::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one,
-                       sizeof(one));
+    set_nodelay(fd.get());
     out = std::move(fd);
     return Status::success();
 }

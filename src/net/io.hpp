@@ -146,8 +146,9 @@ enum class IoResult : std::uint8_t {
 /// recv_exact of a whole header.
 [[nodiscard]] Status wait_readable(int fd, Deadline deadline) noexcept;
 
-/// accept(2) with EINTR retry. Returns the fd, or -1 with errno set
-/// (EAGAIN when the nonblocking backlog is empty).
+/// accept(2) with EINTR retry; the accepted socket gets TCP_NODELAY, as
+/// tcp_connect's does. Returns the fd, or -1 with errno set (EAGAIN when
+/// the nonblocking backlog is empty).
 [[nodiscard]] int accept_retry(int listen_fd) noexcept;
 
 [[nodiscard]] Status set_nonblocking(int fd) noexcept;

@@ -1,7 +1,5 @@
 #include "net/server.hpp"
 
-#include <sys/stat.h>
-
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
@@ -15,6 +13,7 @@
 #include "engine/hybrid_engine.hpp"
 #include "obs/export.hpp"
 #include "recover/term.hpp"
+#include "util/file_io.hpp"
 
 #if defined(__linux__) && !defined(GT_NET_FORCE_POLL)
 #define GT_NET_USE_EPOLL 1
@@ -51,15 +50,6 @@ constexpr std::size_t kMaxReaderThreads = 256;
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now().time_since_epoch())
             .count());
-}
-
-/// mkdir -p, two levels deep at most (<root> and <root>/<name>).
-[[nodiscard]] Status ensure_dir(const std::string& path) {
-    if (::mkdir(path.c_str(), 0755) == 0 || errno == EEXIST) {
-        return Status::success();
-    }
-    return Status{StatusCode::IoError,
-                  "mkdir('" + path + "') failed: " + std::strerror(errno)};
 }
 
 /// Loop verbs that mutate store state and therefore need the exclusive
@@ -415,7 +405,7 @@ Status Server::start(const ServerOptions& options) {
         registry_ = owned_registry_.get();
     }
     bind_metrics();
-    if (Status st = ensure_dir(opts_.root); !st.ok()) {
+    if (Status st = util::ensure_dir(opts_.root); !st.ok()) {
         return st;
     }
     if (Status st = make_wake_pipe(wake_r_, wake_w_); !st.ok()) {
@@ -901,9 +891,6 @@ Status Server::open_entry(const std::string& name, std::uint8_t mode,
         return Status::success();
     }
     const std::string dir = opts_.root + "/" + name;
-    if (Status st = ensure_dir(dir); !st.ok()) {
-        return st;
-    }
     auto fresh = std::make_unique<GraphEntry>();
     recover::DurableOptions dopts;
     dopts.mode = mode == 0     ? recover::DurabilityMode::Off

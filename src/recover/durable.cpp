@@ -1,8 +1,6 @@
 #include "recover/durable.hpp"
 
-#include <fcntl.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <cerrno>
 #include <cstdio>
@@ -13,6 +11,7 @@
 #include "core/serialize.hpp"
 #include "engine/algorithms.hpp"
 #include "engine/hybrid_engine.hpp"
+#include "util/file_io.hpp"
 
 namespace gt::recover {
 
@@ -21,24 +20,6 @@ namespace {
 bool file_exists(const std::string& path) {
     struct stat st{};
     return ::stat(path.c_str(), &st) == 0;
-}
-
-Status fsync_path(const std::string& path, bool directory) {
-    const int flags = directory ? (O_RDONLY | O_DIRECTORY) : O_RDONLY;
-    const int fd = ::open(path.c_str(), flags | O_CLOEXEC);
-    if (fd < 0) {
-        return Status{StatusCode::IoError,
-                      "open('" + path + "') for fsync failed: " +
-                          std::strerror(errno)};
-    }
-    const int rc = ::fsync(fd);
-    ::close(fd);
-    if (rc != 0) {
-        return Status{StatusCode::IoError,
-                      "fsync('" + path + "') failed: " +
-                          std::strerror(errno)};
-    }
-    return Status::success();
 }
 
 Status load_snapshot_file(const std::string& path,
@@ -83,9 +64,8 @@ Status DurableStore::open(const std::string& dir,
     RecoveryInfo& ri = info != nullptr ? *info : local;
     ri = RecoveryInfo{};
 
-    if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
-        return Status{StatusCode::IoError,
-                      "mkdir('" + dir + "') failed: " + std::strerror(errno)};
+    if (Status st = util::ensure_dir(dir); !st.ok()) {
+        return st;
     }
 
     // 1. Newest-valid-snapshot fallback chain.
@@ -259,7 +239,8 @@ Status DurableStore::checkpoint() {
             return st;
         }
     }
-    if (const Status st = fsync_path(tmp, /*directory=*/false); !st.ok()) {
+    if (const Status st = util::fsync_path(tmp, /*directory=*/false);
+        !st.ok()) {
         return st;
     }
     // Rotate: current -> prev (clobbering the old prev), tmp -> current.
@@ -277,7 +258,7 @@ Status DurableStore::checkpoint() {
                       std::string{"snapshot rename failed: "} +
                           std::strerror(errno)};
     }
-    return fsync_path(dir_, /*directory=*/true);
+    return util::fsync_path(dir_, /*directory=*/true);
 }
 
 Status DurableStore::prune_wal() {
@@ -291,49 +272,24 @@ Status DurableStore::prune_wal() {
     const DurabilityMode mode = wal_->mode();
     graph_->attach_update_log(nullptr);
     wal_->close();
-    // From here on the graph is un-teed: every exit — success or failure —
-    // must re-attach a log. On failure that means reopening whatever
-    // wal_path() currently names (the original log, or the already-rotated
-    // fresh one; either is a valid resume point given the checkpoint). If
-    // even that fails, the writer is poisoned and re-attached so writes are
-    // *refused* with the error rather than silently applied undurably.
-    const auto fail = [&](Status st) {
-        if (const Status re = wal_->open(wal_path(), mode, resume);
-            !re.ok()) {
-            wal_->poison(re);
-        }
-        graph_->attach_update_log(wal_.get());
-        return st;
-    };
-    const std::string tmp = dir_ + "/wal.tmp.gtw";
-    std::remove(tmp.c_str());  // a stale tmp must not donate its records
-    {
-        WalWriter fresh;
-        if (const Status st = fresh.open(tmp, DurabilityMode::FsyncBatch,
-                                         resume);
-            !st.ok()) {
-            return fail(st);
-        }
-        if (const Status st = fresh.sync(); !st.ok()) {
-            return fail(st);
-        }
-        fresh.close();
-    }
-    if (std::rename(tmp.c_str(), wal_path().c_str()) != 0) {
-        return fail(Status{StatusCode::IoError,
-                           std::string{"wal rotate failed: "} +
-                               std::strerror(errno)});
-    }
-    if (const Status st = fsync_path(dir_, /*directory=*/true); !st.ok()) {
-        return fail(st);
-    }
-    if (const Status st = wal_->open(wal_path(), mode, resume); !st.ok()) {
-        wal_->poison(st);
-        graph_->attach_update_log(wal_.get());
-        return st;
+    // A fresh log is just the WAL file header (wal.hpp). It goes in through
+    // wal.tmp.gtw, which atomic_replace truncates, so a stale tmp cannot
+    // donate its records.
+    const std::uint32_t fresh_log[] = {kWalMagic, kWalVersion};
+    const Status replaced = util::atomic_replace(
+        wal_path(), {reinterpret_cast<const unsigned char*>(fresh_log),
+                     sizeof(fresh_log)});
+    // The graph is un-teed until a log is re-attached, on every exit.
+    // wal_path() now names the original log or the fresh one; given the
+    // checkpoint, either is a valid resume point. If even reopening it
+    // fails, the writer is poisoned and re-attached so writes are *refused*
+    // with the error rather than silently applied undurably.
+    const Status reopened = wal_->open(wal_path(), mode, resume);
+    if (!reopened.ok()) {
+        wal_->poison(reopened);
     }
     graph_->attach_update_log(wal_.get());
-    return Status::success();
+    return replaced.ok() ? reopened : replaced;
 }
 
 }  // namespace gt::recover

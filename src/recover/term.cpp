@@ -4,8 +4,9 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
+
+#include "util/file_io.hpp"
 
 namespace gt::recover {
 
@@ -13,6 +14,9 @@ namespace {
 
 constexpr std::uint32_t kTermMagic = 0x4754544DU;  // "GTTM" little-endian
 constexpr std::uint32_t kTermVersion = 1;
+/// magic | version | term
+constexpr std::size_t kTermBytes =
+    sizeof(kTermMagic) + sizeof(kTermVersion) + sizeof(std::uint64_t);
 
 std::string term_path(const std::string& dir) { return dir + "/term.gtt"; }
 
@@ -32,19 +36,13 @@ Status load_term(const std::string& dir, std::uint64_t& term) {
         }
         return errno_status("open('" + path + "')");
     }
-    unsigned char buf[sizeof(kTermMagic) + sizeof(kTermVersion) +
-                      sizeof(std::uint64_t)];
-    ssize_t got = 0;
-    for (;;) {
-        got = ::read(fd, buf, sizeof(buf));
-        if (got >= 0 || errno != EINTR) {
-            break;
-        }
-    }
+    unsigned char buf[kTermBytes];
+    const bool full = util::pread_exact(fd, buf, sizeof(buf), 0) ==
+                      util::ReadOutcome::Full;
     ::close(fd);
-    if (got != static_cast<ssize_t>(sizeof(buf))) {
+    if (!full) {
         return Status{StatusCode::IoError,
-                      "term file '" + path + "' is truncated"};
+                      "term file '" + path + "' is truncated or unreadable"};
     }
     std::uint32_t magic = 0;
     std::uint32_t version = 0;
@@ -77,56 +75,14 @@ Status store_term(const std::string& dir, std::uint64_t term) {
     if (term == current && term != 0) {
         return Status::success();  // already durable at this term
     }
-    const std::string path = term_path(dir);
-    const std::string tmp = path + ".tmp";
-    const int fd = ::open(tmp.c_str(),
-                          O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-    if (fd < 0) {
-        return errno_status("open('" + tmp + "')");
-    }
-    unsigned char buf[sizeof(kTermMagic) + sizeof(kTermVersion) +
-                      sizeof(term)];
+    unsigned char buf[kTermBytes];
     std::memcpy(buf, &kTermMagic, sizeof(kTermMagic));
     std::memcpy(buf + 4, &kTermVersion, sizeof(kTermVersion));
     std::memcpy(buf + 8, &term, sizeof(term));
-    std::size_t off = 0;
-    while (off < sizeof(buf)) {
-        const ssize_t put = ::write(fd, buf + off, sizeof(buf) - off);
-        if (put > 0) {
-            off += static_cast<std::size_t>(put);
-            continue;
-        }
-        if (put < 0 && errno == EINTR) {
-            continue;
-        }
-        if (put == 0) {
-            errno = ENOSPC;
-        }
-        const Status st = errno_status("write('" + tmp + "')");
-        ::close(fd);
-        return st;
-    }
-    if (::fsync(fd) != 0) {
-        const Status st = errno_status("fsync('" + tmp + "')");
-        ::close(fd);
-        return st;
-    }
-    ::close(fd);
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        return errno_status("rename('" + tmp + "')");
-    }
-    // Fence the rename itself: a promotion must not evaporate on power
-    // loss, or a resurrected stale primary could win the next election.
-    const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-    if (dfd < 0) {
-        return errno_status("open('" + dir + "') for fsync");
-    }
-    const int rc = ::fsync(dfd);
-    ::close(dfd);
-    if (rc != 0) {
-        return errno_status("fsync('" + dir + "')");
-    }
-    return Status::success();
+    // atomic_replace fences the rename too: a promotion must not evaporate
+    // on power loss, or a resurrected stale primary could win the next
+    // election.
+    return util::atomic_replace(term_path(dir), buf);
 }
 
 }  // namespace gt::recover

@@ -11,28 +11,19 @@
 #include "core/graphtinker.hpp"
 #include "util/crc32c.hpp"
 #include "util/failpoint.hpp"
+#include "util/file_io.hpp"
 
 namespace gt::recover {
 
-namespace testing {
 namespace {
-WriteFn g_write_override = nullptr;
-}  // namespace
-void set_write_override(WriteFn fn) noexcept { g_write_override = fn; }
-}  // namespace testing
-
-namespace {
-
-ssize_t wal_write(int fd, const void* buf, std::size_t len) {
-    if (testing::g_write_override != nullptr) {
-        return testing::g_write_override(fd, buf, len);
-    }
-    return ::write(fd, buf, len);
-}
 
 constexpr std::size_t kRecordHeaderBytes =
     sizeof(std::uint32_t) * 2 + sizeof(std::uint64_t) + 1;
 constexpr std::size_t kFileHeaderBytes = sizeof(std::uint32_t) * 2;
+/// First slice of a record payload to read. The buffer grows past it
+/// (doubling) only as bytes arrive, so a corrupt length field ends in a
+/// short read instead of a length-sized allocation first.
+constexpr std::size_t kPayloadChunkBytes = 64 * 1024;
 
 /// crc32c over (len, seq, type, payload) — everything after the crc field.
 std::uint32_t record_crc(std::uint32_t len, std::uint64_t seq,
@@ -50,58 +41,136 @@ bool valid_type(std::uint8_t t) {
            t <= static_cast<std::uint8_t>(WalRecordType::SoloDelete);
 }
 
-/// Full-buffer write with EINTR/partial-write handling. A zero return from
-/// write() (seen near ENOSPC boundaries on some filesystems) is terminal,
-/// not progress — retrying it would spin forever — so it fails the write
-/// with errno latched (ENOSPC when the kernel left it unset).
-bool write_all(int fd, const unsigned char* data, std::size_t len) {
-    while (len > 0) {
-        errno = 0;
-        const ssize_t n = wal_write(fd, data, len);
-        if (n < 0) {
-            if (errno == EINTR) {
-                continue;
-            }
-            return false;
-        }
-        if (n == 0) {
-            if (errno == 0) {
-                errno = ENOSPC;
-            }
-            return false;
-        }
-        data += n;
-        len -= static_cast<std::size_t>(n);
-    }
-    return true;
-}
-
-/// Why a full-buffer read stopped. Scanning must tell a torn tail (EOF)
-/// apart from a failing read(): truncating the log at a transient I/O error
-/// would permanently discard the valid committed records that follow.
-enum class ReadOutcome : std::uint8_t {
-    Full,   ///< all `len` bytes read
-    Eof,    ///< clean EOF before the first byte
-    Short,  ///< EOF after some bytes — a genuinely torn record
-    Error,  ///< read() failed (errno holds the cause)
+struct RecordHeader {
+    std::uint32_t crc = 0;
+    std::uint32_t len = 0;
+    std::uint64_t seq = 0;
+    std::uint8_t type = 0;
 };
 
-ReadOutcome read_exact(int fd, unsigned char* data, std::size_t len) {
-    std::size_t done = 0;
-    while (done < len) {
-        const ssize_t n = ::read(fd, data + done, len - done);
-        if (n < 0) {
-            if (errno == EINTR) {
-                continue;
-            }
-            return ReadOutcome::Error;
-        }
-        if (n == 0) {
-            return done == 0 ? ReadOutcome::Eof : ReadOutcome::Short;
-        }
-        done += static_cast<std::size_t>(n);
+/// Reads and decodes the record header at `offset`.
+util::ReadOutcome read_header(int fd, std::uint64_t offset, RecordHeader& h) {
+    unsigned char rh[kRecordHeaderBytes];
+    const util::ReadOutcome got =
+        util::pread_exact(fd, rh, sizeof(rh), offset);
+    if (got == util::ReadOutcome::Full) {
+        std::memcpy(&h.crc, rh, sizeof(h.crc));
+        std::memcpy(&h.len, rh + 4, sizeof(h.len));
+        std::memcpy(&h.seq, rh + 8, sizeof(h.seq));
+        std::memcpy(&h.type, rh + 16, sizeof(h.type));
     }
-    return ReadOutcome::Full;
+    return got;
+}
+
+/// Opens `path` read-only and checks its file header. Returns the fd, or
+/// -1 with `why` set: IoError, WalTruncated (EOF inside the header),
+/// WalBadMagic or WalBadVersion.
+int open_wal(const std::string& path, Status& why) {
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0) {
+        why = Status{StatusCode::IoError,
+                     "open('" + path + "') failed: " + std::strerror(errno)};
+        return -1;
+    }
+    std::uint32_t header[2] = {};  // magic | version
+    switch (util::pread_exact(fd, header, kFileHeaderBytes, 0)) {
+        case util::ReadOutcome::Full:
+            if (header[0] != kWalMagic) {
+                why = Status{StatusCode::WalBadMagic, "not a GraphTinker WAL",
+                             header[0]};
+            } else if (header[1] != kWalVersion) {
+                why = Status{StatusCode::WalBadVersion,
+                             "unsupported WAL version", header[1]};
+            } else {
+                return fd;
+            }
+            break;
+        case util::ReadOutcome::Error:
+            why = Status{StatusCode::IoError,
+                         "read('" + path + "') failed: " +
+                             std::strerror(errno)};
+            break;
+        case util::ReadOutcome::Eof:
+        case util::ReadOutcome::Short:
+            why = Status{StatusCode::WalTruncated,
+                         "EOF inside the WAL file header"};
+            break;
+    }
+    ::close(fd);
+    return -1;
+}
+
+/// What one read at a WAL offset found.
+enum class RecordRead : std::uint8_t {
+    Record,      ///< a valid record
+    End,         ///< clean EOF on a record boundary
+    Incomplete,  ///< EOF inside a record: torn, or still being appended
+    Corrupt,     ///< complete bytes that fail validation
+    IoError,     ///< the read itself failed
+};
+
+/// The one record parser behind scan_wal and WalTailer. Reads the record at
+/// `offset`, bounds its header, checks its crc and that its seq follows
+/// `prev_seq` (0 = no predecessor). On Record it fills `rec` and advances
+/// `offset` and `prev_seq` past it; otherwise it leaves them and `why` says
+/// what stopped it (WalTruncated for Incomplete).
+RecordRead read_record(int fd, std::uint64_t& offset, std::uint64_t& prev_seq,
+                       WalRecord& rec, Status& why) {
+    const auto stopped = [&](util::ReadOutcome got, const char* where) {
+        if (got == util::ReadOutcome::Error) {
+            why = Status{StatusCode::IoError,
+                         "WAL read failed at offset " +
+                             std::to_string(offset) + ": " +
+                             std::strerror(errno)};
+            return RecordRead::IoError;
+        }
+        why = Status{StatusCode::WalTruncated,
+                     std::string{"EOF inside a record "} + where, offset};
+        return RecordRead::Incomplete;
+    };
+    RecordHeader h;
+    const util::ReadOutcome got = read_header(fd, offset, h);
+    if (got == util::ReadOutcome::Eof) {
+        return RecordRead::End;
+    }
+    if (got != util::ReadOutcome::Full) {
+        return stopped(got, "header");
+    }
+    // From here on the bytes are complete, so a failed check is corruption.
+    if (h.len > kWalMaxRecordLen || !valid_type(h.type)) {
+        why = Status{StatusCode::WalBadRecord, "record header out of bounds",
+                     offset};
+        return RecordRead::Corrupt;
+    }
+    rec.payload.clear();
+    while (rec.payload.size() < h.len) {
+        const std::size_t have = rec.payload.size();
+        const std::size_t want = std::min<std::size_t>(
+            h.len, std::max(2 * have, kPayloadChunkBytes));
+        rec.payload.resize(want);
+        const util::ReadOutcome body =
+            util::pread_exact(fd, rec.payload.data() + have, want - have,
+                              offset + kRecordHeaderBytes + have);
+        if (body != util::ReadOutcome::Full) {
+            return stopped(body, "payload");
+        }
+    }
+    if (h.crc != record_crc(h.len, h.seq, h.type, rec.payload.data())) {
+        why = Status{StatusCode::WalChecksum, "record checksum mismatch",
+                     offset};
+        return RecordRead::Corrupt;
+    }
+    if (prev_seq != 0 && h.seq != prev_seq + 1) {
+        why = Status{StatusCode::WalBadSequence,
+                     "sequence gap in the record stream", h.seq};
+        return RecordRead::Corrupt;
+    }
+    rec.seq = h.seq;
+    rec.type = static_cast<WalRecordType>(h.type);
+    rec.offset = offset;
+    prev_seq = h.seq;
+    offset += kRecordHeaderBytes + h.len;
+    return RecordRead::Record;
 }
 
 }  // namespace
@@ -193,13 +262,11 @@ Status WalWriter::open(const std::string& path, DurabilityMode mode,
                       "open('" + path + "') failed: " + std::strerror(errno)};
     }
     if (!exists || scan.valid_bytes < kFileHeaderBytes) {
-        const std::uint32_t magic = kWalMagic;
-        const std::uint32_t version = kWalVersion;
-        unsigned char header[kFileHeaderBytes];
-        std::memcpy(header, &magic, sizeof(magic));
-        std::memcpy(header + sizeof(magic), &version, sizeof(version));
-        out_buf_.assign(header, header + sizeof(header));
-        if (!write_out_buf()) {
+        const std::uint32_t header[] = {kWalMagic, kWalVersion};
+        if (!write_and_sync({reinterpret_cast<const unsigned char*>(header),
+                             sizeof(header)},
+                            /*fsync=*/false)
+                 .ok()) {
             close();
             return Status{StatusCode::IoError, "WAL header write failed"};
         }
@@ -221,20 +288,10 @@ void WalWriter::close() noexcept {
 }
 
 Status WalWriter::sync() noexcept {
-    if (mode_ == DurabilityMode::Off) {
-        return Status::success();
-    }
-    if (fd_ < 0) {
+    if (mode_ != DurabilityMode::Off && fd_ < 0) {
         return Status{StatusCode::WalClosed, "sync on a closed WAL"};
     }
-    if (::fsync(fd_) != 0) {
-        const Status st{StatusCode::IoError,
-                        std::string{"fsync failed: "} + std::strerror(errno)};
-        latch(st);
-        return st;
-    }
-    fsyncs_m_->inc();
-    return Status::success();
+    return write_and_sync({}, /*fsync=*/true);
 }
 
 bool WalWriter::begin_batch(std::uint64_t op_count) noexcept {
@@ -315,24 +372,31 @@ void WalWriter::encode_record(WalRecordType type, const void* payload,
     records_m_->inc();
 }
 
-bool WalWriter::write_out_buf() noexcept {
+Status WalWriter::write_and_sync(std::span<const unsigned char> bytes,
+                                 bool fsync) noexcept {
     if (mode_ == DurabilityMode::Off) {
-        out_buf_.clear();
-        return true;
+        return Status::success();
     }
+    Status st;
     if (fd_ < 0) {
-        latch(Status{StatusCode::WalClosed, "append to a closed WAL"});
-        return false;
+        st = Status{StatusCode::WalClosed, "append to a closed WAL"};
+    } else if (!util::write_all(fd_, bytes.data(), bytes.size())) {
+        st = Status{StatusCode::IoError,
+                    std::string{"WAL write failed: "} + std::strerror(errno)};
+    } else {
+        bytes_m_->add(bytes.size());
+        if (!fsync) {
+            return Status::success();
+        }
+        if (::fsync(fd_) == 0) {
+            fsyncs_m_->inc();
+            return Status::success();
+        }
+        st = Status{StatusCode::IoError,
+                    std::string{"fsync failed: "} + std::strerror(errno)};
     }
-    if (!write_all(fd_, out_buf_.data(), out_buf_.size())) {
-        latch(Status{StatusCode::IoError,
-                     std::string{"WAL write failed: "} +
-                         std::strerror(errno)});
-        return false;
-    }
-    bytes_m_->add(out_buf_.size());
-    out_buf_.clear();
-    return true;
+    latch(st);
+    return st;
 }
 
 bool WalWriter::commit_batch() noexcept {
@@ -375,21 +439,12 @@ bool WalWriter::commit_batch() noexcept {
             encode_record(WalRecordType::BatchCommit, &batch_ops_,
                           sizeof(batch_ops_));
         }
-        const std::size_t commit_bytes = out_buf_.size();
-        if (!write_out_buf()) {
+        if (!write_and_sync(out_buf_, mode_ == DurabilityMode::FsyncBatch)
+                 .ok()) {
             return false;
         }
-        if (mode_ == DurabilityMode::FsyncBatch) {
-            if (::fsync(fd_) != 0) {
-                latch(Status{StatusCode::IoError,
-                             std::string{"fsync failed: "} +
-                                 std::strerror(errno)});
-                return false;
-            }
-            fsyncs_m_->inc();
-        }
         commits_m_->inc();
-        commit_bytes_m_->record_sampled(commit_bytes);
+        commit_bytes_m_->record_sampled(out_buf_.size());
         staged_.clear();
         stage_buf_.clear();
         return true;
@@ -456,21 +511,13 @@ Status WalWriter::append_frame(std::span<const WalRecord> records) noexcept {
             // internally assigned next_seq_++ reproduces rec.seq exactly.
             encode_record(rec.type, rec.payload.data(), rec.payload.size());
         }
-        const std::size_t commit_bytes = out_buf_.size();
-        if (!write_out_buf()) {
-            return status_;
-        }
-        if (mode_ == DurabilityMode::FsyncBatch) {
-            if (::fsync(fd_) != 0) {
-                latch(Status{StatusCode::IoError,
-                             std::string{"fsync failed: "} +
-                                 std::strerror(errno)});
-                return status_;
-            }
-            fsyncs_m_->inc();
+        if (Status st = write_and_sync(
+                out_buf_, mode_ == DurabilityMode::FsyncBatch);
+            !st.ok()) {
+            return st;
         }
         commits_m_->inc();
-        commit_bytes_m_->record_sampled(commit_bytes);
+        commit_bytes_m_->record_sampled(out_buf_.size());
         return Status::success();
     } catch (...) {
         latch(Status{StatusCode::ResourceExhausted, "append_frame failed"});
@@ -483,120 +530,49 @@ Status WalWriter::append_frame(std::span<const WalRecord> records) noexcept {
 
 Status scan_wal(const std::string& path, ReplayStats& stats,
                 const std::function<void(const WalRecord&)>& fn) {
-    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    Status why;
+    const int fd = open_wal(path, why);
     if (fd < 0) {
-        return Status{StatusCode::IoError,
-                      "open('" + path + "') failed: " + std::strerror(errno)};
+        if (why.code != StatusCode::WalTruncated) {
+            return why;  // not a WAL at all, or it could not be read
+        }
+        // Empty (or sub-header) file: treat as a valid empty log with a
+        // torn tail of whatever partial bytes exist.
+        stats.valid_bytes = 0;
+        stats.torn_tail = true;
+        stats.tail_status = std::move(why);
+        return Status::success();
     }
     struct FdCloser {
         int fd;
         ~FdCloser() { ::close(fd); }
     } closer{fd};
 
-    unsigned char header[kFileHeaderBytes];
-    switch (read_exact(fd, header, sizeof(header))) {
-        case ReadOutcome::Full:
-            break;
-        case ReadOutcome::Error:
-            return Status{StatusCode::IoError,
-                          "read('" + path +
-                              "') failed: " + std::strerror(errno)};
-        case ReadOutcome::Eof:
-        case ReadOutcome::Short:
-            // Empty (or sub-header) file: treat as a valid empty log with a
-            // torn tail of whatever partial bytes exist.
-            stats.valid_bytes = 0;
-            stats.torn_tail = true;
-            stats.tail_status = Status{StatusCode::WalTruncated,
-                                       "EOF inside the file header"};
-            return Status::success();
-    }
-    std::uint32_t magic = 0;
-    std::uint32_t version = 0;
-    std::memcpy(&magic, header, sizeof(magic));
-    std::memcpy(&version, header + sizeof(magic), sizeof(version));
-    if (magic != kWalMagic) {
-        return Status{StatusCode::WalBadMagic, "not a GraphTinker WAL",
-                      magic};
-    }
-    if (version != kWalVersion) {
-        return Status{StatusCode::WalBadVersion, "unsupported WAL version",
-                      version};
-    }
     std::uint64_t offset = kFileHeaderBytes;
+    std::uint64_t prev_seq = 0;
     stats.valid_bytes = offset;
-
     WalRecord rec;
     bool frame_open = false;
-    std::uint64_t prev_seq = 0;
-    const auto stop = [&](StatusCode code, std::string msg,
-                          std::uint64_t detail = 0) {
-        stats.torn_tail = true;
-        stats.tail_status = Status{code, std::move(msg), detail};
-        return Status::success();
-    };
     for (;;) {
-        unsigned char rh[kRecordHeaderBytes];
-        const ReadOutcome got = read_exact(fd, rh, sizeof(rh));
-        if (got == ReadOutcome::Eof) {
-            break;  // clean EOF on a record boundary
+        switch (read_record(fd, offset, prev_seq, rec, why)) {
+            case RecordRead::Record:
+                break;
+            case RecordRead::End:
+                stats.torn_batch = frame_open;
+                return Status::success();
+            case RecordRead::Incomplete:
+            case RecordRead::Corrupt:
+                stats.torn_tail = true;
+                stats.tail_status = std::move(why);
+                return Status::success();
+            case RecordRead::IoError:
+                // A failing read is NOT a torn tail: reporting it as one
+                // would let WalWriter::open truncate away valid committed
+                // records.
+                return why;
         }
-        if (got == ReadOutcome::Error) {
-            // A failing read is NOT a torn tail: reporting it as one would
-            // let WalWriter::open truncate away valid committed records.
-            return Status{StatusCode::IoError,
-                          "WAL read failed at offset " +
-                              std::to_string(offset) + ": " +
-                              std::strerror(errno)};
-        }
-        if (got == ReadOutcome::Short) {
-            return stop(StatusCode::WalTruncated,
-                        "EOF inside a record header", offset);
-        }
-        std::uint32_t crc = 0;
-        std::uint32_t len = 0;
-        std::uint64_t seq = 0;
-        std::uint8_t type = 0;
-        std::memcpy(&crc, rh, sizeof(crc));
-        std::memcpy(&len, rh + 4, sizeof(len));
-        std::memcpy(&seq, rh + 8, sizeof(seq));
-        std::memcpy(&type, rh + 16, sizeof(type));
-        if (len > kWalMaxRecordLen || !valid_type(type)) {
-            return stop(StatusCode::WalBadRecord,
-                        "record header out of bounds", offset);
-        }
-        rec.payload.resize(len);
-        if (len > 0) {
-            switch (read_exact(fd, rec.payload.data(), len)) {
-                case ReadOutcome::Full:
-                    break;
-                case ReadOutcome::Error:
-                    return Status{StatusCode::IoError,
-                                  "WAL read failed at offset " +
-                                      std::to_string(offset) + ": " +
-                                      std::strerror(errno)};
-                case ReadOutcome::Eof:
-                case ReadOutcome::Short:
-                    return stop(StatusCode::WalTruncated,
-                                "EOF inside a record payload", offset);
-            }
-        }
-        if (crc != record_crc(len, seq, type, rec.payload.data())) {
-            return stop(StatusCode::WalChecksum, "record checksum mismatch",
-                        offset);
-        }
-        if (prev_seq != 0 && seq != prev_seq + 1) {
-            return stop(StatusCode::WalBadSequence,
-                        "sequence gap in the record stream", seq);
-        }
-        prev_seq = seq;
-        rec.seq = seq;
-        rec.type = static_cast<WalRecordType>(type);
-        rec.offset = offset;
-        offset += sizeof(rh) + len;
-
         ++stats.records_scanned;
-        stats.last_seq = seq;
+        stats.last_seq = rec.seq;
         stats.valid_bytes = offset;
         switch (rec.type) {
             case WalRecordType::BatchBegin:
@@ -604,12 +580,12 @@ Status scan_wal(const std::string& path, ReplayStats& stats,
                 break;
             case WalRecordType::BatchCommit:
                 frame_open = false;
-                stats.last_committed_seq = seq;
+                stats.last_committed_seq = rec.seq;
                 break;
             case WalRecordType::SoloInsert:
             case WalRecordType::SoloDelete:
                 if (!frame_open) {
-                    stats.last_committed_seq = seq;
+                    stats.last_committed_seq = rec.seq;
                 }
                 break;
             default:
@@ -617,8 +593,6 @@ Status scan_wal(const std::string& path, ReplayStats& stats,
         }
         fn(rec);
     }
-    stats.torn_batch = frame_open;
-    return Status::success();
 }
 
 namespace {
@@ -764,83 +738,22 @@ Status replay_wal(const std::string& path, core::GraphTinker& graph,
 // ---------------------------------------------------------------------------
 // WalTailer
 
-namespace {
-
-/// pread_exact: like read_exact but at an explicit offset, leaving the fd's
-/// own position alone — a stalled poll must not disturb the cursor.
-ReadOutcome pread_exact(int fd, unsigned char* data, std::size_t len,
-                        std::uint64_t offset) {
-    std::size_t done = 0;
-    while (done < len) {
-        const ssize_t n = ::pread(fd, data + done, len - done,
-                                  static_cast<off_t>(offset + done));
-        if (n < 0) {
-            if (errno == EINTR) {
-                continue;
-            }
-            return ReadOutcome::Error;
-        }
-        if (n == 0) {
-            return done == 0 ? ReadOutcome::Eof : ReadOutcome::Short;
-        }
-        done += static_cast<std::size_t>(n);
-    }
-    return ReadOutcome::Full;
-}
-
-}  // namespace
-
 Status WalTailer::open(const std::string& path, std::uint64_t after_seq) {
     close();
     status_ = Status::success();
     skip_seq_ = after_seq;
-    fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    Status why;
+    fd_ = open_wal(path, why);
     if (fd_ < 0) {
-        return Status{StatusCode::IoError,
-                      "open('" + path + "') failed: " + std::strerror(errno)};
-    }
-    unsigned char header[kFileHeaderBytes];
-    switch (pread_exact(fd_, header, sizeof(header), 0)) {
-        case ReadOutcome::Full:
-            break;
-        case ReadOutcome::Error: {
-            Status st{StatusCode::IoError,
-                      "read('" + path +
-                          "') failed: " + std::strerror(errno)};
-            close();
-            return st;
-        }
-        case ReadOutcome::Eof:
-        case ReadOutcome::Short:
-            close();
-            return Status{StatusCode::WalTruncated,
-                          "EOF inside the WAL file header"};
-    }
-    std::uint32_t magic = 0;
-    std::uint32_t version = 0;
-    std::memcpy(&magic, header, sizeof(magic));
-    std::memcpy(&version, header + sizeof(magic), sizeof(version));
-    if (magic != kWalMagic) {
-        close();
-        return Status{StatusCode::WalBadMagic, "not a GraphTinker WAL",
-                      magic};
-    }
-    if (version != kWalVersion) {
-        close();
-        return Status{StatusCode::WalBadVersion, "unsupported WAL version",
-                      version};
+        return why;
     }
     offset_ = kFileHeaderBytes;
-    prev_seq_ = 0;
-    last_seq_ = 0;
     // Peek the first record header for the servable floor; an incomplete
     // header (fresh log, or mid-first-append) leaves it 0 and the owner
     // falls back to the writer's resume seq.
-    first_seq_ = 0;
-    unsigned char rh[kRecordHeaderBytes];
-    if (pread_exact(fd_, rh, sizeof(rh), kFileHeaderBytes) ==
-        ReadOutcome::Full) {
-        std::memcpy(&first_seq_, rh + 8, sizeof(first_seq_));
+    RecordHeader first;
+    if (read_header(fd_, offset_, first) == util::ReadOutcome::Full) {
+        first_seq_ = first.seq;
     }
     return Status::success();
 }
@@ -863,68 +776,22 @@ std::size_t WalTailer::poll(const std::function<void(const WalRecord&)>& fn,
     }
     std::size_t surfaced = 0;
     WalRecord rec;
+    Status why;
     while (limit == 0 || surfaced < limit) {
-        unsigned char rh[kRecordHeaderBytes];
-        const ReadOutcome got = pread_exact(fd_, rh, sizeof(rh), offset_);
-        if (got == ReadOutcome::Eof || got == ReadOutcome::Short) {
-            break;  // caught up (a short header fills in on a later poll)
+        const RecordRead got = read_record(fd_, offset_, prev_seq_, rec, why);
+        if (got == RecordRead::End || got == RecordRead::Incomplete) {
+            break;  // caught up; the rest of a record arrives with its commit
         }
-        if (got == ReadOutcome::Error) {
-            status_ = Status{StatusCode::IoError,
-                             "WAL tail read failed at offset " +
-                                 std::to_string(offset_) + ": " +
-                                 std::strerror(errno)};
+        if (got != RecordRead::Record) {
+            // Appends are ordered, so complete bytes are final: this is
+            // corruption or a failing read, not a race with the writer.
+            status_ = std::move(why);
             break;
         }
-        std::uint32_t crc = 0;
-        std::uint32_t len = 0;
-        std::uint64_t seq = 0;
-        std::uint8_t type = 0;
-        std::memcpy(&crc, rh, sizeof(crc));
-        std::memcpy(&len, rh + 4, sizeof(len));
-        std::memcpy(&seq, rh + 8, sizeof(seq));
-        std::memcpy(&type, rh + 16, sizeof(type));
-        if (len > kWalMaxRecordLen || !valid_type(type)) {
-            status_ = Status{StatusCode::WalBadRecord,
-                             "record header out of bounds", offset_};
-            break;
-        }
-        rec.payload.resize(len);
-        if (len > 0) {
-            const ReadOutcome body = pread_exact(
-                fd_, rec.payload.data(), len, offset_ + sizeof(rh));
-            if (body == ReadOutcome::Eof || body == ReadOutcome::Short) {
-                break;  // mid-append; the rest arrives with the commit
-            }
-            if (body == ReadOutcome::Error) {
-                status_ = Status{StatusCode::IoError,
-                                 "WAL tail read failed at offset " +
-                                     std::to_string(offset_) + ": " +
-                                     std::strerror(errno)};
-                break;
-            }
-        }
-        // Complete bytes past this point are final (appends are ordered),
-        // so validation failures are corruption, not racing.
-        if (crc != record_crc(len, seq, type, rec.payload.data())) {
-            status_ = Status{StatusCode::WalChecksum,
-                             "record checksum mismatch", offset_};
-            break;
-        }
-        if (prev_seq_ != 0 && seq != prev_seq_ + 1) {
-            status_ = Status{StatusCode::WalBadSequence,
-                             "sequence gap in the record stream", seq};
-            break;
-        }
-        prev_seq_ = seq;
-        rec.seq = seq;
-        rec.type = static_cast<WalRecordType>(type);
-        rec.offset = offset_;
-        offset_ += sizeof(rh) + len;
-        if (seq <= skip_seq_) {
+        if (rec.seq <= skip_seq_) {
             continue;  // catch-up skip: the follower already holds this
         }
-        last_seq_ = seq;
+        last_seq_ = rec.seq;
         ++surfaced;
         fn(rec);
     }

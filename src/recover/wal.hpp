@@ -28,8 +28,6 @@
 // rollback would have produced.
 #pragma once
 
-#include <sys/types.h>
-
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -40,6 +38,7 @@
 
 #include "core/update_log.hpp"
 #include "obs/metrics.hpp"
+#include "util/file_io.hpp"
 #include "util/status.hpp"
 #include "util/types.hpp"
 
@@ -50,12 +49,10 @@ class GraphTinker;
 namespace gt::recover {
 
 namespace testing {
-/// write(2)-shaped hook the WAL append path routes through when set. Tests
-/// use it to provoke outcomes real filesystems won't produce on demand —
-/// notably the `write() == 0` boundary — without touching the kernel. Not
-/// thread-safe: install before I/O starts, clear (nullptr) when done.
-using WriteFn = ssize_t (*)(int fd, const void* buf, std::size_t len);
-void set_write_override(WriteFn fn) noexcept;
+/// The write(2) hook of util/file_io.hpp, which every WAL, term and prune
+/// write goes through.
+using util::testing::set_write_override;
+using util::testing::WriteFn;
 }  // namespace testing
 
 inline constexpr std::uint32_t kWalMagic = 0x4754574C;  // "GTWL"
@@ -204,7 +201,12 @@ private:
     /// Encodes one record (header + payload + crc) into out_buf_.
     void encode_record(WalRecordType type, const void* payload,
                        std::size_t len);
-    [[nodiscard]] bool write_out_buf() noexcept;
+    /// The durability tail commit_batch, append_frame and sync share: one
+    /// write() of `bytes` (a whole frame, or nothing) and, when `fsync` is
+    /// set, one fsync(). A no-op under DurabilityMode::Off; a failure
+    /// latches and is returned.
+    [[nodiscard]] Status write_and_sync(std::span<const unsigned char> bytes,
+                                        bool fsync) noexcept;
 
     int fd_ = -1;
     DurabilityMode mode_ = DurabilityMode::Buffered;

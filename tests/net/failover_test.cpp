@@ -9,11 +9,14 @@
 #include "net/replica.hpp"
 
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -30,6 +33,7 @@
 #include "recover/torture.hpp"
 #include "recover/wal.hpp"
 #include "util/failpoint.hpp"
+#include "util/file_io.hpp"
 
 namespace gt::net {
 namespace {
@@ -104,6 +108,25 @@ TEST(Term, MalformedSidecarIsAnErrorNotZero) {
     // A present-but-garbage file must not silently read as "term 0" — that
     // would drop the fence.
     EXPECT_FALSE(recover::load_term(dir.path(), term).ok());
+}
+
+/// write(2) stand-in that reports "wrote nothing", the ENOSPC-ish boundary.
+ssize_t write_nothing(int, const void*, std::size_t) {
+    errno = 0;
+    return 0;
+}
+
+TEST(Term, FailedWriteIsAnIoErrorAndKeepsTheOldTerm) {
+    TempDir dir;
+    ASSERT_TRUE(recover::store_term(dir.path(), 3).ok());
+    util::testing::set_write_override(&write_nothing);
+    const Status st = recover::store_term(dir.path(), 4);
+    util::testing::set_write_override(nullptr);
+    EXPECT_EQ(st.code, StatusCode::IoError) << st.to_string();
+    // The replacement never reached the rename: the fence still reads 3.
+    std::uint64_t term = 0;
+    ASSERT_TRUE(recover::load_term(dir.path(), term).ok());
+    EXPECT_EQ(term, 3U);
 }
 
 // ---------------------------------------------------------------------------
@@ -219,6 +242,22 @@ TEST(IoFault, SilentPeerRecvIsDeadlineBounded) {
         sp.a(), buf, 1, Deadline::after(std::chrono::milliseconds(60)));
     EXPECT_EQ(st.code, StatusCode::TimedOut);
     EXPECT_LT(seconds_since(t0), 5.0);
+}
+
+TEST(NetIo, AcceptedSocketsDisableNagle) {
+    Fd listener;
+    std::uint16_t port = 0;
+    ASSERT_TRUE(tcp_listen("127.0.0.1", 0, listener, port).ok());
+    Fd client;
+    ASSERT_TRUE(tcp_connect("127.0.0.1", port, client).ok());
+    const Fd conn{accept_retry(listener.get())};
+    ASSERT_TRUE(conn.valid());
+    int nodelay = 0;
+    socklen_t len = sizeof(nodelay);
+    ASSERT_EQ(::getsockopt(conn.get(), IPPROTO_TCP, TCP_NODELAY, &nodelay,
+                           &len),
+              0);
+    EXPECT_EQ(nodelay, 1) << "pipelined replies would wait on Nagle";
 }
 
 // ---------------------------------------------------------------------------

@@ -496,5 +496,181 @@ TEST(Wal, AppendFrameRejectsIncompleteFrame) {
     EXPECT_EQ(off.append_frame({&solo, 1}).code, StatusCode::WalClosed);
 }
 
+// ---------------------------------------------------------------------------
+// WalTailer: the Subscribe verb's shipping cursor. It must accept exactly
+// the records scan_wal accepts, but treat an incomplete tail as "not yet
+// written" instead of torn.
+
+/// Writes three frames to `path` — a 3-edge insert batch, a solo insert and
+/// a 2-edge delete batch, seqs 1..7 — and returns the file's bytes.
+std::vector<unsigned char> three_frame_log(const std::string& path) {
+    WalWriter wal;
+    EXPECT_TRUE(wal.open(path, DurabilityMode::Buffered).ok());
+    const auto batch = some_edges(3);
+    EXPECT_TRUE(wal.begin_batch(batch.size()));
+    EXPECT_TRUE(wal.stage_inserts(batch));
+    EXPECT_TRUE(wal.commit_batch());
+    const Edge solo{7, 8, 9};
+    EXPECT_TRUE(wal.begin_batch(1));
+    EXPECT_TRUE(wal.stage_inserts({&solo, 1}));
+    EXPECT_TRUE(wal.commit_batch());
+    EXPECT_TRUE(wal.begin_batch(2));
+    EXPECT_TRUE(wal.stage_deletes({batch.data(), 2}));
+    EXPECT_TRUE(wal.commit_batch());
+    wal.close();
+    return slurp(path);
+}
+
+/// Polls `tailer` until a poll surfaces nothing; returns what surfaced.
+std::vector<WalRecord> drain(WalTailer& tailer) {
+    std::vector<WalRecord> out;
+    while (tailer.poll([&](const WalRecord& rec) {
+        out.push_back(rec);
+    }) > 0) {
+    }
+    return out;
+}
+
+std::vector<std::uint64_t> seqs_of(const std::vector<WalRecord>& records) {
+    std::vector<std::uint64_t> out;
+    for (const WalRecord& rec : records) {
+        out.push_back(rec.seq);
+    }
+    return out;
+}
+
+TEST(WalTailer, IncompleteRecordParksUntilTheRestIsWritten) {
+    TempDir dir;
+    const auto full = three_frame_log(dir.file("full.gtw"));
+    const std::vector<WalRecord> records = scan_all(dir.file("full.gtw"));
+    ASSERT_EQ(records.size(), 7U);
+    // Cut the solo insert (seq 4) once inside its header, once inside its
+    // payload.
+    const std::uint64_t solo_at = records[3].offset;
+    for (const std::uint64_t cut : {solo_at + 5, solo_at + 20}) {
+        const std::string path = dir.file("cut.gtw");
+        test::write_file_bytes(path, {full.begin(), full.begin() + cut});
+        WalTailer tailer;
+        ASSERT_TRUE(tailer.open(path).ok());
+        EXPECT_EQ(seqs_of(drain(tailer)),
+                  (std::vector<std::uint64_t>{1, 2, 3}));
+        EXPECT_TRUE(tailer.status().ok()) << tailer.status().to_string();
+        EXPECT_EQ(tailer.last_seq(), 3U);
+
+        // The writer finishes its append; the parked cursor picks it up.
+        {
+            std::ofstream out(path, std::ios::binary | std::ios::app);
+            out.write(reinterpret_cast<const char*>(full.data() + cut),
+                      static_cast<std::streamsize>(full.size() - cut));
+        }
+        std::vector<WalRecord> rest;
+        EXPECT_EQ(tailer.poll([&](const WalRecord& rec) {
+            rest.push_back(rec);
+        }), 4U);
+        EXPECT_EQ(seqs_of(rest), (std::vector<std::uint64_t>{4, 5, 6, 7}));
+        ASSERT_FALSE(rest.empty());
+        EXPECT_EQ(rest.front().type, WalRecordType::SoloInsert);
+        EXPECT_EQ(rest.front().payload, records[3].payload);
+        EXPECT_TRUE(tailer.status().ok()) << tailer.status().to_string();
+        EXPECT_EQ(tailer.last_seq(), 7U);
+    }
+}
+
+TEST(WalTailer, BitFlipInCompleteRecordLatchesChecksum) {
+    TempDir dir;
+    const std::string path = dir.file("wal.gtw");
+    auto bytes = three_frame_log(path);
+    const std::vector<WalRecord> records = scan_all(path);
+    ASSERT_EQ(records.size(), 7U);
+    const std::uint64_t flip_at = records[3].offset + 20;  // solo payload
+    bytes[flip_at] ^= 0x10;
+    test::write_file_bytes(path, bytes);
+
+    WalTailer tailer;
+    ASSERT_TRUE(tailer.open(path).ok());
+    std::vector<std::uint64_t> seqs;
+    EXPECT_EQ(tailer.poll([&](const WalRecord& rec) {
+        seqs.push_back(rec.seq);
+    }), 3U);
+    EXPECT_EQ(seqs, (std::vector<std::uint64_t>{1, 2, 3}));
+    EXPECT_EQ(tailer.status().code, StatusCode::WalChecksum);
+    EXPECT_EQ(tailer.status().detail, records[3].offset);
+
+    // Latched: even with the byte repaired, later polls surface nothing.
+    bytes[flip_at] ^= 0x10;
+    test::write_file_bytes(path, bytes);
+    EXPECT_EQ(tailer.poll([](const WalRecord&) {}), 0U);
+    EXPECT_EQ(tailer.status().code, StatusCode::WalChecksum);
+    EXPECT_EQ(tailer.last_seq(), 3U);
+}
+
+TEST(WalTailer, AfterSeqSurfacesOnlyLaterRecords) {
+    TempDir dir;
+    const std::string path = dir.file("wal.gtw");
+    (void)three_frame_log(path);
+
+    WalTailer tailer;
+    ASSERT_TRUE(tailer.open(path, 4).ok());
+    EXPECT_EQ(tailer.first_seq(), 1U);  // the file's floor, not the skip
+    EXPECT_EQ(seqs_of(drain(tailer)), (std::vector<std::uint64_t>{5, 6, 7}));
+    EXPECT_EQ(tailer.last_seq(), 7U);
+    EXPECT_TRUE(tailer.status().ok());
+
+    // Skipping every record surfaces nothing and is not an error.
+    ASSERT_TRUE(tailer.open(path, 7).ok());
+    EXPECT_TRUE(drain(tailer).empty());
+    EXPECT_EQ(tailer.last_seq(), 0U);
+    EXPECT_TRUE(tailer.status().ok());
+}
+
+/// Scans and tails `path`, and checks the tailer surfaced exactly the
+/// records the scan accepted, failing exactly when the scan stopped at
+/// corruption rather than at an incomplete tail.
+void expect_tailer_matches_scan(const std::string& path,
+                                const std::string& what) {
+    std::vector<WalRecord> scanned;
+    ReplayStats stats;
+    ASSERT_TRUE(scan_wal(path, stats, [&](const WalRecord& rec) {
+        scanned.push_back(rec);
+    }).ok()) << what;
+    WalTailer tailer;
+    ASSERT_TRUE(tailer.open(path).ok()) << what;
+    const std::vector<WalRecord> tailed = drain(tailer);
+    ASSERT_EQ(tailed.size(), scanned.size()) << what;
+    for (std::size_t i = 0; i < tailed.size(); ++i) {
+        EXPECT_EQ(tailed[i].seq, scanned[i].seq) << what;
+        EXPECT_EQ(tailed[i].type, scanned[i].type) << what;
+        EXPECT_EQ(tailed[i].offset, scanned[i].offset) << what;
+        EXPECT_EQ(tailed[i].payload, scanned[i].payload) << what;
+    }
+    const bool scan_hit_corruption =
+        !stats.tail_status.ok() &&
+        stats.tail_status.code != StatusCode::WalTruncated;
+    EXPECT_EQ(!tailer.status().ok(), scan_hit_corruption)
+        << what << ": scan stopped with " << stats.tail_status.to_string()
+        << ", tailer holds " << tailer.status().to_string();
+}
+
+TEST(WalTailer, AgreesWithScanOnEveryTruncationAndBitFlip) {
+    TempDir dir;
+    const std::string path = dir.file("wal.gtw");
+    const auto bytes = three_frame_log(path);
+    constexpr std::size_t kFileHeader = 8;  // u32 magic | u32 version
+    for (std::size_t cut = kFileHeader; cut <= bytes.size(); ++cut) {
+        test::write_file_bytes(path, {bytes.begin(), bytes.begin() + cut});
+        expect_tailer_matches_scan(path, "cut at " + std::to_string(cut));
+    }
+    for (std::size_t at = kFileHeader; at < bytes.size(); ++at) {
+        for (unsigned bit = 0; bit < 8; ++bit) {
+            auto flipped = bytes;
+            flipped[at] ^= static_cast<unsigned char>(1U << bit);
+            test::write_file_bytes(path, flipped);
+            expect_tailer_matches_scan(path, "bit " + std::to_string(bit) +
+                                                 " of byte " +
+                                                 std::to_string(at));
+        }
+    }
+}
+
 }  // namespace
 }  // namespace gt::recover
