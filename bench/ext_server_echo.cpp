@@ -44,19 +44,13 @@
 #include "net/server.hpp"
 #include "obs/export.hpp"
 #include "recover/durable.hpp"
+#include "util/env.hpp"
 #include "util/timer.hpp"
 #include "util/types.hpp"
 
 namespace {
 
 using namespace gt;
-
-std::size_t env_size(const char* name, std::size_t fallback) {
-    const char* v = std::getenv(name);
-    return v != nullptr && *v != '\0'
-               ? static_cast<std::size_t>(std::strtoull(v, nullptr, 10))
-               : fallback;
-}
 
 std::string make_temp_root() {
     std::string tmpl = "/tmp/gt_server_bench.XXXXXX";
@@ -139,9 +133,9 @@ int main(int argc, char** argv) {
     if (!args.ok) {
         return 2;
     }
-    const std::size_t num_edges = env_size("GT_SERVER_EDGES", 500000);
-    const std::size_t num_pings = env_size("GT_SERVER_PINGS", 2000);
-    const std::size_t depth = env_size("GT_SERVER_DEPTH", 64);
+    const std::size_t num_edges = env_u64("GT_SERVER_EDGES", 500000);
+    const std::size_t num_pings = env_u64("GT_SERVER_PINGS", 2000);
+    const std::size_t depth = env_u64("GT_SERVER_DEPTH", 64);
     const unsigned cores = std::thread::hardware_concurrency();
     bench::banner("ext: server echo",
                   "gt.net.v1 round-trip latency, pipelined throughput "

@@ -39,6 +39,7 @@
 #include "core/maintenance.hpp"
 #include "gen/rmat.hpp"
 #include "obs/export.hpp"
+#include "util/env.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 #include "util/types.hpp"
@@ -46,15 +47,6 @@
 namespace {
 
 using namespace gt;
-
-std::size_t env_size(const char* name, std::size_t fallback) {
-    const char* value = std::getenv(name);
-    if (value == nullptr || *value == '\0') {
-        return fallback;
-    }
-    const long long parsed = std::atoll(value);
-    return parsed > 0 ? static_cast<std::size_t>(parsed) : fallback;
-}
 
 /// Mean edge-cells probed per find_edge over the surviving edge set.
 double mean_probe(const core::GraphTinker& g,
@@ -191,9 +183,9 @@ int main(int argc, char** argv) {
         return 2;
     }
 
-    const std::size_t vertices = env_size("GT_CHURN_VERTICES", 32768);
-    const std::size_t num_edges = env_size("GT_CHURN_EDGES", 1000000);
-    const std::size_t delete_pct = env_size("GT_CHURN_DELETE_PCT", 50);
+    const std::size_t vertices = env_u64("GT_CHURN_VERTICES", 32768);
+    const std::size_t num_edges = env_u64("GT_CHURN_EDGES", 1000000);
+    const std::size_t delete_pct = env_u64("GT_CHURN_DELETE_PCT", 50);
 
     bench::banner("micro_churn",
                   "Delete-wave maintenance: tombstone purge, TBH "

@@ -48,6 +48,7 @@
 #include "gen/rmat.hpp"
 #include "recover/wal.hpp"
 #include "obs/export.hpp"
+#include "util/env.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -56,15 +57,6 @@
 namespace {
 
 using namespace gt;
-
-std::size_t env_size(const char* name, std::size_t fallback) {
-    const char* value = std::getenv(name);
-    if (value == nullptr || *value == '\0') {
-        return fallback;
-    }
-    const long long parsed = std::atoll(value);
-    return parsed > 0 ? static_cast<std::size_t>(parsed) : fallback;
-}
 
 core::Config sized_config(std::size_t vertices, std::size_t edges) {
     return bench::gt_config(static_cast<VertexId>(vertices),
@@ -154,17 +146,14 @@ int main(int argc, char** argv) {
         return 2;
     }
 
-    const std::size_t vertices = env_size("GT_INGEST_VERTICES", 32768);
-    const std::size_t num_edges = env_size("GT_INGEST_EDGES", 1000000);
-    const std::size_t reps = env_size("GT_INGEST_REPS", 3);
+    const std::size_t vertices = env_u64("GT_INGEST_VERTICES", 32768);
+    const std::size_t num_edges = env_u64("GT_INGEST_EDGES", 1000000);
+    const std::size_t reps = env_u64("GT_INGEST_REPS", 3);
     RmatParams rmat{};
-    if (const char* a = std::getenv("GT_INGEST_RMAT_A");
-        a != nullptr && *a != '\0') {
-        const double parsed = std::atof(a);
-        if (parsed > 0.25 && parsed < 1.0) {
-            rmat.a = parsed;
-            rmat.b = rmat.c = (1.0 - parsed) / 3.0;
-        }
+    if (const double a = env_double("GT_INGEST_RMAT_A", 0.0);
+        a > 0.25 && a < 1.0) {
+        rmat.a = a;
+        rmat.b = rmat.c = (1.0 - a) / 3.0;
     }
     bench::banner("micro_ingest",
                   "Batched ingest pipeline: per-edge baseline vs "

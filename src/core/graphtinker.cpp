@@ -578,37 +578,37 @@ Status GraphTinker::run_transaction(std::span<const Edge> batch, bool deletes,
     return st;
 }
 
+Status GraphTinker::apply_single(std::span<const Edge> batch, bool deletes) {
+    if (batch.empty()) {
+        return Status::success();
+    }
+    if (Status st = validate_batch(batch); !st.ok()) {
+        return st;
+    }
+    const Edge& e = batch.front();
+    try {
+        if (deletes) {
+            (void)delete_edge(e.src, e.dst);
+        } else {
+            (void)insert_edge(e.src, e.dst, e.weight);
+        }
+    } catch (const fail::InjectedFault& f) {
+        return Status{StatusCode::FaultInjected,
+                      "injected fault at site '" + f.site() + "' mid-batch",
+                      0};
+    } catch (const std::bad_alloc&) {
+        return Status{StatusCode::ResourceExhausted,
+                      "allocation failed mid-batch", 0};
+    }
+    return Status::success();
+}
+
 Status GraphTinker::insert_batch(std::span<const Edge> batch) {
     batches_ingested_->inc();
     updates_applied_->add(batch.size());
     const BatchLatencyScope lat{ingest_batch_us_};
-    // Single-edge bypass (durability off): a 1-edge batch is inherently
-    // atomic because insert_edge's growth pre-flights throw before any
-    // mutation, so the journal/txn frame would be pure overhead — route it
-    // straight through the solo path at solo cost. With a log attached the
-    // transactional frame stays: batch and solo records replay differently.
     if (batch.size() <= 1 && log_ == nullptr) {
-        if (batch.empty()) {
-            return Status::success();
-        }
-        const Edge& e = batch.front();
-        if (e.src == kInvalidVertex || e.dst == kInvalidVertex) {
-            return Status{StatusCode::InvalidArgument,
-                          "batch edge carries the invalid-vertex sentinel",
-                          0};
-        }
-        try {
-            (void)insert_edge(e.src, e.dst, e.weight);
-        } catch (const fail::InjectedFault& f) {
-            return Status{StatusCode::FaultInjected,
-                          "injected fault at site '" + f.site() +
-                              "' mid-batch",
-                          0};
-        } catch (const std::bad_alloc&) {
-            return Status{StatusCode::ResourceExhausted,
-                          "allocation failed mid-batch", 0};
-        }
-        return Status::success();
+        return apply_single(batch, /*deletes=*/false);
     }
     const Status st = run_transaction(batch, /*deletes=*/false, [&] {
         if (batch.size() < kBatchFastPathMin ||
@@ -702,31 +702,8 @@ Status GraphTinker::delete_batch(std::span<const Edge> batch) {
     batches_ingested_->inc();
     updates_applied_->add(batch.size());
     const BatchLatencyScope lat{delete_batch_us_};
-    // Single-edge bypass, mirroring insert_batch: an absent edge is a legal
-    // no-op and delete_edge's erase pre-flight throws before any mutation,
-    // so the 1-edge case needs no journal frame when durability is off.
     if (batch.size() <= 1 && log_ == nullptr) {
-        if (batch.empty()) {
-            return Status::success();
-        }
-        const Edge& e = batch.front();
-        if (e.src == kInvalidVertex || e.dst == kInvalidVertex) {
-            return Status{StatusCode::InvalidArgument,
-                          "batch edge carries the invalid-vertex sentinel",
-                          0};
-        }
-        try {
-            (void)delete_edge(e.src, e.dst);
-        } catch (const fail::InjectedFault& f) {
-            return Status{StatusCode::FaultInjected,
-                          "injected fault at site '" + f.site() +
-                              "' mid-batch",
-                          0};
-        } catch (const std::bad_alloc&) {
-            return Status{StatusCode::ResourceExhausted,
-                          "allocation failed mid-batch", 0};
-        }
-        return Status::success();
+        return apply_single(batch, /*deletes=*/true);
     }
     const Status st = run_transaction(batch, /*deletes=*/true, [&] {
         if (batch.size() < kBatchFastPathMin ||

@@ -325,6 +325,17 @@ private:
     /// during re-insertion) — the store may then be missing rolled-back
     /// edges and the caller's Status says so.
     [[nodiscard]] bool rollback_journal() noexcept;
+    /// A batch of at most one edge with no log attached, run through the
+    /// solo op at solo cost: the solo op is already all-or-nothing
+    /// (insert_edge's growth and delete_edge's erase pre-flights throw
+    /// before any mutation; an absent edge is a legal no-op), so the
+    /// journal frame would be pure overhead. With a log attached the batch
+    /// keeps its frame. The WAL record is the same either way (a 1-edge
+    /// frame commits as the Solo record the solo op writes); the outcome
+    /// is not: a solo op reports a refused stage or commit only as `false`,
+    /// while a batch must return a typed Status.
+    [[nodiscard]] Status apply_single(std::span<const Edge> batch,
+                                      bool deletes);
     /// Shared begin/commit/abort framing around both batch bodies.
     template <typename ApplyFn>
     [[nodiscard]] Status run_transaction(std::span<const Edge> batch,

@@ -22,12 +22,11 @@
 //
 // Concurrency discipline: single writer per shard, many readers. Only shard
 // s's worker mutates shard s's store, holding the shard's rwlock exclusively
-// per task; readers either (a) call a draining accessor (num_edges, shard,
-// find_edge — these wait for the shard's queue epoch to settle, preserving
-// the old synchronous semantics for existing callers), or (b) take a
-// read_snapshot() pin — drain one shard and hold its rwlock shared — so
-// analytics on shard A proceed while shards B.. ingest. The queue's
-// enqueued/completed counters are the per-shard epoch: a reader that
+// per task; readers either (a) call a draining accessor (num_edges, shard —
+// these wait for the queue epoch to settle), or (b) take the
+// read_snapshot_all() pin — drain every shard and hold every rwlock shared —
+// so analytics read one settled cut while ingest waits behind the pin. The
+// queue's enqueued/completed counters are the per-shard epoch: a reader that
 // observed completed == enqueued (acquire) sees every store write those
 // tasks made (release on completion).
 //
@@ -51,10 +50,8 @@
 #include <span>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
-#include "gen/batch_prep.hpp"
 #include "obs/metrics.hpp"
 #include "util/failpoint.hpp"
 #include "util/hash.hpp"
@@ -67,11 +64,11 @@
 namespace gt::core {
 
 namespace detail {
-/// Shards the calling thread currently holds ReadPins on, identified by
+/// Shards the calling thread currently holds read pins on, identified by
 /// shard object address. Registration is what lets the drain/flush paths
 /// detect a self-deadlock (waiting on a shard whose worker is blocked by
 /// this very thread's pin) and refuse instead of hanging. A flat vector:
-/// pins are scarce — at most a handful per thread — so linear scans beat
+/// a pin registers one entry per shard — a handful — so linear scans beat
 /// any set.
 inline thread_local std::vector<const void*> tl_pinned_shards;
 }  // namespace detail
@@ -144,9 +141,9 @@ public:
     /// Scatters the batch and enqueues one slice per owning shard; the
     /// shard workers apply the slices transactionally, asynchronously.
     /// Always returns Ok — per-shard outcomes are latched by the workers
-    /// and surfaced by flush() / first_shard_failure(). Mutating calls
-    /// (insert/delete/apply/flush) must come from one thread at a time;
-    /// concurrent *readers* are welcome via read_snapshot().
+    /// and surfaced by flush(). Mutating calls (insert/delete/flush) must
+    /// come from one thread at a time; concurrent *readers* are welcome via
+    /// read_snapshot_all().
     [[nodiscard]] Status insert_batch(std::span<const Edge> batch) {
         enqueue_edges(batch, Op::InsertEdges);
         return Status::success();
@@ -159,86 +156,33 @@ public:
         return Status::success();
     }
 
-    /// Outcome of apply_updates: how much of the raw batch pre-combining
-    /// folded away before any shard saw it.
-    struct ApplyResult {
-        std::size_t applied = 0;        // updates that reached the queues
-        std::size_t duplicates = 0;     // folded into their survivor
-        std::size_t cancellations = 0;  // insert+delete pairs dropped
-    };
-
-    /// Applies a mixed insert/delete stream: the batch is pre-combined with
-    /// prepare_batch (dedup per pair, optional insert+delete cancellation)
-    /// *before* sharding, then partitioned and applied per shard in stream
-    /// order. See prepare_batch for `assume_new_edges`.
-    ApplyResult apply_updates(std::span<const Update> raw,
-                              bool assume_new_edges = false) {
-        const PreparedBatch prepared = prepare_batch(raw, assume_new_edges);
-        const std::span<const Update> ups(prepared.updates);
-        if (!ups.empty()) {
-            Generation& gen = acquire_generation(0, ups.size());
-            const std::size_t base = gen.updates.size();
-            const std::size_t single = single_shard_of(ups);
-            if (single != kMixedShards) {
-                gen.updates.insert(gen.updates.end(), ups.begin(), ups.end());
-                submit(single, make_task(Op::ApplyUpdates, gen,
-                                         gen.updates.data() + base,
-                                         ups.size()));
-            } else {
-                partition_into(ups, gen.updates,
-                               [](const Update& u) { return u.edge.src; });
-                for (std::size_t s = 0; s < shards_.size(); ++s) {
-                    const std::size_t len =
-                        slice_offsets_[s + 1] - slice_offsets_[s];
-                    if (len != 0) {
-                        submit(s, make_task(Op::ApplyUpdates, gen,
-                                            gen.updates.data() + base +
-                                                slice_offsets_[s],
-                                            len));
-                    }
-                }
-            }
-        }
-        return ApplyResult{prepared.updates.size(), prepared.duplicates,
-                           prepared.cancellations};
-    }
-
     // ---- barriers & failure surfacing ---------------------------------
 
     /// Blocks until every enqueued task has been applied on every shard.
-    /// A shard the calling thread holds a ReadPin on is *skipped* (with a
-    /// debug assert): its worker cannot finish while the pin blocks it, so
-    /// waiting would self-deadlock — and the pin already froze that shard
-    /// at a settled epoch, so skipping keeps reads-through-the-pin
-    /// consistent. Full completeness guarantees require no caller pins;
-    /// flush()/first_shard_failure() enforce that with a typed error.
+    /// A shard the calling thread pins is *skipped* (with a debug assert):
+    /// its worker cannot finish while the pin blocks it, so waiting would
+    /// self-deadlock — and the pin already froze that shard at a settled
+    /// epoch, so skipping keeps reads-through-the-pin consistent. Full
+    /// completeness guarantees require no caller pin; flush() enforces that
+    /// with a typed error.
     void drain() const {
         for (std::size_t s = 0; s < shards_.size(); ++s) {
             if (pinned_by_caller(s)) {
-                assert(!"ShardedStore::drain() from a thread holding a "
-                        "ReadPin on that shard — would self-deadlock");
+                assert(!"ShardedStore::drain() from a thread pinning "
+                        "that shard — would self-deadlock");
                 continue;
             }
             shards_[s]->queue.wait_idle();
         }
     }
 
-    /// True when the calling thread holds a live ReadPin on shard `s` of
-    /// this store (thread-local registration by ReadPin).
-    [[nodiscard]] bool pinned_by_caller(std::size_t s) const noexcept {
-        const auto& pins = detail::tl_pinned_shards;
-        return std::find(pins.begin(), pins.end(),
-                         static_cast<const void*>(shards_[s].get())) !=
-               pins.end();
-    }
-
     /// Drains, then returns the first latched per-shard failure in
     /// shard-index order (message prefixed "shard N: ", Ok when every slice
     /// committed) and re-arms the latches for the next window of batches.
     /// Refused with WouldDeadlock (detail = shard index) when the calling
-    /// thread holds a ReadPin on any shard: the pinned worker cannot drain
-    /// while the pin blocks it, and a partial flush would silently re-arm
-    /// latches it never read. Release the pin first.
+    /// thread holds a read pin: the pinned workers cannot drain while the
+    /// pin blocks them, and a partial flush would silently re-arm latches
+    /// it never read. Release the pin first.
     [[nodiscard]] Status flush() {
         if (Status st = refuse_if_caller_pinned("flush()"); !st.ok()) {
             return st;
@@ -256,81 +200,15 @@ public:
         return first;
     }
 
-    /// Drains and reports like flush(), but leaves the latches armed —
-    /// repeated calls keep returning the same first failure until flush()
-    /// clears it. Refused with WouldDeadlock under a caller-held ReadPin,
-    /// like flush().
-    [[nodiscard]] Status first_shard_failure() const {
-        if (Status st = refuse_if_caller_pinned("first_shard_failure()");
-            !st.ok()) {
-            return st;
-        }
-        drain();
-        for (std::size_t s = 0; s < shards_.size(); ++s) {
-            if (shards_[s]->failed) {
-                return prefixed(s, shards_[s]->failure);
-            }
-        }
-        return Status::success();
-    }
-
     // ---- reads --------------------------------------------------------
 
-    /// Shared-lock hold on one drained shard: the single-writer/many-reader
-    /// side of the discipline. While a pin is live, the pinned shard's
-    /// worker blocks before its next task and every other shard ingests
-    /// freely — analytics on shard A overlap writes to shards B.. .
-    class ReadPin {
-    public:
-        ReadPin(const ReadPin&) = delete;
-        ReadPin& operator=(const ReadPin&) = delete;
-
-        ~ReadPin() {
-            auto& pins = detail::tl_pinned_shards;
-            const auto it = std::find(pins.rbegin(), pins.rend(), key_);
-            if (it != pins.rend()) {
-                pins.erase(std::next(it).base());
-            }
-        }
-
-        [[nodiscard]] const Store& store() const noexcept { return store_; }
-        const Store* operator->() const noexcept { return &store_; }
-        const Store& operator*() const noexcept { return store_; }
-
-    private:
-        friend class ShardedStore;
-        explicit ReadPin(const Shard& sh)
-            : store_(*sh.store), key_(&sh), lock_(sh.rw) {
-            detail::tl_pinned_shards.push_back(key_);
-        }
-
-        const Store& store_;
-        const void* key_;
-        SharedLockGuard lock_;
-    };
-
-    /// Drains shard `s` and pins it for reading. Returns by RVO (ReadPin is
-    /// not movable); hold it only as long as the read lasts. Re-pinning a
-    /// shard this thread already holds pinned skips the drain (waiting
-    /// would self-deadlock) and debug-asserts — nest pins only by accident,
-    /// never by design.
-    [[nodiscard]] ReadPin read_snapshot(std::size_t s) const {
-        if (pinned_by_caller(s)) {
-            assert(!"read_snapshot() on a shard the calling thread "
-                    "already pins");
-        } else {
-            shards_[s]->queue.wait_idle();
-        }
-        return ReadPin(*shards_[s]);
-    }
-
     /// Whole-store pin: every shard drained, every rwlock held shared for
-    /// the pin's lifetime. This is the consistent-cut read the service
-    /// layer's query pool wants — cross-shard aggregates (counts, traversal
-    /// over all intervals) see one settled epoch per shard while writers to
-    /// *no* shard can slip in between the per-shard reads. Ingest resumes
-    /// the moment the pin drops. Must not be taken by a thread already
-    /// holding any per-shard pin (the drain would self-deadlock).
+    /// the pin's lifetime — the single-writer/many-reader read side.
+    /// Cross-shard aggregates (counts, traversal over all intervals) see one
+    /// settled epoch per shard while writers to *no* shard can slip in
+    /// between the per-shard reads; each worker blocks before its next task
+    /// and ingest resumes the moment the pin drops. Must not be nested (the
+    /// drain would self-deadlock).
     class ReadPinAll {
     public:
         ReadPinAll(const ReadPinAll&) = delete;
@@ -348,9 +226,8 @@ public:
             }
         }
 
-        /// Shard `i`'s store, frozen at the pinned epoch (mirrors
-        /// ReadPin::store(); the pin constructor already drained, so no
-        /// further barrier is needed here).
+        /// Shard `i`'s store, frozen at the pinned epoch (the pin's
+        /// constructor already drained, so no further barrier is needed).
         [[nodiscard]] const Store& store(std::size_t i) const noexcept {
             return *(*shards_)[i]->store;
         }
@@ -387,19 +264,12 @@ public:
         for (std::size_t s = 0; s < shards_.size(); ++s) {
             if (pinned_by_caller(s)) {
                 assert(!"read_snapshot_all() while this thread already "
-                        "pins a shard");
+                        "pins the store");
                 continue;
             }
             shards_[s]->queue.wait_idle();
         }
         return ReadPinAll(shards_);
-    }
-
-    /// Per-shard version counter: the number of hand-off tasks shard `s`
-    /// has fully applied (acquire). Advances monotonically; equality with
-    /// two reads brackets a quiescent window for that shard.
-    [[nodiscard]] std::uint64_t shard_epoch(std::size_t s) const noexcept {
-        return shards_[s]->queue.completed();
     }
 
     [[nodiscard]] EdgeCount num_edges() const {
@@ -416,10 +286,11 @@ public:
     }
 
     /// Drains shard `i` and returns it. The reference is safe to use until
-    /// the next mutating call routes work to this shard; for reads that
-    /// must overlap ingest, use read_snapshot() instead. A shard the
-    /// caller already pins is returned without waiting (the pin froze it
-    /// at a settled epoch; waiting would self-deadlock).
+    /// the next mutating call routes work to this shard; for a cut that
+    /// stays settled while the producer keeps enqueueing, use
+    /// read_snapshot_all() instead. Under the caller's own pin the shard is
+    /// returned without waiting (the pin froze it at a settled epoch;
+    /// waiting would self-deadlock).
     [[nodiscard]] Store& shard(std::size_t i) {
         if (!pinned_by_caller(i)) {
             shards_[i]->queue.wait_idle();
@@ -433,36 +304,11 @@ public:
         return *shards_[i]->store;
     }
 
-    /// Finds the edge in its owning shard (draining only that shard, or
-    /// skipping the wait when the caller already pins it).
-    [[nodiscard]] auto find_edge(VertexId src, VertexId dst) const {
-        const std::size_t s = shard_of(src, shards_.size());
-        if (!pinned_by_caller(s)) {
-            shards_[s]->queue.wait_idle();
-        }
-        return shards_[s]->store->find_edge(src, dst);
-    }
-
-    /// Refreshes the pipeline gauges into the bound registry. Drains first
-    /// so the per-shard stores are quiescent and the epoch gauges describe
-    /// one consistent point; queue-depth gauges therefore read the
-    /// post-drain backlog (zero) — their live values stream in at push
-    /// time.
-    void telemetry() {
-        drain();
-        for (std::size_t s = 0; s < shards_.size(); ++s) {
-            Shard& sh = *shards_[s];
-            if (sh.depth_gauge != nullptr) {
-                sh.depth_gauge->set(static_cast<double>(sh.queue.depth()));
-            }
-        }
-    }
-
 private:
-    enum class Op : std::uint8_t { InsertEdges, DeleteEdges, ApplyUpdates };
+    enum class Op : std::uint8_t { InsertEdges, DeleteEdges };
 
     /// One hand-off: a contiguous slice of a generation arena plus the
-    /// operation to apply it with. Carries raw pointers (stable — the
+    /// operation to apply it with. Carries a raw pointer (stable — the
     /// arena never reallocates while referenced) so the worker never
     /// touches the producer-side vectors.
     struct Task {
@@ -470,7 +316,6 @@ private:
         std::uint32_t gen = 0;
         std::size_t count = 0;
         const Edge* edges = nullptr;
-        const Update* updates = nullptr;
         std::uint64_t enqueue_ns = 0;
     };
 
@@ -481,7 +326,6 @@ private:
     /// reallocation. A sealed generation with pending == 0 is recyclable.
     struct Generation {
         std::vector<Edge> edges;
-        std::vector<Update> updates;
         std::atomic<std::uint64_t> pending{0};
         std::atomic<bool> sealed{true};
     };
@@ -554,8 +398,17 @@ private:
         return out;
     }
 
-    /// WouldDeadlock (detail = shard index) when the calling thread holds
-    /// a ReadPin on any shard of this store; Ok otherwise. The full-drain
+    /// True when the calling thread's read pin holds shard `s` of this
+    /// store (thread-local registration by ReadPinAll).
+    [[nodiscard]] bool pinned_by_caller(std::size_t s) const noexcept {
+        const auto& pins = detail::tl_pinned_shards;
+        return std::find(pins.begin(), pins.end(),
+                         static_cast<const void*>(shards_[s].get())) !=
+               pins.end();
+    }
+
+    /// WouldDeadlock (detail = first pinned shard index) when the calling
+    /// thread holds a read pin on this store; Ok otherwise. The full-drain
     /// entry points call this before blocking.
     [[nodiscard]] Status refuse_if_caller_pinned(const char* what) const {
         for (std::size_t s = 0; s < shards_.size(); ++s) {
@@ -563,7 +416,7 @@ private:
                 return Status{
                     StatusCode::WouldDeadlock,
                     std::string(what) +
-                        " called from a thread holding a ReadPin on shard " +
+                        " called from a thread holding a read pin on shard " +
                         std::to_string(s) +
                         " — the pinned worker cannot drain while the pin "
                         "blocks it; release the pin first",
@@ -579,7 +432,7 @@ private:
         if (batch.empty()) {
             return;
         }
-        Generation& gen = acquire_generation(batch.size(), 0);
+        Generation& gen = acquire_generation(batch.size());
         const std::size_t base = gen.edges.size();
         const std::size_t single = single_shard_of(batch);
         if (single != kMixedShards) {
@@ -587,16 +440,15 @@ private:
             // whole mini-batch is one slice for one worker — no counting
             // sort, no scatter.
             gen.edges.insert(gen.edges.end(), batch.begin(), batch.end());
-            submit(single, make_task(op, gen, gen.edges.data() + base,
-                                     batch.size()));
+            submit(single,
+                   make_task(op, gen.edges.data() + base, batch.size()));
             return;
         }
-        partition_into(batch, gen.edges,
-                       [](const Edge& e) { return e.src; });
+        partition_into(batch, gen.edges);
         for (std::size_t s = 0; s < shards_.size(); ++s) {
             const std::size_t len = slice_offsets_[s + 1] - slice_offsets_[s];
             if (len != 0) {
-                submit(s, make_task(op, gen,
+                submit(s, make_task(op,
                                     gen.edges.data() + base +
                                         slice_offsets_[s],
                                     len));
@@ -607,8 +459,8 @@ private:
     /// The owning shard when the whole mini-batch maps to one shard and is
     /// small enough for the bypass (or there is only one shard);
     /// kMixedShards otherwise.
-    template <typename T>
-    [[nodiscard]] std::size_t single_shard_of(std::span<const T> batch) const {
+    [[nodiscard]] std::size_t single_shard_of(
+        std::span<const Edge> batch) const {
         const std::size_t n = shards_.size();
         if (n == 1) {
             return 0;
@@ -616,41 +468,29 @@ private:
         if (batch.size() > kSmallBatchThreshold) {
             return kMixedShards;
         }
-        const std::size_t first = shard_of(src_of(batch[0]), n);
+        const std::size_t first = shard_of(batch[0].src, n);
         for (std::size_t i = 1; i < batch.size(); ++i) {
-            if (shard_of(src_of(batch[i]), n) != first) {
+            if (shard_of(batch[i].src, n) != first) {
                 return kMixedShards;
             }
         }
         return first;
     }
 
-    [[nodiscard]] static VertexId src_of(const Edge& e) noexcept {
-        return e.src;
-    }
-    [[nodiscard]] static VertexId src_of(const Update& u) noexcept {
-        return u.edge.src;
-    }
-
-    template <typename T>
-    [[nodiscard]] Task make_task(Op op, Generation& gen, const T* data,
+    /// A task for `count` edges at `edges` in the open generation.
+    [[nodiscard]] Task make_task(Op op, const Edge* edges,
                                  std::size_t count) {
         Task t;
         t.op = op;
         t.gen = open_;
         t.count = count;
-        if constexpr (std::is_same_v<T, Edge>) {
-            t.edges = data;
-        } else {
-            t.updates = data;
-        }
+        t.edges = edges;
         // Hand-off latency sampling: the clock read costs more than the
         // queue push at batch=1, so stamp only every 64th submission.
         if (handoff_us_ != nullptr && ((++push_seq_ & 63U) == 0) &&
             obs::recording()) {
             t.enqueue_ns = now_ns();
         }
-        (void)gen;
         return t;
     }
 
@@ -670,14 +510,10 @@ private:
     /// the current one open while it fits (double buffering: the open
     /// generation fills while sealed ones are still being applied). Blocks
     /// — backpressure — when all generations still have tasks in flight.
-    Generation& acquire_generation(std::size_t need_edges,
-                                   std::size_t need_updates) {
+    Generation& acquire_generation(std::size_t need) {
         if (open_ != kNoGen) {
             Generation& gen = *gens_[open_];
-            const bool fits =
-                gen.edges.size() + need_edges <= gen.edges.capacity() &&
-                gen.updates.size() + need_updates <= gen.updates.capacity();
-            if (fits) {
+            if (gen.edges.size() + need <= gen.edges.capacity()) {
                 return gen;
             }
             gen.sealed.store(true, std::memory_order_release);
@@ -694,15 +530,7 @@ private:
                     lock.unlock();
                     // Safe to touch the vectors: no task references them.
                     gen.edges.clear();
-                    gen.updates.clear();
-                    if (need_edges != 0) {
-                        gen.edges.reserve(
-                            std::max(need_edges, kGenMinSlots));
-                    }
-                    if (need_updates != 0) {
-                        gen.updates.reserve(
-                            std::max(need_updates, kGenMinSlots));
-                    }
+                    gen.edges.reserve(std::max(need, kGenMinSlots));
                     return gen;
                 }
             }
@@ -716,23 +544,22 @@ private:
     /// Serial on purpose: the old parallel partition needed a fork/join
     /// barrier, and the pipeline hides the partition behind the previous
     /// batch's application anyway.
-    template <typename T, typename SrcOf>
-    void partition_into(std::span<const T> batch, std::vector<T>& arena,
-                        SrcOf&& src_key) {
+    void partition_into(std::span<const Edge> batch,
+                        std::vector<Edge>& arena) {
         const std::size_t n = shards_.size();
         const std::size_t base = arena.size();
         arena.resize(base + batch.size());  // within reserved capacity
         slice_offsets_.assign(n + 1, 0);
-        for (const T& item : batch) {
-            ++slice_offsets_[shard_of(src_key(item), n) + 1];
+        for (const Edge& e : batch) {
+            ++slice_offsets_[shard_of(e.src, n) + 1];
         }
         for (std::size_t s = 0; s < n; ++s) {
             slice_offsets_[s + 1] += slice_offsets_[s];
         }
         cursors_.assign(slice_offsets_.begin(), slice_offsets_.end() - 1);
-        T* out = arena.data() + base;
-        for (const T& item : batch) {
-            out[cursors_[shard_of(src_key(item), n)]++] = item;
+        Edge* out = arena.data() + base;
+        for (const Edge& e : batch) {
+            out[cursors_[shard_of(e.src, n)]++] = e;
         }
     }
 
@@ -764,23 +591,8 @@ private:
         Status st;
         {
             const LockGuard<SharedMutex> lock(sh.rw);
-            switch (t.op) {
-                case Op::InsertEdges:
-                    st = apply_insert(*sh.store,
-                                      std::span<const Edge>(t.edges,
-                                                            t.count));
-                    break;
-                case Op::DeleteEdges:
-                    st = apply_delete(*sh.store,
-                                      std::span<const Edge>(t.edges,
-                                                            t.count));
-                    break;
-                case Op::ApplyUpdates:
-                    st = apply_update_slice(
-                        *sh.store,
-                        std::span<const Update>(t.updates, t.count));
-                    break;
-            }
+            st = apply_slice(*sh.store, t.op,
+                             std::span<const Edge>(t.edges, t.count));
         }
         if (!st.ok() && !sh.failed) {
             sh.failed = true;
@@ -799,82 +611,43 @@ private:
         }
     }
 
-    /// Store dispatch: native Status-returning batch API when present,
-    /// bool/void batch API next, per-edge loop as the fallback. The
-    /// fallback loop converts thrown allocation failures into the Status
-    /// codes the latching path expects (native batch stores catch their
-    /// own).
-    [[nodiscard]] static Status apply_insert(Store& st,
-                                             std::span<const Edge> part) {
-        if constexpr (requires {
-                          { st.insert_batch(part) } -> std::same_as<Status>;
-                      }) {
-            return st.insert_batch(part);
-        } else if constexpr (requires { st.insert_batch(part); }) {
-            (void)st.insert_batch(part);
-            return Status::success();
+    /// Stores with a Status-returning batch API (GraphTinker) apply a
+    /// slice in one call and map their own faults to a Status.
+    static constexpr bool kBatchApi =
+        requires(Store& st, std::span<const Edge> part) {
+            { st.insert_batch(part) } -> std::same_as<Status>;
+            { st.delete_batch(part) } -> std::same_as<Status>;
+        };
+
+    /// Store dispatch: the batch API when present, else a per-edge loop
+    /// (STINGER) that converts a thrown fault into the Status code the
+    /// latch expects.
+    [[nodiscard]] static Status apply_slice(Store& st, Op op,
+                                            std::span<const Edge> part) {
+        if constexpr (kBatchApi) {
+            return op == Op::InsertEdges ? st.insert_batch(part)
+                                         : st.delete_batch(part);
         } else {
+            const char* what =
+                op == Op::InsertEdges ? "shard insert" : "shard delete";
             try {
                 for (const Edge& e : part) {
-                    (void)st.insert_edge(e.src, e.dst, e.weight);
+                    if (op == Op::InsertEdges) {
+                        (void)st.insert_edge(e.src, e.dst, e.weight);
+                    } else {
+                        (void)st.delete_edge(e.src, e.dst);
+                    }
                 }
             } catch (const fail::InjectedFault&) {
                 return Status{StatusCode::FaultInjected,
-                              "fault injected during shard insert"};
+                              std::string("fault injected during ") + what};
             } catch (const std::bad_alloc&) {
                 return Status{StatusCode::ResourceExhausted,
-                              "allocation failed during shard insert"};
+                              std::string("allocation failed during ") +
+                                  what};
             }
             return Status::success();
         }
-    }
-
-    [[nodiscard]] static Status apply_delete(Store& st,
-                                             std::span<const Edge> part) {
-        if constexpr (requires {
-                          { st.delete_batch(part) } -> std::same_as<Status>;
-                      }) {
-            return st.delete_batch(part);
-        } else if constexpr (requires { st.delete_batch(part); }) {
-            (void)st.delete_batch(part);
-            return Status::success();
-        } else {
-            try {
-                for (const Edge& e : part) {
-                    (void)st.delete_edge(e.src, e.dst);
-                }
-            } catch (const fail::InjectedFault&) {
-                return Status{StatusCode::FaultInjected,
-                              "fault injected during shard delete"};
-            } catch (const std::bad_alloc&) {
-                return Status{StatusCode::ResourceExhausted,
-                              "allocation failed during shard delete"};
-            }
-            return Status::success();
-        }
-    }
-
-    /// Per-edge application in stream order: the bool returns are
-    /// "created"/"existed", which the update stream does not track.
-    [[nodiscard]] static Status apply_update_slice(
-        Store& st, std::span<const Update> part) {
-        try {
-            for (const Update& u : part) {
-                if (u.kind == UpdateKind::Insert) {
-                    (void)st.insert_edge(u.edge.src, u.edge.dst,
-                                         u.edge.weight);
-                } else {
-                    (void)st.delete_edge(u.edge.src, u.edge.dst);
-                }
-            }
-        } catch (const fail::InjectedFault&) {
-            return Status{StatusCode::FaultInjected,
-                          "fault injected during shard update"};
-        } catch (const std::bad_alloc&) {
-            return Status{StatusCode::ResourceExhausted,
-                          "allocation failed during shard update"};
-        }
-        return Status::success();
     }
 
     // ---- members -------------------------------------------------------

@@ -33,6 +33,9 @@ constexpr std::size_t kReadChunk = 64 * 1024;
 constexpr std::size_t kCompactThreshold = 64 * 1024;
 /// Error messages are operator-facing, not a transport for bulk data.
 constexpr std::size_t kMaxErrorMessage = 512;
+/// Frames parsed+executed per connection per loop wake — fairness bound so
+/// one pipelining client cannot starve the rest.
+constexpr std::size_t kParseBudget = 64;
 /// Target size of one shipped-WAL frame: large enough to amortize framing,
 /// small enough that a follower never waits long behind one frame.
 constexpr std::size_t kShipChunkBytes = 256 * 1024;
@@ -397,7 +400,6 @@ Status Server::start(const ServerOptions& options) {
                           std::to_string(kMaxReaderThreads)};
     }
     opts_.max_inflight = std::max<std::size_t>(opts_.max_inflight, 1);
-    opts_.parse_budget = std::max<std::size_t>(opts_.parse_budget, 1);
     read_only_.store(opts_.read_only, std::memory_order_relaxed);
     registry_ = opts_.registry;
     if (registry_ == nullptr) {
@@ -720,7 +722,7 @@ void Server::flush_all() {
 
 void Server::parse_and_execute(Conn& conn) {
     for (std::size_t parsed = 0;
-         parsed < opts_.parse_budget && !conn.closing; ++parsed) {
+         parsed < kParseBudget && !conn.closing; ++parsed) {
         const std::span<const unsigned char> rest(
             conn.rbuf.data() + conn.rpos, conn.rbuf.size() - conn.rpos);
         Frame req;
@@ -773,7 +775,7 @@ void Server::parse_and_execute(Conn& conn) {
 
 void Server::drain_pending() {
     // Passes repeat until no connection consumes anything: each pass gives
-    // every connection at most parse_budget frames, so one deep pipeline
+    // every connection at most kParseBudget frames, so one deep pipeline
     // cannot starve the others within a pass.
     bool progress = true;
     while (progress) {

@@ -98,9 +98,6 @@ struct ServerOptions {
     /// Per-connection write-buffer byte cap (requests past it shed Busy; a
     /// subscriber that falls this far behind is disconnected).
     std::size_t max_wbuf_bytes = std::size_t{8} << 20;
-    /// Frames parsed+executed per connection per loop wake — fairness
-    /// bound so one pipelining client cannot starve the rest.
-    std::size_t parse_budget = 64;
     /// Server metrics ("net.*") land here; null keeps a private registry.
     obs::Registry* registry = nullptr;
 };

@@ -10,8 +10,9 @@ namespace gt {
 /// or unparsable.
 [[nodiscard]] double env_double(const char* name, double fallback);
 
-/// Reads an environment variable as u64, returning `fallback` when unset or
-/// unparsable.
+/// Reads an environment variable as a positive u64, returning `fallback`
+/// unless the whole value is a positive decimal (so unset, 0, negative,
+/// trailing garbage and out-of-range values all fall back).
 [[nodiscard]] std::uint64_t env_u64(const char* name, std::uint64_t fallback);
 
 /// Global benchmark scale factor (GT_SCALE). Benches multiply paper edge

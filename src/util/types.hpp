@@ -32,15 +32,4 @@ struct Edge {
     friend bool operator==(const Edge&, const Edge&) = default;
 };
 
-/// Kind of update in a dynamic stream.
-enum class UpdateKind : std::uint8_t { Insert, Delete };
-
-/// A single dynamic-graph update (edge plus operation).
-struct Update {
-    Edge edge;
-    UpdateKind kind = UpdateKind::Insert;
-
-    friend bool operator==(const Update&, const Update&) = default;
-};
-
 }  // namespace gt

@@ -56,7 +56,11 @@ TEST(ShardedStress, InterleavedInsertDeleteMatchesSerialReference) {
     // Content equivalence: every reference edge is found in its shard with
     // the same weight, and no shard holds an edge the reference lacks.
     reference.visit_edges([&](VertexId src, VertexId dst, Weight w) {
-        const auto got = store.find_edge(src, dst);
+        const auto got =
+            store
+                .shard(ShardedStore<GraphTinker>::shard_of(src,
+                                                           store.num_shards()))
+                .find_edge(src, dst);
         ASSERT_TRUE(got.has_value()) << src << "->" << dst;
         EXPECT_EQ(*got, w) << src << "->" << dst;
     });

@@ -2,7 +2,7 @@
 // delete_batch must leave the store equivalent to per-edge application of
 // the same stream — same edge set, weights, degrees, edge count and a clean
 // structural audit — across every feature configuration. Also covers the
-// ShardedStore radix partition + apply_updates pre-combining.
+// ShardedStore radix partition.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -15,7 +15,6 @@
 #include "core/audit.hpp"
 #include "core/graphtinker.hpp"
 #include "core/sharded.hpp"
-#include "gen/batch_prep.hpp"
 #include "gen/rmat.hpp"
 #include "util/rng.hpp"
 
@@ -336,32 +335,6 @@ TEST(IngestDifferential, ShardedMatchesSerialAndAuditsClean) {
     }
     (void)sharded.delete_batch(edges);
     EXPECT_EQ(sharded.num_edges(), 0u);
-}
-
-TEST(IngestDifferential, ShardedApplyUpdatesPreCombines) {
-    // apply_updates runs prepare_batch before sharding: duplicates fold,
-    // insert+delete pairs cancel under assume_new_edges, and the surviving
-    // stream produces the same store as serial prepared application.
-    std::vector<Update> raw;
-    for (VertexId src = 0; src < 200; ++src) {
-        raw.push_back(Update{Edge{src, src + 1, 1}, UpdateKind::Insert});
-        raw.push_back(Update{Edge{src, src + 1, 2}, UpdateKind::Insert});
-        if (src % 4 == 0) {
-            raw.push_back(Update{Edge{src, src + 1, 0}, UpdateKind::Delete});
-        }
-    }
-    ShardedStore<GraphTinker> sharded(4, [] { return Config{}; });
-    const auto result = sharded.apply_updates(raw, /*assume_new_edges=*/true);
-    EXPECT_EQ(result.cancellations, 50u);
-    EXPECT_GT(result.duplicates, 0u);
-    EXPECT_EQ(result.applied, 150u);
-    EXPECT_EQ(sharded.num_edges(), 150u);
-
-    GraphTinker serial;
-    const PreparedBatch prepared =
-        prepare_batch(raw, /*assume_new_edges=*/true);
-    apply_batch(serial, prepared);
-    EXPECT_EQ(edge_map_sharded(sharded), edge_map(serial));
 }
 
 TEST(IngestDifferential, ShardOfIsStableAndInRange) {

@@ -67,9 +67,15 @@ TEST(Sharded, FindRoutesToOwningShard) {
     ShardedStore<GraphTinker> sharded(5, [] { return Config{}; });
     const std::vector<Edge> batch{{1, 2, 10}, {3, 4, 20}, {100, 7, 30}};
     (void)sharded.insert_batch(batch);
-    EXPECT_EQ(sharded.find_edge(1, 2), std::optional<Weight>(10));
-    EXPECT_EQ(sharded.find_edge(100, 7), std::optional<Weight>(30));
-    EXPECT_FALSE(sharded.find_edge(1, 7).has_value());
+    const auto find = [&](VertexId src, VertexId dst) {
+        return sharded
+            .shard(ShardedStore<GraphTinker>::shard_of(src,
+                                                       sharded.num_shards()))
+            .find_edge(src, dst);
+    };
+    EXPECT_EQ(find(1, 2), std::optional<Weight>(10));
+    EXPECT_EQ(find(100, 7), std::optional<Weight>(30));
+    EXPECT_FALSE(find(1, 7).has_value());
 }
 
 TEST(Sharded, WorksForStingerToo) {

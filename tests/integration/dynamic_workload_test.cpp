@@ -18,7 +18,6 @@
 #include "engine/snapshot.hpp"
 #include "engine/triangles.hpp"
 #include "engine/vertex_centric.hpp"
-#include "gen/batch_prep.hpp"
 #include "gen/rmat.hpp"
 #include "stinger/stinger.hpp"
 #include "util/rng.hpp"
@@ -138,27 +137,27 @@ TEST(DynamicWorkload, AnalyticsSurviveGrowthAndDecay) {
     }
 }
 
-// The batch-prep path, the bidirectional store and persistence compose: a
-// prepared mixed batch applied to a bidirectional store, snapshotted and
+// A mixed update stream, the bidirectional store and persistence compose:
+// the stream applied in order to a bidirectional store, snapshotted and
 // reloaded, yields the same analytics.
 TEST(DynamicWorkload, PreparedBatchesPersistenceAndPullBfsCompose) {
+    struct Update {
+        Edge edge;
+        bool insert;
+    };
     Rng rng(77);
     std::vector<Update> raw;
     for (int i = 0; i < 8000; ++i) {
         const Edge e{static_cast<VertexId>(rng.next_below(150)),
                      static_cast<VertexId>(rng.next_below(150)),
                      static_cast<Weight>(1 + rng.next_below(20))};
-        raw.push_back(Update{
-            e, rng.next_below(10) < 8 ? UpdateKind::Insert
-                                      : UpdateKind::Delete});
+        raw.push_back(Update{e, rng.next_below(10) < 8});
     }
-    const auto prepared = prepare_batch(raw);
-    EXPECT_LT(prepared.updates.size(), raw.size());
 
     core::BidirectionalGraphTinker g;
-    // Apply forward+mirror via the wrapper's API.
-    for (const Update& u : prepared.updates) {
-        if (u.kind == UpdateKind::Insert) {
+    // Apply forward+mirror via the wrapper's API, in stream order.
+    for (const Update& u : raw) {
+        if (u.insert) {
             (void)g.insert_edge(u.edge.src, u.edge.dst, u.edge.weight);
         } else {
             (void)g.delete_edge(u.edge.src, u.edge.dst);

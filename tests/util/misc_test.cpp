@@ -113,6 +113,12 @@ TEST(Env, ReadsIntegers) {
     EXPECT_EQ(env_u64("GT_TEST_ENV_U", 7), 42u);
     ::unsetenv("GT_TEST_ENV_U");
     EXPECT_EQ(env_u64("GT_TEST_ENV_U", 7), 7u);
+    // Only a whole positive decimal counts.
+    for (const char* bad : {"0", "-5", "12abc", "abc"}) {
+        ::setenv("GT_TEST_ENV_U", bad, 1);
+        EXPECT_EQ(env_u64("GT_TEST_ENV_U", 7), 7u) << bad;
+    }
+    ::unsetenv("GT_TEST_ENV_U");
 }
 
 TEST(Timer, MeasuresElapsedTime) {
