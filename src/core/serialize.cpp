@@ -118,6 +118,9 @@ std::optional<std::uint64_t> bytes_remaining(std::istream& in) {
 
 constexpr std::size_t kEdgeRecordBytes =
     sizeof(VertexId) * 2 + sizeof(Weight);
+/// Edge records per write_snapshot chunk: as many as fit in 64 KiB.
+constexpr std::size_t kChunkRecords =
+    (std::size_t{64} << 10) / kEdgeRecordBytes;
 
 }  // namespace
 
@@ -136,16 +139,33 @@ Status write_snapshot(const GraphTinker& graph, std::ostream& out,
     std::uint32_t crc = 0xFFFFFFFFU;
     put(out, count);
     crc = util::crc32c_extend(crc, &count, sizeof(count));
+    // Records are packed into one reused chunk, then checksummed and
+    // written a chunk at a time: CRC32C over concatenated bytes does not
+    // depend on where they are split, so the file is the same as one
+    // written a field at a time.
+    std::vector<unsigned char> chunk(kChunkRecords * kEdgeRecordBytes);
+    std::size_t fill = 0;
+    const auto emit_chunk = [&] {
+        crc = util::crc32c_extend(crc, chunk.data(), fill);
+        out.write(reinterpret_cast<const char*>(chunk.data()),
+                  static_cast<std::streamsize>(fill));
+        fill = 0;
+    };
     EdgeCount written = 0;
     graph.visit_edges([&](VertexId s, VertexId d, Weight w) {
-        put(out, s);
-        put(out, d);
-        put(out, w);
-        crc = util::crc32c_extend(crc, &s, sizeof(s));
-        crc = util::crc32c_extend(crc, &d, sizeof(d));
-        crc = util::crc32c_extend(crc, &w, sizeof(w));
+        unsigned char* rec = chunk.data() + fill;
+        std::memcpy(rec, &s, sizeof(s));
+        std::memcpy(rec + sizeof(s), &d, sizeof(d));
+        std::memcpy(rec + sizeof(s) + sizeof(d), &w, sizeof(w));
+        fill += kEdgeRecordBytes;
         ++written;
+        if (fill == chunk.size()) {
+            emit_chunk();
+        }
     });
+    if (fill != 0) {
+        emit_chunk();
+    }
     put(out, crc ^ 0xFFFFFFFFU);
     put(out, kSnapshotFooter);
     out.flush();

@@ -196,6 +196,9 @@ public:
             }
             sh.failed = false;
             sh.failure = Status::success();
+            // The drained depth (0): overwrites a push-time value that
+            // landed after the worker's last refresh.
+            set_depth_gauge(sh);
         }
         return first;
     }
@@ -501,6 +504,12 @@ private:
         gens_[t.gen]->pending.fetch_add(1, std::memory_order_relaxed);
         Shard& sh = *shards_[s];
         sh.queue.push(std::move(t));
+        set_depth_gauge(sh);
+    }
+
+    /// Publishes shard `sh`'s backlog to its queue-depth gauge, if bound.
+    /// Called on push, after each popped run completes, and by flush().
+    static void set_depth_gauge(Shard& sh) noexcept {
         if (sh.depth_gauge != nullptr) {
             sh.depth_gauge->set(static_cast<double>(sh.queue.depth()));
         }
@@ -579,6 +588,7 @@ private:
                 tasks_applied_->add(tasks.size());
             }
             shards_[s]->queue.note_completed(tasks.size());
+            set_depth_gauge(*shards_[s]);
             tasks.clear();
         }
     }

@@ -1,14 +1,16 @@
 // Pipelined ShardedStore contract tests: writes deferred behind the
 // all-shard read pin (TSan certifies the single-writer/many-reader epochs),
-// flush/drain barrier correctness, the WouldDeadlock refusal under a pin,
-// asynchronous per-shard failure latching, and destructor draining of
-// still-queued batches. Sized to stay fast under ThreadSanitizer; run under
-// the tsan preset to certify the pipeline.
+// flush/drain barrier correctness (queue-depth gauges included), the
+// WouldDeadlock refusal under a pin, asynchronous per-shard failure
+// latching, and destructor draining of still-queued batches. Sized to stay
+// fast under ThreadSanitizer; run under the tsan preset to certify the
+// pipeline.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -16,6 +18,7 @@
 #include "core/graphtinker.hpp"
 #include "core/sharded.hpp"
 #include "gen/rmat.hpp"
+#include "obs/metrics.hpp"
 #include "util/failpoint.hpp"
 #include "util/status.hpp"
 #include "util/types.hpp"
@@ -90,6 +93,26 @@ TEST(ShardedPipeline, FlushDrainsAndEpochsAdvance) {
         EXPECT_GT(store.shard(s).num_edges(), 0u) << "shard " << s;
     }
     EXPECT_TRUE(store.flush().ok());
+}
+
+TEST(ShardedPipeline, QueueDepthGaugesReadZeroAfterFlush) {
+    constexpr std::size_t kShards = 3;
+    obs::Registry registry;
+    Sharded store(kShards, [] { return pipeline_config(); },
+                  ShardedOptions{&registry});
+    // 1-edge batches take the bypass: one push per edge, so the producer
+    // keeps setting the gauges while the workers drain.
+    const auto edges = rmat_edges(2000, 20000, 17);
+    for (const Edge& e : edges) {
+        (void)store.insert_batch({&e, 1});
+    }
+    ASSERT_TRUE(store.flush().ok());
+    const obs::Snapshot snap = registry.snapshot();
+    for (std::size_t s = 0; s < kShards; ++s) {
+        const std::string name = "shard." + std::to_string(s) + ".queue_depth";
+        ASSERT_NE(snap.gauge(name), nullptr) << name;
+        EXPECT_EQ(snap.gauge_value(name), 0.0) << name;
+    }
 }
 
 TEST(ShardedPipeline, ShardFailureLatchesUntilFlush) {
