@@ -141,13 +141,12 @@ private:
         audit_free_list(BlockClass::Wide, AuditCheck::TbhStructure);
         audit_free_list(BlockClass::Narrow, AuditCheck::SizeClass);
 
-        for (VertexId dense = 0; dense < g_.top_.size(); ++dense) {
+        for (VertexId dense = 0; dense < g_.props_.size(); ++dense) {
             ++report_.vertices_audited;
             const VertexId raw = g_.raw_of(dense);
             const EdgeCount cells = walk_vertex(dense, raw);
             total_cells_ += cells;
-            const std::uint32_t degree =
-                dense < g_.props_.size() ? g_.props_[dense].degree : 0;
+            const std::uint32_t degree = g_.props_[dense].degree;
             if (degree != cells) {
                 add(AuditCheck::DegreeAccounting, raw, kInvalidVertex,
                     "stored degree " + std::to_string(degree) + " but " +
@@ -194,16 +193,11 @@ private:
     }
 
     /// Reclaimed blocks must be scrubbed clean: release_block clears both
-    /// mask planes (which are the cells' state), and allocate_block
-    /// recycles them without re-clearing — a dirty free block would leak
-    /// stale edges (or tombstones) straight into the next tree built on top
-    /// of it.
+    /// mask planes (which are the cells' state and the block's live count),
+    /// and allocate_block recycles them without re-clearing — a dirty free
+    /// block would leak stale edges (or tombstones) straight into the next
+    /// tree built on top of it.
     void audit_free_block(std::uint32_t h, AuditCheck check) {
-        if (eba_.occupied(h) != 0) {
-            add(check, kInvalidVertex, kInvalidVertex,
-                "free " + name(h) + " counts " +
-                    std::to_string(eba_.occupied(h)) + " occupied cells");
-        }
         for (std::uint32_t w = 0; w < eba_.arena(h).words; ++w) {
             if (eba_.occ_mask(h, w) != 0 || eba_.tomb_mask(h, w) != 0) {
                 add(check, kInvalidVertex, kInvalidVertex,
@@ -217,7 +211,7 @@ private:
     /// Depth-first walk of one vertex's edgeblock tree. Returns the number
     /// of live cells seen under the tree.
     EdgeCount walk_vertex(VertexId dense, VertexId raw) {
-        const std::uint32_t top = g_.top_[dense];
+        const std::uint32_t top = g_.props_[dense].top;
         if (top == EdgeblockArray::kNoBlock) {
             return 0;
         }
@@ -328,12 +322,6 @@ private:
             ++report_.live_edges;
             ++report_.cells_audited;
             audit_cell(raw, top, block, slot, level, c);
-        }
-        if (occupied != eba_.occupied(block)) {
-            add(AuditCheck::Occupancy, raw, kInvalidVertex,
-                name(block) + " counter says " +
-                    std::to_string(eba_.occupied(block)) + " but " +
-                    std::to_string(occupied) + " cells are occupied");
         }
         return occupied;
     }
@@ -584,11 +572,11 @@ private:
     void audit_sgh() {
         const ScatterGatherHash& sgh = g_.sgh_;
         const std::size_t span = sgh.span();
-        if (span != g_.top_.size()) {
+        if (span != g_.props_.size()) {
             add(AuditCheck::SghBijection, kInvalidVertex, kInvalidVertex,
                 "SGH spans " + std::to_string(span) +
-                    " dense ids but the top-parent table holds " +
-                    std::to_string(g_.top_.size()));
+                    " dense ids but the main region holds " +
+                    std::to_string(g_.props_.size()));
         }
         enum : std::uint8_t { kUnclaimed, kFree, kMapped };
         std::vector<std::uint8_t> state(span, kUnclaimed);
@@ -609,8 +597,8 @@ private:
                 add(AuditCheck::SghBijection, sgh.raw_of(dense),
                     kInvalidVertex, id + " still names a raw id");
             }
-            if (dense < g_.top_.size() &&
-                g_.top_[dense] != EdgeblockArray::kNoBlock) {
+            if (dense < g_.props_.size() &&
+                g_.props_[dense].top != EdgeblockArray::kNoBlock) {
                 add(AuditCheck::SghBijection, kInvalidVertex, kInvalidVertex,
                     id + " holds a top");
             }
@@ -639,8 +627,8 @@ private:
                     id + " does not round-trip (its reverse entry names " +
                         std::to_string(sgh.raw_of(dense)) + ")");
             }
-            if (dense < g_.top_.size() &&
-                g_.top_[dense] == EdgeblockArray::kNoBlock) {
+            if (dense < g_.props_.size() &&
+                g_.props_[dense].top == EdgeblockArray::kNoBlock) {
                 add(AuditCheck::SghBijection, raw, kInvalidVertex,
                     id + " is mapped but holds no top (not recycled)");
             }
@@ -697,7 +685,7 @@ std::optional<CellRef> CorruptionInjector::locate_cell(GraphTinker& graph,
     if (!dense) {
         return std::nullopt;
     }
-    return graph.eba_.find_ref(graph.top_[*dense], dst);
+    return graph.eba_.find_ref(graph.props_[*dense].top, dst);
 }
 
 bool CorruptionInjector::break_cal_pointer(GraphTinker& graph, VertexId src,
@@ -741,11 +729,11 @@ bool CorruptionInjector::corrupt_probe(GraphTinker& graph, VertexId src,
 
 bool CorruptionInjector::orphan_child(GraphTinker& graph, VertexId src) {
     const auto dense = graph.dense_of(src);
-    if (!dense || graph.top_[*dense] == EdgeblockArray::kNoBlock) {
+    if (!dense || graph.props_[*dense].top == EdgeblockArray::kNoBlock) {
         return false;
     }
     EdgeblockArray& eba = graph.eba_;
-    const std::uint32_t top = graph.top_[*dense];
+    const std::uint32_t top = graph.props_[*dense].top;
     for (std::uint32_t s = 0; s < eba.fanout(top); ++s) {
         std::uint32_t& down = eba.child(top, s);
         if (down != EdgeblockArray::kNoBlock) {
@@ -758,11 +746,11 @@ bool CorruptionInjector::orphan_child(GraphTinker& graph, VertexId src) {
 
 bool CorruptionInjector::link_cycle(GraphTinker& graph, VertexId src) {
     const auto dense = graph.dense_of(src);
-    if (!dense || graph.top_[*dense] == EdgeblockArray::kNoBlock) {
+    if (!dense || graph.props_[*dense].top == EdgeblockArray::kNoBlock) {
         return false;
     }
     EdgeblockArray& eba = graph.eba_;
-    const std::uint32_t top = graph.top_[*dense];
+    const std::uint32_t top = graph.props_[*dense].top;
     for (std::uint32_t s = 0; s < eba.fanout(top); ++s) {
         std::uint32_t& down = eba.child(top, s);
         if (down == EdgeblockArray::kNoBlock) {
@@ -807,19 +795,29 @@ bool CorruptionInjector::vanish_cell(GraphTinker& graph, VertexId src,
         return false;
     }
     // The occupancy bit is the cell's state: clearing it empties the cell
-    // while the block's occupied counter still counts it.
+    // while the source's degree and the edge's CAL copy still count it.
     graph.eba_.set_occupancy(ref->block, ref->slot, false);
+    return true;
+}
+
+bool CorruptionInjector::tombstone_live_cell(GraphTinker& graph, VertexId src,
+                                             VertexId dst) {
+    const auto ref = locate_cell(graph, src, dst);
+    if (!ref) {
+        return false;
+    }
+    graph.eba_.set_tombstone(ref->block, ref->slot, true);
     return true;
 }
 
 bool CorruptionInjector::branch_unfull_window(GraphTinker& graph,
                                               VertexId src) {
     const auto dense = graph.dense_of(src);
-    if (!dense || graph.top_[*dense] == EdgeblockArray::kNoBlock) {
+    if (!dense || graph.props_[*dense].top == EdgeblockArray::kNoBlock) {
         return false;
     }
     EdgeblockArray& eba = graph.eba_;
-    const std::uint32_t top = graph.top_[*dense];
+    const std::uint32_t top = graph.props_[*dense].top;
     for (std::uint32_t s = 0; s < eba.fanout(top); ++s) {
         if (eba.child(top, s) != EdgeblockArray::kNoBlock) {
             continue;
@@ -842,7 +840,7 @@ bool CorruptionInjector::widen_top(GraphTinker& graph, VertexId src) {
     if (!dense) {
         return false;
     }
-    std::uint32_t& top = graph.top_[*dense];
+    std::uint32_t& top = graph.props_[*dense].top;
     if (top == EdgeblockArray::kNoBlock || !EdgeblockArray::is_narrow(top)) {
         return false;
     }
@@ -881,7 +879,7 @@ bool CorruptionInjector::link_narrow_as_child(GraphTinker& graph,
         return false;
     }
     EdgeblockArray& eba = graph.eba_;
-    const std::uint32_t top = graph.top_[*dense];
+    const std::uint32_t top = graph.props_[*dense].top;
     if (top == EdgeblockArray::kNoBlock || EdgeblockArray::is_narrow(top)) {
         return false;
     }

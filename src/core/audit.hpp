@@ -15,11 +15,12 @@
 //   TBH structure     every reachable block handle is a live arena block,
 //                     reached through exactly one parent link (no cycles, no
 //                     shared children), and free-listed blocks are detached
+//                     and scrubbed (both mask planes zero)
 //   TBH orphans       every allocated, non-free block is reachable from some
 //                     vertex's top-parent handle (no leaked subtrees)
-//   occupancy         per-block occupied counters equal the live cells the
-//                     occupancy bitmask records, and no cell is marked both
-//                     occupied and tombstoned (the masks are the cell state)
+//   occupancy         no cell is marked both occupied and tombstoned (the
+//                     masks are the cell state, and a block's live count is
+//                     the popcount of its occupancy words)
 //   RHH placement     every occupied cell sits in the subblock its (dst,
 //                     level) hash selects (its probe distance is derived
 //                     from that position, so any slot of the window is ok)
@@ -69,7 +70,7 @@ struct CellRef;
 enum class AuditCheck : std::uint8_t {
     TbhStructure,      // bad handle, cycle, shared child, free-list overlap
     TbhOrphan,         // allocated block unreachable from every top parent
-    Occupancy,         // occupied counter / occupancy bitmask drift
+    Occupancy,         // cell both occupied and tombstoned
     RhhPlacement,      // cell outside its hashed subblock or wrong probe
     RhhProbePath,      // EMPTY cell inside a live cell's probe window
     FindReachability,  // stored cell not retrievable via FIND
@@ -166,9 +167,14 @@ public:
     /// Pushes `src`'s dense id on SGH's free list while the source stays
     /// mapped and keeps its tree -> SghBijection alone.
     static bool free_mapped_id(GraphTinker& graph, VertexId src);
-    /// Clears the occupancy bit of (src, dst) without updating the block's
-    /// occupied counter -> Occupancy (+ accounting drift).
+    /// Clears the occupancy bit of (src, dst): the cell empties while the
+    /// source's degree and the CAL copy still count it -> DegreeAccounting,
+    /// CalReverse and EdgeAccounting.
     static bool vanish_cell(GraphTinker& graph, VertexId src, VertexId dst);
+    /// Sets the tombstone bit of the live (src, dst) cell -> Occupancy
+    /// alone.
+    static bool tombstone_live_cell(GraphTinker& graph, VertexId src,
+                                    VertexId dst);
     /// Links a fresh empty block under the first childless subblock window
     /// of `src`'s top block that holds an EMPTY cell -> TbhBranchedFull.
     static bool branch_unfull_window(GraphTinker& graph, VertexId src);

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "util/line_alloc.hpp"
 #include "util/types.hpp"
 #include "util/visit.hpp"
 
@@ -247,8 +248,8 @@ private:
     obs::Counter* holes_reclaimed_m_ = nullptr;
     obs::Counter* compact_moves_m_ = nullptr;
     obs::Histogram* chain_blocks_m_ = nullptr;
-    std::vector<CalEdgeSlot> pool_;
-    std::vector<BlockMeta> blocks_;
+    LineVector<CalEdgeSlot> pool_;
+    LineVector<BlockMeta> blocks_;
     std::vector<GroupMeta> groups_;
     std::vector<std::uint32_t> free_;
     EdgeCount live_ = 0;

@@ -160,7 +160,6 @@ void EdgeblockArray::grow_storage(BlockClass c, std::uint64_t need) {
     if (c == BlockClass::Wide) {
         children_.resize(target * spb_, kNoBlock);
     }
-    a.occupied.resize(target, 0);
     a.masks.resize(target * a.words * 2, 0);
     a.free.reserve(target);
     a.storage = static_cast<std::uint32_t>(target);
@@ -224,7 +223,7 @@ std::uint32_t EdgeblockArray::allocate_block(BlockClass c) {
         a.free.pop_back();
         // Free-listed blocks were scrubbed clean by release_block (an
         // invariant the auditor enforces), so recycling is pop-and-go.
-        assert(a.occupied[index] == 0);
+        assert(occupied(handle(c, index)) == 0);
         return handle(c, index);
     }
     if (a.count == a.storage) {
@@ -239,7 +238,6 @@ std::uint32_t EdgeblockArray::allocate_block(BlockClass c) {
 }
 
 void EdgeblockArray::release_block(std::uint32_t block) {
-    assert(occupied(block) == 0);
     // Scrub on the way out so free-listed blocks hold no live or tombstoned
     // cells and no child links — allocate_block recycles them without
     // re-clearing, and the auditor checks reclaimed blocks are genuinely
@@ -700,7 +698,6 @@ std::uint32_t EdgeblockArray::promote(std::uint32_t& top, ProbeWork& work) {
         cascade(top, top, 0,
                 LiveEdge{c.dst, c.weight, cal_pos_of(narrow, slot)}, work);
     });
-    occupied(narrow) = 0;
     release_block(narrow);
     metrics_.promotions->inc();
     return top;
@@ -721,14 +718,14 @@ void EdgeblockArray::demote(std::uint32_t& top) {
         assert(at.has_value());
         fill_and_rebind(top, at->slot, e);
     });
-    occupied(wide) = 0;
     release_block(wide);
     metrics_.demotions->inc();
 }
 
 bool EdgeblockArray::extract_deepest(std::uint32_t block, LiveEdge& out) {
-    // Descend first: the victim must come from the deepest populated block so
-    // compaction shortens probe paths.
+    // Descend first: the victim comes from a leaf (a block whose children
+    // are all empty), so the refill never leaves a hole above a live child
+    // and emptied leaves free as the walk unwinds.
     for (std::uint32_t s = 0; s < fanout(block); ++s) {
         std::uint32_t& c = child(block, s);
         if (c == kNoBlock) {
@@ -745,9 +742,6 @@ bool EdgeblockArray::extract_deepest(std::uint32_t block, LiveEdge& out) {
         free_subtree(c);
         c = kNoBlock;
     }
-    if (occupied(block) == 0) {
-        return false;
-    }
     for (std::uint32_t w = 0; w < arena(block).words; ++w) {
         const std::uint64_t bits = occ_mask(block, w);
         if (bits == 0) {
@@ -757,11 +751,9 @@ bool EdgeblockArray::extract_deepest(std::uint32_t block, LiveEdge& out) {
             w * 64 + static_cast<std::uint32_t>(std::countr_zero(bits));
         const EdgeCell& c = cell(block, slot);
         out = LiveEdge{c.dst, c.weight, cal_pos_of(block, slot)};
-        --occupied(block);
         set_occupancy(block, slot, false);
         return true;
     }
-    assert(false && "occupied count out of sync");
     return false;
 }
 
@@ -807,12 +799,10 @@ EdgeblockArray::EraseResult EdgeblockArray::erase(std::uint32_t& top,
     if (!compact_delete_) {
         // Delete-only: tombstone the cell; probing sees the slot as vacant
         // for future inserts but nothing shrinks.
-        --occupied(loc->block);
         set_occupancy(loc->block, loc->slot, false);
         set_tombstone(loc->block, loc->slot, true);
         return EraseResult{true, cal_pos, weight};
     }
-    --occupied(loc->block);
     set_occupancy(loc->block, loc->slot, false);
     refill_hole(loc->block, loc->sb, loc->slot);
     // Prune the now-possibly-empty tail of the hash path so the structure
@@ -946,7 +936,6 @@ std::uint32_t EdgeblockArray::rebuild_tree(std::uint32_t& top) {
                 down = kNoBlock;
             }
         }
-        occupied(block) = 0;
         free_block(block);
     }
     top = kNoBlock;

@@ -14,9 +14,10 @@
 // destination id hashes to a home cell; on collision the probe distances of
 // the incoming and resident edges compete and the "richer" edge is displaced
 // and continues probing (wrapping within the subblock). In delete-and-
-// compact mode RHH swapping is disabled (paper §III.C) and deletion holes
-// are refilled by pulling the deepest descendant edge on the same hash path
-// back up, freeing emptied edgeblocks.
+// compact mode RHH swapping is disabled (paper §III.C) and a deletion hole
+// in a window that links a child is refilled from that child's subtree
+// (extract_deepest: down the lowest-indexed non-empty child at each level,
+// then that block's first live edge), freeing emptied edgeblocks.
 //
 // Level 0 is degree-adaptive. Whenever PAGEWIDTH > SUBBLOCK there are two
 // block sizes, each in its own pooled arena: *wide* blocks of PAGEWIDTH
@@ -39,9 +40,10 @@
 // per-block array is 64-byte aligned (util/line_alloc.hpp), an edge-cell is
 // 8 bytes, so a default 8-cell subblock window is exactly one line, and a
 // block's interleaved occupancy/tombstone words share one line. A cell's
-// state lives in those masks, its Robin Hood displacement is recomputed
-// from the hash, and its CAL pointer sits in a parallel per-cell array that
-// is touched only when an edge is placed, moved, erased or re-weighted.
+// state lives in those masks, a block's live count is their popcount, its
+// Robin Hood displacement is recomputed from the hash, and its CAL pointer
+// sits in a parallel per-cell array that is touched only when an edge is
+// placed, moved, erased or re-weighted.
 #pragma once
 
 #include <bit>
@@ -390,14 +392,14 @@ public:
         return pagewidth_ > subblock_;
     }
     /// Bytes one block of class `c` holds: cells + CAL pointers +
-    /// occupancy and tombstone masks + the occupied counter, plus the child
-    /// handles of a wide block. 820 B wide and 116 B narrow at 64/8/4.
+    /// occupancy and tombstone masks, plus the child handles of a wide
+    /// block. 816 B wide and 112 B narrow at 64/8/4.
     [[nodiscard]] std::size_t block_bytes(BlockClass c) const noexcept {
         const Arena& a = arenas_[static_cast<std::size_t>(c)];
         return static_cast<std::size_t>(a.width) *
                    (sizeof(EdgeCell) + sizeof(std::uint32_t)) +
                (c == BlockClass::Wide ? spb_ * sizeof(std::uint32_t) : 0) +
-               2 * a.words * sizeof(std::uint64_t) + sizeof(std::uint32_t);
+               2 * a.words * sizeof(std::uint64_t);
     }
     /// Bytes held by in-use blocks, each class at its full size.
     /// Free-listed blocks are excluded — this is the footprint reclamation
@@ -450,10 +452,6 @@ public:
     };
     /// Depth (generations) of the block tree under `top`; 0 for kNoBlock.
     [[nodiscard]] std::uint32_t subtree_depth(std::uint32_t top) const;
-    /// Live cells in one block.
-    [[nodiscard]] std::uint32_t occupied_in(std::uint32_t block) const {
-        return occupied(block);
-    }
     [[nodiscard]] std::uint32_t pagewidth() const noexcept { return pagewidth_; }
 
 private:
@@ -473,7 +471,6 @@ private:
         std::uint32_t words = 0;  // occupancy-mask words per block
         LineVector<EdgeCell> cells;
         LineVector<std::uint32_t> cal_pos;  // per cell; valid while occupied
-        LineVector<std::uint32_t> occupied;
         LineVector<std::uint64_t> masks;  // occupancy/tombstone, interleaved
         /// Recycled block indices. Its capacity tracks `storage`, so a free
         /// never reallocates.
@@ -519,11 +516,14 @@ private:
                                            std::uint32_t slot) const {
         return arena(h).cal_pos[index(h, slot)];
     }
-    [[nodiscard]] std::uint32_t& occupied(std::uint32_t h) {
-        return arena(h).occupied[block_index(h)];
-    }
-    [[nodiscard]] std::uint32_t occupied(std::uint32_t h) const {
-        return arena(h).occupied[block_index(h)];
+    /// Live cells in block `h`: the popcount of its occupancy words, on
+    /// the mask line every caller has already read.
+    [[nodiscard]] std::uint32_t occupied(std::uint32_t h) const noexcept {
+        std::uint32_t live = 0;
+        for (std::uint32_t w = 0; w < arena(h).words; ++w) {
+            live += static_cast<std::uint32_t>(std::popcount(occ_mask(h, w)));
+        }
+        return live;
     }
     /// Child slots of a block: spb_ for a wide block, none for a narrow one.
     [[nodiscard]] std::uint32_t fanout(std::uint32_t h) const noexcept {
@@ -631,8 +631,11 @@ private:
     /// Bottom-up un-branch of one block's children.
     std::uint32_t unbranch_block(std::uint32_t block);
     [[nodiscard]] bool subtree_is_empty(std::uint32_t block) const;
-    /// Removes and returns the deepest edge in `block`'s subtree; false when
-    /// the subtree holds no edges. Prunes empty descendants as it unwinds.
+    /// Removes and returns one edge of `block`'s subtree: it descends the
+    /// lowest-indexed non-empty child at each level and takes the first live
+    /// cell of the leaf block where the descent ends (not the deepest edge
+    /// on any particular hash path). False when the subtree holds no edges.
+    /// Prunes empty descendants as it unwinds.
     bool extract_deepest(std::uint32_t block, LiveEdge& out);
     void refill_hole(std::uint32_t block, std::uint32_t sb, std::uint32_t slot);
     void prune_path(std::uint32_t top, VertexId dst);
@@ -715,7 +718,6 @@ private:
         const std::size_t i = index(block, slot);
         a.cells[i] = EdgeCell{e.dst, e.weight};
         a.cal_pos[i] = e.cal_pos;
-        ++a.occupied[block_index(block)];
         set_occupancy(block, slot, true);
         set_tombstone(block, slot, false);
     }

@@ -17,7 +17,7 @@ GraphTinker::GraphTinker(Config config)
       cal_(config.cal_group_size, config.cal_block_edges, obs_.get()),
       eba_(config_, config.enable_cal ? &cal_ : nullptr, obs_.get()) {
     config_.validate();
-    top_.reserve(config_.initial_vertices);
+    props_.reserve(config_.initial_vertices);
     if (config_.reserve_edges > 0 && config_.enable_cal) {
         cal_.reserve(config_.reserve_edges);
     }
@@ -32,26 +32,18 @@ GraphTinker::GraphTinker(Config config)
 
 VertexId GraphTinker::map_source(VertexId raw) {
     if (config_.enable_sgh) {
-        // top_ and props_ cover exactly the dense ids SGH has handed out.
-        // Their room for one more entry is made first, so a failed growth
+        // The main region covers exactly the dense ids SGH has handed out.
+        // Its room for one more record is made first, so a failed growth
         // leaves the mapping unchanged.
-        if (top_.size() == top_.capacity()) {
-            top_.reserve(std::max<std::size_t>(16, 2 * top_.capacity()));
+        if (props_.size() == props_.capacity()) {
+            props_.reserve(std::max<std::size_t>(16, 2 * props_.capacity()));
         }
-        props_.reserve(top_.capacity());
         const VertexId dense = sgh_.get_or_assign(raw);
-        if (dense == top_.size()) {
-            top_.push_back(EdgeblockArray::kNoBlock);
-            props_.ensure(dense);
-        }
+        props_.ensure(dense);  // a new id is the next record: no growth
         return dense;
     }
     // SGH disabled: raw ids index the main region directly, so the swept id
     // space is as large as the largest id ever streamed.
-    if (raw >= top_.size()) {
-        top_.resize(static_cast<std::size_t>(raw) + 1,
-                    EdgeblockArray::kNoBlock);
-    }
     props_.ensure(raw);
     return raw;
 }
@@ -60,7 +52,7 @@ std::optional<VertexId> GraphTinker::dense_of(VertexId raw) const {
     if (config_.enable_sgh) {
         return sgh_.lookup(raw);
     }
-    if (raw < top_.size()) {
+    if (raw < props_.size()) {
         return raw;
     }
     return std::nullopt;
@@ -141,7 +133,8 @@ bool GraphTinker::insert_resolved(VertexId dense, VertexId raw_src,
     // points) therefore leaves this edge un-applied and the store
     // untouched, which is what makes a mid-batch failure cleanly
     // roll-backable from the undo journal alone.
-    eba_.prepare_insert(top_[dense]);
+    std::uint32_t& top = props_[dense].top;
+    eba_.prepare_insert(top);
     if (config_.enable_cal) {
         if (app != nullptr) {
             app->prepare();
@@ -149,7 +142,7 @@ bool GraphTinker::insert_resolved(VertexId dense, VertexId raw_src,
             cal_.prepare_append(dense);
         }
     }
-    const auto probe = eba_.probe_insert(top_[dense], dst, weight);
+    const auto probe = eba_.probe_insert(top, dst, weight);
     using Kind = EdgeblockArray::ProbeResult::Kind;
     switch (probe.kind) {
         case Kind::Duplicate:
@@ -190,8 +183,8 @@ bool GraphTinker::insert_resolved(VertexId dense, VertexId raw_src,
                               : cal_.insert(dense, raw_src, dst, weight,
                                             CellRef{});
             }
-            eba_.insert_new(top_[dense], dst, weight, cal_pos,
-                            probe.resume_block, probe.resume_level);
+            eba_.insert_new(top, dst, weight, cal_pos, probe.resume_block,
+                            probe.resume_level);
             break;
         }
     }
@@ -253,23 +246,24 @@ bool GraphTinker::delete_edge(VertexId src, VertexId dst) {
 
 bool GraphTinker::delete_resolved(VertexId dense, VertexId raw_src,
                                   VertexId dst, bool defer_cal) {
-    if (top_[dense] == EdgeblockArray::kNoBlock) {
+    VertexProperty& rec = props_[dense];
+    if (rec.top == EdgeblockArray::kNoBlock) {
         return false;
     }
     // Erase pre-flight: the narrow block a demotion takes, the "cal.grow"
     // fail point and room on SGH's free list for the id an emptied tree
     // returns, all up front, so a compacting erase cannot throw
     // mid-mutation.
-    eba_.prepare_erase(top_[dense]);
+    eba_.prepare_erase(rec.top);
     if (config_.enable_cal) {
         cal_.prepare_erase();
     }
     prepare_release();
-    const auto result = eba_.erase(top_[dense], dst);
+    const auto result = eba_.erase(rec.top, dst);
     if (!result.found) {
         return false;
     }
-    --props_[dense].degree;
+    --rec.degree;
     --num_edges_;
     if (config_.enable_cal && result.cal_pos != kNoCalPos) {
         const bool compact =
@@ -393,7 +387,7 @@ std::span<const GraphTinker::SourceRun> GraphTinker::resolve_runs(
         }
         if (const auto dense = dense_of(src)) {
             ingest_runs_.push_back(SourceRun{
-                src, *dense, top_[*dense], static_cast<std::uint32_t>(i),
+                src, *dense, props_[*dense].top, static_cast<std::uint32_t>(i),
                 static_cast<std::uint32_t>(end)});
         } else if (inserts) {
             // An unmapped source is mapped by the apply loop, right before
@@ -425,8 +419,8 @@ void GraphTinker::prefetch_ahead(std::span<const SourceRun> runs,
         return;
     }
     eba_.prefetch_probe(run.top, ingest_sorted_[pos].dst);
-    // The run's degree update is another random line; a source the insert
-    // loop has yet to map has no entry to warm.
+    // The run's record (its top handle and degree) is another random line;
+    // a source the insert loop has yet to map has no record to warm.
     if (pos == run.begin && run.dense != kInvalidVertex) {
         simd::prefetch_write(&props_[run.dense]);
     }
@@ -771,14 +765,15 @@ std::optional<Weight> GraphTinker::find_edge(VertexId src,
     if (!dense) {
         return std::nullopt;
     }
-    return eba_.find(top_[*dense], dst);
+    return eba_.find(props_[*dense].top, dst);
 }
 
 std::size_t GraphTinker::num_nonempty_vertices() const noexcept {
-    return static_cast<std::size_t>(
-        std::count_if(top_.begin(), top_.end(), [](std::uint32_t top) {
-            return top != EdgeblockArray::kNoBlock;
-        }));
+    std::size_t n = 0;
+    for (VertexId dense = 0; dense < props_.size(); ++dense) {
+        n += props_[dense].top != EdgeblockArray::kNoBlock ? 1 : 0;
+    }
+    return n;
 }
 
 std::uint32_t GraphTinker::degree(VertexId raw_src) const {
@@ -791,10 +786,13 @@ std::uint32_t GraphTinker::degree(VertexId raw_src) const {
 
 GraphTinker::MemoryFootprint GraphTinker::memory_footprint() const {
     MemoryFootprint out;
-    out.edgeblock_bytes =
-        eba_.memory_bytes() + top_.size() * sizeof(std::uint32_t);
+    // A main-region record's top handle counts with the EdgeblockArray and
+    // its degree as the vertex property, so each mem.* gauge keeps naming
+    // one component's bytes.
+    constexpr std::size_t kTopBytes = sizeof(VertexProperty::top);
+    out.edgeblock_bytes = eba_.memory_bytes() + props_.size() * kTopBytes;
     out.edgeblock_capacity_bytes =
-        eba_.memory_capacity_bytes() + top_.size() * sizeof(std::uint32_t);
+        eba_.memory_capacity_bytes() + props_.capacity() * kTopBytes;
     if (config_.enable_cal) {
         out.cal_bytes = cal_.memory_bytes();
         out.cal_capacity_bytes = cal_.memory_capacity_bytes();
@@ -802,7 +800,7 @@ GraphTinker::MemoryFootprint GraphTinker::memory_footprint() const {
     if (config_.enable_sgh) {
         out.sgh_bytes = sgh_.memory_bytes();
     }
-    out.props_bytes = props_.memory_bytes();
+    out.props_bytes = props_.size() * sizeof(VertexProperty::degree);
     return out;
 }
 
@@ -850,7 +848,7 @@ std::uint32_t GraphTinker::tree_depth(VertexId src) const {
     if (!dense) {
         return 0;
     }
-    return eba_.subtree_depth(top_[*dense]);
+    return eba_.subtree_depth(props_[*dense].top);
 }
 
 }  // namespace gt::core

@@ -144,12 +144,13 @@ public:
     /// keeps an emptied source's tombstoned top until maintain(). A census
     /// over the main region, O(main_region_size()).
     [[nodiscard]] std::size_t num_nonempty_vertices() const noexcept;
-    /// Dense ids the main region (the top-block table) spans. With SGH an
-    /// emptied source's id is recycled, so this is the peak number of
-    /// sources mapped at once; without SGH it is the raw id range.
-    /// Maintenance and full EdgeblockArray sweeps walk this many entries.
+    /// Dense ids the main region (one {top, degree} record per id) spans.
+    /// With SGH an emptied source's id is recycled, so this is the peak
+    /// number of sources mapped at once; without SGH it is the raw id
+    /// range. Maintenance and full EdgeblockArray sweeps walk this many
+    /// entries.
     [[nodiscard]] std::size_t main_region_size() const noexcept {
-        return top_.size();
+        return props_.size();
     }
     /// Main-region ids on SGH's free list, waiting for the next new source
     /// (0 without SGH).
@@ -171,7 +172,7 @@ public:
         if (!dense) {
             return true;
         }
-        return eba_.visit_edges_of(top_[*dense], fn);
+        return eba_.visit_edges_of(props_[*dense].top, fn);
     }
 
     /// Streams every live edge: fn(src, dst, weight), void- or
@@ -190,10 +191,10 @@ public:
     /// (exposed for the CAL ablation experiments).
     template <typename Fn>
     bool visit_edges_via_eba(Fn&& fn) const {
-        for (VertexId dense = 0; dense < top_.size(); ++dense) {
+        for (VertexId dense = 0; dense < props_.size(); ++dense) {
             const VertexId raw = raw_of(dense);
             const bool complete = eba_.visit_edges_of(
-                top_[dense], [&](VertexId dst, Weight w) {
+                props_[dense].top, [&](VertexId dst, Weight w) {
                     return visit_step(fn, raw, dst, w);
                 });
             if (!complete) {
@@ -226,13 +227,14 @@ public:
     /// Byte-level footprint of each component (the compaction story in
     /// numbers: bytes per live edge falls as SGH/CAL keep the arena dense).
     struct MemoryFootprint {
-        std::size_t edgeblock_bytes = 0;  // cells + children + masks + meta
+        std::size_t edgeblock_bytes = 0;  // blocks + the records' top handles
         std::size_t cal_bytes = 0;        // CAL pool + chain metadata
         std::size_t sgh_bytes = 0;        // id-mapping tables
-        std::size_t props_bytes = 0;      // vertex property array
+        std::size_t props_bytes = 0;      // the records' degrees
         /// Arena capacity high-water marks (in-use + free-listed + growth
-        /// slack). The in-use figures above shrink as maintenance reclaims
-        /// blocks; these do not — storage is recycled, never unmapped.
+        /// slack; the top handles at the records' capacity). The in-use
+        /// figures above shrink as maintenance reclaims blocks; these do
+        /// not — storage is recycled, never unmapped.
         std::size_t edgeblock_capacity_bytes = 0;
         std::size_t cal_capacity_bytes = 0;
         [[nodiscard]] std::size_t total() const noexcept {
@@ -278,7 +280,8 @@ private:
     /// and the next new source reuses it. No-op while the source holds a
     /// top, and without SGH (raw ids index the main region).
     void release_if_empty(VertexId dense) noexcept {
-        if (config_.enable_sgh && top_[dense] == EdgeblockArray::kNoBlock) {
+        if (config_.enable_sgh &&
+            props_[dense].top == EdgeblockArray::kNoBlock) {
             sgh_.release(dense);
         }
     }
@@ -352,10 +355,10 @@ private:
     void materialize_sorted(std::span<const Edge> batch);
     /// One source run of a sorted batch: positions [begin, end) of
     /// ingest_sorted_ share `src`, resolved to `dense` before application
-    /// (kInvalidVertex for a source not yet mapped). `top` snapshots
-    /// top_[dense] at resolve time — a prefetch hint only (kNoBlock for
+    /// (kInvalidVertex for a source not yet mapped). `top` snapshots the
+    /// record's top at resolve time — a prefetch hint only (kNoBlock for
     /// unmapped sources, and the apply loop may re-root the tree), but it
-    /// spares the lookahead a second random top_ read.
+    /// spares the lookahead a second random read of the record.
     struct SourceRun {
         VertexId src;
         VertexId dense;
@@ -372,7 +375,8 @@ private:
     /// `cursor` forward through ingest_runs_ to find its run (amortized
     /// O(1): both advance monotonically). `deep` selects the second stage
     /// (child chase) instead of the level-0 warm-up; the warm-up also
-    /// requests a mapped source's degree entry at its run's first edge.
+    /// requests a mapped source's record (top and degree) at its run's
+    /// first edge.
     void prefetch_ahead(std::span<const SourceRun> runs, std::size_t& cursor,
                         std::size_t pos, bool deep) const;
     /// Read-only dense lookup; empty when the source is not mapped.
@@ -393,8 +397,7 @@ private:
     ScatterGatherHash sgh_;
     CoarseAdjacencyList cal_;
     EdgeblockArray eba_;
-    VertexPropertyArray props_;
-    std::vector<std::uint32_t> top_;  // dense id -> top-parent block handle
+    VertexPropertyArray props_;  // the main region: dense id -> {top, degree}
     EdgeCount num_edges_ = 0;
     VertexId raw_bound_ = 0;
     /// See mutation_epoch(). Release on bump / acquire on read so an epoch

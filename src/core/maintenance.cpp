@@ -14,7 +14,7 @@ public:
         // Purge rebuilds go through the regular INSERT cascade; defer their
         // probe-counter flushes to one batch like the ingest paths do.
         const EdgeblockArray::StatsBatchScope stats_scope{g_.eba_};
-        for (VertexId dense = 0; dense < g_.top_.size(); ++dense) {
+        for (VertexId dense = 0; dense < g_.props_.size(); ++dense) {
             maintain_tree(dense);
         }
         compact_cal();
@@ -27,7 +27,7 @@ public:
 
 private:
     void maintain_tree(VertexId dense) {
-        std::uint32_t& top = g_.top_[dense];
+        std::uint32_t& top = g_.props_[dense].top;
         if (top == EdgeblockArray::kNoBlock) {
             ++cost_;
             return;

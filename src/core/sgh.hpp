@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "rhh/robin_hood_map.hpp"
+#include "util/line_alloc.hpp"
 #include "util/types.hpp"
 
 namespace gt::core {
@@ -110,7 +111,7 @@ private:
     static constexpr std::size_t kMinFreeCapacity = 16;
 
     RobinHoodMap<VertexId, VertexId> map_;
-    std::vector<VertexId> dense_to_raw_;
+    LineVector<VertexId> dense_to_raw_;
     std::vector<VertexId> free_;  // LIFO: the next assignment pops back()
 
     // Structural auditor + test-only corruption hook (core/audit.hpp).

@@ -1,18 +1,22 @@
-// VertexPropertyArray (paper §III.B): per-vertex metadata indexed by the
-// dense (hashed) source id — the live out-degree. SGH's reverse table holds
-// each dense id's raw id.
+// VertexPropertyArray (paper §III.B): the main region, one record per dense
+// (hashed) source id — the handle of the source's top-parent edgeblock and
+// its live out-degree, side by side, so an update reads both from one line.
+// SGH's reverse table holds each dense id's raw id.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
+#include "core/edgeblock_array.hpp"
+#include "util/line_alloc.hpp"
 #include "util/types.hpp"
 
 namespace gt::core {
 
 struct VertexProperty {
-    std::uint32_t degree = 0;  // live out-edges
+    std::uint32_t top = EdgeblockArray::kNoBlock;  // top-parent block handle
+    std::uint32_t degree = 0;                      // live out-edges
 };
+static_assert(sizeof(VertexProperty) == 8, "a main-region record is 8 B");
 
 class VertexPropertyArray {
 public:
@@ -35,13 +39,12 @@ public:
     void reserve(std::size_t n) { props_.reserve(n); }
 
     [[nodiscard]] std::size_t size() const noexcept { return props_.size(); }
-
-    [[nodiscard]] std::size_t memory_bytes() const noexcept {
-        return props_.size() * sizeof(VertexProperty);
+    [[nodiscard]] std::size_t capacity() const noexcept {
+        return props_.capacity();
     }
 
 private:
-    std::vector<VertexProperty> props_;
+    LineVector<VertexProperty> props_;
 };
 
 }  // namespace gt::core

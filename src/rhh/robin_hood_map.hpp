@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "util/hash.hpp"
+#include "util/line_alloc.hpp"
 #include "util/simd.hpp"
 
 namespace gt {
@@ -239,7 +240,7 @@ private:
 
     void rehash(std::size_t new_capacity) {
         // Allocate first: a failed allocation leaves the current table.
-        std::vector<Slot> old(new_capacity);
+        LineVector<Slot> old(new_capacity);
         old.swap(slots_);
         size_ = 0;
         for (Slot& slot : old) {
@@ -249,7 +250,7 @@ private:
         }
     }
 
-    std::vector<Slot> slots_;
+    LineVector<Slot> slots_;
     std::size_t size_ = 0;
 };
 

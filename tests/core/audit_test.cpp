@@ -257,6 +257,9 @@ TEST(Audit, DetectsMappedIdOnFreeListAsSghBijectionOnly) {
 }
 
 TEST(Audit, DetectsOccupancyDrift) {
+    // A block's live count is the popcount of its occupancy words, so a
+    // vanished cell leaves no counter behind to disagree with. The source's
+    // degree, the edge's CAL copy and the global edge count still name it.
     GraphTinker g(small_config());
     load_dense(g);
     const Edge target = first_edge_of(g, 2);
@@ -264,9 +267,24 @@ TEST(Audit, DetectsOccupancyDrift) {
     ASSERT_TRUE(CorruptionInjector::vanish_cell(g, 2, target.dst));
     const AuditReport report = g.audit();
     ASSERT_FALSE(report.ok());
-    EXPECT_TRUE(report.has(AuditCheck::Occupancy)) << report.to_string();
+    EXPECT_TRUE(report.has(AuditCheck::DegreeAccounting))
+        << report.to_string();
+    EXPECT_TRUE(report.has(AuditCheck::CalReverse)) << report.to_string();
     EXPECT_TRUE(report.has(AuditCheck::EdgeAccounting))
         << report.to_string();
+}
+
+TEST(Audit, DetectsTombstonedLiveCellAsOccupancyOnly) {
+    GraphTinker g(small_config());
+    load_dense(g);
+    const Edge target = first_edge_of(g, 2);
+    ASSERT_NE(target.dst, kInvalidVertex);
+    ASSERT_TRUE(CorruptionInjector::tombstone_live_cell(g, 2, target.dst));
+    const AuditReport report = g.audit();
+    ASSERT_FALSE(report.ok());
+    for (const AuditViolation& v : report.violations) {
+        EXPECT_EQ(v.check, AuditCheck::Occupancy) << v.to_string();
+    }
 }
 
 TEST(Audit, ReportTruncatesInsteadOfExploding) {

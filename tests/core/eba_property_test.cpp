@@ -210,7 +210,7 @@ TEST(EbaMemory, BytesTrackBlocksInUse) {
     eba.insert(top, 1, 1);
     // A new vertex starts on a narrow top.
     EXPECT_EQ(eba.memory_bytes(), eba.block_bytes(BlockClass::Narrow));
-    EXPECT_EQ(eba.block_bytes(BlockClass::Narrow), 116u);
+    EXPECT_EQ(eba.block_bytes(BlockClass::Narrow), 112u);
     for (VertexId d = 0; d < 2000; ++d) {
         eba.insert(top, d, 1);
     }
@@ -219,7 +219,7 @@ TEST(EbaMemory, BytesTrackBlocksInUse) {
     EXPECT_GT(eba.blocks_in_use(BlockClass::Wide), 1u);
     EXPECT_EQ(eba.memory_bytes(), eba.blocks_in_use(BlockClass::Wide) *
                                       eba.block_bytes(BlockClass::Wide));
-    EXPECT_EQ(eba.block_bytes(BlockClass::Wide), 820u);
+    EXPECT_EQ(eba.block_bytes(BlockClass::Wide), 816u);
 }
 
 }  // namespace

@@ -225,20 +225,21 @@ TEST(EdgeblockArray, WorkblockFetchesAreCounted) {
     EXPECT_GT(fetched.value(), before);
 }
 
-TEST(EbaLayout, CellsAreEightBytesAndBlocksAre820) {
+TEST(EbaLayout, CellsAreEightBytesAndBlocksAre816) {
     // Default geometry 64/8/4. A wide block: 64 x 8 B cells + 64 x 4 B CAL
-    // pointers + 8 x 4 B child handles + 2 x 8 B mask words + a 4 B
-    // occupied counter. A narrow top is one 8-cell window: 8 x 8 B cells +
-    // 8 x 4 B CAL pointers + 2 x 8 B mask words + the counter.
+    // pointers + 8 x 4 B child handles + 2 x 8 B mask words. A narrow top
+    // is one 8-cell window: 8 x 8 B cells + 8 x 4 B CAL pointers + 2 x 8 B
+    // mask words. No block stores a live count: it is the popcount of its
+    // occupancy words.
     static_assert(sizeof(EdgeCell) == 8);
     EdgeblockArray eba(Config{}, nullptr);
-    EXPECT_EQ(eba.block_bytes(BlockClass::Wide), 820u);
-    EXPECT_EQ(eba.block_bytes(BlockClass::Narrow), 116u);
+    EXPECT_EQ(eba.block_bytes(BlockClass::Wide), 816u);
+    EXPECT_EQ(eba.block_bytes(BlockClass::Narrow), 112u);
     std::uint32_t top = EdgeblockArray::kNoBlock;
     eba.insert(top, 1, 1);
     ASSERT_EQ(eba.blocks_in_use(), 1u);
     EXPECT_TRUE(EdgeblockArray::is_narrow(top));
-    EXPECT_EQ(eba.memory_bytes(), 116u);
+    EXPECT_EQ(eba.memory_bytes(), 112u);
     // The ninth edge finds the window full: the top is promoted and every
     // block in use is a wide one.
     for (VertexId d = 2; d <= 9; ++d) {
@@ -247,7 +248,7 @@ TEST(EbaLayout, CellsAreEightBytesAndBlocksAre820) {
     EXPECT_FALSE(EdgeblockArray::is_narrow(top));
     EXPECT_EQ(eba.blocks_in_use(BlockClass::Narrow), 0u);
     EXPECT_GE(eba.blocks_in_use(BlockClass::Wide), 1u);
-    EXPECT_EQ(eba.memory_bytes(), eba.blocks_in_use(BlockClass::Wide) * 820u);
+    EXPECT_EQ(eba.memory_bytes(), eba.blocks_in_use(BlockClass::Wide) * 816u);
 }
 
 /// Subblock windows of class `c` that do not start on a line boundary or

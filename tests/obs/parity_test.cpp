@@ -54,7 +54,8 @@ TEST(ObsParity, GaugesMatchAuditCensusAfterChurn) {
     EXPECT_DOUBLE_EQ(snap.gauge_value("cal.live_edges"),
                      static_cast<double>(report.live_edges));
     // The EdgeblockArray footprint: each size class the audit reached at
-    // its block size, plus the top-block table.
+    // its block size (816 B wide, 112 B narrow at 64/8/4), plus the top
+    // handle of every main-region record.
     const EdgeblockArray& eba = g.edgeblock_array();
     EXPECT_GT(report.narrow_blocks, 0u);
     EXPECT_GT(report.wide_blocks, 0u);
@@ -68,7 +69,7 @@ TEST(ObsParity, GaugesMatchAuditCensusAfterChurn) {
         static_cast<double>(
             report.wide_blocks * eba.block_bytes(BlockClass::Wide) +
             report.narrow_blocks * eba.block_bytes(BlockClass::Narrow) +
-            g.main_region_size() * sizeof(std::uint32_t)));
+            g.main_region_size() * sizeof(VertexProperty::top)));
 
     // The per-source tables: SGH and the vertex properties at their
     // footprint, and the recycled ids the audit finds unclaimed.
@@ -78,6 +79,8 @@ TEST(ObsParity, GaugesMatchAuditCensusAfterChurn) {
                      static_cast<double>(mem.sgh_bytes));
     EXPECT_DOUBLE_EQ(snap.gauge_value("mem.props_bytes"),
                      static_cast<double>(mem.props_bytes));
+    EXPECT_EQ(mem.props_bytes,
+              g.main_region_size() * sizeof(VertexProperty::degree));
     EXPECT_DOUBLE_EQ(snap.gauge_value("mem.total_bytes"),
                      static_cast<double>(mem.total()));
     EXPECT_GT(report.free_ids, 0u);
