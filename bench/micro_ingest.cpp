@@ -8,7 +8,9 @@
 // prefetches the next run's edgeblock and probes with the bit-parallel
 // kernel. `speedup_batch100k` records fast path vs baseline at the largest
 // batch; the CI perf-smoke job fails when `--check` sees it below 0.5x
-// (a >2x regression).
+// (a >2x regression). The ungated batch-1 and batch-16 ratios to per-edge
+// are printed: batch 1 runs through the solo op, batch 16 (serve_mixed's
+// write size) through the sorted path.
 //
 // The wal_buffered / wal_fsync rows re-run the batch path with a WAL
 // attached (buffered group commit vs fsync-per-batch). The durability
@@ -226,7 +228,8 @@ int main(int argc, char** argv) {
                                  std::span<const Edge> s) {
         (void)st.insert_batch(s);
     };
-    for (const std::size_t batch : {std::size_t{1}, std::size_t{1000}}) {
+    for (const std::size_t batch :
+         {std::size_t{1}, std::size_t{16}, std::size_t{1000}}) {
         rows.push_back(measure("batch", batch, reps,
                                std::span<const Edge>(edges), batch,
                                fresh_single, apply_single, no_finish));
@@ -302,6 +305,8 @@ int main(int argc, char** argv) {
     std::remove(wal_path.c_str());
 
     double baseline = 0.0;
+    double batch1 = 0.0;
+    double batch16 = 0.0;
     double batch100k = 0.0;
     double sharded8_100k = 0.0;
     double sharded8_1 = 0.0;
@@ -309,6 +314,12 @@ int main(int argc, char** argv) {
     for (const Row& row : rows) {
         if (row.mode == "per_edge") {
             baseline = row.edges_per_sec;
+        }
+        if (row.mode == "batch" && row.batch_size == 1) {
+            batch1 = row.edges_per_sec;
+        }
+        if (row.mode == "batch" && row.batch_size == 16) {
+            batch16 = row.edges_per_sec;
         }
         if (row.mode == "batch" && row.batch_size == 100000) {
             batch100k = row.edges_per_sec;
@@ -326,6 +337,8 @@ int main(int argc, char** argv) {
     }
     table.print(std::cout);
     const double speedup = baseline > 0.0 ? batch100k / baseline : 0.0;
+    const double batch1_ratio = baseline > 0.0 ? batch1 / baseline : 0.0;
+    const double batch16_ratio = baseline > 0.0 ? batch16 / baseline : 0.0;
     const double wal_overhead = median(wal_ratios);
     const double scaling_8x = batch100k > 0.0 ? sharded8_100k / batch100k : 0.0;
     const double sharded_batch1_ratio =
@@ -333,6 +346,9 @@ int main(int argc, char** argv) {
     const unsigned hw = std::thread::hardware_concurrency();
     std::cout << "\nspeedup (batch 100k vs per-edge): "
               << Table::fmt(speedup, 2) << "x\n";
+    std::cout << "small batches vs per-edge: batch 1 "
+              << Table::fmt(batch1_ratio, 2) << "x, batch 16 "
+              << Table::fmt(batch16_ratio, 2) << "x\n";
     std::cout << "wal overhead (buffered WAL vs no WAL, batch 100k; median of "
               << wal_pairs << " paired ratios): " << Table::fmt(wal_overhead, 2)
               << "x\n";

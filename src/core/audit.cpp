@@ -864,8 +864,9 @@ bool CorruptionInjector::punch_cal_hole(GraphTinker& graph, VertexId src,
     // it marks a hole and never refills it.
     CoarseAdjacencyList& cal = graph.cal_;
     const auto old = cal.pool_[cal_pos];
-    const std::uint32_t moved_to = cal.insert(*graph.dense_of(src), old.src,
-                                              old.dst, old.weight, old.owner);
+    const std::uint32_t moved_to = cal.appender(*graph.dense_of(src))
+                                       .append(old.src, old.dst, old.weight,
+                                               old.owner);
     cal.pool_[cal_pos].src = kInvalidVertex;
     --cal.live_;
     cal_pos = moved_to;

@@ -67,17 +67,9 @@ void CoarseAdjacencyList::reserve_headroom() {
     }
 }
 
-void CoarseAdjacencyList::prepare_append(VertexId dense_src) {
-    const std::uint32_t group = dense_src / group_size_;
-    if (group >= groups_.size()) {
-        groups_.resize(static_cast<std::size_t>(group) + 1);
-    }
-    prepare_append_group(group);
-}
-
-void CoarseAdjacencyList::prepare_append_group(std::uint32_t /*group*/) {
+void CoarseAdjacencyList::Appender::prepare() {
     GT_FAILPOINT("cal.grow");
-    reserve_headroom();
+    cal_->reserve_headroom();
 }
 
 void CoarseAdjacencyList::prepare_erase() {
@@ -85,16 +77,6 @@ void CoarseAdjacencyList::prepare_erase() {
     if (free_.capacity() < blocks_.size()) {
         free_.reserve(blocks_.size());
     }
-}
-
-std::uint32_t CoarseAdjacencyList::insert(VertexId dense_src, VertexId raw_src,
-                                          VertexId dst, Weight weight,
-                                          CellRef owner) {
-    const std::uint32_t group = dense_src / group_size_;
-    if (group >= groups_.size()) {
-        groups_.resize(static_cast<std::size_t>(group) + 1);
-    }
-    return insert_in_group(group, raw_src, dst, weight, owner);
 }
 
 std::uint32_t CoarseAdjacencyList::insert_in_group(std::uint32_t group,

@@ -51,39 +51,33 @@ public:
         blocks_.reserve(expected_edges / block_edges_ + 2);
     }
 
-    /// Appends a copy of (raw_src, dst, weight) to the chain of the group of
-    /// `dense_src`, growing it by one block if the tail is full. Returns the
-    /// CAL position to store in the owning edge-cell.
-    std::uint32_t insert(VertexId dense_src, VertexId raw_src, VertexId dst,
-                         Weight weight, CellRef owner);
-
-    /// Growth pre-flight for one append to `dense_src`'s chain: creates the
-    /// group slot and reserves enough pool/metadata/free-list capacity that
-    /// the append itself cannot hit an allocating (throwing) operation. All
-    /// throwing work — including the "cal.grow" fail point — happens here,
-    /// before the caller mutates anything, so a mid-batch allocation failure
-    /// rolls back cleanly.
-    void prepare_append(VertexId dense_src);
-
     /// Pre-flight for one erase: the "cal.grow" fail point plus free-list
     /// headroom, so a compacting erase that frees an emptied tail block
     /// cannot throw out of free_tail_block.
     void prepare_erase();
 
-    /// Amortized append handle for a run of inserts that all target the same
-    /// dense source: the group resolution (a division plus a bounds-checked
-    /// resize) runs once at construction instead of per edge. Valid only
-    /// while no interleaved erase/compaction runs on the list.
+    /// Append handle for one dense source's group, the list's only way in.
+    /// The group resolution (a division plus a bounds-checked resize) runs
+    /// once at construction, so a batch's source run pays it once, not per
+    /// edge. Valid only while no interleaved erase/compaction runs on the
+    /// list.
     class Appender {
     public:
+        /// Growth pre-flight for one append: reserves enough pool,
+        /// metadata and free-list capacity that the append itself cannot
+        /// hit an allocating (throwing) operation. All throwing work —
+        /// including the "cal.grow" fail point — happens here, before the
+        /// caller mutates anything, so a mid-batch allocation failure rolls
+        /// back cleanly.
+        void prepare();
+
+        /// Appends a copy of (raw_src, dst, weight) to the group's chain,
+        /// growing it by one block if the tail is full. Returns the CAL
+        /// position to store in the owning edge-cell.
         std::uint32_t append(VertexId raw_src, VertexId dst, Weight weight,
                              CellRef owner) {
             return cal_->insert_in_group(group_, raw_src, dst, weight, owner);
         }
-
-        /// prepare_append for the already-resolved group (skips the group
-        /// division on the batch hot path).
-        void prepare() { cal_->prepare_append_group(group_); }
 
     private:
         friend class CoarseAdjacencyList;
@@ -226,8 +220,6 @@ private:
     /// Append into an already-resolved (and existing) group.
     std::uint32_t insert_in_group(std::uint32_t group, VertexId raw_src,
                                   VertexId dst, Weight weight, CellRef owner);
-    /// prepare_append once the group slot is known to exist.
-    void prepare_append_group(std::uint32_t group);
 
     std::uint32_t allocate_block(std::uint32_t group);
     void free_tail_block(GroupMeta& group_meta);

@@ -58,21 +58,21 @@ std::optional<VertexId> GraphTinker::dense_of(VertexId raw) const {
     return std::nullopt;
 }
 
-bool GraphTinker::insert_edge(VertexId src, VertexId dst, Weight weight) {
-    if (src == kInvalidVertex || dst == kInvalidVertex) {
-        return false;  // refused before any frame or mutation (see header)
-    }
+template <typename Body>
+bool GraphTinker::solo_frame(const Edge& e, bool deletes, Body&& body) {
     // Solo durability frame: a single-edge call outside any batch is its
     // own all-or-nothing commit unit, with the same policy as
     // run_transaction — if the frame cannot be staged the mutation is
     // refused, and if the commit fails the mutation is rolled back, so the
     // in-memory store never diverges from what post-crash replay rebuilds.
-    // The cause stays latched in the log's status(). Inside a batch (or a
-    // rollback) the enclosing frame already covers the edge.
+    // The cause stays latched in the log's status(). A rollback re-enters
+    // insert_edge with a transaction state other than Idle: the frame it
+    // unwinds was aborted or never committed, so nothing is logged.
     const bool tee = log_ != nullptr && txn_ == TxnState::Idle;
     if (tee) {
-        const Edge e{src, dst, weight};
-        if (!(log_->begin_batch(1) && log_->stage_inserts({&e, 1}))) {
+        const std::span<const Edge> one{&e, 1};
+        if (!(log_->begin_batch(1) && (deletes ? log_->stage_deletes(one)
+                                               : log_->stage_inserts(one)))) {
             log_->abort_batch();
             return false;
         }
@@ -81,24 +81,10 @@ bool GraphTinker::insert_edge(VertexId src, VertexId dst, Weight weight) {
         txn_ = TxnState::Applying;
         // gt-txn: first-mutation
     }
-    note_raw(src);
-    note_raw(dst);
-    bool created = false;
-    VertexId dense = kInvalidVertex;
+    bool result = false;
     try {
-        dense = map_source(src);
-        created = insert_resolved(dense, src, dst, weight, nullptr);
-        if (created) {
-            ++props_[dense].degree;
-            ++num_edges_;
-        }
+        result = body();
     } catch (...) {
-        // Growth pre-flights throw before any structural mutation, so the
-        // only thing to undo is a mapping this call made for a source that
-        // never got its edge.
-        if (dense != kInvalidVertex) {
-            release_if_empty(dense);
-        }
         if (tee) {
             txn_ = TxnState::Idle;
             journal_.clear();
@@ -110,15 +96,54 @@ bool GraphTinker::insert_edge(VertexId src, VertexId dst, Weight weight) {
         txn_ = TxnState::Idle;
         // gt-txn: commit
         if (!log_->commit_batch()) {
-            // An incomplete unwind here only loses the weight restore of a
-            // duplicate insert; the edge set itself is already consistent.
+            // An incomplete unwind cannot be reported through the bool; it
+            // can lose only a duplicate insert's weight restore or a
+            // delete's re-insert.
             (void)rollback_journal();
             return false;
         }
         journal_.clear();
     }
-    mutation_epoch_.fetch_add(1, std::memory_order_release);
-    return created;
+    // An insert mutates on every call (a duplicate overwrites the weight),
+    // a delete only when it found the edge.
+    if (!deletes || result) {
+        mutation_epoch_.fetch_add(1, std::memory_order_release);
+    }
+    return result;
+}
+
+bool GraphTinker::insert_edge(VertexId src, VertexId dst, Weight weight) {
+    if (src == kInvalidVertex || dst == kInvalidVertex) {
+        return false;  // refused before any frame or mutation (see header)
+    }
+    return solo_frame({src, dst, weight}, /*deletes=*/false, [&] {
+        note_raw(src);
+        note_raw(dst);
+        VertexId dense = kInvalidVertex;
+        bool created = false;
+        try {
+            dense = map_source(src);
+            if (config_.enable_cal) {
+                CoarseAdjacencyList::Appender app = cal_.appender(dense);
+                created = insert_resolved(dense, src, dst, weight, &app);
+            } else {
+                created = insert_resolved(dense, src, dst, weight, nullptr);
+            }
+        } catch (...) {
+            // Growth pre-flights throw before any structural mutation, so
+            // the only thing to undo is a mapping this call made for a
+            // source that never got its edge.
+            if (dense != kInvalidVertex) {
+                release_if_empty(dense);
+            }
+            throw;
+        }
+        if (created) {
+            ++props_[dense].degree;
+            ++num_edges_;
+        }
+        return created;
+    });
 }
 
 bool GraphTinker::insert_resolved(VertexId dense, VertexId raw_src,
@@ -135,12 +160,8 @@ bool GraphTinker::insert_resolved(VertexId dense, VertexId raw_src,
     // roll-backable from the undo journal alone.
     std::uint32_t& top = props_[dense].top;
     eba_.prepare_insert(top);
-    if (config_.enable_cal) {
-        if (app != nullptr) {
-            app->prepare();
-        } else {
-            cal_.prepare_append(dense);
-        }
+    if (app != nullptr) {
+        app->prepare();
     }
     const auto probe = eba_.probe_insert(top, dst, weight);
     using Kind = EdgeblockArray::ProbeResult::Kind;
@@ -159,13 +180,9 @@ bool GraphTinker::insert_resolved(VertexId dense, VertexId raw_src,
         case Kind::PlaceAt: {
             // Common case: one probe walk pinned a free cell and proved the
             // key absent; append the CAL copy and write the cell directly.
-            std::uint32_t cal_pos = kNoCalPos;
-            if (config_.enable_cal) {
-                cal_pos = app != nullptr
-                              ? app->append(raw_src, dst, weight, probe.where)
-                              : cal_.insert(dense, raw_src, dst, weight,
-                                            probe.where);
-            }
+            const std::uint32_t cal_pos =
+                app != nullptr ? app->append(raw_src, dst, weight, probe.where)
+                               : kNoCalPos;
             eba_.place_at(probe.where, dst, weight, cal_pos);
             break;
         }
@@ -176,13 +193,9 @@ bool GraphTinker::insert_resolved(VertexId dense, VertexId raw_src,
             // owner, so the backreference stays correct however often the
             // new edge is displaced. The cascade starts at the probe's
             // resume point, below the full windows it already crossed.
-            std::uint32_t cal_pos = kNoCalPos;
-            if (config_.enable_cal) {
-                cal_pos = app != nullptr
-                              ? app->append(raw_src, dst, weight, CellRef{})
-                              : cal_.insert(dense, raw_src, dst, weight,
-                                            CellRef{});
-            }
+            const std::uint32_t cal_pos =
+                app != nullptr ? app->append(raw_src, dst, weight, CellRef{})
+                               : kNoCalPos;
             eba_.insert_new(top, dst, weight, cal_pos, probe.resume_block,
                             probe.resume_level);
             break;
@@ -199,49 +212,10 @@ bool GraphTinker::delete_edge(VertexId src, VertexId dst) {
     if (src == kInvalidVertex || dst == kInvalidVertex) {
         return false;  // refused before any frame is staged (see header)
     }
-    // Same solo-frame policy as insert_edge: refuse when staging fails,
-    // roll back (re-inserting with the journaled weight) when the commit
-    // cannot be made durable.
-    const bool tee = log_ != nullptr && txn_ == TxnState::Idle;
-    if (tee) {
-        const Edge e{src, dst, 0};
-        if (!(log_->begin_batch(1) && log_->stage_deletes({&e, 1}))) {
-            log_->abort_batch();
-            return false;
-        }
-        journal_.clear();
-        journal_.reserve(1);  // the one apply-path journal push is nothrow
-        txn_ = TxnState::Applying;
-        // gt-txn: first-mutation
-    }
-    bool found = false;
-    try {
-        if (const auto dense = dense_of(src)) {
-            found = delete_resolved(*dense, src, dst);
-        }
-    } catch (...) {
-        if (tee) {
-            txn_ = TxnState::Idle;
-            journal_.clear();
-            log_->abort_batch();
-        }
-        throw;
-    }
-    if (tee) {
-        txn_ = TxnState::Idle;
-        // gt-txn: commit
-        if (!log_->commit_batch()) {
-            // Solo delete rollback re-inserts from the journal; a failed
-            // re-insert cannot be reported through the bool, so tolerate it.
-            (void)rollback_journal();
-            return false;
-        }
-        journal_.clear();
-    }
-    if (found) {
-        mutation_epoch_.fetch_add(1, std::memory_order_release);
-    }
-    return found;
+    return solo_frame({src, dst, 0}, /*deletes=*/true, [&] {
+        const auto dense = dense_of(src);
+        return dense && delete_resolved(*dense, src, dst);
+    });
 }
 
 bool GraphTinker::delete_resolved(VertexId dense, VertexId raw_src,
@@ -452,7 +426,14 @@ private:
 
 Status GraphTinker::validate_batch(std::span<const Edge> batch) {
     // Staged validation: the whole batch is screened before anything
-    // mutates, so a rejected batch leaves the store byte-identical.
+    // mutates, so a rejected batch leaves the store byte-identical. The
+    // sort keys and source-run offsets are 32-bit, so a longer batch is
+    // refused on its size alone, before any edge is read.
+    if (batch.size() > std::numeric_limits<std::uint32_t>::max()) {
+        return Status{StatusCode::InvalidArgument,
+                      "batch holds more than 2^32 - 1 edges",
+                      std::numeric_limits<std::uint32_t>::max()};
+    }
     for (std::size_t i = 0; i < batch.size(); ++i) {
         if (batch[i].src == kInvalidVertex || batch[i].dst == kInvalidVertex) {
             return Status{StatusCode::InvalidArgument,
@@ -502,8 +483,14 @@ bool GraphTinker::rollback_journal() noexcept {
 template <typename ApplyFn>
 Status GraphTinker::run_transaction(std::span<const Edge> batch, bool deletes,
                                     ApplyFn&& apply) {
+    batches_ingested_->inc();
+    updates_applied_->add(batch.size());
+    const BatchLatencyScope lat{deletes ? delete_batch_us_ : ingest_batch_us_};
     if (const Status st = validate_batch(batch); !st.ok()) {
         return st;
+    }
+    if (batch.size() <= 1 && log_ == nullptr) {
+        return apply_single(batch, deletes);
     }
     // Pre-flight: size the scratch the apply path pushes to without
     // throwing. It runs before the log stages the batch, so a failed
@@ -569,15 +556,15 @@ Status GraphTinker::run_transaction(std::span<const Edge> batch, bool deletes,
         st.message += "; rollback incomplete — store degraded";
     }
     journal_.clear();
+    if (st.ok()) {
+        mutation_epoch_.fetch_add(1, std::memory_order_release);
+    }
     return st;
 }
 
 Status GraphTinker::apply_single(std::span<const Edge> batch, bool deletes) {
     if (batch.empty()) {
         return Status::success();
-    }
-    if (Status st = validate_batch(batch); !st.ok()) {
-        return st;
     }
     const Edge& e = batch.front();
     try {
@@ -598,22 +585,7 @@ Status GraphTinker::apply_single(std::span<const Edge> batch, bool deletes) {
 }
 
 Status GraphTinker::insert_batch(std::span<const Edge> batch) {
-    batches_ingested_->inc();
-    updates_applied_->add(batch.size());
-    const BatchLatencyScope lat{ingest_batch_us_};
-    if (batch.size() <= 1 && log_ == nullptr) {
-        return apply_single(batch, /*deletes=*/false);
-    }
-    const Status st = run_transaction(batch, /*deletes=*/false, [&] {
-        if (batch.size() < kBatchFastPathMin ||
-            batch.size() > std::numeric_limits<std::uint32_t>::max()) {
-            for (const Edge& e : batch) {
-                // Inside the transaction frame duplicates are expected and
-                // per-edge creation is journaled, not reported upward.
-                (void)insert_edge(e.src, e.dst, e.weight);
-            }
-            return;
-        }
+    return run_transaction(batch, /*deletes=*/false, [&] {
         sort_batch_by_source(batch);
         // Every mapped source resolves before any edge applies, so the
         // lookahead prefetch below reads tops straight out of the run table;
@@ -686,28 +658,10 @@ Status GraphTinker::insert_batch(std::span<const Edge> batch) {
             num_edges_ += created;
         }
     });
-    if (st.ok()) {
-        mutation_epoch_.fetch_add(1, std::memory_order_release);
-    }
-    return st;
 }
 
 Status GraphTinker::delete_batch(std::span<const Edge> batch) {
-    batches_ingested_->inc();
-    updates_applied_->add(batch.size());
-    const BatchLatencyScope lat{delete_batch_us_};
-    if (batch.size() <= 1 && log_ == nullptr) {
-        return apply_single(batch, /*deletes=*/true);
-    }
-    const Status st = run_transaction(batch, /*deletes=*/true, [&] {
-        if (batch.size() < kBatchFastPathMin ||
-            batch.size() > std::numeric_limits<std::uint32_t>::max()) {
-            for (const Edge& e : batch) {
-                // Absent edges are a legal no-op within a delete batch.
-                (void)delete_edge(e.src, e.dst);
-            }
-            return;
-        }
+    return run_transaction(batch, /*deletes=*/true, [&] {
         sort_batch_by_source(batch);
         const std::span<const SourceRun> runs =
             resolve_runs(batch.size(), /*inserts=*/false);
@@ -742,10 +696,6 @@ Status GraphTinker::delete_batch(std::span<const Edge> batch) {
             }
         }
     });
-    if (st.ok()) {
-        mutation_epoch_.fetch_add(1, std::memory_order_release);
-    }
-    return st;
 }
 
 void GraphTinker::flush_cal_holes() noexcept {

@@ -72,8 +72,9 @@ public:
     /// endpoint equal to kInvalidVertex is refused before any frame.
     [[nodiscard]] bool delete_edge(VertexId src, VertexId dst);
 
-    /// Batched insert. Large batches take the source-grouped fast path:
-    /// the batch is radix-sorted by source (stable, so last-wins weight
+    /// Batched insert. Every batch except a single edge with no log
+    /// attached (which runs through insert_edge) takes the source-grouped
+    /// path: the batch is sorted by source (stable, so last-wins weight
     /// semantics for duplicate pairs are preserved), the SGH mapping and
     /// top-block handle resolve once per source run, the next run's
     /// edgeblock is software-prefetched while the current one drains, and
@@ -83,8 +84,11 @@ public:
     ///
     /// Transactional: the batch applies all-or-nothing. Edges carrying
     /// kInvalidVertex endpoints are rejected up front (InvalidArgument,
-    /// `detail` = the first failing batch index) before anything mutates,
-    /// and a mid-batch failure (allocation, injected fault) rolls every
+    /// `detail` = the first failing batch index) before anything mutates.
+    /// A batch of more than 2^32 - 1 edges is refused the same way
+    /// (`detail` = 2^32 - 1, the first index past the limit) before any
+    /// edge is read, because the sort keys and source-run offsets are
+    /// 32-bit. A mid-batch failure (allocation, injected fault) rolls every
     /// already-applied update back through the undo journal before the
     /// typed error returns. An attached UpdateLog sees the batch staged
     /// before application and committed only after it fully applied, so a
@@ -93,10 +97,10 @@ public:
     /// was before the batch — silently losing the whole batch — so every
     /// caller must either handle the Status or discard it explicitly.
     [[nodiscard]] Status insert_batch(std::span<const Edge> batch);
-    /// Batched delete with the same source-grouped fast path and the same
-    /// transactional all-or-nothing semantics (rolled-back deletes are
-    /// re-inserted with their original weights). On the fast path the CAL
-    /// copies are erased in one pass after the EdgeblockArray erases
+    /// Batched delete with the same routing, size limit and transactional
+    /// all-or-nothing semantics (rolled-back deletes are re-inserted with
+    /// their original weights). On the sorted path the CAL copies are
+    /// erased in one pass after the EdgeblockArray erases
     /// (flush_cal_holes). Duplicate (src, dst) pairs within a batch delete
     /// the edge once: later occurrences are no-ops, exactly as per-edge
     /// application behaves.
@@ -257,8 +261,6 @@ public:
     [[nodiscard]] AuditReport audit() const;
 
 private:
-    /// Batches below this size skip the sort and apply per edge.
-    static constexpr std::size_t kBatchFastPathMin = 33;
     /// Sorted-batch lookahead: the probe target this many edges ahead is
     /// software-prefetched so its DRAM miss overlaps the current inserts.
     static constexpr std::size_t kPrefetchDistance = 32;
@@ -285,10 +287,10 @@ private:
             sgh_.release(dense);
         }
     }
-    /// insert_edge body after source resolution; `app` (optional) amortizes
-    /// the CAL group lookup across a source run. Returns true when a new
-    /// edge was created — the caller owns the degree / num_edges_ updates,
-    /// so the batch path can accumulate them once per source run.
+    /// insert_edge body after source resolution; `app` appends the CAL copy
+    /// to the source's group and is null only when CAL is off. Returns true
+    /// when a new edge was created — the caller owns the degree / num_edges_
+    /// updates, so the batch path can accumulate them once per source run.
     bool insert_resolved(VertexId dense, VertexId raw_src, VertexId dst,
                          Weight weight, CoarseAdjacencyList::Appender* app);
     /// delete_edge body after source resolution (`raw_src` only feeds the
@@ -320,26 +322,35 @@ private:
     };
     enum class TxnState : std::uint8_t { Idle, Applying, RollingBack };
 
-    /// Pre-application screen: finds the first edge with a kInvalidVertex
-    /// endpoint (InvalidArgument, detail = its index), or Ok.
+    /// Pre-application screen: refuses a batch past 2^32 - 1 edges without
+    /// reading it, else finds the first edge with a kInvalidVertex endpoint
+    /// (InvalidArgument, detail = its index), or Ok.
     [[nodiscard]] static Status validate_batch(std::span<const Edge> batch);
     /// Replays journal_ newest-first, restoring the pre-batch store.
     /// Returns false if a rollback step itself failed (allocation failure
     /// during re-insertion) — the store may then be missing rolled-back
     /// edges and the caller's Status says so.
     [[nodiscard]] bool rollback_journal() noexcept;
-    /// A batch of at most one edge with no log attached, run through the
-    /// solo op at solo cost: the solo op is already all-or-nothing
-    /// (insert_edge's growth and delete_edge's erase pre-flights throw
-    /// before any mutation; an absent edge is a legal no-op), so the
-    /// journal frame would be pure overhead. With a log attached the batch
-    /// keeps its frame. The WAL record is the same either way (a 1-edge
-    /// frame commits as the Solo record the solo op writes); the outcome
-    /// is not: a solo op reports a refused stage or commit only as `false`,
-    /// while a batch must return a typed Status.
+    /// A validated batch of at most one edge with no log attached, run
+    /// through the solo op at solo cost: the solo op is already
+    /// all-or-nothing (insert_edge's growth and delete_edge's erase
+    /// pre-flights throw before any mutation; an absent edge is a legal
+    /// no-op), so the journal frame would be pure overhead. With a log
+    /// attached the batch keeps its frame. The WAL record is the same
+    /// either way (a 1-edge frame commits as the Solo record the solo op
+    /// writes); the outcome is not: a solo op reports a refused stage or
+    /// commit only as `false`, while a batch must return a typed Status.
     [[nodiscard]] Status apply_single(std::span<const Edge> batch,
                                       bool deletes);
-    /// Shared begin/commit/abort framing around both batch bodies.
+    /// The solo ops' one-edge frame around `body` (the op itself): stages
+    /// `e` first and commits after when a log is attached. Returns `body`'s
+    /// result, or false when the stage or commit failed, and advances the
+    /// mutation epoch when the committed body mutated.
+    template <typename Body>
+    bool solo_frame(const Edge& e, bool deletes, Body&& body);
+    /// Everything both batch calls share around their sorted bodies: the
+    /// batch counters and latency histogram, the apply_single bypass,
+    /// validation, the begin/commit/abort framing and the epoch bump.
     template <typename ApplyFn>
     [[nodiscard]] Status run_transaction(std::span<const Edge> batch,
                                          bool deletes, ApplyFn&& apply);

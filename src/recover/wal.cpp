@@ -696,8 +696,9 @@ Status WalApplier::apply(const WalRecord& rec) {
             if (rec.seq <= after_seq_) {
                 break;
             }
-            std::vector<Edge> solo(1);
-            std::memcpy(solo.data(), rec.payload.data(), sizeof(Edge));
+            Edge edge{};
+            std::memcpy(&edge, rec.payload.data(), sizeof(Edge));
+            const std::span<const Edge> solo{&edge, 1};
             if (rec.type == WalRecordType::SoloInsert) {
                 latch(graph_.insert_batch(solo));
                 if (stats_ != nullptr) {

@@ -24,6 +24,13 @@
 namespace gt::core {
 namespace {
 
+/// Appends through the CAL's one append path, resolving the group per call.
+std::uint32_t append(CoarseAdjacencyList& cal, VertexId dense_src,
+                     VertexId raw_src, VertexId dst, Weight weight,
+                     CellRef owner) {
+    return cal.appender(dense_src).append(raw_src, dst, weight, owner);
+}
+
 class CalFuzzTest : public ::testing::TestWithParam<bool> {};
 
 TEST_P(CalFuzzTest, RandomChurnKeepsStreamExact) {
@@ -46,8 +53,8 @@ TEST_P(CalFuzzTest, RandomChurnKeepsStreamExact) {
             const Entry e{dense * 1000,
                           static_cast<VertexId>(rng.next_below(100)),
                           static_cast<Weight>(op + 1)};
-            const auto pos = cal.insert(dense, e.src, e.dst, e.weight,
-                                        CellRef{0, 0});
+            const auto pos =
+                append(cal, dense, e.src, e.dst, e.weight, CellRef{0, 0});
             ASSERT_FALSE(live.contains(pos)) << "pos reuse while occupied";
             live.emplace(pos, e);
         } else {
@@ -111,7 +118,7 @@ TEST_P(CalFuzzTest, RandomBatchErasesKeepOwnersBound) {
             const auto dense = static_cast<VertexId>(rng.next_below(32));
             const std::uint32_t owner = next_owner++;
             pos_of[owner] =
-                cal.insert(dense, dense, owner, 1, CellRef{owner, 0});
+                append(cal, dense, dense, owner, 1, CellRef{owner, 0});
         }
         std::vector<std::uint32_t> holes;
         for (auto it = pos_of.begin(); it != pos_of.end();) {
@@ -153,7 +160,7 @@ TEST(CalEraseEdgeCases, TailSelfEraseEmitsNoMove) {
     CoarseAdjacencyList cal(/*group_size=*/8, /*block_edges=*/4);
     std::vector<std::uint32_t> pos;
     for (VertexId i = 0; i < 3; ++i) {
-        pos.push_back(cal.insert(0, 7, 100 + i, i + 1, CellRef{0, 0}));
+        pos.push_back(append(cal, 0, 7, 100 + i, i + 1, CellRef{0, 0}));
     }
     // Tail first: nothing to relocate.
     EXPECT_FALSE(cal.erase(pos[2], /*compact=*/true).has_value());
@@ -178,7 +185,7 @@ TEST(CalEraseEdgeCases, DrainedTailBlocksReturnToFreeList) {
     CoarseAdjacencyList cal(/*group_size=*/8, /*block_edges=*/4);
     std::vector<std::uint32_t> pos;
     for (VertexId i = 0; i < 9; ++i) {  // 3 blocks of 4
-        pos.push_back(cal.insert(0, 7, i, i + 1, CellRef{0, 0}));
+        pos.push_back(append(cal, 0, 7, i, i + 1, CellRef{0, 0}));
     }
     const std::size_t peak_blocks = cal.blocks_in_use();
     ASSERT_EQ(peak_blocks, 3u);
@@ -195,7 +202,7 @@ TEST(CalEraseEdgeCases, DrainedTailBlocksReturnToFreeList) {
     // Refill: the free-listed blocks are recycled, capacity does not grow.
     const std::size_t capacity = cal.memory_capacity_bytes();
     for (VertexId i = 0; i < 5; ++i) {
-        cal.insert(0, 7, 50 + i, i + 1, CellRef{0, 0});
+        append(cal, 0, 7, 50 + i, i + 1, CellRef{0, 0});
     }
     EXPECT_EQ(cal.blocks_in_use(), peak_blocks);
     EXPECT_EQ(cal.memory_capacity_bytes(), capacity);

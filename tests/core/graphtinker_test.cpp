@@ -1,6 +1,7 @@
 // GraphTinker façade tests: feature flags, traversal paths, CAL pointer
 // integrity, and randomized model checks across the configuration space.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
 #include <algorithm>
 #include <map>
@@ -197,6 +198,32 @@ TEST(GraphTinker, BatchHelpers) {
     (void)g.delete_batch(edges);
     EXPECT_EQ(g.num_edges(), 0u);
     EXPECT_TRUE(g.audit().ok()) << g.audit().to_string();
+}
+
+TEST(GraphTinker, OversizedBatchIsRefusedBeforeAnyRead) {
+    // The sorted path's keys and source-run offsets are 32-bit, so a batch
+    // of more than 2^32 - 1 edges is refused on its length alone. The span
+    // covers address space with no access rights: reading any of its edges
+    // would fault.
+    const std::size_t n = (std::size_t{1} << 32) + 1;
+    const std::size_t bytes = n * sizeof(Edge);
+    void* const mem = ::mmap(nullptr, bytes, PROT_NONE,
+                             MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1,
+                             0);
+    if (mem == MAP_FAILED) {
+        GTEST_SKIP() << "cannot map " << bytes << " bytes of address space";
+    }
+    const std::span<const Edge> batch(static_cast<const Edge*>(mem), n);
+    GraphTinker g;
+    for (const bool deletes : {false, true}) {
+        const Status st =
+            deletes ? g.delete_batch(batch) : g.insert_batch(batch);
+        EXPECT_EQ(st.code, StatusCode::InvalidArgument) << deletes;
+    }
+    EXPECT_EQ(g.num_edges(), 0u);
+    EXPECT_EQ(g.num_vertices(), 0u);
+    EXPECT_EQ(g.main_region_size(), 0u);
+    ::munmap(mem, bytes);
 }
 
 TEST(GraphTinker, HighDegreeHubStaysConsistent) {

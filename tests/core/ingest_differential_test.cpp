@@ -302,20 +302,63 @@ TEST(IngestDifferential, MixedInsertDeleteStream) {
     }
 }
 
-TEST(IngestDifferential, SmallBatchesTakeScalarPathAndStillMatch) {
-    // Below the fast-path threshold insert_batch degrades to per-edge; the
-    // equivalence contract is identical either way.
-    const auto edges = rmat_edges(100, 600, 3);
-    GraphTinker batch;
-    GraphTinker serial;
-    for (std::size_t i = 0; i < edges.size(); i += 16) {
-        const std::size_t len = std::min<std::size_t>(16, edges.size() - i);
-        (void)batch.insert_batch(std::span<const Edge>(edges).subspan(i, len));
+TEST(IngestDifferential, SmallBatchesMatchPerEdge) {
+    // Batches of every size take the sorted path except a single edge,
+    // which runs through the solo op. The equivalence contract is the same
+    // at each size: serve_mixed's 16-edge writes, a replica's catch-up
+    // frames and the sizes around them. In both streams every fifth edge
+    // repeats the pair before it with a new weight (an adjacent duplicate
+    // pair) and every seventh names a source no earlier edge used.
+    const auto base = rmat_edges(100, 600, 3);
+    std::vector<Edge> inserts;
+    std::vector<Edge> deletes;
+    for (std::size_t i = 0; i < base.size(); ++i) {
+        const auto weight = static_cast<Weight>(i + 1);
+        Edge e = base[i];
+        if (i % 5 == 4) {
+            e = inserts.back();
+        } else if (i % 7 == 6) {
+            e.src = static_cast<VertexId>(1000 + i);
+        }
+        e.weight = weight;
+        inserts.push_back(e);
+        // Deletes walk the same stream: every third aims at an absent
+        // destination, and the never-seen sources are new again.
+        Edge d = e;
+        if (i % 3 == 0) {
+            d.dst += 4096;
+        } else if (i % 7 == 6) {
+            d.src = static_cast<VertexId>(5000 + i);
+        }
+        deletes.push_back(d);
     }
-    for (const Edge& e : edges) {
-        (void)serial.insert_edge(e.src, e.dst, e.weight);
+    for (const NamedConfig& nc : all_configs()) {
+        for (const std::size_t size : {1UL, 2UL, 3UL, 16UL, 32UL, 33UL}) {
+            const std::string label =
+                nc.name + " size=" + std::to_string(size);
+            GraphTinker batch(nc.config);
+            GraphTinker serial(nc.config);
+            const auto feed = [&](const std::vector<Edge>& stream,
+                                  bool dels) {
+                for (std::size_t i = 0; i < stream.size(); i += size) {
+                    const auto slice = std::span<const Edge>(stream).subspan(
+                        i, std::min(size, stream.size() - i));
+                    ASSERT_TRUE((dels ? batch.delete_batch(slice)
+                                      : batch.insert_batch(slice))
+                                    .ok())
+                        << label << " at " << i;
+                }
+                for (const Edge& e : stream) {
+                    (void)(dels ? serial.delete_edge(e.src, e.dst)
+                                : serial.insert_edge(e.src, e.dst, e.weight));
+                }
+            };
+            feed(inserts, /*dels=*/false);
+            expect_equivalent(batch, serial, label + " inserts");
+            feed(deletes, /*dels=*/true);
+            expect_equivalent(batch, serial, label + " deletes");
+        }
     }
-    expect_equivalent(batch, serial, "small_batches");
 }
 
 TEST(IngestDifferential, ShardedMatchesSerialAndAuditsClean) {

@@ -3,7 +3,9 @@
 // against a twin store that never saw the failing batch.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/scoped_audit.hpp"
@@ -245,6 +247,112 @@ TEST(TransactionalBatch, WalCommitFailureRollsBackMemoryToo) {
             recover::replay_wal(dir.file("wal.gtw"), replayed, 0, stats).ok());
         EXPECT_EQ(edge_map_of(replayed), before) << deletes;
     }
+}
+
+TEST(TransactionalBatch, SmallBatchFaultsRollBackCompletely) {
+    // A 16-edge batch takes the sorted path, so a fault on a later edge
+    // must undo what the earlier edges did: new edges, weight updates,
+    // the mappings of sources first seen in the batch, and on the delete
+    // side the ids of sources the batch emptied.
+    struct State {
+        test::EdgeMap edges;
+        std::map<VertexId, std::uint32_t> degrees;
+        std::size_t free_ids = 0;
+    };
+    const auto state_of = [](const GraphTinker& g,
+                             const std::vector<Edge>& batch) {
+        State out{edge_map_of(g), {}, g.free_ids()};
+        for (const auto& [key, weight] : out.edges) {
+            out.degrees[key.first] = g.degree(key.first);
+        }
+        for (const Edge& e : batch) {
+            out.degrees[e.src] = g.degree(e.src);
+        }
+        return out;
+    };
+    const auto expect_restored = [&](const GraphTinker& g, const State& was,
+                                     const std::vector<Edge>& batch,
+                                     const char* label) {
+        const State now = state_of(g, batch);
+        EXPECT_EQ(now.edges, was.edges) << label;
+        EXPECT_EQ(now.degrees, was.degrees) << label;
+        EXPECT_EQ(now.free_ids, was.free_ids) << label;
+        expect_dense_cal(g);
+    };
+    // Sources 0-7 hold two edges each and source 100 a full narrow top (a
+    // default subblock's 8 edges, so its next edge promotes it and needs
+    // the still-empty wide arena); sources 200-215 held an edge each and
+    // left 16 ids on SGH's free list.
+    const auto populate = [](GraphTinker& g) {
+        std::vector<Edge> base;
+        for (VertexId v = 0; v < 8; ++v) {
+            base.push_back(Edge{v, 1, 1});
+            base.push_back(Edge{v, 2, 1});
+        }
+        for (VertexId d = 0; d < 8; ++d) {
+            base.push_back(Edge{100, d, 1});
+        }
+        std::vector<Edge> gone;
+        for (VertexId v = 200; v < 216; ++v) {
+            gone.push_back(Edge{v, 1, 1});
+        }
+        ASSERT_TRUE(g.insert_batch(base).ok());
+        ASSERT_TRUE(g.insert_batch(gone).ok());
+        ASSERT_TRUE(g.delete_batch(gone).ok());
+        ASSERT_EQ(g.free_ids(), 16u);
+    };
+    // In source order: weight updates and new edges on sources 0-7, four
+    // never-seen sources, the promotion of source 100, two more new
+    // sources.
+    const std::vector<Edge> inserts{
+        {0, 1, 50}, {1, 3, 5},   {2, 2, 60},   {3, 4, 5},
+        {4, 1, 70}, {5, 5, 5},   {6, 6, 5},    {7, 2, 80},
+        {50, 1, 5}, {51, 2, 5},  {52, 3, 5},   {53, 4, 5},
+        {100, 1000, 5}, {100, 1001, 5}, {300, 1, 5}, {301, 1, 5}};
+    // eba.grow first fires at source 100's promotion; cal.grow is crossed
+    // once per applied insert, so the tenth fires at source 51.
+    for (const auto& [site, countdown] :
+         {std::pair<const char*, std::uint64_t>{"eba.grow", 1},
+          std::pair<const char*, std::uint64_t>{"cal.grow", 10}}) {
+        GraphTinker g;
+        const test::ScopedAudit audit(g, site);
+        populate(g);
+        const State before = state_of(g, inserts);
+        {
+            fail::ScopedFailPoint fp(site, countdown);
+            const Status st = g.insert_batch(inserts);
+            ASSERT_EQ(st.code, StatusCode::FaultInjected) << site;
+            EXPECT_GT(st.detail, 0u) << site << ": no earlier edge applied";
+        }
+        expect_restored(g, before, inserts, site);
+        audit.check();
+        ASSERT_TRUE(g.insert_batch(inserts).ok()) << site;
+    }
+
+    // A delete batch that applies in full, emptying sources 0 and 1 and
+    // deleting a pair twice beside an absent edge and a never-seen source,
+    // then cannot commit.
+    TempDir dir;
+    GraphTinker g;
+    const test::ScopedAudit audit(g, "small delete batch");
+    recover::WalWriter wal;
+    ASSERT_TRUE(wal.open(dir.file("wal.gtw"),
+                         recover::DurabilityMode::Buffered).ok());
+    g.attach_update_log(&wal);
+    populate(g);
+    const std::vector<Edge> deletes{
+        {0, 1, 0},   {0, 2, 0},   {1, 1, 0},   {1, 2, 0},
+        {2, 1, 0},   {2, 1, 0},   {3, 9, 0},   {4, 2, 0},
+        {5, 1, 0},   {6, 2, 0},   {7, 1, 0},   {100, 0, 0},
+        {100, 7, 0}, {100, 3, 0}, {400, 1, 0}, {100, 5, 0}};
+    const State before = state_of(g, deletes);
+    {
+        fail::ScopedFailPoint fp("wal.commit", 1);
+        EXPECT_EQ(g.delete_batch(deletes).code, StatusCode::IoError);
+    }
+    expect_restored(g, before, deletes, "small delete batch");
+    audit.check();
+    g.attach_update_log(nullptr);
 }
 
 TEST(TransactionalBatch, SoloCommitFailureRollsBackAndReturnsFalse) {
