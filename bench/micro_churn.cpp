@@ -1,6 +1,6 @@
 // Micro bench for the maintenance & space-reclamation layer: insert an RMAT
 // stream, delete a random half, run maintain(), and measure what the purge /
-// un-branch / CAL-compaction sweep buys back. Emits BENCH_churn.json.
+// CAL-compaction sweep buys back. Emits BENCH_churn.json.
 //
 // Two scenarios; mean find_edge probe distance is measured on the churned
 // store, after maintain(), and on a fresh twin built from only the
@@ -188,8 +188,8 @@ int main(int argc, char** argv) {
     const std::size_t delete_pct = env_u64("GT_CHURN_DELETE_PCT", 50);
 
     bench::banner("micro_churn",
-                  "Delete-wave maintenance: tombstone purge, TBH "
-                  "un-branching and CAL compaction vs a fresh-built twin");
+                  "Delete-wave maintenance: tombstone purge and CAL "
+                  "compaction vs a fresh-built twin");
     std::cout << "stream: RMAT " << vertices << " vertices, " << num_edges
               << " edges, delete " << delete_pct
               << "% (GT_CHURN_VERTICES / GT_CHURN_EDGES / "
@@ -227,8 +227,7 @@ int main(int argc, char** argv) {
     for (const ChurnRow& row : rows) {
         std::cout << row.mode << ": purged " << row.report.trees_purged
                   << " trees / " << row.report.tombstones_purged
-                  << " tombstones, unbranched " << row.report.trees_unbranched
-                  << ", moved " << row.report.cells_moved
+                  << " tombstones, moved " << row.report.cells_moved
                   << " cells, reclaimed " << row.report.eba_blocks_reclaimed
                   << " edgeblocks + " << row.report.cal_blocks_reclaimed
                   << " CAL blocks (" << row.report.cal_holes_reclaimed
@@ -262,8 +261,6 @@ int main(int argc, char** argv) {
                  static_cast<std::uint64_t>(r.report.trees_purged));
         w.member("tombstones_purged",
                  static_cast<std::uint64_t>(r.report.tombstones_purged));
-        w.member("trees_unbranched",
-                 static_cast<std::uint64_t>(r.report.trees_unbranched));
         w.member("cells_moved",
                  static_cast<std::uint64_t>(r.report.cells_moved));
         w.member("eba_blocks_reclaimed",

@@ -270,7 +270,8 @@ private:
         }
         // Compact deletes demote a wide top once it holds SUBBLOCK/2 edges
         // or fewer, so a smaller one means a missed demotion.
-        if (eba_.compact_delete_ && eba_.has_narrow_class() &&
+        if (g_.config_.deletion_mode == DeletionMode::DeleteAndCompact &&
+            eba_.has_narrow_class() &&
             !EdgeblockArray::is_narrow(top) && cells <= eba_.subblock_ / 2) {
             add(AuditCheck::SizeClass, raw, kInvalidVertex,
                 "wide top " + name(top) + " holds only " +

@@ -16,16 +16,19 @@ enum class DeletionMode : std::uint8_t {
     DeleteOnly,
     /// Refill the hole with an edge pulled from the deepest descendant
     /// subblock on the same hash path, freeing emptied edgeblocks and
-    /// compacting the CAL in place. Robin Hood swapping is disabled in this
-    /// mode (the paper turns RHH off to avoid the edge-tracking overhead of
-    /// swaps). The default: the store shrinks as edges are deleted.
+    /// compacting the CAL in place. Robin Hood swapping is off in this mode
+    /// (the paper turns RHH off to avoid the edge-tracking overhead of
+    /// swaps), and on in the other one: the deletion mode alone picks the
+    /// probe discipline. The default: the store shrinks as edges are
+    /// deleted.
     DeleteAndCompact,
 };
 
 struct Config {
     /// Edge-cells per edgeblock. Paper default 64; evaluated 8..256 (Fig 17-19).
     std::uint32_t pagewidth = 64;
-    /// Edge-cells per Subblock — the branch-out granularity. Paper default 8.
+    /// Edge-cells per Subblock — the branch-out granularity. Paper default 8;
+    /// at most 64, so a window's occupancy is one mask word.
     std::uint32_t subblock = 8;
     /// Edge-cells per Workblock — the retrieval granularity. Paper default 4.
     std::uint32_t workblock = 4;
@@ -34,9 +37,6 @@ struct Config {
     bool enable_sgh = true;
     /// Coarse Adjacency List: maintain the compact secondary edge copy.
     bool enable_cal = true;
-    /// Robin Hood swapping during inserts (forced off by DeleteAndCompact,
-    /// so it takes effect only with DeletionMode::DeleteOnly).
-    bool enable_rhh = true;
 
     DeletionMode deletion_mode = DeletionMode::DeleteAndCompact;
 
@@ -87,6 +87,9 @@ struct Config {
         if (pagewidth > 65536) {
             return bad("pagewidth larger than 65536 unsupported");
         }
+        if (subblock > 64) {
+            return bad("subblock wider than one 64-bit mask word unsupported");
+        }
         if (cal_group_size == 0 || cal_block_edges == 0) {
             return bad("CAL geometry must be non-zero");
         }
@@ -121,10 +124,10 @@ struct Config {
         }
     }
 
-    /// True when inserts use Robin Hood swapping (RHH is incompatible with
-    /// the compacting delete path).
+    /// True when inserts use Robin Hood swapping: exactly the delete-only
+    /// stores (RHH is incompatible with the compacting delete path).
     [[nodiscard]] bool rhh_active() const noexcept {
-        return enable_rhh && deletion_mode == DeletionMode::DeleteOnly;
+        return deletion_mode == DeletionMode::DeleteOnly;
     }
 };
 

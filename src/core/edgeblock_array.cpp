@@ -86,8 +86,6 @@ EdgeblockArray::EdgeblockArray(const Config& config, CoarseAdjacencyList* cal,
       workblock_(config.workblock),
       spb_(config.pagewidth / config.subblock),
       rhh_(config.rhh_active()),
-      compact_delete_(config.deletion_mode == DeletionMode::DeleteAndCompact),
-      kernel_ok_(config.subblock <= 64),
       cal_(cal),
       registry_(registry) {
     config.validate();
@@ -108,7 +106,6 @@ EdgeblockArray::EdgeblockArray(const Config& config, CoarseAdjacencyList* cal,
     metrics_.blocks_freed = &r.counter("eba.blocks_freed");
     metrics_.trees_rebuilt = &r.counter("eba.trees_rebuilt");
     metrics_.tombstones_purged = &r.counter("eba.tombstones_purged");
-    metrics_.unbranch_moves = &r.counter("eba.unbranch_moves");
     metrics_.promotions = &r.counter("eba.promotions");
     metrics_.demotions = &r.counter("eba.demotions");
     metrics_.find_probe_cells = &r.histogram("eba.find_probe_cells");
@@ -189,22 +186,16 @@ void EdgeblockArray::prepare_insert(std::uint32_t top) {
 }
 
 bool EdgeblockArray::has_empty_cell(std::uint32_t narrow) const noexcept {
-    // A narrow block is one window: every mask bit up to its width is a
-    // cell of it.
-    const std::uint64_t all = window_mask(std::min(subblock_, 64U));
-    for (std::uint32_t w = 0; w < arena(narrow).words; ++w) {
-        if (((occ_mask(narrow, w) | tomb_mask(narrow, w)) & all) != all) {
-            return true;
-        }
-    }
-    return false;
+    // A narrow block is one window, read from its one mask word.
+    const WindowBits bits = window_bits(narrow, 0);
+    return (bits.occ | bits.tomb) != window_mask(subblock_);
 }
 
 void EdgeblockArray::prepare_erase(std::uint32_t top) {
     // An erase takes at most one edge out of the top block (a hole in a
     // window that links a child is refilled from below), so only a wide
     // top one edge above the demotion threshold can demote.
-    if (compact_delete_ && has_narrow_class() && top != kNoBlock &&
+    if (!rhh_ && has_narrow_class() && top != kNoBlock &&
         !is_narrow(top) && occupied(top) <= subblock_ / 2 + 1) {
         ensure_available(BlockClass::Narrow, 1);
     }
@@ -314,69 +305,29 @@ FindStep EdgeblockArray::find_in_window(std::uint32_t block,
                                         std::uint32_t sb_base,
                                         std::uint32_t level,
                                         VertexId dst) const {
-    if (kernel_ok_) {
-        // Bit-parallel FIND: one SIMD dst compare over the subblock plus
-        // the occupancy/tombstone windows decide found/absent/descend
-        // without a per-cell walk (see core/probe_kernel.hpp).
-        const WindowBits bits = window_bits(block, sb_base);
-        const SubblockWindow w{&cell(block, sb_base), subblock_, bits.occ,
-                               bits.tomb};
-        return rhh_ ? find_step<kProbeKernelSimd>(w, home_of(dst, level), dst)
-                    : find_step_full<kProbeKernelSimd>(w, dst);
-    }
-    // Windows wider than one mask word: the same decisions, cell by cell.
-    if (rhh_) {
-        // Probe-order scan with Robin Hood early exit. An EMPTY cell on the
-        // probe path proves the key is absent at this level *and* below:
-        // had the key ever been pushed deeper, this window was congested at
-        // that moment, and delete-only mode never turns an occupied cell
-        // back into EMPTY (deletes tombstone).
-        const std::uint32_t home = home_of(dst, level);
-        for (std::uint32_t d = 0; d < subblock_; ++d) {
-            const std::uint32_t off = (home + d) & (subblock_ - 1);
-            const CellState state = state_of(block, sb_base + off);
-            if (state == CellState::Empty) {
-                return FindStep{FindStep::Kind::Absent, 0, d + 1};
-            }
-            if (state == CellState::Occupied &&
-                cell(block, sb_base + off).dst == dst) {
-                return FindStep{FindStep::Kind::Found, off, d + 1};
-            }
-        }
-        return FindStep{FindStep::Kind::Descend, 0, subblock_};
-    }
-    // No Robin Hood order: the whole window is inspected (find_step_full).
-    bool empty = false;
-    for (std::uint32_t off = 0; off < subblock_; ++off) {
-        const CellState state = state_of(block, sb_base + off);
-        if (state == CellState::Occupied &&
-            cell(block, sb_base + off).dst == dst) {
-            return FindStep{FindStep::Kind::Found, off, subblock_};
-        }
-        empty = empty || state == CellState::Empty;
-    }
-    return FindStep{empty ? FindStep::Kind::Absent : FindStep::Kind::Descend,
-                    0, subblock_};
+    // One SIMD dst compare over the subblock plus the occupancy/tombstone
+    // windows decide found/absent/descend without a per-cell walk. Under
+    // Robin Hood order an EMPTY cell on the probe path proves the key
+    // absent at this level *and* below: had the key ever been pushed
+    // deeper, this window was congested at that moment, and delete-only
+    // mode never turns an occupied cell back into EMPTY (deletes
+    // tombstone).
+    const WindowBits bits = window_bits(block, sb_base);
+    const SubblockWindow w{&cell(block, sb_base), subblock_, bits.occ,
+                           bits.tomb};
+    return rhh_ ? find_step<kProbeKernelSimd>(w, home_of(dst, level), dst)
+                : find_step_full<kProbeKernelSimd>(w, dst);
 }
 
 std::optional<CellRef> EdgeblockArray::first_unoccupied(
     std::uint32_t block, std::uint32_t sb_base, std::uint32_t home) const {
-    if (kernel_ok_) {
-        const std::uint64_t free =
-            ~window_bits(block, sb_base).occ & window_mask(subblock_);
-        const std::uint32_t d = first_probe_dist(free, home, subblock_);
-        if (d == subblock_) {
-            return std::nullopt;
-        }
-        return CellRef{block, sb_base + ((home + d) & (subblock_ - 1))};
+    const std::uint64_t free =
+        ~window_bits(block, sb_base).occ & window_mask(subblock_);
+    const std::uint32_t d = first_probe_dist(free, home, subblock_);
+    if (d == subblock_) {
+        return std::nullopt;
     }
-    for (std::uint32_t d = 0; d < subblock_; ++d) {
-        const std::uint32_t slot = sb_base + ((home + d) & (subblock_ - 1));
-        if (!is_occupied(block, slot)) {
-            return CellRef{block, slot};
-        }
-    }
-    return std::nullopt;
+    return CellRef{block, sb_base + ((home + d) & (subblock_ - 1))};
 }
 
 std::optional<EdgeblockArray::Located> EdgeblockArray::locate(
@@ -500,96 +451,44 @@ EdgeblockArray::ProbeResult EdgeblockArray::probe_insert(std::uint32_t& top,
     // INSERT cascade handles those (rarer) cases. The first such point (or
     // the deepest block when the walk exhausts the tree) is handed back as
     // the cascade's resume point so it need not re-walk the levels above,
-    // which are full windows with nothing for it to do.
+    // which are full windows with nothing for it to do. Duplicate and
+    // first-EMPTY detection run on the subblock's masks and one SIMD dst
+    // compare per level (see core/probe_kernel.hpp).
     bool earlier_candidate = false;
-    if (kernel_ok_) {
-        // Bit-parallel fused FIND/INSERT (see core/probe_kernel.hpp):
-        // duplicate and first-EMPTY detection run on the subblock's masks
-        // and one SIMD dst compare per level.
-        while (block != kNoBlock) {
-            const std::uint32_t sb = window_of(block, dst, level);
-            const std::uint32_t sb_base = sb * subblock_;
-            // The walk usually ends writing this window's CAL pointers (a
-            // placement or a weight update): fetch that line alongside.
-            simd::prefetch_write(&cal_pos_of(block, sb_base));
-            const WindowBits bits = window_bits(block, sb_base);
-            const SubblockWindow w{&cell(block, sb_base), subblock_,
-                                   bits.occ, bits.tomb};
-            const ProbeStep step = probe_step<kProbeKernelSimd>(
-                w, home_of(dst, level), dst, [&](std::uint32_t off) {
-                    return displacement(w.cells[off].dst, level, off);
-                });
-            flush.cells += step.scanned;
-            flush.workblocks += (step.scanned + workblock_ - 1) / workblock_;
-            if (step.kind == ProbeStep::Kind::Duplicate) {
-                return duplicate(block, sb_base + step.slot);
-            }
-            if (!earlier_candidate) {
-                if (step.candidate) {
-                    earlier_candidate = true;
-                    resume_block = block;
-                    resume_level = level;
-                }
-            }
-            if (step.kind == ProbeStep::Kind::Empty) {
-                if (!earlier_candidate) {
-                    return ProbeResult{ProbeResult::Kind::PlaceAt, kNoCalPos,
-                                       CellRef{block, sb_base + step.slot}};
-                }
-                return ProbeResult{ProbeResult::Kind::Absent, kNoCalPos,
-                                   CellRef{}, resume_block, resume_level};
-            }
-            if (!earlier_candidate) {
-                // Full window, nothing reusable: the cascade would cross
-                // this level verbatim, so keep the resume point below it.
-                resume_block = block;
-                resume_level = level;
-            }
-            block = next_block(block, sb);
-            ++level;
-        }
-        return ProbeResult{ProbeResult::Kind::Absent, kNoCalPos, CellRef{},
-                           resume_block, resume_level};
-    }
     while (block != kNoBlock) {
         const std::uint32_t sb = window_of(block, dst, level);
         const std::uint32_t sb_base = sb * subblock_;
-        const std::uint32_t home = home_of(dst, level);
-        for (std::uint32_t d = 0; d < subblock_; ++d) {
-            const std::uint32_t off = (home + d) & (subblock_ - 1);
-            const std::uint32_t slot = sb_base + off;
-            const CellState state = state_of(block, slot);
-            ++flush.cells;
-            if (state == CellState::Empty) {
-                // Key absent at this level and every level below (see
-                // locate() for the invariant).
-                if (!earlier_candidate) {
-                    return ProbeResult{ProbeResult::Kind::PlaceAt, kNoCalPos,
-                                       CellRef{block, slot}};
-                }
-                return ProbeResult{ProbeResult::Kind::Absent, kNoCalPos,
-                                   CellRef{}, resume_block, resume_level};
-            }
-            if (state == CellState::Tombstone) {
-                if (!earlier_candidate) {
-                    earlier_candidate = true;
-                    resume_block = block;
-                    resume_level = level;
-                }
-                continue;
-            }
-            const VertexId resident = cell(block, slot).dst;
-            if (resident == dst) {
-                return duplicate(block, slot);
-            }
-            if (!earlier_candidate && displacement(resident, level, off) < d) {
-                earlier_candidate = true;  // RHH would displace here
-                resume_block = block;
-                resume_level = level;
-            }
+        // The walk usually ends writing this window's CAL pointers (a
+        // placement or a weight update): fetch that line alongside.
+        simd::prefetch_write(&cal_pos_of(block, sb_base));
+        const WindowBits bits = window_bits(block, sb_base);
+        const SubblockWindow w{&cell(block, sb_base), subblock_, bits.occ,
+                               bits.tomb};
+        const ProbeStep step = probe_step<kProbeKernelSimd>(
+            w, home_of(dst, level), dst, [&](std::uint32_t off) {
+                return displacement(w.cells[off].dst, level, off);
+            });
+        flush.cells += step.scanned;
+        flush.workblocks += (step.scanned + workblock_ - 1) / workblock_;
+        if (step.kind == ProbeStep::Kind::Duplicate) {
+            return duplicate(block, sb_base + step.slot);
         }
-        flush.workblocks += subblock_ / workblock_;
+        if (!earlier_candidate && step.candidate) {
+            earlier_candidate = true;
+            resume_block = block;
+            resume_level = level;
+        }
+        if (step.kind == ProbeStep::Kind::Empty) {
+            if (!earlier_candidate) {
+                return ProbeResult{ProbeResult::Kind::PlaceAt, kNoCalPos,
+                                   CellRef{block, sb_base + step.slot}};
+            }
+            return ProbeResult{ProbeResult::Kind::Absent, kNoCalPos,
+                               CellRef{}, resume_block, resume_level};
+        }
         if (!earlier_candidate) {
+            // Full window, nothing reusable: the cascade would cross this
+            // level verbatim, so keep the resume point below it.
             resume_block = block;
             resume_level = level;
         }
@@ -796,7 +695,7 @@ EdgeblockArray::EraseResult EdgeblockArray::erase(std::uint32_t& top,
     }
     const std::uint32_t cal_pos = cal_pos_of(loc->block, loc->slot);
     const Weight weight = cell(loc->block, loc->slot).weight;
-    if (!compact_delete_) {
+    if (rhh_) {
         // Delete-only: tombstone the cell; probing sees the slot as vacant
         // for future inserts but nothing shrinks.
         set_occupancy(loc->block, loc->slot, false);
@@ -954,71 +853,6 @@ std::uint32_t EdgeblockArray::rebuild_tree(std::uint32_t& top) {
         insert_new(top, e.dst, e.weight, e.cal_pos);
     }
     return static_cast<std::uint32_t>(live.size());
-}
-
-std::uint32_t EdgeblockArray::subtree_live(std::uint32_t block) const {
-    std::uint32_t live = occupied(block);
-    for (std::uint32_t s = 0; s < fanout(block); ++s) {
-        const std::uint32_t down = child(block, s);
-        if (down != kNoBlock) {
-            live += subtree_live(down);
-        }
-    }
-    return live;
-}
-
-std::uint32_t EdgeblockArray::unbranch(std::uint32_t& top) {
-    if (top == kNoBlock || rhh_) {
-        return 0;  // RHH probe-order placement forbids out-of-order pull-ups
-    }
-    return unbranch_block(top);
-}
-
-std::uint32_t EdgeblockArray::unbranch_block(std::uint32_t block) {
-    std::uint32_t moved = 0;
-    for (std::uint32_t s = 0; s < fanout(block); ++s) {
-        std::uint32_t& down = child(block, s);
-        if (down == kNoBlock) {
-            continue;
-        }
-        // Post-order: merge the deepest generations first so this child's
-        // census below reflects its already-shrunk subtree.
-        moved += unbranch_block(down);
-        const std::uint32_t live = subtree_live(down);
-        if (live == 0) {
-            free_subtree(down);
-            down = kNoBlock;
-            continue;
-        }
-        const std::uint32_t sb_base = s * subblock_;
-        std::uint32_t free_slots = 0;
-        for (std::uint32_t off = 0; off < subblock_; ++off) {
-            if (!is_occupied(block, sb_base + off)) {
-                ++free_slots;
-            }
-        }
-        if (live > free_slots) {
-            continue;
-        }
-        // Every edge under the child hashes to this window at this level
-        // (the branch-out that created it proves so), so each may legally
-        // take any free slot, as in refill_hole.
-        LiveEdge victim{};
-        std::uint32_t off = 0;
-        while (down != kNoBlock && extract_deepest(down, victim)) {
-            while (is_occupied(block, sb_base + off)) {
-                ++off;
-            }
-            fill_and_rebind(block, sb_base + off, victim);
-            ++moved;
-            metrics_.unbranch_moves->inc();
-        }
-        if (down != kNoBlock) {
-            free_subtree(down);  // only empties/tombstones remain
-            down = kNoBlock;
-        }
-    }
-    return moved;
 }
 
 std::uint64_t EdgeblockArray::tombstones_in_arena() const noexcept {

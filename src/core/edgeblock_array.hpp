@@ -10,14 +10,16 @@
 // distance when following a vertex's edges is therefore O(log degree) rather
 // than the O(degree) of adjacency-list chains.
 //
-// Within a subblock, insertion runs the Robin Hood Hashing algorithm: the
-// destination id hashes to a home cell; on collision the probe distances of
-// the incoming and resident edges compete and the "richer" edge is displaced
-// and continues probing (wrapping within the subblock). In delete-and-
-// compact mode RHH swapping is disabled (paper §III.C) and a deletion hole
-// in a window that links a child is refilled from that child's subtree
-// (extract_deepest: down the lowest-indexed non-empty child at each level,
-// then that block's first live edge), freeing emptied edgeblocks.
+// Within a subblock, a delete-only store's insertion runs the Robin Hood
+// Hashing algorithm: the destination id hashes to a home cell; on collision
+// the probe distances of the incoming and resident edges compete and the
+// "richer" edge is displaced and continues probing (wrapping within the
+// subblock). In delete-and-compact mode RHH swapping is off (paper §III.C)
+// and a deletion hole in a window that links a child is refilled from that
+// child's subtree (extract_deepest: down the lowest-indexed non-empty child
+// at each level, then that block's first live edge), freeing emptied
+// edgeblocks. A subblock is at most 64 cells, so every probe reads a
+// window's state from one occupancy word and one tombstone word.
 //
 // Level 0 is degree-adaptive. Whenever PAGEWIDTH > SUBBLOCK there are two
 // block sizes, each in its own pooled arena: *wide* blocks of PAGEWIDTH
@@ -80,7 +82,6 @@ struct EbaMetrics {
     obs::Counter* blocks_freed = nullptr;
     obs::Counter* trees_rebuilt = nullptr;
     obs::Counter* tombstones_purged = nullptr;
-    obs::Counter* unbranch_moves = nullptr;
     obs::Counter* promotions = nullptr;
     obs::Counter* demotions = nullptr;
     obs::Histogram* find_probe_cells = nullptr;
@@ -286,16 +287,6 @@ public:
     /// live cells).
     std::uint32_t rebuild_tree(std::uint32_t& top);
 
-    /// TBH un-branching: bottom-up, merges every child subtree whose live
-    /// cells all fit into the free slots of the parent subblock window that
-    /// branched to it, then frees the child's blocks. Any edge in the
-    /// subtree hashes to that window at the parent's level, so the pull-up
-    /// is placement-legal. Only valid when Robin Hood swapping is off
-    /// (compact-delete or no-RHH mode): moved edges land out of probe order,
-    /// which the full-window FIND tolerates but the RHH early-exit does not.
-    /// Returns the number of edges pulled up; no-op (returns 0) in RHH mode.
-    std::uint32_t unbranch(std::uint32_t& top);
-
     /// FIND mode only.
     [[nodiscard]] std::optional<Weight> find(std::uint32_t top,
                                              VertexId dst) const;
@@ -456,8 +447,7 @@ public:
 
 private:
     /// An edge off its cell: what the Robin Hood cascade carries, and what
-    /// compaction, un-branching, rebuilds and class changes move between
-    /// cells.
+    /// compaction, rebuilds and class changes move between cells.
     struct LiveEdge {
         VertexId dst = kInvalidVertex;
         Weight weight = 0;
@@ -583,7 +573,7 @@ private:
     /// FIND over the subblock window starting at cell `sb_base` of `block`
     /// at tree `level`, under the store's mode: Robin Hood probe order with
     /// the EMPTY early exit, or the whole window without it. Bit-parallel
-    /// when the window fits one mask word, cell by cell otherwise.
+    /// (core/probe_kernel.hpp).
     [[nodiscard]] FindStep find_in_window(std::uint32_t block,
                                           std::uint32_t sb_base,
                                           std::uint32_t level,
@@ -626,10 +616,6 @@ private:
     void release_block(std::uint32_t block);
     void free_block(std::uint32_t block);
     void free_subtree(std::uint32_t block);
-    /// Total live cells under `block`'s subtree.
-    [[nodiscard]] std::uint32_t subtree_live(std::uint32_t block) const;
-    /// Bottom-up un-branch of one block's children.
-    std::uint32_t unbranch_block(std::uint32_t block);
     [[nodiscard]] bool subtree_is_empty(std::uint32_t block) const;
     /// Removes and returns one edge of `block`'s subtree: it descends the
     /// lowest-indexed non-empty child at each level and takes the first live
@@ -648,9 +634,9 @@ private:
     std::uint32_t subblock_;
     std::uint32_t workblock_;
     std::uint32_t spb_;  // subblocks per wide block
+    /// Delete-only mode: Robin Hood swaps on insert, tombstones on erase.
+    /// Otherwise deletes compact and probes take no Robin Hood order.
     bool rhh_;
-    bool compact_delete_;
-    bool kernel_ok_;  // subblock fits one mask word: bit-parallel probing
     CoarseAdjacencyList* cal_;
 
     /// An arena's masks interleave each block's mask words: the occupancy
@@ -743,9 +729,8 @@ private:
     }
 
     /// Occupancy/tombstone bits of the subblock starting at cell `sb_base`.
-    /// Precondition: kernel_ok_ (the window never straddles a mask word,
-    /// because subblock_ is a power of two <= 64 and sb_base is a multiple
-    /// of it).
+    /// The window never straddles a mask word: subblock_ is a power of two
+    /// <= 64 (Config::check) and sb_base is a multiple of it.
     struct WindowBits {
         std::uint64_t occ;
         std::uint64_t tomb;

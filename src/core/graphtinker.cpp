@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
+#include <optional>
 
 #include "util/failpoint.hpp"
 #include "util/simd.hpp"
@@ -67,8 +68,10 @@ bool GraphTinker::solo_frame(const Edge& e, bool deletes, Body&& body) {
     // in-memory store never diverges from what post-crash replay rebuilds.
     // The cause stays latched in the log's status(). A rollback re-enters
     // insert_edge with a transaction state other than Idle: the frame it
-    // unwinds was aborted or never committed, so nothing is logged.
+    // unwinds was aborted or never committed, so nothing is logged. An op
+    // that does not land leaves num_vertices() where it was.
     const bool tee = log_ != nullptr && txn_ == TxnState::Idle;
+    const VertexId raw_bound = raw_bound_;
     if (tee) {
         const std::span<const Edge> one{&e, 1};
         if (!(log_->begin_batch(1) && (deletes ? log_->stage_deletes(one)
@@ -90,6 +93,7 @@ bool GraphTinker::solo_frame(const Edge& e, bool deletes, Body&& body) {
             journal_.clear();
             log_->abort_batch();
         }
+        raw_bound_ = raw_bound;
         throw;
     }
     if (tee) {
@@ -100,6 +104,7 @@ bool GraphTinker::solo_frame(const Edge& e, bool deletes, Body&& body) {
             // can lose only a duplicate insert's weight restore or a
             // delete's re-insert.
             (void)rollback_journal();
+            raw_bound_ = raw_bound;
             return false;
         }
         journal_.clear();
@@ -402,16 +407,19 @@ void GraphTinker::prefetch_ahead(std::span<const SourceRun> runs,
 
 namespace {
 /// Records a batch's wall time into a latency histogram (microseconds) on
-/// scope exit. The Timer read only happens when recording is enabled, so a
+/// scope exit. The clock is read only when recording is enabled, so a
 /// disabled run pays one predictable branch per batch.
 class BatchLatencyScope {
 public:
-    explicit BatchLatencyScope(obs::Histogram* hist) noexcept
-        : hist_(hist), armed_(obs::kEnabled && obs::recording()) {}
+    explicit BatchLatencyScope(obs::Histogram* hist) noexcept : hist_(hist) {
+        if (obs::kEnabled && obs::recording()) {
+            timer_.emplace();
+        }
+    }
     ~BatchLatencyScope() {
-        if (armed_) {
+        if (timer_) {
             hist_->record(
-                static_cast<std::uint64_t>(timer_.seconds() * 1e6));
+                static_cast<std::uint64_t>(timer_->seconds() * 1e6));
         }
     }
     BatchLatencyScope(const BatchLatencyScope&) = delete;
@@ -419,8 +427,7 @@ public:
 
 private:
     obs::Histogram* hist_;
-    bool armed_;
-    Timer timer_;
+    std::optional<Timer> timer_;  // engaged only when recording
 };
 }  // namespace
 
@@ -492,6 +499,8 @@ Status GraphTinker::run_transaction(std::span<const Edge> batch, bool deletes,
     if (batch.size() <= 1 && log_ == nullptr) {
         return apply_single(batch, deletes);
     }
+    // A batch that does not land leaves num_vertices() where it was.
+    const VertexId raw_bound = raw_bound_;
     // Pre-flight: size the scratch the apply path pushes to without
     // throwing. It runs before the log stages the batch, so a failed
     // allocation leaves both the store and the log untouched.
@@ -552,8 +561,11 @@ Status GraphTinker::run_transaction(std::span<const Edge> batch, bool deletes,
     } else if (!st.ok() && log_ != nullptr) {
         log_->abort_batch();
     }
-    if (!st.ok() && !rollback_journal()) {
-        st.message += "; rollback incomplete — store degraded";
+    if (!st.ok()) {
+        if (!rollback_journal()) {
+            st.message += "; rollback incomplete — store degraded";
+        }
+        raw_bound_ = raw_bound;
     }
     journal_.clear();
     if (st.ok()) {

@@ -119,10 +119,11 @@ public:
 
     // ---- maintenance (core/maintenance.hpp) ------------------------------
 
-    /// Full maintenance sweep: purges tombstone-laden trees, un-branches
-    /// sparse subtrees, compacts the CAL chains. Edges, weights and degrees
-    /// are untouched; probe distance and memory_footprint() shrink back
-    /// toward fresh-build levels.
+    /// Full maintenance sweep: purges tombstone-laden trees and compacts
+    /// the CAL chains of a delete-only store; a compact-delete store
+    /// reclaims on every erase and leaves it nothing to do. Edges, weights
+    /// and degrees are untouched; probe distance and memory_footprint()
+    /// shrink back toward fresh-build levels.
     MaintenanceReport maintain();
 
     // ---- queries ---------------------------------------------------------

@@ -37,7 +37,6 @@ private:
         cost_ += static_cast<std::uint64_t>(load.live) + load.tombstones +
                  load.blocks;
         const Config& cfg = g_.config_;
-        const std::size_t blocks_before = g_.eba_.blocks_in_use();
         if (cfg.deletion_mode == DeletionMode::DeleteOnly &&
             load.tombstones > 0 &&
             static_cast<double>(load.tombstones) >
@@ -45,6 +44,7 @@ private:
                     static_cast<double>(load.live + load.tombstones)) {
             // A tree with no live cell rebuilds to nothing, and its source's
             // dense id is recycled below.
+            const std::size_t blocks_before = g_.eba_.blocks_in_use();
             g_.prepare_release();
             const std::uint32_t moved = g_.eba_.rebuild_tree(top);
             cost_ += 2ULL * moved;  // collect + reinsert
@@ -52,17 +52,10 @@ private:
             report_.cells_moved += moved;
             report_.tombstones_purged += load.tombstones;
             g_.release_if_empty(dense);
-        } else if (!cfg.rhh_active() && load.blocks > 1) {
-            const std::uint32_t moved = g_.eba_.unbranch(top);
-            cost_ += 2ULL * moved;
-            if (moved > 0 || g_.eba_.blocks_in_use() < blocks_before) {
-                ++report_.trees_unbranched;
-                report_.cells_moved += moved;
+            const std::size_t blocks_after = g_.eba_.blocks_in_use();
+            if (blocks_after < blocks_before) {
+                report_.eba_blocks_reclaimed += blocks_before - blocks_after;
             }
-        }
-        const std::size_t blocks_after = g_.eba_.blocks_in_use();
-        if (blocks_after < blocks_before) {
-            report_.eba_blocks_reclaimed += blocks_before - blocks_after;
         }
     }
 

@@ -1,11 +1,12 @@
 // Bit-parallel subblock probe kernels (FIND mode, paper §III.C).
 //
-// A subblock is a power-of-two window of edge-cells (<= 64) whose occupancy
-// and tombstone state the EdgeblockArray tracks as per-block bitmasks. The
-// scalar probe walks the window cell by cell in Robin Hood probe order from
-// the home offset, exiting at the first EMPTY (absence proof), a key match,
-// or window exhaustion (descend). These kernels compute the same outcome
-// without touching cells one at a time:
+// A subblock is a power-of-two window of edge-cells (<= 64, so one mask
+// word: Config::check refuses wider ones) whose occupancy and tombstone
+// state the EdgeblockArray tracks as per-block bitmasks. A Robin Hood FIND
+// walks the window in probe order from the home offset, exiting at the
+// first EMPTY (absence proof), a key match, or window exhaustion (descend).
+// These kernels compute the same outcome without touching cells one at a
+// time, and are the store's only probe path:
 //
 //   match  = (SIMD dst compare over the whole window) & occupied-bits
 //   empty  = ~(occupied | tombstone) within the window
@@ -15,16 +16,18 @@
 // and then compare distances — the key is found iff it sits strictly before
 // the first EMPTY on the probe path, absent at every level iff an EMPTY
 // comes first, and the walk descends iff the window has no EMPTY at all.
-// Without Robin Hood swaps (compact-delete or RHH off) a key may sit
-// anywhere in its window, so the whole window is matched; an EMPTY cell
-// still proves the key absent below, because a window that links a child
-// is full in every mode (a branch-out fills it first, and a compacting
-// erase refills its hole from below or unlinks the emptied child).
+// Robin Hood order holds exactly in delete-only stores. Under compact
+// deletes a key may sit anywhere in its window, so the whole window is
+// matched; an EMPTY cell still proves the key absent below, because a
+// window that links a child is full in every mode (a branch-out fills it
+// first, and a compacting erase refills its hole from below or unlinks the
+// emptied child).
 // Cells carry no state or probe distance: the masks are the state, and a
 // resident's displacement is recomputed from its hash by the caller.
 // Both the template instantiations (SIMD and scalar compare) are compiled in
 // every build so tests can diff them; GT_SIMD only selects which one the hot
-// path calls.
+// path calls. The scalar one is the reference the tests diff against and
+// the path a target without SSE2/NEON (or a GT_SIMD=OFF build) runs.
 #pragma once
 
 #include <bit>
@@ -95,10 +98,10 @@ struct FindStep {
     };
     Kind kind = Kind::Descend;
     std::uint32_t slot = 0;     // valid when Found (offset within subblock)
-    std::uint32_t scanned = 0;  // cells the scalar walk would have inspected
+    std::uint32_t scanned = 0;  // cells a probe-order walk inspects
 };
 
-/// FIND over one subblock under Robin Hood (delete-only) invariants.
+/// FIND over one subblock under Robin Hood (delete-only) order.
 template <bool UseSimd>
 [[nodiscard]] inline FindStep find_step(const SubblockWindow& w,
                                         std::uint32_t home,
@@ -118,10 +121,10 @@ template <bool UseSimd>
     return FindStep{FindStep::Kind::Descend, 0, w.width};
 }
 
-/// FIND over one subblock without Robin Hood order (compact-delete or RHH
-/// off): holes are refilled out of probe order there, so the whole window
-/// is inspected. A miss in a window that holds an EMPTY cell is Absent —
-/// such a window never links a child — and a miss in a full one descends.
+/// FIND over one subblock without Robin Hood order (compact deletes):
+/// holes are refilled out of probe order there, so the whole window is
+/// inspected. A miss in a window that holds an EMPTY cell is Absent — such
+/// a window never links a child — and a miss in a full one descends.
 template <bool UseSimd>
 [[nodiscard]] inline FindStep find_step_full(const SubblockWindow& w,
                                              VertexId dst) noexcept {
@@ -154,8 +157,8 @@ struct ProbeStep {
     std::uint32_t scanned = 0;
 };
 
-/// Fused FIND/INSERT probe over one subblock (RHH mode). Mirrors the scalar
-/// walk: duplicate and EMPTY detection are bit-parallel; only the (rare)
+/// Fused FIND/INSERT probe over one subblock (delete-only, RHH order).
+/// Duplicate and EMPTY detection are bit-parallel; only the (rare)
 /// rich-resident check inspects individual occupied cells, and only up to
 /// the exit distance. `probe_of(slot)` returns the Robin Hood displacement
 /// of the resident at cells[slot] from its own home offset.
@@ -172,7 +175,7 @@ template <bool UseSimd, typename ProbeOf>
                          (home + d_match) & (w.width - 1), d_match, false,
                          d_match + 1};
     }
-    // The scalar walk stops at the first EMPTY, so candidates only count
+    // A probe-order walk stops at the first EMPTY, so candidates only count
     // before it.
     const std::uint32_t bound = d_empty;
     bool candidate = first_probe_dist(w.tomb, home, w.width) < bound;

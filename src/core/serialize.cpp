@@ -54,7 +54,10 @@ std::vector<unsigned char> encode_config(const Config& cfg) {
     put_buf(buf, cfg.workblock);
     put_buf(buf, static_cast<std::uint8_t>(cfg.enable_sgh));
     put_buf(buf, static_cast<std::uint8_t>(cfg.enable_cal));
-    put_buf(buf, static_cast<std::uint8_t>(cfg.enable_rhh));
+    // The Robin Hood byte: written as rhh_active() and ignored on read, as
+    // the deletion mode alone decides it (a file whose byte disagrees with
+    // its mode loads like any other).
+    put_buf(buf, static_cast<std::uint8_t>(cfg.rhh_active()));
     put_buf(buf, static_cast<std::uint8_t>(cfg.deletion_mode));
     put_buf(buf, cfg.cal_group_size);
     put_buf(buf, cfg.cal_block_edges);
@@ -73,7 +76,7 @@ std::vector<unsigned char> encode_config(const Config& cfg) {
     std::size_t off = 0;
     std::uint8_t sgh = 0;
     std::uint8_t cal = 0;
-    std::uint8_t rhh = 0;
+    std::uint8_t rhh = 0;  // ignored (see encode_config)
     std::uint8_t mode = 0;
     std::uint32_t retired = 0;
     const bool ok =
@@ -92,7 +95,6 @@ std::vector<unsigned char> encode_config(const Config& cfg) {
     }
     cfg.enable_sgh = sgh != 0;
     cfg.enable_cal = cal != 0;
-    cfg.enable_rhh = rhh != 0;
     cfg.deletion_mode = static_cast<DeletionMode>(mode);
     return true;
 }

@@ -112,17 +112,14 @@ Status DurableStore::open(const std::string& dir,
 
     // 3. Post-replay structural audit: a recovered store must be
     // indistinguishable from one that never crashed.
-    if (options.audit_after_recovery) {
-        ri.audit_ran = true;
-        const core::AuditReport report = graph_->audit();
-        ri.audit_clean = report.ok();
-        if (!ri.audit_clean) {
-            const Status st{StatusCode::RecoveryAuditFailed,
-                            "post-replay audit: " + report.to_string(),
-                            report.violations.size()};
-            graph_.reset();
-            return st;
-        }
+    const core::AuditReport report = graph_->audit();
+    ri.audit_clean = report.ok();
+    if (!ri.audit_clean) {
+        const Status st{StatusCode::RecoveryAuditFailed,
+                        "post-replay audit: " + report.to_string(),
+                        report.violations.size()};
+        graph_.reset();
+        return st;
     }
 
     // 4. Attach the appending WAL (its open() truncates the torn tail).

@@ -42,9 +42,6 @@ struct DurableOptions {
     /// snapshot supplies one).
     core::Config config{};
     DurabilityMode mode = DurabilityMode::Buffered;
-    /// Run the deep structural audit after recovery (cheap insurance; turn
-    /// off only for enormous stores).
-    bool audit_after_recovery = true;
 };
 
 /// What open() found and did — surfaced for the CLI and tests.
@@ -56,7 +53,6 @@ struct RecoveryInfo {
     std::uint64_t snapshot_wal_seq = 0;
     ReplayStats replay;
     bool wal_present = false;
-    bool audit_ran = false;
     bool audit_clean = true;
 };
 

@@ -82,10 +82,9 @@ INSTANTIATE_TEST_SUITE_P(
                       GeomParam{256, 32, 8, DeletionMode::DeleteAndCompact},
                       GeomParam{4, 4, 4, DeletionMode::DeleteOnly},
                       GeomParam{128, 8, 8, DeletionMode::DeleteAndCompact},
-                      // Subblocks wider than one mask word take the
-                      // cell-by-cell FIND and probe walks.
-                      GeomParam{256, 128, 8, DeletionMode::DeleteOnly},
-                      GeomParam{256, 128, 8, DeletionMode::DeleteAndCompact}),
+                      // The widest legal window: one whole mask word.
+                      GeomParam{256, 64, 8, DeletionMode::DeleteOnly},
+                      GeomParam{256, 64, 8, DeletionMode::DeleteAndCompact}),
     [](const auto& info) {
         const GeomParam& p = info.param;
         return "pw" + std::to_string(p.pagewidth) + "_sb" +

@@ -4,10 +4,15 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <set>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/edgeblock_array.hpp"
+#include "core/serialize.hpp"
+#include "util/crc32c.hpp"
 
 namespace gt::core {
 namespace {
@@ -340,7 +345,34 @@ TEST(EdgeblockArrayConfig, ValidationRejectsBadGeometry) {
     bad = Config{};
     bad.cal_group_size = 0;
     EXPECT_THROW(bad.validate(), std::invalid_argument);
+    bad = Config{};
+    bad.pagewidth = 256;
+    bad.subblock = 128;  // wider than the one mask word a probe reads
+    EXPECT_THROW(bad.validate(), std::invalid_argument);
     EXPECT_NO_THROW(Config{}.validate());
+
+    // A snapshot whose config section says subblock = 128 fails the same
+    // screen: patch a 256/64/8 store's file and re-seal the section CRC.
+    Config wide;
+    wide.pagewidth = 256;
+    wide.subblock = 64;
+    wide.workblock = 8;
+    GraphTinker g(wide);
+    ASSERT_TRUE(g.insert_edge(1, 2, 3));
+    std::stringstream out;
+    ASSERT_TRUE(write_snapshot(g, out).ok());
+    std::string bytes = out.str();
+    constexpr std::size_t kSection = 16;  // v2 header
+    constexpr std::size_t kSectionBytes = 56;
+    const std::uint32_t subblock = 128;
+    std::memcpy(&bytes[kSection + 4], &subblock, 4);  // after pagewidth
+    const std::uint32_t crc =
+        util::crc32c(bytes.data() + kSection, kSectionBytes);
+    std::memcpy(&bytes[kSection + kSectionBytes], &crc, 4);
+    std::istringstream in(bytes);
+    LoadedSnapshot loaded;
+    EXPECT_EQ(read_snapshot(in, loaded).code, StatusCode::SnapshotBadConfig);
+    EXPECT_EQ(loaded.graph, nullptr);
 }
 
 }  // namespace

@@ -346,14 +346,14 @@ INSTANTIATE_TEST_SUITE_P(
 // ---- churn without Robin Hood order --------------------------------------
 
 TEST(GraphTinkerChurn, NoRhhModesMatchModelAcrossBatchShapes) {
-    // Compact-delete (the default) and delete-only with RHH off share the
-    // one-walk insert probe: it stops at the first window holding an EMPTY
-    // cell and places the edge on the first unoccupied cell it passed.
-    // Churn that deletes edges and re-inserts them, one edge at a time and
-    // in batches large enough for the source-grouped fast path, must match
-    // a model after every batch and leave a clean audit. The wide geometry
-    // (128-cell subblocks) runs the cell-by-cell walk instead of the
-    // bit-parallel kernel.
+    // Compact deletes (the default) turn Robin Hood order off, and the
+    // insert probe takes one walk: it stops at the first window holding an
+    // EMPTY cell and places the edge on the first unoccupied cell it
+    // passed. Churn that deletes edges and re-inserts them, one edge at a
+    // time and in batches large enough for the source-grouped fast path,
+    // must match a model after every batch and leave a clean audit, at the
+    // default geometry, a small one and the widest legal window (64 cells,
+    // one whole mask word).
     struct Case {
         std::string name;
         Config cfg;
@@ -362,18 +362,14 @@ TEST(GraphTinkerChurn, NoRhhModesMatchModelAcrossBatchShapes) {
     cases.push_back({"compact", Config{}});
     Config wide;
     wide.pagewidth = 256;
-    wide.subblock = 128;
+    wide.subblock = 64;
     wide.workblock = 8;
     cases.push_back({"compact_wide", wide});
-    Config no_rhh;
-    no_rhh.deletion_mode = DeletionMode::DeleteOnly;
-    no_rhh.enable_rhh = false;
-    cases.push_back({"delete_only_no_rhh", no_rhh});
-    Config no_rhh_small = no_rhh;
-    no_rhh_small.pagewidth = 16;
-    no_rhh_small.subblock = 4;
-    no_rhh_small.workblock = 2;
-    cases.push_back({"delete_only_no_rhh_small", no_rhh_small});
+    Config small;
+    small.pagewidth = 16;
+    small.subblock = 4;
+    small.workblock = 2;
+    cases.push_back({"compact_small", small});
 
     constexpr VertexId kSources = 160;
     for (const Case& c : cases) {

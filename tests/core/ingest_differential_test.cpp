@@ -73,17 +73,14 @@ struct NamedConfig {
     Config config;
 };
 
-/// Compact deletes (the default) turn Robin Hood swapping off, so RHH is
-/// toggled under delete-only, the mode the paper figures use.
+/// Compact deletes (the default) probe without Robin Hood order; delete-only
+/// stores, the mode the paper figures use, probe with it.
 std::vector<NamedConfig> all_configs() {
     std::vector<NamedConfig> out;
     out.push_back({"default", Config{}});
     Config delete_only;
     delete_only.deletion_mode = DeletionMode::DeleteOnly;
     out.push_back({"delete_only", delete_only});
-    Config delete_only_no_rhh = delete_only;
-    delete_only_no_rhh.enable_rhh = false;
-    out.push_back({"delete_only_no_rhh", delete_only_no_rhh});
     Config no_cal;
     no_cal.enable_cal = false;
     out.push_back({"no_cal", no_cal});

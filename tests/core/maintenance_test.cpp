@@ -1,7 +1,8 @@
 // Maintenance & space-reclamation layer (core/maintenance.hpp): tombstone
-// purges, TBH un-branching and CAL chain compaction must reclaim space and
-// probe distance without disturbing a single observable edge, across every
-// feature configuration and under the full structural audit.
+// purges and CAL chain compaction must reclaim space and probe distance
+// without disturbing a single observable edge, across every feature
+// configuration and under the full structural audit; a compact-delete
+// store leaves them nothing to do.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -76,9 +77,6 @@ std::vector<NamedConfig> all_configs() {
     Config no_cal = delete_only();
     no_cal.enable_cal = false;
     out.push_back({"delete_only_no_cal", no_cal});
-    Config no_rhh = delete_only();
-    no_rhh.enable_rhh = false;
-    out.push_back({"no_rhh", no_rhh});
     return out;
 }
 
@@ -150,44 +148,69 @@ TEST(Maintenance, MaintainPreservesEquivalenceAcrossConfigs) {
     }
 }
 
-TEST(Maintenance, UnbranchShrinksTreeDepth) {
-    // no-RHH delete-only mode: deletes tombstone window slots while the
-    // children stay populated, so after a heavy wave the sparse child
-    // subtrees fit back into their parents' windows. (In compact-delete
-    // mode refill_hole already pulls children up on every erase, keeping
-    // branched windows full — un-branching targets exactly this config.)
-    // Purge is disabled so the merge path, not the rebuild path, does the
-    // reclamation.
-    Config cfg = delete_only();
-    cfg.enable_rhh = false;
-    cfg.purge_tombstone_threshold = 1.0;
-    GraphTinker g(cfg);
-    const test::ScopedAudit audit(g, "unbranch");
-    constexpr VertexId kHub = 3;
-    constexpr VertexId kFan = 2000;
-    for (VertexId dst = 0; dst < kFan; ++dst) {
-        (void)g.insert_edge(kHub, dst, dst + 1);
-    }
-    const std::uint32_t depth_peak = g.tree_depth(kHub);
-    ASSERT_GT(depth_peak, 1u);
-
-    for (VertexId dst = 0; dst < kFan; ++dst) {
-        if (dst % 16 != 0) {
-            (void)g.delete_edge(kHub, dst);
+TEST(Maintenance, CompactSweepFindsNothingToDo) {
+    // Compact deletes reclaim on every erase: a hole is refilled from below
+    // and emptied blocks free at once, so a window that links a child stays
+    // full and the CAL holds no hole. The first sweep after any churn, in
+    // batches or solo ops, at any geometry, finds nothing to do.
+    struct Geometry {
+        std::uint32_t pagewidth;
+        std::uint32_t subblock;
+        std::uint32_t workblock;
+        bool cal;
+    };
+    const auto edges = rmat_edges(1024, 30000, 17);
+    constexpr std::size_t kChunk = 2000;
+    constexpr std::size_t kWindowChunks = 4;
+    constexpr std::size_t kSolo = 200;  // per chunk, through the solo ops
+    for (const Geometry& geo :
+         {Geometry{64, 8, 4, true}, Geometry{64, 8, 4, false},
+          Geometry{8, 4, 2, true}, Geometry{16, 16, 4, true},
+          Geometry{256, 64, 8, true}}) {
+        Config cfg;
+        cfg.pagewidth = geo.pagewidth;
+        cfg.subblock = geo.subblock;
+        cfg.workblock = geo.workblock;
+        cfg.enable_cal = geo.cal;
+        const std::string name = std::to_string(geo.pagewidth) + "/" +
+                                 std::to_string(geo.subblock) + "/" +
+                                 std::to_string(geo.workblock) +
+                                 (geo.cal ? " cal" : " no_cal");
+        GraphTinker g(cfg);
+        const test::ScopedAudit audit(g, name);
+        // A sliding window: each step inserts the next chunk and deletes
+        // the one kWindowChunks behind it, a slice of each through the
+        // solo ops and the rest as one batch.
+        const std::span<const Edge> stream(edges);
+        ASSERT_EQ(stream.size() % kChunk, 0u);
+        for (std::size_t at = 0; at < stream.size(); at += kChunk) {
+            const auto in = stream.subspan(at, kChunk);
+            for (const Edge& e : in.first(kSolo)) {
+                (void)g.insert_edge(e.src, e.dst, e.weight);
+            }
+            ASSERT_TRUE(g.insert_batch(in.subspan(kSolo)).ok()) << name;
+            if (at < kWindowChunks * kChunk) {
+                continue;
+            }
+            const auto out =
+                stream.subspan(at - kWindowChunks * kChunk, kChunk);
+            for (const Edge& e : out.first(kSolo)) {
+                (void)g.delete_edge(e.src, e.dst);
+            }
+            ASSERT_TRUE(g.delete_batch(out.subspan(kSolo)).ok()) << name;
         }
-    }
-    audit.check();
+        audit.check();
+        ASSERT_GT(g.edgeblock_array().blocks_in_use(BlockClass::Wide), 1u)
+            << name;
 
-    const EdgeMap before_map = edge_map(g);
-    const std::size_t blocks_before = g.edgeblock_array().blocks_in_use();
-    const MaintenanceReport report = g.maintain();
-    EXPECT_GT(report.trees_unbranched, 0u);
-    EXPECT_GT(report.eba_blocks_reclaimed, 0u);
-    EXPECT_LT(g.tree_depth(kHub), depth_peak);
-    EXPECT_LT(g.edgeblock_array().blocks_in_use(), blocks_before);
-    EXPECT_EQ(edge_map(g), before_map);
-    EXPECT_EQ(g.obs().counter("eba.unbranch_moves").value(),
-              report.cells_moved);
+        const EdgeMap before = edge_map(g);
+        const std::size_t blocks = g.edgeblock_array().blocks_in_use();
+        const MaintenanceReport report = g.maintain();
+        EXPECT_TRUE(report.idle()) << name;
+        EXPECT_GT(report.trees_examined, 0u) << name;
+        EXPECT_EQ(g.edgeblock_array().blocks_in_use(), blocks) << name;
+        EXPECT_EQ(edge_map(g), before) << name;
+    }
 }
 
 TEST(Maintenance, CalCompactionReclaimsHolesAndBlocks) {

@@ -139,6 +139,52 @@ TEST(Serialize, DeleteOnlySnapshotReloadsDeleteOnlyWithRhh) {
     EXPECT_FALSE(reloaded->config().rhh_active());
 }
 
+TEST(Serialize, RobinHoodByteFollowsDeletionMode) {
+    // The config section's Robin Hood byte records rhh_active() and is
+    // ignored on read: the deletion mode alone decides it. A snapshot
+    // stores edges, not their placement, so a file whose byte disagrees
+    // with its mode (older writers recorded a separate switch) reloads
+    // under its mode's probe discipline.
+    constexpr std::size_t kSection = 16;       // v2 header
+    constexpr std::size_t kSectionBytes = 56;  // then its CRC
+    constexpr std::size_t kRhhByte = kSection + 14;  // after 3 u32 + 2 u8
+    const auto patch = [&](const std::string& file, std::uint8_t rhh) {
+        std::string bytes = file;
+        bytes[kRhhByte] = static_cast<char>(rhh);
+        const std::uint32_t crc =
+            util::crc32c(bytes.data() + kSection, kSectionBytes);
+        std::memcpy(&bytes[kSection + kSectionBytes], &crc, 4);
+        return bytes;
+    };
+    const auto edges = rmat_edges(300, 6000, 37);
+    Config delete_only;
+    delete_only.deletion_mode = DeletionMode::DeleteOnly;
+    for (const Config& cfg : {Config{}, delete_only}) {
+        const bool rhh = cfg.deletion_mode == DeletionMode::DeleteOnly;
+        const std::string label = rhh ? "delete_only" : "compact";
+        GraphTinker g(cfg);
+        ASSERT_TRUE(g.insert_batch(edges).ok()) << label;
+        std::stringstream buffer;
+        ASSERT_TRUE(save(g, buffer).ok()) << label;
+        const std::string file = buffer.str();
+        EXPECT_EQ(static_cast<std::uint8_t>(file[kRhhByte]), rhh ? 1U : 0U)
+            << label;
+
+        std::stringstream patched(patch(file, rhh ? 0 : 1));
+        const auto loaded = load(patched);
+        ASSERT_NE(loaded, nullptr) << label;
+        EXPECT_EQ(loaded->config().deletion_mode, cfg.deletion_mode) << label;
+        EXPECT_EQ(loaded->config().rhh_active(), rhh) << label;
+        const AuditReport report = loaded->audit();
+        EXPECT_TRUE(report.ok()) << label << ": " << report.to_string();
+        EXPECT_EQ(loaded->num_edges(), g.num_edges()) << label;
+        g.visit_edges([&](VertexId s, VertexId d, Weight w) {
+            ASSERT_EQ(loaded->find_edge(s, d), std::optional<Weight>(w))
+                << label << " (" << s << "," << d << ")";
+        });
+    }
+}
+
 TEST(Serialize, DeleteHeavyStoreRoundTripsInBothModes) {
     // Delete half the graph (mixing batch and per-edge paths), snapshot,
     // reload, and compare against a fresh twin built from only the

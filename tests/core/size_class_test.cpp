@@ -24,7 +24,7 @@ namespace {
 
 using Model = std::map<VertexId, std::map<VertexId, Weight>>;
 
-enum class Mode { Compact, RhhDeleteOnly, NoRhhDeleteOnly };
+enum class Mode { Compact, RhhDeleteOnly };
 
 struct ClassParam {
     std::uint32_t pagewidth;
@@ -41,7 +41,6 @@ Config make_config(const ClassParam& p) {
     cfg.deletion_mode = p.mode == Mode::Compact
                             ? DeletionMode::DeleteAndCompact
                             : DeletionMode::DeleteOnly;
-    cfg.enable_rhh = p.mode != Mode::NoRhhDeleteOnly;
     return cfg;
 }
 
@@ -191,27 +190,21 @@ INSTANTIATE_TEST_SUITE_P(
     Geometries, SizeClassChurn,
     ::testing::Values(ClassParam{64, 8, 4, Mode::Compact},
                       ClassParam{64, 8, 4, Mode::RhhDeleteOnly},
-                      ClassParam{64, 8, 4, Mode::NoRhhDeleteOnly},
                       ClassParam{16, 8, 4, Mode::Compact},
                       ClassParam{16, 8, 4, Mode::RhhDeleteOnly},
-                      ClassParam{16, 8, 4, Mode::NoRhhDeleteOnly},
                       // PAGEWIDTH == SUBBLOCK: no narrow class.
                       ClassParam{8, 8, 4, Mode::Compact},
                       ClassParam{8, 8, 4, Mode::RhhDeleteOnly},
-                      ClassParam{8, 8, 4, Mode::NoRhhDeleteOnly},
-                      // Windows wider than a mask word: cell-by-cell walks.
-                      ClassParam{256, 128, 8, Mode::Compact},
-                      ClassParam{256, 128, 8, Mode::RhhDeleteOnly},
-                      ClassParam{256, 128, 8, Mode::NoRhhDeleteOnly},
+                      // The widest legal window: one whole mask word.
+                      ClassParam{256, 64, 8, Mode::Compact},
+                      ClassParam{256, 64, 8, Mode::RhhDeleteOnly},
                       // A 2-cell narrow window.
                       ClassParam{8, 2, 2, Mode::Compact},
-                      ClassParam{8, 2, 2, Mode::RhhDeleteOnly},
-                      ClassParam{8, 2, 2, Mode::NoRhhDeleteOnly}),
+                      ClassParam{8, 2, 2, Mode::RhhDeleteOnly}),
     [](const auto& info) {
         const ClassParam& p = info.param;
-        const char* mode = p.mode == Mode::Compact         ? "_compact"
-                           : p.mode == Mode::RhhDeleteOnly ? "_rhh_only"
-                                                           : "_norhh_only";
+        const char* mode =
+            p.mode == Mode::Compact ? "_compact" : "_rhh_only";
         return "pw" + std::to_string(p.pagewidth) + "_sb" +
                std::to_string(p.subblock) + "_wb" +
                std::to_string(p.workblock) + mode;

@@ -56,7 +56,6 @@ TEST(SnapshotGolden, FileBytesMatchSpecAssembledByHand) {
     cfg.workblock = 2;
     cfg.enable_sgh = true;
     cfg.enable_cal = true;
-    cfg.enable_rhh = false;
     cfg.deletion_mode = DeletionMode::DeleteAndCompact;
     cfg.cal_group_size = 512;
     cfg.cal_block_edges = 64;
@@ -89,7 +88,7 @@ TEST(SnapshotGolden, FileBytesMatchSpecAssembledByHand) {
     append_u32(config, 2);      // workblock
     append_u8(config, 1);       // enable_sgh
     append_u8(config, 1);       // enable_cal
-    append_u8(config, 0);       // enable_rhh
+    append_u8(config, 0);       // Robin Hood: rhh_active(), off when compact
     append_u8(config, 1);       // deletion_mode: DeleteAndCompact
     append_u32(config, 512);    // cal_group_size
     append_u32(config, 64);     // cal_block_edges
@@ -131,7 +130,7 @@ TEST(SnapshotGolden, FileBytesMatchSpecAssembledByHand) {
     EXPECT_EQ(loaded.graph->num_edges(), 12000U);
     EXPECT_EQ(loaded.graph->config().pagewidth, 32U);
     EXPECT_EQ(loaded.graph->config().workblock, 2U);
-    EXPECT_FALSE(loaded.graph->config().enable_rhh);
+    EXPECT_FALSE(loaded.graph->config().rhh_active());
     EXPECT_EQ(loaded.graph->config().cal_compact_threshold, 0.125);
     std::size_t matched = 0;
     graph.visit_edges([&](VertexId s, VertexId d, Weight w) {

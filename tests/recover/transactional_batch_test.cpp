@@ -432,6 +432,58 @@ TEST(TransactionalBatch, SoloDeleteCommitFailureReinsertsTheEdge) {
     g.attach_update_log(nullptr);
 }
 
+TEST(TransactionalBatch, FailedUpdatesLeaveNumVerticesUnchanged) {
+    // num_vertices() covers the ids of updates that landed, as a replay of
+    // the committed history would: a batch or solo op that is rolled back
+    // or throws leaves it where it was.
+    {
+        GraphTinker g;
+        const test::ScopedAudit audit(g, "vertex bound");
+        ASSERT_TRUE(g.insert_edge(1, 2, 1));
+        ASSERT_TRUE(g.insert_edge(3, 4, 1));
+        ASSERT_EQ(g.num_vertices(), 5u);
+        // Sorted by source, 1->5 applies before cal.grow fails 900->901.
+        const std::vector<Edge> batch{{1, 5, 1}, {900, 901, 1}, {1000, 7, 1}};
+        {
+            fail::ScopedFailPoint fp("cal.grow", 2);
+            ASSERT_EQ(g.insert_batch(batch).code, StatusCode::FaultInjected);
+        }
+        EXPECT_EQ(g.num_vertices(), 5u);
+        {
+            fail::ScopedFailPoint fp("cal.grow", 1);
+            EXPECT_THROW((void)g.insert_edge(5000, 6000, 1),
+                         fail::InjectedFault);
+        }
+        EXPECT_EQ(g.num_vertices(), 5u);
+        EXPECT_EQ(g.num_edges(), 2u);
+    }
+    // With a log attached, a failed commit rolls the solo op or batch back;
+    // each case gets its own log, since a failed commit latches it.
+    for (const bool solo : {true, false}) {
+        TempDir dir;
+        GraphTinker g;
+        const test::ScopedAudit audit(g, solo ? "solo commit" : "commit");
+        recover::WalWriter wal;
+        ASSERT_TRUE(wal.open(dir.file("wal.gtw"),
+                             recover::DurabilityMode::Buffered).ok());
+        g.attach_update_log(&wal);
+        ASSERT_TRUE(g.insert_edge(1, 2, 1));
+        ASSERT_EQ(g.num_vertices(), 3u);
+        {
+            fail::ScopedFailPoint fp("wal.commit", 1);
+            if (solo) {
+                EXPECT_FALSE(g.insert_edge(3000, 4000, 1));
+            } else {
+                const std::vector<Edge> batch{{1, 7000, 1}, {8000, 2, 1}};
+                EXPECT_EQ(g.insert_batch(batch).code, StatusCode::IoError);
+            }
+        }
+        EXPECT_EQ(g.num_vertices(), 3u) << solo;
+        EXPECT_EQ(g.num_edges(), 1u) << solo;
+        g.attach_update_log(nullptr);
+    }
+}
+
 TEST(TransactionalBatch, SoloInsertFaultLeavesStoreUntouched) {
     GraphTinker g;
     const test::ScopedAudit audit(g, "solo");

@@ -490,9 +490,7 @@ void print_recovery_info(const recover::RecoveryInfo& info) {
                     info.replay.tail_status.to_string().c_str());
     }
     std::printf("audit after recover : %s\n",
-                !info.audit_ran     ? "skipped"
-                : info.audit_clean  ? "clean"
-                                    : "VIOLATIONS");
+                info.audit_clean ? "clean" : "VIOLATIONS");
 }
 
 int cmd_recover(int argc, char** argv) {
