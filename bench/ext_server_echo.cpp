@@ -14,10 +14,9 @@
 //   local_ingest_eps    the same stream into a local DurableStore — the
 //                       denominator isolating wire + loop overhead
 //
-// Wire and local ingest run through ONE code path: ingest_stream() takes a
-// gt::GraphService&, and both net::RemoteGraph and recover::DurableStore
-// implement it — the bench is also the interface's conformance check (the
-// two edge counts must agree).
+// Wire and local ingest run through ONE code path: ingest_stream() is a
+// template over net::RemoteGraph and recover::DurableStore, whose verbs
+// share names and signatures, and the two edge counts must agree.
 //
 // Flags / env:
 //   --out=PATH           JSON output path (default BENCH_server_echo.json)
@@ -38,7 +37,6 @@
 #include <vector>
 
 #include "common/harness.hpp"
-#include "core/graph_service.hpp"
 #include "gen/rmat.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
@@ -61,14 +59,14 @@ std::string make_temp_root() {
     return tmpl;
 }
 
-/// The shared ingest path: local store and wire handle are both just a
-/// GraphService here.
-Status ingest_stream(GraphService& svc, std::span<const Edge> stream,
+/// The shared ingest path over a local store or a wire handle.
+template <typename Graph>
+Status ingest_stream(Graph& graph, std::span<const Edge> stream,
                      std::size_t batch) {
     for (std::size_t off = 0; off < stream.size(); off += batch) {
         const std::size_t n = std::min(batch, stream.size() - off);
         if (const Status st =
-                svc.insert_edges(stream.subspan(off, n), nullptr);
+                graph.insert_edges(stream.subspan(off, n), nullptr);
             !st.ok()) {
             return st;
         }
@@ -194,7 +192,7 @@ int main(int argc, char** argv) {
             return 1;
         }
 
-        // --- wire ingest through the GraphService path ---------------------
+        // --- wire ingest through the shared ingest path -------------------
         const std::vector<Edge> stream = rmat_edges(
             1U << 16, static_cast<EdgeCount>(num_edges), 42);
         net::RemoteGraph remote;
@@ -247,7 +245,7 @@ int main(int argc, char** argv) {
 
     if (wire_edges != local_edges) {
         std::fprintf(stderr,
-                     "FAIL: wire and local GraphService paths disagree "
+                     "FAIL: wire and local ingest paths disagree "
                      "(%llu vs %llu edges)\n",
                      static_cast<unsigned long long>(wire_edges),
                      static_cast<unsigned long long>(local_edges));

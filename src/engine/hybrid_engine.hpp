@@ -38,6 +38,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
 #include <concepts>
 #include <cstdint>
 #include <memory>
@@ -163,8 +164,12 @@ public:
     }
 
     /// Registers the analysis root (BFS/SSSP); its property becomes 0 and it
-    /// seeds from-scratch runs. May be called before the vertex exists.
+    /// seeds from-scratch runs. May be called before the vertex exists, and
+    /// sizes every per-vertex array to root + 1: callers answer a root past
+    /// the store's vertex bound themselves. Precondition:
+    /// root != kInvalidVertex.
     void set_root(VertexId root) {
+        assert(root != kInvalidVertex && "set_root: kInvalidVertex is no root");
         roots_.push_back(root);
         grow(root + 1);
         props_[root] = Property{0};

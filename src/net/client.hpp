@@ -10,9 +10,9 @@
 //     lever.
 //   - session handles: Client::open(name, graph) binds a RemoteGraph to one
 //     named graph; its verbs (insert_edges/bfs_distances/degree_of/...)
-//     carry the name on the wire so the caller never repeats it. RemoteGraph
-//     implements gt::GraphService, so local-store and over-the-wire callers
-//     share one code path.
+//     carry the name on the wire so the caller never repeats it. They share
+//     names and signatures with recover::DurableStore's, so code templated
+//     over the graph type runs over a local store or a socket.
 //   - subscriptions: RemoteGraph::subscribe() registers a WAL-shipping
 //     stream; Client::recv_shipment() drains its frames (replies to other
 //     in-flight requests are buffered, not lost).
@@ -53,7 +53,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/graph_service.hpp"
 #include "net/io.hpp"
 #include "net/protocol.hpp"
 #include "util/status.hpp"
@@ -105,7 +104,7 @@ struct Subscription {
 /// Obtained from Client::open(); copyable (it is a name plus a connection
 /// pointer) and valid for as long as the Client outlives it. All verbs are
 /// one request / one reply over the owning client.
-class RemoteGraph final : public GraphService {
+class RemoteGraph {
 public:
     RemoteGraph() = default;
 
@@ -117,20 +116,25 @@ public:
         return recovery_source_;
     }
 
-    // ---- GraphService -----------------------------------------------------
+    // ---- verbs shared with recover::DurableStore ---------------------------
+    /// Applies `edges` as one committed batch; `edge_count`, when non-null,
+    /// receives the graph's edge count after it.
     [[nodiscard]] Status insert_edges(std::span<const Edge> edges,
-                                      std::uint64_t* edge_count) override;
+                                      std::uint64_t* edge_count);
     [[nodiscard]] Status delete_edges(std::span<const Edge> edges,
-                                      std::uint64_t* edge_count) override;
-    [[nodiscard]] Status degree_of(VertexId v, std::uint64_t& out) override;
+                                      std::uint64_t* edge_count);
+    [[nodiscard]] Status degree_of(VertexId v, std::uint64_t& out);
+    /// BFS hop distances from `root`, one per target (kInfDistance =
+    /// unreachable).
     [[nodiscard]] Status bfs_distances(
         VertexId root, std::span<const VertexId> targets,
-        std::vector<std::uint32_t>& out) override;
+        std::vector<std::uint32_t>& out);
     [[nodiscard]] Status count(std::uint64_t& edges,
-                               std::uint64_t& vertices) override;
-    [[nodiscard]] Status checkpoint_now() override;
+                               std::uint64_t& vertices);
 
     // ---- wire-only verbs --------------------------------------------------
+    /// Snapshot rotation on the server (the Checkpoint verb).
+    [[nodiscard]] Status checkpoint_now();
     [[nodiscard]] Status neighbors(
         VertexId v, std::vector<std::pair<VertexId, Weight>>& out,
         std::uint32_t max = 0);

@@ -1,8 +1,9 @@
 #include "net/server.hpp"
 
+#include <poll.h>
+
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <optional>
 #include <sstream>
@@ -14,14 +15,6 @@
 #include "obs/export.hpp"
 #include "recover/term.hpp"
 #include "util/file_io.hpp"
-
-#if defined(__linux__) && !defined(GT_NET_FORCE_POLL)
-#define GT_NET_USE_EPOLL 1
-#include <sys/epoll.h>
-#else
-#define GT_NET_USE_EPOLL 0
-#include <poll.h>
-#endif
 
 namespace gt::net {
 
@@ -47,13 +40,6 @@ constexpr std::size_t kShipRecordOverhead = 13;
 constexpr std::size_t kShipBudget = kMaxFramePayload - 64;
 /// start() refuses larger reader pools before run() could spawn them.
 constexpr std::size_t kMaxReaderThreads = 256;
-
-[[nodiscard]] std::uint64_t now_us() noexcept {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
 
 /// Loop verbs that mutate store state and therefore need the exclusive
 /// state lock. Subscribe/SubAck/Hello only touch loop-private follower
@@ -85,9 +71,11 @@ constexpr std::size_t kMaxReaderThreads = 256;
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Poller — epoll on Linux, poll(2) everywhere else. Level-triggered in both
-// backends: the loop re-arms nothing, it just leaves unread bytes in the
-// kernel buffer and gets woken again.
+// Poller — poll(2) over one pollfd per watched fd. The loop watches the
+// listen socket, the wake pipe and at most max_conns connections, so a scan
+// is short; add/mod/del keep the array current and wait() allocates
+// nothing. Level-triggered: the loop re-arms nothing, it just leaves unread
+// bytes in the kernel buffer and gets woken again.
 
 class Server::Poller {
 public:
@@ -98,98 +86,38 @@ public:
         bool error = false;
     };
 
-    [[nodiscard]] Status init() {
-#if GT_NET_USE_EPOLL
-        ep_ = Fd(::epoll_create1(EPOLL_CLOEXEC));
-        if (!ep_.valid()) {
-            return Status{StatusCode::IoError,
-                          std::string{"epoll_create1 failed: "} +
-                              std::strerror(errno)};
-        }
-#endif
-        return Status::success();
-    }
-
     void add(int fd, bool want_write) {
-#if GT_NET_USE_EPOLL
-        epoll_event ev{};
-        ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0U);
-        ev.data.fd = fd;
-        (void)::epoll_ctl(ep_.get(), EPOLL_CTL_ADD, fd, &ev);
-#else
-        want_write_[fd] = want_write;
-#endif
+        pollfd p{};
+        p.fd = fd;
+        p.events = events_for(want_write);
+        fds_.push_back(p);
     }
 
     void mod(int fd, bool want_write) {
-#if GT_NET_USE_EPOLL
-        epoll_event ev{};
-        ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0U);
-        ev.data.fd = fd;
-        (void)::epoll_ctl(ep_.get(), EPOLL_CTL_MOD, fd, &ev);
-#else
-        want_write_[fd] = want_write;
-#endif
+        if (pollfd* p = find(fd); p != nullptr) {
+            p->events = events_for(want_write);
+        }
     }
 
     void del(int fd) {
-#if GT_NET_USE_EPOLL
-        (void)::epoll_ctl(ep_.get(), EPOLL_CTL_DEL, fd, nullptr);
-#else
-        want_write_.erase(fd);
-#endif
+        if (pollfd* p = find(fd); p != nullptr) {
+            *p = fds_.back();
+            fds_.pop_back();
+        }
     }
 
     /// Blocks until at least one event; EINTR retries (the event loop
     /// discipline — a signal must wake stop(), not kill the wait).
     [[nodiscard]] Status wait(std::vector<Event>& out) {
         out.clear();
-#if GT_NET_USE_EPOLL
-        epoll_event evs[64];
-        int n = 0;
-        for (;;) {
-            n = ::epoll_wait(ep_.get(), evs, 64, -1);
-            if (n >= 0) {
-                break;
+        while (::poll(fds_.data(), fds_.size(), -1) < 0) {
+            if (errno != EINTR) {
+                return Status{StatusCode::IoError,
+                              std::string{"poll failed: "} +
+                                  std::strerror(errno)};
             }
-            if (errno == EINTR) {
-                continue;
-            }
-            return Status{StatusCode::IoError,
-                          std::string{"epoll_wait failed: "} +
-                              std::strerror(errno)};
         }
-        for (int i = 0; i < n; ++i) {
-            Event e;
-            e.fd = evs[i].data.fd;
-            e.readable = (evs[i].events & (EPOLLIN | EPOLLHUP)) != 0;
-            e.writable = (evs[i].events & EPOLLOUT) != 0;
-            e.error = (evs[i].events & EPOLLERR) != 0;
-            out.push_back(e);
-        }
-#else
-        std::vector<pollfd> pfds;
-        pfds.reserve(want_write_.size());
-        for (const auto& [fd, ww] : want_write_) {
-            pollfd p{};
-            p.fd = fd;
-            p.events = static_cast<short>(POLLIN | (ww ? POLLOUT : 0));
-            pfds.push_back(p);
-        }
-        int n = 0;
-        for (;;) {
-            n = ::poll(pfds.data(), pfds.size(), -1);
-            if (n >= 0) {
-                break;
-            }
-            if (errno == EINTR) {
-                continue;
-            }
-            return Status{StatusCode::IoError,
-                          std::string{"poll failed: "} +
-                              std::strerror(errno)};
-        }
-        for (const pollfd& p : pfds) {
+        for (const pollfd& p : fds_) {
             if (p.revents == 0) {
                 continue;
             }
@@ -200,25 +128,34 @@ public:
             e.error = (p.revents & (POLLERR | POLLNVAL)) != 0;
             out.push_back(e);
         }
-#endif
         return Status::success();
     }
 
 private:
-#if GT_NET_USE_EPOLL
-    Fd ep_;
-#else
-    std::map<int, bool> want_write_;
-#endif
+    [[nodiscard]] static short events_for(bool want_write) noexcept {
+        return static_cast<short>(POLLIN | (want_write ? POLLOUT : 0));
+    }
+
+    [[nodiscard]] pollfd* find(int fd) noexcept {
+        for (pollfd& p : fds_) {
+            if (p.fd == fd) {
+                return &p;
+            }
+        }
+        return nullptr;
+    }
+
+    std::vector<pollfd> fds_;
 };
 
 // ---------------------------------------------------------------------------
 // ReaderPool — the shared-lock analytics pool. Workers pull read tasks,
-// take the graph's state lock shared, and run the verb; results ride a Done
-// message back to the loop. A task against a graph with deferred mutations
-// parks (same mu_ hold as the dequeue — the unpark in drain_deferred cannot
-// miss it), which is what stops readers from starving writers through
-// glibc's reader-preferring shared_mutex.
+// take the graph's state lock shared, and run the verb; once the hold is
+// released the result rides a Done message back to the loop, which also
+// drains the graph's deferred mutations. A task against a graph with
+// deferred mutations parks (same mu_ hold as the dequeue — the unpark in
+// drain_deferred cannot miss it), which is what stops readers from starving
+// writers through glibc's reader-preferring shared_mutex.
 
 class Server::ReaderPool {
 public:
@@ -307,19 +244,14 @@ private:
                 continue;
             }
             LoopMsg done;
+            done.graph = t.graph;
             done.conn_id = t.conn_id;
             {
                 gt::SharedLockGuard g(t.graph->state_lock);
                 server_.execute_read(t.graph, t.req, done.reply);
             }
-            if (t.graph->has_deferred.load()) {
-                // We may have been the hold blocking a deferred mutation —
-                // tell the loop the lock is free now.
-                LoopMsg m;
-                m.kind = LoopMsg::Kind::Retry;
-                m.graph = t.graph;
-                server_.post(std::move(m));
-            }
+            // Posted after the release: this hold may have been the one a
+            // deferred mutation waited on, and the loop drains on a Done.
             server_.post(std::move(done));
         }
     }
@@ -353,7 +285,6 @@ void Server::bind_metrics() {
     errors_tx_m_ = &r.counter("net.errors_tx");
     deferred_m_ = &r.counter("net.deferred_ops");
     shipped_m_ = &r.counter("net.wal_frames_shipped");
-    request_us_m_ = &r.histogram("net.request_us");
     conns_gauge_ = &r.gauge("net.open_conns");
     wbuf_gauge_ = &r.gauge("net.wbuf_bytes");
     graphs_gauge_ = &r.gauge("net.open_graphs");
@@ -420,13 +351,9 @@ Status Server::start(const ServerOptions& options) {
     if (Status st = set_nonblocking(listen_fd_.get()); !st.ok()) {
         return st;
     }
-    auto poller = std::make_unique<Poller>();
-    if (Status st = poller->init(); !st.ok()) {
-        return st;
-    }
-    poller->add(listen_fd_.get(), false);
-    poller->add(wake_r_.get(), false);
-    poller_ = std::move(poller);
+    poller_ = std::make_unique<Poller>();
+    poller_->add(listen_fd_.get(), false);
+    poller_->add(wake_r_.get(), false);
     if (opts_.reader_threads > 0) {
         readers_ = std::make_unique<ReaderPool>(*this, opts_.reader_threads);
     }
@@ -571,10 +498,12 @@ void Server::process_inbox() {
     for (LoopMsg& m : msgs) {
         switch (m.kind) {
             case LoopMsg::Kind::Done:
+                // The reader has released its hold: the mutations queued
+                // behind it run before its reply goes out.
+                if (m.graph->has_deferred.load()) {
+                    drain_deferred(m.graph);
+                }
                 deliver(m.conn_id, std::move(m.reply), 1);
-                break;
-            case LoopMsg::Kind::Retry:
-                drain_deferred(m.graph);
                 break;
             case LoopMsg::Kind::Pump:
                 pump_subscribers(m.graph);
@@ -989,17 +918,14 @@ void Server::handle_open_graph(Conn& conn, const Frame& req) {
 // Request routing
 
 void Server::execute(Conn& conn, const Frame& req) {
-    const std::uint64_t begin_us = now_us();
     if (req.type == static_cast<std::uint8_t>(MsgType::Ping)) {
         Sink sink;
         emit_reply(sink, req, req.payload);
         append_sink(conn, std::move(sink));
-        request_us_m_->record(now_us() - begin_us);
         return;
     }
     if (req.type == static_cast<std::uint8_t>(MsgType::OpenGraph)) {
         handle_open_graph(conn, req);
-        request_us_m_->record(now_us() - begin_us);
         return;
     }
     if (!is_loop_verb(req.type) && !is_read_verb(req.type)) {
@@ -1046,14 +972,12 @@ void Server::execute(Conn& conn, const Frame& req) {
     if (is_loop_verb(req.type)) {
         ++conn.pending;
         execute_on_loop(g, conn.id, req);
-        request_us_m_->record(now_us() - begin_us);
         return;
     }
     // Read verb.
     if (readers_ != nullptr) {
         ++conn.pending;
         readers_->submit(g, conn.id, req);
-        request_us_m_->record(now_us() - begin_us);
         return;
     }
     Sink sink;
@@ -1065,7 +989,6 @@ void Server::execute(Conn& conn, const Frame& req) {
         drain_deferred(g);
     }
     append_sink(conn, std::move(sink));
-    request_us_m_->record(now_us() - begin_us);
 }
 
 // ---------------------------------------------------------------------------
@@ -1092,8 +1015,8 @@ void Server::execute_on_loop(GraphEntry* g, std::uint64_t conn_id,
     }
     if (g->has_deferred.load() || !g->state_lock.try_lock()) {
         // Readers hold the lock (or earlier ops already queued): keep FIFO
-        // order. The flag store *before* the readers' post-release check is
-        // what guarantees a Retry will arrive.
+        // order. Every pool reader posts its Done after releasing, so the
+        // hold that failed this try_lock brings the loop back to drain.
         g->deferred.push_back(std::move(op));
         g->has_deferred.store(true);
         deferred_m_->inc();
@@ -1110,9 +1033,7 @@ void Server::execute_on_loop(GraphEntry* g, std::uint64_t conn_id,
 void Server::drain_deferred(GraphEntry* g) {
     while (!g->deferred.empty()) {
         if (!g->state_lock.try_lock()) {
-            // A reader is still in; its release posts a Retry (it observes
-            // has_deferred, stored before our failed try_lock).
-            return;
+            return;  // a reader is still in; its Done drains again
         }
         std::vector<std::pair<DeferredOp, Sink>> done;
         while (!g->deferred.empty()) {
@@ -1609,7 +1530,15 @@ void Server::execute_read(GraphEntry* g, const Frame& req, Sink& sink) {
                            "payload: name | u32 root | u32 k | k targets");
                 return;
             }
-            if (req.type == static_cast<std::uint8_t>(MsgType::Bfs)) {
+            if (root >= graph.num_vertices()) {
+                // Past the vertex bound a root has no out-edges and reaches
+                // only itself; the engine would size its arrays to it.
+                w.u32(static_cast<std::uint32_t>(targets.size()));
+                for (const VertexId v : targets) {
+                    w.u32(v == root ? 0 : kInfDistance);
+                }
+                emit_reply(sink, req, w.span());
+            } else if (req.type == static_cast<std::uint8_t>(MsgType::Bfs)) {
                 engine::DynamicAnalysis<core::GraphTinker, engine::Bfs> a(
                     graph);
                 a.set_root(root);

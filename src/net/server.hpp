@@ -3,7 +3,7 @@
 // Threading model (DESIGN.md §15): one event loop plus an optional reader
 // pool.
 //
-//   - The loop is one epoll/poll thread that owns the listen socket and
+//   - The loop is one poll(2) thread that owns the listen socket and
 //     every connection: it accepts, reads, parses, runs the mutation and
 //     replication verbs, and writes. With reader_threads == 0 it is the only
 //     thread on the request path.
@@ -13,16 +13,18 @@
 //     reader_threads == 0 they run inline on the loop (shared hold, may
 //     briefly block).
 //   - Other threads reach the loop only through its inbox, a mutex-guarded
-//     vector woken by a self-pipe: readers post their replies and lock
-//     releases, a replica feeder posts WAL pumps, and stop() writes the pipe.
+//     vector woken by a self-pipe: readers post their replies once they
+//     have released the graph's lock, a replica feeder posts WAL pumps, and
+//     stop() writes the pipe.
 //
 // Writer/reader coordination per graph: the loop never blocks behind
 // readers. A mutation that cannot take the state lock immediately
 // (try_lock fails, or earlier ops are already queued) joins the graph's
-// deferred FIFO; the last reader out posts a Retry to the inbox, and the
-// loop drains the FIFO under one exclusive hold. Queued reads for a graph
-// with deferred mutations park until the drain finishes — writers cannot
-// starve behind glibc's reader-preferring shared_mutex. Ordering contract:
+// deferred FIFO; each reader's reply reaches the loop after its release,
+// and the loop drains the FIFO under one exclusive hold before delivering
+// that reply. Queued reads for a graph with deferred mutations park until
+// the drain finishes — writers cannot starve behind glibc's
+// reader-preferring shared_mutex. Ordering contract:
 // mutations from one connection apply in send order; a *read* pipelined
 // behind an unacknowledged mutation may observe the pre-mutation state
 // (wait for the mutation's reply when read-your-writes matters).
@@ -232,7 +234,8 @@ private:
         /// feeder) holds exclusive around mutations.
         gt::SharedMutex state_lock;
         /// True while `deferred` is non-empty — readers check it to park
-        /// (writer gate) and to post a Retry when they release the lock.
+        /// (writer gate), and the loop to drain when a reader's Done
+        /// arrives.
         std::atomic<bool> has_deferred{false};
         /// Loop-private FIFO of ops awaiting the exclusive lock.
         std::deque<DeferredOp> deferred;
@@ -258,12 +261,11 @@ private:
     /// Cross-thread message into the loop's inbox.
     struct LoopMsg {
         enum class Kind : std::uint8_t {
-            Done,   // pool -> loop: a read verb's reply
-            Retry,  // pool -> loop: lock released, drain deferred
-            Pump,   // feeder thread -> loop: ship fresh WAL records
+            Done,  // pool -> loop: a read verb's reply, lock released
+            Pump,  // feeder thread -> loop: ship fresh WAL records
         };
         Kind kind = Kind::Done;
-        GraphEntry* graph = nullptr;  // Retry / Pump
+        GraphEntry* graph = nullptr;
         std::uint64_t conn_id = 0;    // Done
         Sink reply;                   // Done
     };
@@ -374,7 +376,6 @@ private:
     obs::Counter* errors_tx_m_ = nullptr;
     obs::Counter* deferred_m_ = nullptr;
     obs::Counter* shipped_m_ = nullptr;
-    obs::Histogram* request_us_m_ = nullptr;
     obs::Gauge* conns_gauge_ = nullptr;
     obs::Gauge* wbuf_gauge_ = nullptr;
     obs::Gauge* graphs_gauge_ = nullptr;

@@ -137,7 +137,7 @@ Status DurableStore::open(const std::string& dir,
 }
 
 // ---------------------------------------------------------------------------
-// GraphService
+// Graph verbs
 
 namespace {
 
@@ -194,10 +194,18 @@ Status DurableStore::bfs_distances(VertexId root,
     if (Status st = require_open(*this, "bfs_distances"); !st.ok()) {
         return st;
     }
+    out.resize(targets.size());
+    if (root >= graph_->num_vertices()) {
+        // Past the vertex bound a root has no out-edges and reaches only
+        // itself; the engine would size its arrays to it.
+        for (std::size_t i = 0; i < targets.size(); ++i) {
+            out[i] = targets[i] == root ? 0 : kInfDistance;
+        }
+        return Status::success();
+    }
     engine::DynamicAnalysis<core::GraphTinker, engine::Bfs> a(*graph_);
     a.set_root(root);
     a.run_from_scratch();
-    out.resize(targets.size());
     for (std::size_t i = 0; i < targets.size(); ++i) {
         out[i] = a.property(targets[i]);
     }

@@ -26,11 +26,12 @@
 // caller decides the snapshots are trustworthy.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "core/graph_service.hpp"
 #include "core/graphtinker.hpp"
 #include "recover/wal.hpp"
 #include "util/status.hpp"
@@ -66,10 +67,10 @@ struct RecoveryInfo {
     return "unknown";
 }
 
-class DurableStore final : public GraphService {
+class DurableStore {
 public:
     DurableStore() = default;
-    ~DurableStore() override;
+    ~DurableStore();
     DurableStore(const DurableStore&) = delete;
     DurableStore& operator=(const DurableStore&) = delete;
 
@@ -117,21 +118,21 @@ public:
     [[nodiscard]] std::string prev_snapshot_path() const;
     [[nodiscard]] std::string wal_path() const;
 
-    // ---- GraphService ----------------------------------------------------
-    // The local implementation of the shared verb surface: mutations ride
-    // the WAL-teed transactional batch path, bfs_distances runs the engine
-    // in-process. checkpoint_now() is checkpoint().
+    // ---- graph verbs -----------------------------------------------------
+    // The in-process twins of net::RemoteGraph's verbs: mutations ride the
+    // WAL-teed transactional batch path (`edge_count`, when non-null,
+    // receives the edge count after the batch), bfs_distances runs the
+    // engine in-process (kInfDistance = unreachable).
     [[nodiscard]] Status insert_edges(std::span<const Edge> edges,
-                                      std::uint64_t* edge_count) override;
+                                      std::uint64_t* edge_count);
     [[nodiscard]] Status delete_edges(std::span<const Edge> edges,
-                                      std::uint64_t* edge_count) override;
-    [[nodiscard]] Status degree_of(VertexId v, std::uint64_t& out) override;
+                                      std::uint64_t* edge_count);
+    [[nodiscard]] Status degree_of(VertexId v, std::uint64_t& out);
     [[nodiscard]] Status bfs_distances(
         VertexId root, std::span<const VertexId> targets,
-        std::vector<std::uint32_t>& out) override;
+        std::vector<std::uint32_t>& out);
     [[nodiscard]] Status count(std::uint64_t& edges,
-                               std::uint64_t& vertices) override;
-    [[nodiscard]] Status checkpoint_now() override { return checkpoint(); }
+                               std::uint64_t& vertices);
 
 private:
     std::string dir_;

@@ -26,6 +26,7 @@
 
 #include "net/client.hpp"
 #include "net/io.hpp"
+#include "net/scoped_server.hpp"
 #include "net/server.hpp"
 #include "recover/durable.hpp"
 #include "recover/recover_test_util.hpp"
@@ -38,34 +39,8 @@
 namespace gt::net {
 namespace {
 
+using test::ScopedServer;
 using test::TempDir;
-
-class ScopedServer {
-public:
-    explicit ScopedServer(ServerOptions options) {
-        const Status st = server_.start(options);
-        EXPECT_TRUE(st.ok()) << st.to_string();
-        thread_ = std::thread([this] {
-            const Status run = server_.run();
-            EXPECT_TRUE(run.ok()) << run.to_string();
-        });
-    }
-    ~ScopedServer() {
-        server_.stop();
-        thread_.join();
-    }
-    ScopedServer(const ScopedServer&) = delete;
-    ScopedServer& operator=(const ScopedServer&) = delete;
-
-    [[nodiscard]] std::uint16_t port() const noexcept {
-        return server_.port();
-    }
-    [[nodiscard]] Server& server() noexcept { return server_; }
-
-private:
-    Server server_;
-    std::thread thread_;
-};
 
 [[nodiscard]] double seconds_since(
     std::chrono::steady_clock::time_point t0) {

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "net/client.hpp"
+#include "net/scoped_server.hpp"
 #include "net/server.hpp"
 #include "recover/durable.hpp"
 #include "recover/torture.hpp"
@@ -30,34 +31,8 @@
 namespace gt::net {
 namespace {
 
+using test::ScopedServer;
 using test::TempDir;
-
-class ScopedServer {
-public:
-    explicit ScopedServer(ServerOptions options) {
-        const Status st = server_.start(options);
-        EXPECT_TRUE(st.ok()) << st.to_string();
-        thread_ = std::thread([this] {
-            const Status run = server_.run();
-            EXPECT_TRUE(run.ok()) << run.to_string();
-        });
-    }
-    ~ScopedServer() {
-        server_.stop();
-        thread_.join();
-    }
-    ScopedServer(const ScopedServer&) = delete;
-    ScopedServer& operator=(const ScopedServer&) = delete;
-
-    [[nodiscard]] std::uint16_t port() const noexcept {
-        return server_.port();
-    }
-    [[nodiscard]] Server& server() noexcept { return server_; }
-
-private:
-    Server server_;
-    std::thread thread_;
-};
 
 TEST(Replica, CatchesUpAndServesReads) {
     TempDir primary_dir;

@@ -4,10 +4,11 @@
 // session handles, the robustness matrix (malformed frames, garbage bytes,
 // half-open disconnects), backpressure shedding, durable recovery across
 // server restarts, reply-id pairing (out-of-order buffering, stale-reply
-// rejection), mixed writer + reader-pool traffic under TSan, the option
-// bounds start() enforces, stop before run, read-only refusal, and — via
-// fork + SIGKILL — the crash contract: a server killed mid-batch leaves a
-// directory that recovers exactly the committed prefix.
+// rejection), mixed writer + reader-pool traffic under TSan, BFS/SSSP
+// roots past the vertex bound, the option bounds start() enforces, stop
+// before run, read-only refusal, and — via fork + SIGKILL — the crash
+// contract: a server killed mid-batch leaves a directory that recovers
+// exactly the committed prefix.
 #include "net/server.hpp"
 
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "net/client.hpp"
+#include "net/scoped_server.hpp"
 #include "recover/durable.hpp"
 #include "recover/torture.hpp"
 #include "recover/recover_test_util.hpp"
@@ -31,36 +33,8 @@
 namespace gt::net {
 namespace {
 
+using test::ScopedServer;
 using test::TempDir;
-
-/// Server on an ephemeral port, run() on a background thread, stopped and
-/// joined on scope exit.
-class ScopedServer {
-public:
-    explicit ScopedServer(ServerOptions options) {
-        const Status st = server_.start(options);
-        EXPECT_TRUE(st.ok()) << st.to_string();
-        thread_ = std::thread([this] {
-            const Status run = server_.run();
-            EXPECT_TRUE(run.ok()) << run.to_string();
-        });
-    }
-    ~ScopedServer() {
-        server_.stop();
-        thread_.join();
-    }
-    ScopedServer(const ScopedServer&) = delete;
-    ScopedServer& operator=(const ScopedServer&) = delete;
-
-    [[nodiscard]] std::uint16_t port() const noexcept {
-        return server_.port();
-    }
-    [[nodiscard]] Server& server() noexcept { return server_; }
-
-private:
-    Server server_;
-    std::thread thread_;
-};
 
 [[nodiscard]] Client connect_to(std::uint16_t port) {
     Client c;
@@ -569,10 +543,11 @@ TEST(Server, ReaderPoolMixedTraffic) {
     // A 2-thread reader pool, 4 writer clients + 4 reader clients, ALL on
     // the same graph: queries fan out to the reader pool under shared
     // locks, so a mutation that finds the lock held joins the deferred
-    // FIFO and waits for a reader's Retry, while queued reads park behind
+    // FIFO until a reader's Done drains it, while queued reads park behind
     // it. Deferred mutations must interleave without losing ops. TSan
     // covers the loop/pool handoffs; the final edge count covers
-    // lost-update bugs.
+    // lost-update bugs, and net.deferred_ops shows the deferral ran.
+    constexpr std::uint32_t kFan = std::uint32_t{1} << 17;
     TempDir dir;
     ServerOptions options{.root = dir.path()};
     options.reader_threads = 2;
@@ -581,7 +556,15 @@ TEST(Server, ReaderPoolMixedTraffic) {
         Client setup = connect_to(server.port());
         RemoteGraph g;
         ASSERT_TRUE(setup.open("hot", g, 0).ok());
-        const std::vector<Edge> chain = {{0, 1, 1}, {1, 2, 1}};
+        // 0 -> 1 -> 2, then a fan of kFan leaves out of 2 past every
+        // writer's range: each BFS walks the fan, so a reader holds the
+        // lock long enough for mutations to queue behind it. Pinned to one
+        // CPU, 10 of 20 runs deferred nothing with 4096 leaves, 7 of 30
+        // with 2^16, and none of 60 with 2^17 (each deferred 4-22 ops).
+        std::vector<Edge> chain = {{0, 1, 1}, {1, 2, 1}};
+        for (std::uint32_t i = 0; i < kFan; ++i) {
+            chain.push_back({2, 100000 + i, 1});
+        }
         ASSERT_TRUE(g.insert_edges(chain, nullptr).ok());
     }
     constexpr std::uint32_t kWriters = 4;
@@ -642,7 +625,35 @@ TEST(Server, ReaderPoolMixedTraffic) {
     std::uint64_t e = 0;
     std::uint64_t v = 0;
     ASSERT_TRUE(g.count(e, v).ok());
-    EXPECT_EQ(e, 2U + kWriters * kOpsPerWriter);
+    EXPECT_EQ(e, 2U + kFan + kWriters * kOpsPerWriter);
+    EXPECT_GT(server.server().obs().counter("net.deferred_ops").value(), 0U);
+}
+
+TEST(Server, BfsAndSsspFromRootPastTheVertexBound) {
+    // A root the store has never seen reaches only itself. Root 2^32 - 1
+    // used to wrap the engine's array size to 0 and crash the server, so
+    // the same server must still answer a ping afterwards.
+    TempDir dir;
+    ScopedServer server({.root = dir.path()});
+    Client client = connect_to(server.port());
+    RemoteGraph g;
+    ASSERT_TRUE(client.open("g", g, 0).ok());
+    const std::vector<Edge> chain = {{0, 1, 1}, {1, 2, 1}, {2, 3, 1}};
+    ASSERT_TRUE(g.insert_edges(chain, nullptr).ok());
+    std::uint64_t edges = 0;
+    std::uint64_t vertices = 0;
+    ASSERT_TRUE(g.count(edges, vertices).ok());
+    const auto past = static_cast<VertexId>(vertices + 5);
+    const std::vector<std::uint32_t> want = {0, kInfDistance, kInfDistance};
+    for (const VertexId root : {kInvalidVertex, past}) {
+        const std::vector<VertexId> targets = {root, 0, 3};
+        std::vector<std::uint32_t> dist;
+        ASSERT_TRUE(g.bfs_distances(root, targets, dist).ok()) << root;
+        EXPECT_EQ(dist, want) << root;
+        ASSERT_TRUE(g.sssp(root, targets, dist).ok()) << root;
+        EXPECT_EQ(dist, want) << root;
+    }
+    EXPECT_TRUE(client.ping().ok());
 }
 
 TEST(Server, StartRefusesMoreThanOneLoop) {

@@ -247,6 +247,29 @@ TEST(Recovery, DurabilityModesRoundTrip) {
     }
 }
 
+TEST(Recovery, BfsDistancesFromRootPastTheVertexBound) {
+    // A root the store has never seen reaches only itself; root 2^32 - 1
+    // used to wrap the engine's array size to 0 and write out of bounds.
+    TempDir dir;
+    DurableStore store;
+    ASSERT_TRUE(store.open(dir.file("db")).ok());
+    const std::vector<Edge> chain = {{0, 1, 1}, {1, 2, 1}};
+    ASSERT_TRUE(store.insert_edges(chain, nullptr).ok());
+    const VertexId past = store.graph().num_vertices() + 5;
+    for (const VertexId root : {kInvalidVertex, past}) {
+        const std::vector<VertexId> targets = {root, 0, 2};
+        std::vector<std::uint32_t> dist;
+        ASSERT_TRUE(store.bfs_distances(root, targets, dist).ok());
+        EXPECT_EQ(dist, (std::vector<std::uint32_t>{0, kInfDistance,
+                                                    kInfDistance}))
+            << root;
+    }
+    std::vector<std::uint32_t> dist;
+    ASSERT_TRUE(
+        store.bfs_distances(0, std::vector<VertexId>{0, 2}, dist).ok());
+    EXPECT_EQ(dist, (std::vector<std::uint32_t>{0, 2}));
+}
+
 TEST(Recovery, TortureVerifierAcceptsCleanPrefixAndRejectsTampering) {
     // In-process mirror of tools/crash_torture.sh: run the deterministic
     // workload, recover, verify; then tamper with the recovered state's

@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Argument checks of the gt network commands.
+"""Argument checks of the gt commands.
 
-A port past 65535 or a count that is not a plain decimal must be a usage
-error (exit 2) before anything binds, dials or spawns: `gt ping` must not
-dial a truncated port, `gt serve` must not start serving on one, and
-`gt remote-load` must not stream empty batches forever. Each
-case runs with a short timeout, so a command that starts a daemon instead
-fails the test (and is killed) rather than hanging it.
+A port past 65535 or any number that is not a plain decimal in range must
+be a usage error (exit 2) before anything binds, dials, spawns or writes:
+`gt ping` must not dial a truncated port, `gt serve` must not start serving
+on one, `gt remote-load` must not stream empty batches forever, and a
+mistyped flag must not read as a step count of 0. Each case runs with a
+short timeout, so a command that starts a daemon instead fails the test
+(and is killed) rather than hanging it.
 
 Wired through CTest (tests/CMakeLists.txt, test name `gt_cli_args_py`);
 also runnable directly: python3 tests/tools/gt_cli_args_test.py <path/to/gt>.
@@ -42,6 +43,49 @@ class UsageErrors(unittest.TestCase):
     def setUp(self) -> None:
         self.root = tempfile.TemporaryDirectory()
         self.addCleanup(self.root.cleanup)
+        self.edges = Path(self.root.name) / "g.el"
+        self.edges.write_text("0 1\n1 2\n2 3\n")
+        self.dir = str(Path(self.root.name) / "db")
+
+    def test_generate_rmat_vertices_not_a_number(self) -> None:
+        self.assertEqual(run_gt("generate", "rmat:-1:5"), 2)
+
+    def test_audit_seed_not_a_number(self) -> None:
+        self.assertEqual(run_gt("audit", "rmat:100:50", "12x"), 2)
+
+    def test_wal_dump_limit_not_a_number(self) -> None:
+        self.assertEqual(run_gt("wal-dump", self.dir, "abc"), 2)
+
+    def test_torture_writer_flag_typo_is_not_a_step_count(self) -> None:
+        self.assertEqual(run_gt("torture-writer", self.dir, "5", "--fsnyc"),
+                         2)
+        self.assertFalse(Path(self.dir).exists())
+
+    def test_torture_verify_seed_not_a_number(self) -> None:
+        self.assertEqual(run_gt("torture-verify", self.dir, "abc"), 2)
+
+    def test_replicate_heartbeat_not_a_number(self) -> None:
+        self.assertEqual(
+            run_gt("replicate", self.root.name, "127.0.0.1:1", "g",
+                   "--heartbeat-ms", "abc"),
+            2)
+
+    def test_remote_bfs_root_not_a_number(self) -> None:
+        self.assertEqual(
+            run_gt("remote-bfs", "127.0.0.1:1", "g", "12abc", "3"), 2)
+
+    def test_remote_torture_write_steps_not_a_number(self) -> None:
+        self.assertEqual(
+            run_gt("remote-torture-write", "127.0.0.1:1", "g", "7", "x"), 2)
+
+    def test_trace_root_not_a_number(self) -> None:
+        self.assertEqual(run_gt("trace", str(self.edges), "-1"), 2)
+
+    def test_bfs_root_not_a_number(self) -> None:
+        self.assertEqual(run_gt("bfs", str(self.edges), "12abc"), 2)
+
+    def test_pagerank_top_k_not_a_number(self) -> None:
+        self.assertEqual(run_gt("pagerank", str(self.edges), "abc"), 2)
 
     def test_ping_port_out_of_range(self) -> None:
         self.assertEqual(run_gt("ping", "127.0.0.1:70000"), 2)
@@ -53,11 +97,10 @@ class UsageErrors(unittest.TestCase):
         self.assertEqual(run_gt("ping", "127.0.0.1:1", "abc"), 2)
 
     def test_remote_load_batch_not_positive(self) -> None:
-        edges = Path(self.root.name) / "g.el"
-        edges.write_text("0 1\n")
         for batch in ("abc", "0"):
             self.assertEqual(
-                run_gt("remote-load", "127.0.0.1:1", "g", str(edges), batch),
+                run_gt("remote-load", "127.0.0.1:1", "g", str(self.edges),
+                       batch),
                 2)
 
     def test_serve_port_out_of_range(self) -> None:
@@ -77,6 +120,19 @@ class UsageErrors(unittest.TestCase):
             run_gt("replicate", self.root.name, "127.0.0.1:1", "g",
                    "--port", "70000"),
             2)
+
+
+class RootsPastTheVertexBound(unittest.TestCase):
+    """A root the store has never seen reaches nothing and must not crash:
+    2^32 - 1 used to wrap the engine's array size to 0 (SIGSEGV)."""
+
+    def test_bfs_root_max_vertex_id(self) -> None:
+        with tempfile.TemporaryDirectory() as root:
+            edges = Path(root) / "g.el"
+            edges.write_text("0 1\n1 2\n2 3\n")
+            for command in ("bfs", "trace"):
+                self.assertEqual(run_gt(command, str(edges), "4294967295"),
+                                 0, command)
 
 
 if __name__ == "__main__":

@@ -117,6 +117,24 @@ bool parse_uint(std::string_view text, std::uint64_t max,
     return true;
 }
 
+bool parse_vertex(std::string_view text, VertexId& v) {
+    std::uint64_t wide = 0;
+    if (!parse_uint(text, UINT32_MAX, wide)) {
+        return false;
+    }
+    v = static_cast<VertexId>(wide);
+    return true;
+}
+
+/// "rmat:V:E" with 1 <= V < 2^32 and both counts strict decimals.
+bool parse_rmat_spec(std::string_view spec, VertexId& v, EdgeCount& e) {
+    spec.remove_prefix(std::string_view("rmat:").size());
+    const std::size_t colon = spec.find(':');
+    return colon != std::string_view::npos &&
+           parse_vertex(spec.substr(0, colon), v) && v != 0 &&
+           parse_uint(spec.substr(colon + 1), UINT64_MAX, e);
+}
+
 bool parse_port(std::string_view text, std::uint16_t& port) {
     std::uint64_t v = 0;
     if (!parse_uint(text, 65535, v)) {
@@ -203,15 +221,15 @@ int cmd_generate(int argc, char** argv) {
         return usage();
     }
     const std::string what = argv[0];
-    const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10)
-                                        : 42;
+    std::uint64_t seed = 42;
+    if (argc > 1 && !parse_uint(argv[1], UINT64_MAX, seed)) {
+        return usage();
+    }
     std::vector<Edge> edges;
     if (what.rfind("rmat:", 0) == 0) {
         VertexId v = 0;
         EdgeCount e = 0;
-        if (std::sscanf(what.c_str(), "rmat:%u:%llu", &v,
-                        reinterpret_cast<unsigned long long*>(&e)) != 2 ||
-            v == 0) {
+        if (!parse_rmat_spec(what, v, e)) {
             std::fprintf(stderr, "bad rmat spec: %s\n", what.c_str());
             return 2;
         }
@@ -271,10 +289,16 @@ int cmd_stats(const ParsedGraph& parsed, bool json) {
 int cmd_trace(const ParsedGraph& parsed, VertexId root, bool json) {
     core::GraphTinker g;
     ingest(g, parsed);
-    engine::DynamicAnalysis<core::GraphTinker, engine::Bfs> bfs(
-        g, engine::EngineOptions{.registry = &g.obs()});
-    bfs.set_root(root);
-    const auto stats = bfs.run_from_scratch();
+    // Past the vertex bound a root has no out-edges: nothing to trace, and
+    // the engine would size its arrays to it.
+    const bool in_bound = root < g.num_vertices();
+    engine::RunStats stats;
+    if (in_bound) {
+        engine::DynamicAnalysis<core::GraphTinker, engine::Bfs> bfs(
+            g, engine::EngineOptions{.registry = &g.obs()});
+        bfs.set_root(root);
+        stats = bfs.run_from_scratch();
+    }
     const obs::Snapshot snap = g.telemetry();
     if (json) {
         obs::Exporter::write_json(std::cout, snap);
@@ -285,6 +309,9 @@ int cmd_trace(const ParsedGraph& parsed, VertexId root, bool json) {
                 root, stats.iterations, stats.full_iterations,
                 stats.incremental_iterations,
                 static_cast<unsigned long long>(stats.edges_streamed));
+    if (!in_bound) {
+        return 0;
+    }
     const auto* trace = snap.find_series("engine.trace");
     if (trace == nullptr) {
         std::printf("no engine.trace series recorded "
@@ -310,9 +337,14 @@ int cmd_bfs(const ParsedGraph& parsed, VertexId root) {
     core::GraphTinker g;
     ingest(g, parsed);
     engine::DynamicAnalysis<core::GraphTinker, engine::Bfs> bfs(g);
-    bfs.set_root(root);
     Timer timer;
-    const auto stats = bfs.run_from_scratch();
+    engine::RunStats stats;
+    // Past the vertex bound a root has no out-edges and reaches no vertex
+    // of the store; the engine would size its arrays to it.
+    if (root < g.num_vertices()) {
+        bfs.set_root(root);
+        stats = bfs.run_from_scratch();
+    }
     std::map<std::uint32_t, std::size_t> histogram;
     std::size_t unreachable = 0;
     for (VertexId v = 0; v < g.num_vertices(); ++v) {
@@ -406,8 +438,10 @@ int cmd_audit(int argc, char** argv) {
         return usage();
     }
     const std::string what = argv[0];
-    const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10)
-                                        : 42;
+    std::uint64_t seed = 42;
+    if (argc > 1 && !parse_uint(argv[1], UINT64_MAX, seed)) {
+        return usage();
+    }
     // The operand may name a synthetic workload (dataset or rmat spec) or a
     // file on disk; synthetic specs take priority so `gt audit graph500`
     // works without an intermediate edge-list file.
@@ -415,9 +449,7 @@ int cmd_audit(int argc, char** argv) {
     if (what.rfind("rmat:", 0) == 0) {
         VertexId v = 0;
         EdgeCount e = 0;
-        if (std::sscanf(what.c_str(), "rmat:%u:%llu", &v,
-                        reinterpret_cast<unsigned long long*>(&e)) != 2 ||
-            v == 0) {
+        if (!parse_rmat_spec(what, v, e)) {
             std::fprintf(stderr, "bad rmat spec: %s\n", what.c_str());
             return 2;
         }
@@ -517,8 +549,10 @@ int cmd_wal_dump(int argc, char** argv) {
     if (argc < 1) {
         return usage();
     }
-    const std::uint64_t limit =
-        argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 64;
+    std::uint64_t limit = 64;
+    if (argc > 1 && !parse_uint(argv[1], UINT64_MAX, limit)) {
+        return usage();
+    }
     recover::ReplayStats stats;
     std::uint64_t printed = 0;
     const Status st = recover::scan_wal(
@@ -573,14 +607,17 @@ int cmd_torture_writer(int argc, char** argv) {
         return usage();
     }
     const std::string dir = argv[0];
-    const std::uint64_t seed = std::strtoull(argv[1], nullptr, 10);
+    std::uint64_t seed = 0;
+    if (!parse_uint(argv[1], UINT64_MAX, seed)) {
+        return usage();
+    }
     std::uint64_t max_steps = 1000000;
     bool fsync_mode = false;
     for (int i = 2; i < argc; ++i) {
         if (std::string(argv[i]) == "--fsync") {
             fsync_mode = true;
-        } else {
-            max_steps = std::strtoull(argv[i], nullptr, 10);
+        } else if (!parse_uint(argv[i], UINT64_MAX, max_steps)) {
+            return usage();
         }
     }
     recover::DurableOptions options;
@@ -631,7 +668,8 @@ int cmd_torture_writer(int argc, char** argv) {
 }
 
 int cmd_torture_verify(int argc, char** argv) {
-    if (argc < 2) {
+    std::uint64_t seed = 0;
+    if (argc < 2 || !parse_uint(argv[1], UINT64_MAX, seed)) {
         return usage();
     }
     recover::DurableStore store;
@@ -642,7 +680,6 @@ int cmd_torture_verify(int argc, char** argv) {
         std::fprintf(stderr, "recovery failed: %s\n", st.to_string().c_str());
         return 1;
     }
-    const std::uint64_t seed = std::strtoull(argv[1], nullptr, 10);
     const recover::TortureVerdict verdict = recover::verify_torture_recovery(
         store.graph(), seed, kTortureEdgesPerStep, kTortureVertices);
     std::printf("source=%s replayed=%llu torn_tail=%d torn_batch=%d\n",
@@ -802,7 +839,7 @@ int cmd_replicate(int argc, char** argv) {
     const std::string graph = argv[2];
     bool once = false;
     bool promote = false;
-    std::int64_t heartbeat_ms = 0;
+    std::uint64_t heartbeat_ms = 0;
     for (int i = 3; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--host" && i + 1 < argc) {
@@ -816,13 +853,15 @@ int cmd_replicate(int argc, char** argv) {
         } else if (arg == "--promote-on-failure") {
             promote = true;
         } else if (arg == "--heartbeat-ms" && i + 1 < argc) {
-            heartbeat_ms = static_cast<std::int64_t>(
-                std::strtoll(argv[++i], nullptr, 10));
+            // The probe's deadline is a u32 millisecond count.
+            if (!parse_uint(argv[++i], UINT32_MAX, heartbeat_ms)) {
+                return usage();
+            }
         } else {
             return usage();
         }
     }
-    if (promote && heartbeat_ms <= 0) {
+    if (promote && heartbeat_ms == 0) {
         heartbeat_ms = 500;  // failover needs liveness probes to trigger
     }
     net::ReplicatorOptions ropts;
@@ -883,7 +922,8 @@ int cmd_replicate(int argc, char** argv) {
                     static_cast<unsigned long long>(rep.applied_seq()));
         std::fflush(stdout);
         if (!once) {
-            const Status st2 = rep.run(heartbeat_ms);
+            const Status st2 =
+                rep.run(static_cast<std::int64_t>(heartbeat_ms));
             std::fprintf(stderr, "replicate: stream ended: %s\n",
                          st2.to_string().c_str());
             stream_ended = true;
@@ -1057,12 +1097,17 @@ int cmd_remote_bfs(int argc, char** argv) {
         return usage();
     }
     const std::string graph = argv[1];
-    const auto root = static_cast<VertexId>(
-        std::strtoul(argv[2], nullptr, 10));
+    VertexId root = 0;
+    if (!parse_vertex(argv[2], root)) {
+        return usage();
+    }
     std::vector<VertexId> targets;
     for (int i = 3; i < argc; ++i) {
-        targets.push_back(
-            static_cast<VertexId>(std::strtoul(argv[i], nullptr, 10)));
+        VertexId target = 0;
+        if (!parse_vertex(argv[i], target)) {
+            return usage();
+        }
+        targets.push_back(target);
     }
     net::Client client;
     if (const int rc = remote_connect(argv[0], client); rc != 0) {
@@ -1125,11 +1170,14 @@ int cmd_remote_torture_write(int argc, char** argv) {
         return usage();
     }
     const std::string graph = argv[1];
-    const std::uint64_t seed = std::strtoull(argv[2], nullptr, 10);
-    const std::uint64_t max_steps =
-        argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 1000000;
-    const std::uint64_t first_step =
-        argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 0;
+    std::uint64_t seed = 0;
+    std::uint64_t max_steps = 1000000;
+    std::uint64_t first_step = 0;
+    if (!parse_uint(argv[2], UINT64_MAX, seed) ||
+        (argc > 3 && !parse_uint(argv[3], UINT64_MAX, max_steps)) ||
+        (argc > 4 && !parse_uint(argv[4], UINT64_MAX, first_step))) {
+        return usage();
+    }
     net::Client client;
     if (const int rc = remote_connect(argv[0], client); rc != 0) {
         return rc;
@@ -1212,6 +1260,17 @@ int main(int argc, char** argv) {
     if (argc < 3) {
         return usage();
     }
+    // The numeric operands are checked before the file is read.
+    VertexId root = 0;
+    if ((command == "trace" || command == "bfs") &&
+        (argc < 4 || !parse_vertex(argv[3], root))) {
+        return usage();
+    }
+    std::uint64_t top_k = 10;
+    if (command == "pagerank" && argc > 3 &&
+        !parse_uint(argv[3], SIZE_MAX, top_k)) {
+        return usage();
+    }
     const ParsedGraph parsed = load(argv[2]);
     if (!parsed.ok()) {
         std::fprintf(stderr, "error: %s\n", parsed.error.c_str());
@@ -1223,27 +1282,16 @@ int main(int argc, char** argv) {
         return cmd_stats(parsed, json);
     }
     if (command == "trace") {
-        if (argc < 4) {
-            return usage();
-        }
-        return cmd_trace(parsed,
-                         static_cast<gt::VertexId>(
-                             std::strtoul(argv[3], nullptr, 10)),
-                         json);
+        return cmd_trace(parsed, root, json);
     }
     if (command == "bfs") {
-        if (argc < 4) {
-            return usage();
-        }
-        return cmd_bfs(parsed, static_cast<gt::VertexId>(
-                                   std::strtoul(argv[3], nullptr, 10)));
+        return cmd_bfs(parsed, root);
     }
     if (command == "cc") {
         return cmd_cc(parsed);
     }
     if (command == "pagerank") {
-        return cmd_pagerank(
-            parsed, argc > 3 ? std::strtoul(argv[3], nullptr, 10) : 10);
+        return cmd_pagerank(parsed, static_cast<std::size_t>(top_k));
     }
     if (command == "triangles") {
         return cmd_triangles(parsed);
