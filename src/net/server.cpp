@@ -149,13 +149,10 @@ private:
 };
 
 // ---------------------------------------------------------------------------
-// ReaderPool — the shared-lock analytics pool. Workers pull read tasks,
-// take the graph's state lock shared, and run the verb; once the hold is
-// released the result rides a Done message back to the loop, which also
-// drains the graph's deferred mutations. A task against a graph with
-// deferred mutations parks (same mu_ hold as the dequeue — the unpark in
-// drain_deferred cannot miss it), which is what stops readers from starving
-// writers through glibc's reader-preferring shared_mutex.
+// ReaderPool — the shared-lock analytics pool, a plain work queue. Workers
+// pull read tasks, take the graph's state lock shared, and run the verb;
+// once the hold is released the result rides a Done message back to the
+// loop, which delivers it and walks the graph's admission queue on.
 
 class Server::ReaderPool {
 public:
@@ -169,34 +166,12 @@ public:
         }
     }
 
-    void submit(GraphEntry* graph, std::uint64_t conn_id, const Frame& req) {
+    void submit(GraphEntry* graph, QueuedOp&& op) {
         {
             gt::LockGuard lk(mu_);
-            queue_.push_back(Task{graph, conn_id, req});
+            queue_.push_back(Task{graph, std::move(op)});
         }
         cv_.notify_one();
-    }
-
-    /// Re-queues tasks parked on `graph` (called after its deferred
-    /// mutations drained).
-    void unpark(GraphEntry* graph) {
-        bool moved = false;
-        {
-            gt::LockGuard lk(mu_);
-            auto it = parked_.begin();
-            while (it != parked_.end()) {
-                if (it->graph == graph) {
-                    queue_.push_back(std::move(*it));
-                    it = parked_.erase(it);
-                    moved = true;
-                } else {
-                    ++it;
-                }
-            }
-        }
-        if (moved) {
-            cv_.notify_all();
-        }
     }
 
     void stop_and_join() {
@@ -216,14 +191,12 @@ public:
 private:
     struct Task {
         GraphEntry* graph = nullptr;
-        std::uint64_t conn_id = 0;
-        Frame req;
+        QueuedOp op;
     };
 
     void worker() {
         for (;;) {
             Task t;
-            bool have = false;
             {
                 gt::UniqueLock lk(mu_);
                 while (queue_.empty() && !stopping_) {
@@ -234,24 +207,16 @@ private:
                 }
                 t = std::move(queue_.front());
                 queue_.pop_front();
-                if (t.graph->has_deferred.load()) {
-                    parked_.push_back(std::move(t));
-                } else {
-                    have = true;
-                }
-            }
-            if (!have) {
-                continue;
             }
             LoopMsg done;
             done.graph = t.graph;
-            done.conn_id = t.conn_id;
+            done.conn_id = t.op.conn_id;
             {
                 gt::SharedLockGuard g(t.graph->state_lock);
-                server_.execute_read(t.graph, t.req, done.reply);
+                server_.execute_read(t.graph, t.op.req, done.reply);
             }
-            // Posted after the release: this hold may have been the one a
-            // deferred mutation waited on, and the loop drains on a Done.
+            // Posted after the release: this hold may be the one a queued
+            // mutation waits on, and the loop walks the queue on a Done.
             server_.post(std::move(done));
         }
     }
@@ -261,7 +226,6 @@ private:
     gt::Mutex mu_;
     gt::CondVar cv_;
     std::deque<Task> queue_ GT_GUARDED_BY(mu_);
-    std::vector<Task> parked_ GT_GUARDED_BY(mu_);
     bool stopping_ GT_GUARDED_BY(mu_) = false;
     std::vector<std::thread> threads_;
 };
@@ -325,10 +289,11 @@ Status Server::start(const ServerOptions& options) {
                       "ServerOptions.loop_threads is retired: the server "
                       "runs one event loop"};
     }
-    if (opts_.reader_threads > kMaxReaderThreads) {
+    if (opts_.reader_threads == 0 ||
+        opts_.reader_threads > kMaxReaderThreads) {
         return Status{StatusCode::InvalidArgument,
-                      "ServerOptions.reader_threads exceeds " +
-                          std::to_string(kMaxReaderThreads)};
+                      "ServerOptions.reader_threads must be in [1, " +
+                          std::to_string(kMaxReaderThreads) + "]"};
     }
     opts_.max_inflight = std::max<std::size_t>(opts_.max_inflight, 1);
     read_only_.store(opts_.read_only, std::memory_order_relaxed);
@@ -354,9 +319,7 @@ Status Server::start(const ServerOptions& options) {
     poller_ = std::make_unique<Poller>();
     poller_->add(listen_fd_.get(), false);
     poller_->add(wake_r_.get(), false);
-    if (opts_.reader_threads > 0) {
-        readers_ = std::make_unique<ReaderPool>(*this, opts_.reader_threads);
-    }
+    readers_ = std::make_unique<ReaderPool>(*this, opts_.reader_threads);
     return Status::success();
 }
 
@@ -373,16 +336,12 @@ Status Server::run() {
     }
     Status result;
     std::thread loop([this, &result] { result = run_loop(); });
-    if (readers_ != nullptr) {
-        readers_->start();
-    }
+    readers_->start();
     loop.join();
     // Graceful teardown: the loop has dropped its connections; stop the
     // readers, then close every store (the DurableStore close flushes
     // buffered WAL bytes; FsyncBatch syncs).
-    if (readers_ != nullptr) {
-        readers_->stop_and_join();
-    }
+    readers_->stop_and_join();
     {
         gt::LockGuard lk(graphs_mu_);
         for (auto& [name, entry] : graphs_) {
@@ -498,12 +457,11 @@ void Server::process_inbox() {
     for (LoopMsg& m : msgs) {
         switch (m.kind) {
             case LoopMsg::Kind::Done:
-                // The reader has released its hold: the mutations queued
-                // behind it run before its reply goes out.
-                if (m.graph->has_deferred.load()) {
-                    drain_deferred(m.graph);
-                }
+                // The reader has released its hold, so a mutation waiting
+                // at the head of the queue may run now.
+                --m.graph->reads_out;
                 deliver(m.conn_id, std::move(m.reply), 1);
+                run_queue(m.graph);
                 break;
             case LoopMsg::Kind::Pump:
                 pump_subscribers(m.graph);
@@ -969,93 +927,63 @@ void Server::execute(Conn& conn, const Frame& req) {
                        " is fenced: a higher-term primary exists; find it");
         return;
     }
-    if (is_loop_verb(req.type)) {
+    if (is_read_verb(req.type) || needs_exclusive_lock(req.type)) {
         ++conn.pending;
-        execute_on_loop(g, conn.id, req);
+        g->queue.push_back(QueuedOp{conn.id, req});
+        run_queue(g);
+        // A mutation still queued (it is the tail) waits for a pool read.
+        if (needs_exclusive_lock(req.type) && !g->queue.empty()) {
+            deferred_m_->inc();
+        }
         return;
     }
-    // Read verb.
-    if (readers_ != nullptr) {
-        ++conn.pending;
-        readers_->submit(g, conn.id, req);
-        return;
-    }
+    // Subscribe/SubAck/Hello: loop-private bookkeeping, but held shared
+    // against the state lock — on a chained replica a Replicator thread
+    // appends to the WAL these verbs read (durable_seq, tailer open) under
+    // the exclusive lock.
     Sink sink;
     {
         gt::SharedLockGuard lk(g->state_lock);
-        execute_read(g, req, sink);
-    }
-    if (g->has_deferred.load()) {
-        drain_deferred(g);
+        execute_loop_op(g, QueuedOp{conn.id, req}, sink);
     }
     append_sink(conn, std::move(sink));
+    pump_subscribers(g);
 }
 
 // ---------------------------------------------------------------------------
 // Loop verbs
 
-void Server::execute_on_loop(GraphEntry* g, std::uint64_t conn_id,
-                             const Frame& req) {
-    DeferredOp op;
-    op.conn_id = conn_id;
-    op.req = req;
-    if (!needs_exclusive_lock(req.type)) {
-        // Subscribe/SubAck/Hello: loop-private bookkeeping, but held shared
-        // against the state lock — on a chained replica a Replicator thread
-        // appends to the WAL these verbs read (durable_seq, tailer open)
-        // under the exclusive lock.
-        Sink sink;
-        {
-            gt::SharedLockGuard lk(g->state_lock);
-            execute_loop_op(g, op, sink);
+void Server::run_queue(GraphEntry* g) {
+    bool mutated = false;
+    while (!g->queue.empty()) {
+        QueuedOp& op = g->queue.front();
+        if (is_read_verb(op.req.type)) {
+            ++g->reads_out;
+            readers_->submit(g, std::move(op));
+            g->queue.pop_front();
+            continue;
         }
-        deliver(conn_id, std::move(sink), 1);
-        pump_subscribers(g);
-        return;
-    }
-    if (g->has_deferred.load() || !g->state_lock.try_lock()) {
-        // Readers hold the lock (or earlier ops already queued): keep FIFO
-        // order. Every pool reader posts its Done after releasing, so the
-        // hold that failed this try_lock brings the loop back to drain.
-        g->deferred.push_back(std::move(op));
-        g->has_deferred.store(true);
-        deferred_m_->inc();
-        drain_deferred(g);
-        return;
-    }
-    Sink sink;
-    execute_loop_op(g, op, sink);
-    g->state_lock.unlock();
-    deliver(conn_id, std::move(sink), 1);
-    pump_subscribers(g);
-}
-
-void Server::drain_deferred(GraphEntry* g) {
-    while (!g->deferred.empty()) {
         if (!g->state_lock.try_lock()) {
-            return;  // a reader is still in; its Done drains again
+            if (g->reads_out > 0) {
+                break;  // a pool read may hold it; its Done walks on
+            }
+            // No read of this graph is out, so the holder is outside the
+            // pool (an open_local() caller) and no Done will come: wait.
+            g->state_lock.lock();
         }
-        std::vector<std::pair<DeferredOp, Sink>> done;
-        while (!g->deferred.empty()) {
-            DeferredOp op = std::move(g->deferred.front());
-            g->deferred.pop_front();
-            Sink sink;
-            execute_loop_op(g, op, sink);
-            done.emplace_back(std::move(op), std::move(sink));
-        }
+        Sink sink;
+        execute_loop_op(g, op, sink);
         g->state_lock.unlock();
-        for (auto& [op, sink] : done) {
-            deliver(op.conn_id, std::move(sink), 1);
-        }
-        pump_subscribers(g);
+        deliver(op.conn_id, std::move(sink), 1);
+        g->queue.pop_front();
+        mutated = true;
     }
-    g->has_deferred.store(false);
-    if (readers_ != nullptr) {
-        readers_->unpark(g);
+    if (mutated) {
+        pump_subscribers(g);
     }
 }
 
-void Server::execute_loop_op(GraphEntry* g, const DeferredOp& op,
+void Server::execute_loop_op(GraphEntry* g, const QueuedOp& op,
                              Sink& sink) {
     const Frame& req = op.req;
     switch (req.type) {
@@ -1126,7 +1054,7 @@ void Server::execute_loop_op(GraphEntry* g, const DeferredOp& op,
     }
 }
 
-void Server::handle_hello(GraphEntry* g, const DeferredOp& op, Sink& sink) {
+void Server::handle_hello(GraphEntry* g, const QueuedOp& op, Sink& sink) {
     PayloadReader r(op.req.payload);
     (void)r.str();  // name
     const std::uint64_t known_term = r.u64();
@@ -1160,7 +1088,7 @@ void Server::handle_hello(GraphEntry* g, const DeferredOp& op, Sink& sink) {
     emit_reply(sink, op.req, w.span());
 }
 
-void Server::handle_subscribe(GraphEntry* g, const DeferredOp& op,
+void Server::handle_subscribe(GraphEntry* g, const QueuedOp& op,
                               Sink& sink) {
     PayloadReader r(op.req.payload);
     (void)r.str();  // name
@@ -1219,7 +1147,7 @@ void Server::handle_subscribe(GraphEntry* g, const DeferredOp& op,
     g->subscribers.push_back(std::move(sub));
 }
 
-void Server::handle_sub_ack(GraphEntry* g, const DeferredOp& op,
+void Server::handle_sub_ack(GraphEntry* g, const QueuedOp& op,
                             Sink& sink) {
     PayloadReader r(op.req.payload);
     (void)r.str();  // name
@@ -1249,7 +1177,7 @@ void Server::handle_sub_ack(GraphEntry* g, const DeferredOp& op,
     emit_reply(sink, op.req, {});
 }
 
-void Server::handle_checkpoint(GraphEntry* g, const DeferredOp& op,
+void Server::handle_checkpoint(GraphEntry* g, const QueuedOp& op,
                                Sink& sink) {
     PayloadReader r(op.req.payload);
     (void)r.str();
@@ -1337,7 +1265,7 @@ void Server::pump_subscribers(GraphEntry* g) {
     // Flow control: ship at most about half the write-buffer cap beyond a
     // subscriber's last SubAck, so a catch-up backlog streams at the
     // follower's pace instead of tripping flush_all's slow-subscriber
-    // teardown. Each SubAck re-pumps (execute_on_loop). The window only
+    // teardown. Each SubAck re-pumps (execute). The window only
     // binds while the follower holds a closed frame it can apply and ack —
     // a batch larger than the window still streams through.
     const std::size_t window = opts_.max_wbuf_bytes / 2;
@@ -1452,7 +1380,7 @@ void Server::drop_subscriber(GraphEntry* g, std::uint64_t conn_id) {
 }
 
 // ---------------------------------------------------------------------------
-// Read verbs (reader pool or inline, shared state-lock hold)
+// Read verbs (reader pool, shared state-lock hold)
 
 void Server::execute_read(GraphEntry* g, const Frame& req, Sink& sink) {
     PayloadReader r(req.payload);

@@ -1,33 +1,33 @@
 // gt serve — the networked front end over DurableStore (DESIGN.md §14/§15).
 //
-// Threading model (DESIGN.md §15): one event loop plus an optional reader
-// pool.
+// Threading model (DESIGN.md §15): one event loop plus a reader pool.
 //
 //   - The loop is one poll(2) thread that owns the listen socket and
 //     every connection: it accepts, reads, parses, runs the mutation and
-//     replication verbs, and writes. With reader_threads == 0 it is the only
-//     thread on the request path.
+//     replication verbs, and writes.
 //   - Read-only verbs (Degree/Neighbors/Bfs/Sssp/Cc/EdgeCount/StatsJson)
-//     run on the reader pool under a shared (reader) hold of the graph's
-//     state lock, so long analytics overlap ingest and each other. With
-//     reader_threads == 0 they run inline on the loop (shared hold, may
-//     briefly block).
+//     run on the reader pool (reader_threads, 1 to 256) under a shared
+//     hold of the graph's state lock, so long analytics overlap ingest and
+//     each other.
 //   - Other threads reach the loop only through its inbox, a mutex-guarded
 //     vector woken by a self-pipe: readers post their replies once they
 //     have released the graph's lock, a replica feeder posts WAL pumps, and
 //     stop() writes the pipe.
 //
-// Writer/reader coordination per graph: the loop never blocks behind
-// readers. A mutation that cannot take the state lock immediately
-// (try_lock fails, or earlier ops are already queued) joins the graph's
-// deferred FIFO; each reader's reply reaches the loop after its release,
-// and the loop drains the FIFO under one exclusive hold before delivering
-// that reply. Queued reads for a graph with deferred mutations park until
-// the drain finishes — writers cannot starve behind glibc's
-// reader-preferring shared_mutex. Ordering contract:
-// mutations from one connection apply in send order; a *read* pipelined
-// behind an unacknowledged mutation may observe the pre-mutation state
-// (wait for the mutation's reply when read-your-writes matters).
+// Admission per graph: the loop appends every read and every exclusive verb
+// (Insert/Delete/Checkpoint/Sync) to the graph's FIFO and walks it from the
+// head in run_queue(). A read goes to the pool. A mutation runs on the loop
+// under the exclusive lock, taken with try_lock; if that fails while a read
+// of the graph is out, the walk stops there and the read's reply, posted
+// after its release, resumes it. Everything behind a waiting mutation waits
+// too, so readers cannot starve a writer through glibc's reader-preferring
+// shared_mutex. If no read is out, the holder is outside the pool (an
+// open_local() caller) and the loop waits for its release.
+//
+// Ordering contract: a graph's mutations and reads take effect in the order
+// the loop parsed them (send order, for one connection). A read sent after a
+// mutation observes it; a read sent before one may observe it too; reads
+// with no mutation between them may overlap.
 //
 // WAL shipping: Subscribe registers the connection as a replication
 // follower of one graph. The loop tails the graph's WAL file and streams
@@ -40,7 +40,7 @@
 // shipped stream.
 //
 // Backpressure (admission control): the per-connection in-flight cap counts
-// unflushed responses *plus* dispatched-but-unanswered ops (deferred
+// unflushed responses *plus* dispatched-but-unanswered ops (queued
 // mutations, pool reads); the write buffer byte cap and the max_conns shed
 // complete it. All caps surface as
 // retryable Busy errors.
@@ -84,9 +84,8 @@ struct ServerOptions {
     /// Retired: the server runs one event loop, and start() refuses values
     /// above 1 with InvalidArgument. Kept for callers that still set it.
     std::size_t loop_threads = 1;
-    /// Reader-pool threads for the read-only verbs, at most 256; 0 runs
-    /// reads inline on the loop.
-    std::size_t reader_threads = 0;
+    /// Reader-pool threads for the read-only verbs, 1 to 256.
+    std::size_t reader_threads = 1;
     /// Refuse exclusive mutation verbs (Insert/Delete/Checkpoint/Sync) with
     /// ReadOnly (warm-replica mode: an external feeder owns the store's
     /// write side via open_local()). Subscribe/SubAck/Hello still serve, so
@@ -112,7 +111,8 @@ public:
     Server& operator=(const Server&) = delete;
 
     /// Binds and listens (no thread is spawned — call run() to serve).
-    /// Refuses loop_threads > 1 and reader_threads > 256 (InvalidArgument).
+    /// Refuses loop_threads > 1 and reader_threads outside [1, 256]
+    /// (InvalidArgument).
     [[nodiscard]] Status start(const ServerOptions& options);
 
     /// Spawns the loop thread, then the reader threads, and waits until the
@@ -136,7 +136,9 @@ public:
     /// In-process handle to a served graph — the replica feeder's doorway.
     /// `lock` is the graph's state lock: hold it exclusively while mutating
     /// through `store` (sound only with read_only == true, which keeps the
-    /// loop from ever writing). Lifetime: the pointers dangle once
+    /// loop from ever writing). A mutation that finds the lock held while
+    /// no pool read of the graph is out waits on the loop for the release,
+    /// so keep outside holds short. Lifetime: the pointers dangle once
     /// run() returns — its teardown closes and frees every store — so a
     /// feeder must be detached (Replicator::close()) before the server is
     /// stopped.
@@ -200,8 +202,8 @@ private:
         std::vector<GraphEntry*> subscribed;
     };
 
-    /// A loop verb waiting for the graph's exclusive lock.
-    struct DeferredOp {
+    /// A request in its graph's admission queue, or a loop verb running.
+    struct QueuedOp {
         std::uint64_t conn_id = 0;
         Frame req;
     };
@@ -230,15 +232,15 @@ private:
         recover::DurableStore store;
         std::uint8_t recovery_source = 0;
         recover::DurabilityMode mode{};
-        /// Readers (pool / inline) hold shared; the loop (or the read_only
-        /// feeder) holds exclusive around mutations.
+        /// Pool readers hold shared; the loop (or the read_only feeder)
+        /// holds exclusive around mutations.
         gt::SharedMutex state_lock;
-        /// True while `deferred` is non-empty — readers check it to park
-        /// (writer gate), and the loop to drain when a reader's Done
-        /// arrives.
-        std::atomic<bool> has_deferred{false};
-        /// Loop-private FIFO of ops awaiting the exclusive lock.
-        std::deque<DeferredOp> deferred;
+        /// Loop-private admission FIFO: reads and exclusive verbs in parse
+        /// order, walked from the head by run_queue().
+        std::deque<QueuedOp> queue;
+        /// Loop-private count of this graph's reads handed to the pool
+        /// whose Done has not come back.
+        std::size_t reads_out = 0;
         /// Loop-private follower list.
         std::vector<Subscriber> subscribers;
         /// Primary term this graph's history belongs to (term.gtt sidecar;
@@ -291,24 +293,23 @@ private:
     void post(LoopMsg&& msg);
 
     // ---- loop verbs (mutations + replication bookkeeping) ----------------
-    /// Entry point for loop verbs: respects the deferred FIFO, executes
-    /// inline when the exclusive lock is free.
-    void execute_on_loop(GraphEntry* g, std::uint64_t conn_id,
-                         const Frame& req);
-    void drain_deferred(GraphEntry* g);
+    /// Walks g's admission queue from the head: hands reads to the pool
+    /// and runs mutations while the exclusive lock can be had (the header
+    /// comment has the rule), then pumps subscribers if anything mutated.
+    void run_queue(GraphEntry* g);
     /// Runs one loop verb (state lock held for mutations). Appends replies
     /// to `sink`.
-    void execute_loop_op(GraphEntry* g, const DeferredOp& op, Sink& sink);
-    void handle_hello(GraphEntry* g, const DeferredOp& op, Sink& sink);
-    void handle_subscribe(GraphEntry* g, const DeferredOp& op, Sink& sink);
-    void handle_sub_ack(GraphEntry* g, const DeferredOp& op, Sink& sink);
-    void handle_checkpoint(GraphEntry* g, const DeferredOp& op, Sink& sink);
+    void execute_loop_op(GraphEntry* g, const QueuedOp& op, Sink& sink);
+    void handle_hello(GraphEntry* g, const QueuedOp& op, Sink& sink);
+    void handle_subscribe(GraphEntry* g, const QueuedOp& op, Sink& sink);
+    void handle_sub_ack(GraphEntry* g, const QueuedOp& op, Sink& sink);
+    void handle_checkpoint(GraphEntry* g, const QueuedOp& op, Sink& sink);
     /// Ships newly committed WAL records to every subscriber (after commits
     /// and on subscribe catch-up).
     void pump_subscribers(GraphEntry* g);
     void drop_subscriber(GraphEntry* g, std::uint64_t conn_id);
 
-    // ---- read verbs (pool or inline) -------------------------------------
+    // ---- read verbs (reader pool) ----------------------------------------
     /// Runs one read verb under a shared hold of g->state_lock.
     void execute_read(GraphEntry* g, const Frame& req, Sink& sink);
 

@@ -1,14 +1,16 @@
 // gt serve end-to-end: a real Server on a real socket, exercised by the
-// blocking Client and by raw byte streams. Covers the happy path (open /
+// blocking Client and by raw byte streams. Every read verb runs on the
+// reader pool (one thread by default). Covers the happy path (open /
 // pipelined mutate / BFS with verified distances) through RemoteGraph
 // session handles, the robustness matrix (malformed frames, garbage bytes,
 // half-open disconnects), backpressure shedding, durable recovery across
 // server restarts, reply-id pairing (out-of-order buffering, stale-reply
-// rejection), mixed writer + reader-pool traffic under TSan, BFS/SSSP
-// roots past the vertex bound, the option bounds start() enforces, stop
-// before run, read-only refusal, and — via fork + SIGKILL — the crash
-// contract: a server killed mid-batch leaves a directory that recovers
-// exactly the committed prefix.
+// rejection), mixed writer + reader-pool traffic under TSan, a mutation
+// queued behind a state-lock hold from outside the pool, BFS/SSSP roots
+// past the vertex bound, the option bounds start() enforces (one loop, 1
+// to 256 readers), stop before run, read-only refusal, and — via fork +
+// SIGKILL — the crash contract: a server killed mid-batch leaves a
+// directory that recovers exactly the committed prefix.
 #include "net/server.hpp"
 
 #include <gtest/gtest.h>
@@ -475,9 +477,9 @@ TEST(Server, ReadOnlyModeRefusesMutations) {
 TEST(Server, MultiClientConcurrentTraffic) {
     // Four client threads hammering one server: two mutating their own
     // graphs, two running queries against a shared one. Sized to finish
-    // under TSan; the assertion is freedom from races (server is single-
-    // threaded, but start/stop/port cross threads) and per-client
-    // linearity of results.
+    // under TSan; the assertion is freedom from races (one loop and the
+    // default one-thread reader pool; start/stop/port cross threads) and
+    // per-client linearity of results.
     TempDir dir;
     ScopedServer server({.root = dir.path()});
     {
@@ -542,11 +544,11 @@ TEST(Server, MultiClientConcurrentTraffic) {
 TEST(Server, ReaderPoolMixedTraffic) {
     // A 2-thread reader pool, 4 writer clients + 4 reader clients, ALL on
     // the same graph: queries fan out to the reader pool under shared
-    // locks, so a mutation that finds the lock held joins the deferred
-    // FIFO until a reader's Done drains it, while queued reads park behind
-    // it. Deferred mutations must interleave without losing ops. TSan
-    // covers the loop/pool handoffs; the final edge count covers
-    // lost-update bugs, and net.deferred_ops shows the deferral ran.
+    // locks, so a mutation that finds the lock held waits at the head of
+    // the graph's queue, with every later op behind it, until a reader's
+    // Done walks the queue on. Queued mutations must interleave without
+    // losing ops. TSan covers the loop/pool handoffs; the final edge count
+    // covers lost-update bugs, and net.deferred_ops shows the wait ran.
     constexpr std::uint32_t kFan = std::uint32_t{1} << 17;
     TempDir dir;
     ServerOptions options{.root = dir.path()};
@@ -629,6 +631,59 @@ TEST(Server, ReaderPoolMixedTraffic) {
     EXPECT_GT(server.server().obs().counter("net.deferred_ops").value(), 0U);
 }
 
+TEST(Server, MutationBehindAnOutsideHoldRunsWhenItEnds) {
+    // A state-lock hold from outside the pool (open_local's lock) posts no
+    // Done to the loop. The insert that finds it held must still run once
+    // it ends, and the read pipelined behind the insert must observe it.
+    TempDir dir;
+    ScopedServer server({.root = dir.path()});
+    Client client = connect_to(server.port());
+    client.config().op_timeout_ms = 3000;
+    RemoteGraph g;
+    ASSERT_TRUE(client.open("held", g, 0).ok());
+    Server::LocalGraph local;
+    ASSERT_TRUE(server.server().open_local("held", local).ok());
+
+    std::uint64_t insert_id = 0;
+    std::uint64_t degree_id = 0;
+    {
+        const SharedLockGuard hold(*local.lock);
+        PayloadWriter ins;
+        ins.str("held");
+        const Edge e{7, 8, 1};
+        ins.edges({&e, 1});
+        ASSERT_TRUE(
+            client.send_request(MsgType::InsertBatch, ins.span(), insert_id)
+                .ok());
+        PayloadWriter deg;
+        deg.str("held");
+        deg.u32(7);
+        ASSERT_TRUE(
+            client.send_request(MsgType::Degree, deg.span(), degree_id)
+                .ok());
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    }
+    const auto released = std::chrono::steady_clock::now();
+    bool inserted = false;
+    std::uint64_t degree = 0;
+    for (int i = 0; i < 2; ++i) {
+        Frame reply;
+        const Status st = client.recv_reply(reply);
+        ASSERT_TRUE(st.ok()) << st.to_string();
+        if (reply.request_id == degree_id) {
+            PayloadReader r(reply.payload);
+            degree = r.u64();
+        } else {
+            EXPECT_EQ(reply.request_id, insert_id);
+            inserted = true;
+        }
+    }
+    EXPECT_LT(std::chrono::steady_clock::now() - released,
+              std::chrono::seconds(1));
+    EXPECT_TRUE(inserted);
+    EXPECT_EQ(degree, 1U) << "the read ran before the insert";
+}
+
 TEST(Server, BfsAndSsspFromRootPastTheVertexBound) {
     // A root the store has never seen reaches only itself. Root 2^32 - 1
     // used to wrap the engine's array size to 0 and crash the server, so
@@ -665,12 +720,16 @@ TEST(Server, StartRefusesMoreThanOneLoop) {
 }
 
 TEST(Server, StartRefusesOversizedReaderPool) {
-    // start() spawns no thread, so this asks for no thread either.
-    TempDir dir;
-    ServerOptions options{.root = dir.path()};
-    options.reader_threads = std::size_t{1} << 20;
-    Server server;
-    EXPECT_EQ(server.start(options).code, StatusCode::InvalidArgument);
+    // start() spawns no thread, so this asks for no thread either. An
+    // empty pool is refused too: reads run on the pool only.
+    for (const std::size_t readers : {std::size_t{1} << 20, std::size_t{0}}) {
+        TempDir dir;
+        ServerOptions options{.root = dir.path()};
+        options.reader_threads = readers;
+        Server server;
+        EXPECT_EQ(server.start(options).code, StatusCode::InvalidArgument)
+            << readers;
+    }
 }
 
 TEST(Server, StopBeforeRunReturnsOk) {

@@ -111,6 +111,16 @@ class UsageErrors(unittest.TestCase):
         self.assertEqual(
             run_gt("serve", self.root.name, "--readers", "x"), 2)
 
+    def test_serve_readers_out_of_range(self) -> None:
+        # Reads run only on the pool, which holds 1 to 256 threads; the
+        # refusal comes before the root directory exists.
+        for readers in ("0", "257"):
+            self.assertEqual(
+                run_gt("serve", self.dir, "--port", "0", "--readers",
+                       readers),
+                2, readers)
+            self.assertFalse(Path(self.dir).exists(), readers)
+
     def test_serve_loops_is_gone(self) -> None:
         self.assertEqual(
             run_gt("serve", self.root.name, "--loops", "2"), 2)

@@ -26,8 +26,10 @@
 //                                                "listening on H:P" once
 //                                                bound; SIGINT/SIGTERM
 //                                                drain and exit cleanly;
-//                                                --readers adds a shared-lock
-//                                                pool for the query verbs
+//                                                --readers sizes the
+//                                                shared-lock pool that runs
+//                                                the query verbs (1 to 256,
+//                                                default 1)
 //   gt replicate <root> <primary host:port> <graph>
 //            [--host H] [--port N] [--once]
 //                                                warm replica: subscribe to
@@ -163,7 +165,7 @@ int usage() {
                  "  gt torture-writer <dir> <seed> [steps] [--fsync]\n"
                  "  gt torture-verify <dir> <seed>\n"
                  "  gt serve <root> [--host H] [--port N] [--fsync|--nosync]"
-                 " [--readers N]\n"
+                 " [--readers N]  (N in 1..256, default 1)\n"
                  "  gt replicate <root> <primary host:port> <graph> "
                  "[--host H] [--port N] [--once]\n"
                  "      [--promote-on-failure] [--heartbeat-ms N]\n"
@@ -721,7 +723,7 @@ int cmd_serve(int argc, char** argv) {
             options.durability = recover::DurabilityMode::Off;
         } else if (arg == "--readers" && i + 1 < argc) {
             std::uint64_t readers = 0;
-            if (!parse_uint(argv[++i], SIZE_MAX, readers)) {
+            if (!parse_uint(argv[++i], 256, readers) || readers == 0) {
                 return usage();
             }
             options.reader_threads = static_cast<std::size_t>(readers);
